@@ -3,8 +3,12 @@
 Acceptance gate of the batch execution layer: on a clean-word batch
 (the dominant case in every memory-reliability regime the paper
 studies) ``BatchRSCodec.decode_batch`` must be at least 10x faster than
-looping the scalar decoder, and batch encode must beat scalar encode.
-The numbers land in ``benchmarks/results/batch_codec.txt``.
+looping the scalar decoder, on a batch where every word carries an
+error (the vectorized errors-and-erasures decoder) at least 5x, and
+batch encode must beat scalar encode.  A 3-dirty-word batch — the shape
+a near-paper-rate Monte-Carlo chunk sends — is reported, not gated: its
+time is the per-call fixed cost.  The numbers land in
+``benchmarks/results/batch_codec.txt``.
 """
 
 import numpy as np
@@ -24,8 +28,8 @@ def make_inputs():
     data = rng.integers(0, code.gf.order, size=(BATCH, K))
     clean = codec.encode_batch(data)
     noisy = clean.copy()
-    # one random symbol error in every word: worst case for the batch
-    # layer (100% scalar fallback), bounds the fallback overhead.
+    # one random symbol error in every word: no word takes the clean
+    # fast path, so this measures the errata decoder alone.
     rows = np.arange(BATCH)
     cols = rng.integers(0, N, size=BATCH)
     noisy[rows, cols] ^= rng.integers(1, code.gf.order, size=BATCH)
@@ -61,6 +65,17 @@ def test_clean_decode_speedup(benchmark, save_table):
     _, t_noisy_scalar = timed(scalar_noisy)
     noisy_speedup = t_noisy_scalar / t_noisy_batch
 
+    few = noisy[:3]
+    few_lists = noisy_lists[:3]
+    calls = 500
+    _, t_few_batch = timed(
+        lambda: [codec.decode_batch(few) for _ in range(calls)]
+    )
+    _, t_few_scalar = timed(
+        lambda: [[code.decode(w) for w in few_lists] for _ in range(calls)]
+    )
+    few_words = 3 * calls
+
     rows = [
         [
             "decode, all words clean",
@@ -69,10 +84,16 @@ def test_clean_decode_speedup(benchmark, save_table):
             f"{speedup:.1f}x",
         ],
         [
-            "decode, 1 error/word (100% fallback)",
+            "decode, 1 error/word (all dirty)",
             f"{BATCH / t_noisy_scalar:,.0f}",
             f"{BATCH / t_noisy_batch:,.0f}",
             f"{noisy_speedup:.1f}x",
+        ],
+        [
+            "decode, batches of 3 dirty words",
+            f"{few_words / t_few_scalar:,.0f}",
+            f"{few_words / t_few_batch:,.0f}",
+            f"{t_few_scalar / t_few_batch:.1f}x",
         ],
         [
             "encode",
@@ -90,8 +111,9 @@ def test_clean_decode_speedup(benchmark, save_table):
         f"clean-word batch decode only {speedup:.1f}x faster than scalar"
     )
     assert enc_speedup > 1.0
-    # the fallback path must not cost materially more than scalar decoding
-    assert noisy_speedup > 0.5
+    assert noisy_speedup >= 5.0, (
+        f"dirty-word batch decode only {noisy_speedup:.1f}x faster than scalar"
+    )
 
 
 def test_backend_matrix_speedups(benchmark, save_table):

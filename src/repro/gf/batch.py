@@ -18,6 +18,13 @@ Semantics match the scalar field element-for-element:
 * inputs follow normal numpy broadcasting, so ``(B, 1)`` against ``(n,)``
   works as expected, including empty (``B == 0``) batches.
 
+Products are single gathers through *zero-sentinel* tables
+(:attr:`BatchGF.zlog` / :attr:`BatchGF.zexp`): ``zlog[0]`` is a sentinel
+so large that any index sum involving it lands in the all-zero tail of
+``zexp``, so ``a * b == zexp[zlog[a] + zlog[b]]`` needs no zero mask.
+The vectorized RS decoder (:mod:`repro.rs.batch_decode`) indexes these
+tables directly, folding a quotient and a product into one gather.
+
 Field/table construction is cached per ``(m, primitive_polynomial)`` via
 :func:`batch_field`, so codecs, simulators and worker processes share one
 table set per field.
@@ -70,6 +77,18 @@ class BatchGF:
         # _exp is already doubled in GF2m so summed logs need no modulo.
         self._exp = np.asarray(gf._exp, dtype=_DTYPE)
         self._log = np.asarray(gf._log, dtype=_DTYPE)
+        q1 = self.order - 1
+        #: Log of zero in :attr:`zlog`.  The longest nonzero chain in use,
+        #: ``log a - log b + (q - 1) + log c`` (``a / b * c``), stays below
+        #: it (``<= 3q - 5``).
+        self.zero_log = 3 * q1
+        #: ``zlog[a]`` is ``log(a)``, or :attr:`zero_log` for ``a == 0``.
+        self.zlog = self._log.copy()
+        self.zlog[0] = self.zero_log
+        #: ``zexp[i]`` is ``alpha^i`` below :attr:`zero_log` and ``0`` from
+        #: there on; long enough for any such chain with zeros in it.
+        self.zexp = np.zeros(3 * self.zero_log + 1, dtype=_DTYPE)
+        self.zexp[: self.zero_log] = np.tile(self._exp[:q1], 3)
 
     # -- coercion -----------------------------------------------------------
 
@@ -78,8 +97,19 @@ class BatchGF:
         return np.asarray(a, dtype=_DTYPE)
 
     def validate_elements(self, a: ArrayLike) -> np.ndarray:
-        """Coerce and range-check an array of field elements."""
-        arr = self.asarray(a)
+        """Coerce and range-check an array of field elements.
+
+        Non-integer arrays are rejected, not truncated: a float symbol
+        such as ``1.7`` would otherwise be cast to ``1`` and silently
+        encoded, where the scalar codec raises.
+        """
+        arr = np.asarray(a)
+        if arr.size and arr.dtype.kind not in "iub":
+            raise ValueError(
+                f"GF(2^{self.m}) elements must be integers, got an array "
+                f"of dtype {arr.dtype}"
+            )
+        arr = arr.astype(_DTYPE, copy=False)
         if arr.size and (arr.min() < 0 or arr.max() >= self.order):
             raise ValueError(
                 f"array contains values outside GF(2^{self.m}) "
@@ -97,12 +127,7 @@ class BatchGF:
 
     def mul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         """Elementwise field multiplication via the shared log/exp tables."""
-        a = self.asarray(a)
-        b = self.asarray(b)
-        # log[0] is 0 in the table; mask zeros out afterwards instead of
-        # branching, which keeps the whole operation a flat gather.
-        prod = self._exp[self._log[a] + self._log[b]]
-        return np.where((a == 0) | (b == 0), 0, prod)
+        return self.zexp[self.zlog[self.asarray(a)] + self.zlog[self.asarray(b)]]
 
     def div(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         """Elementwise ``a / b``; any zero divisor raises ZeroDivisionError."""
@@ -158,10 +183,10 @@ class BatchGF:
         ``coeffs`` is an ascending-order coefficient list (the
         :mod:`repro.gf.poly` convention); ``x`` may be any shape.
         """
-        x = self.asarray(x)
-        acc = np.zeros_like(x)
+        log_x = self.zlog[self.asarray(x)]
+        acc = np.zeros_like(log_x)
         for c in reversed(list(coeffs)):
-            acc = self.mul(acc, x) ^ int(c)
+            acc = self.zexp[self.zlog[acc] + log_x] ^ int(c)
         return acc
 
     def poly_eval_batch(
@@ -186,11 +211,10 @@ class BatchGF:
         rows = self.asarray(coeff_rows)
         if rows.ndim != 2:
             raise ValueError(f"coeff_rows must be 2-D, got shape {rows.shape}")
-        pts = self.asarray(x).reshape(-1)
-        B = rows.shape[0]
-        acc = np.zeros((B, pts.size), dtype=_DTYPE)
+        log_pts = self.zlog[self.asarray(x).reshape(1, -1)]
+        acc = np.zeros((rows.shape[0], log_pts.size), dtype=_DTYPE)
         for j in range(rows.shape[1] - 1, -1, -1):
-            acc = self.mul(acc, pts[np.newaxis, :]) ^ rows[:, j : j + 1]
+            acc = self.zexp[self.zlog[acc] + log_pts] ^ rows[:, j : j + 1]
         return acc
 
     def __eq__(self, other: object) -> bool:

@@ -51,9 +51,10 @@ class PerfCounters:
     words_decoded: words submitted to ``decode_batch``.
     clean_fast_path: decoded words that took the all-zero-syndrome
         vectorized early-out.
-    scalar_fallbacks: decoded words routed to the scalar
-        errors-and-erasures pipeline (dirty words).
-    decode_failures: words the scalar fallback reported uncorrectable.
+    scalar_fallbacks: dirty words decoded — words with a nonzero
+        syndrome or more erasures than ``n - k``, which go through the
+        vectorized errors-and-erasures decoder (the name predates it).
+    decode_failures: decoded words reported uncorrectable.
     trials: Monte-Carlo trials completed.
     chunks: Monte-Carlo chunks processed.
     elapsed_seconds: true wall-clock time, measured by the
@@ -156,7 +157,7 @@ class PerfCounters:
 
     @property
     def fallback_rate(self) -> float:
-        """Fraction of decoded words that needed the scalar pipeline."""
+        """Fraction of decoded words that were dirty (``scalar_fallbacks``)."""
         if self.words_decoded <= 0:
             return 0.0
         return self.scalar_fallbacks / self.words_decoded
@@ -190,7 +191,7 @@ class PerfCounters:
             f"words encoded      : {self.words_encoded}",
             f"words decoded      : {self.words_decoded}",
             f"clean fast path    : {self.clean_fast_path}",
-            f"scalar fallbacks   : {self.scalar_fallbacks} "
+            f"dirty words decoded: {self.scalar_fallbacks} "
             f"({100.0 * self.fallback_rate:.1f}%)",
             f"decode failures    : {self.decode_failures}",
             f"elapsed (wall)     : {self.elapsed_seconds:.3f} s",

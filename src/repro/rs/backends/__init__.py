@@ -19,8 +19,8 @@ compiled  bit-sliced masked-XOR kernels over per-field codegen'd planes,
 ========  ==================================================================
 
 Because all three share the harness (validation, clean-word fast path,
-one scalar errors-and-erasures pipeline for dirty words), their results
-are bit-identical; the conformance suite and the ``rs-compiled-*``
+one vectorized errors-and-erasures decoder for dirty words), their
+results are bit-identical; the conformance suite and the ``rs-compiled-*``
 differential-fuzz targets enforce that continuously.
 
 The engine axis is an **execution hint**, like ``workers``: it never
@@ -121,7 +121,6 @@ def create_backend(
     k: int,
     m: int = 8,
     fcr: int = 1,
-    key_solver: str = "bm",
     scalar: Optional[RSCode] = None,
     counters: Optional[PerfCounters] = None,
 ) -> BatchRSCodec:
@@ -133,14 +132,14 @@ def create_backend(
     """
     if name in ("numpy", "batch"):
         return BatchRSCodec(
-            n, k, m=m, fcr=fcr, key_solver=key_solver,
+            n, k, m=m, fcr=fcr,
             scalar=scalar, counters=counters,
         )
     if name == "scalar":
         from .scalar import ScalarRSCodec
 
         return ScalarRSCodec(
-            n, k, m=m, fcr=fcr, key_solver=key_solver,
+            n, k, m=m, fcr=fcr,
             scalar=scalar, counters=counters,
         )
     if name == "compiled":
@@ -150,7 +149,7 @@ def create_backend(
         from .compiled import CompiledRSCodec
 
         return CompiledRSCodec(
-            n, k, m=m, fcr=fcr, key_solver=key_solver,
+            n, k, m=m, fcr=fcr,
             scalar=scalar, counters=counters, kernels=mode,
         )
     raise ValueError(

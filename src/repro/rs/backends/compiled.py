@@ -1,7 +1,7 @@
 """The ``compiled`` engine: numba-jitted bit-sliced GF(2^m) kernels.
 
 :class:`CompiledRSCodec` keeps the shared batch harness (validation,
-clean fast path, scalar fallback — see :class:`~repro.rs.batch.BatchRSCodec`)
+clean fast path, errata decoder — see :class:`~repro.rs.batch.BatchRSCodec`)
 and replaces both kernel hooks with the bit-sliced forms of
 :mod:`repro.rs.backends.kernels`, driven by per-field plane tables from
 :mod:`repro.rs.backends.gf_tables`.
@@ -20,7 +20,7 @@ Capability is probed, never assumed:
 
 Whatever the mode, results are bit-identical to the numpy and scalar
 engines: the kernels compute exact field arithmetic and all dirty-word
-decoding goes through the one shared scalar pipeline.
+decoding goes through the one shared vectorized decoder.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class CompiledRSCodec(BatchRSCodec):
         k: int,
         m: int = 8,
         fcr: int = 1,
-        key_solver: str = "bm",
         scalar: Optional[RSCode] = None,
         counters: Optional[PerfCounters] = None,
         kernels: str = "numba",
@@ -60,7 +59,6 @@ class CompiledRSCodec(BatchRSCodec):
             k,
             m=m,
             fcr=fcr,
-            key_solver=key_solver,
             scalar=scalar,
             counters=counters,
         )

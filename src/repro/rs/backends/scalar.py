@@ -3,7 +3,7 @@
 :class:`ScalarRSCodec` wraps the existing pure-python codec
 (:class:`~repro.rs.codec.RSCode` and :func:`~repro.rs.syndromes.compute_syndromes`)
 in the shared :class:`~repro.rs.batch.BatchRSCodec` harness: validation,
-clean-word fast path, scalar fallback, counters and report objects are
+clean-word fast path, errata decoder, counters and report objects are
 all inherited — only the two kernel hooks run per-row python loops
 instead of vectorized numpy.
 

@@ -31,6 +31,21 @@ class RSDecodingError(Exception):
     """Raised when the decoder detects an uncorrectable word."""
 
 
+# Failure messages of :meth:`RSCode.decode`, in the order the decoder
+# checks them.  The batch decoder formats the same templates, so its
+# diagnostics are byte-identical to the scalar ones.
+OVER_ERASED = "{rho} erasures exceed correction capability n-k={nsym}"
+LOCATOR_DEGREE = (
+    "error locator degree {num_errors} with {rho} erasures "
+    "exceeds capability n-k={nsym}"
+)
+ROOT_COUNT = (
+    "errata locator of degree {degree} has "
+    "{roots} roots in the codeword: uncorrectable"
+)
+POST_SYNDROMES = "post-correction syndromes nonzero"
+
+
 @dataclass(frozen=True)
 class DecodeResult:
     """Outcome of a successful decode.
@@ -169,9 +184,7 @@ class RSCode:
             raise ValueError("erasure position out of range")
         rho = len(erasure_positions)
         if rho > self.nsym:
-            raise RSDecodingError(
-                f"{rho} erasures exceed correction capability n-k={self.nsym}"
-            )
+            raise RSDecodingError(OVER_ERASED.format(rho=rho, nsym=self.nsym))
 
         syndromes = compute_syndromes(self.gf, received, self.nsym, self.fcr)
         if all(s == 0 for s in syndromes):
@@ -191,8 +204,9 @@ class RSCode:
         num_errors = poly.degree(lam)
         if 2 * num_errors + rho > self.nsym:
             raise RSDecodingError(
-                f"error locator degree {num_errors} with {rho} erasures "
-                f"exceeds capability n-k={self.nsym}"
+                LOCATOR_DEGREE.format(
+                    num_errors=num_errors, rho=rho, nsym=self.nsym
+                )
             )
         gamma = erasure_locator(self.gf, erasure_positions)
         psi = poly.mul(self.gf, lam, gamma)
@@ -200,8 +214,9 @@ class RSCode:
         positions = chien_search(self.gf, psi, self.n)
         if len(positions) != poly.degree(psi):
             raise RSDecodingError(
-                f"errata locator of degree {poly.degree(psi)} has "
-                f"{len(positions)} roots in the codeword: uncorrectable"
+                ROOT_COUNT.format(
+                    degree=poly.degree(psi), roots=len(positions)
+                )
             )
 
         try:
@@ -219,7 +234,7 @@ class RSCode:
                 changed.append(p)
 
         if not self.is_codeword(corrected):
-            raise RSDecodingError("post-correction syndromes nonzero")
+            raise RSDecodingError(POST_SYNDROMES)
 
         return DecodeResult(
             data=self.extract_data(corrected),

@@ -17,6 +17,12 @@ from typing import List, Sequence
 
 from ..gf import GF2m, poly
 
+#: Message of the zero-derivative failure (shared with the batch decoder).
+DERIVATIVE_ZERO = (
+    "locator derivative vanishes at position {position}; "
+    "inconsistent errata locator"
+)
+
 
 def chien_search(gf: GF2m, locator: Sequence[int], n: int) -> List[int]:
     """Return codeword positions ``p < n`` where the locator has a root.
@@ -64,10 +70,7 @@ def forney_magnitudes(
         num = poly.eval_at(gf, omega, x_inv)
         den = poly.eval_at(gf, dpsi, x_inv)
         if den == 0:
-            raise ZeroDivisionError(
-                f"locator derivative vanishes at position {p}; "
-                "inconsistent errata locator"
-            )
+            raise ZeroDivisionError(DERIVATIVE_ZERO.format(position=p))
         mag = gf.div(num, den)
         if fcr != 1:
             mag = gf.mul(mag, gf.pow(gf.exp(p), 1 - fcr))

@@ -21,6 +21,7 @@ from .arbiter import (
     ArbiterDecision,
     ArbiterResult,
     arbitrate,
+    decide_batch,
     decide_from_decodes,
     recover_erasures,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "simulate_read_outcome",
     "spawn_chunk_seeds",
     "chunk_sizes",
+    "decide_batch",
     "decide_from_decodes",
     "wilson_interval",
     "NMRSystem",

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..rs import RSCode, RSDecodingError
 from .word import MemoryWord
 
@@ -140,4 +142,31 @@ def decide_from_decodes(
         decoded=decoded,
         masked_erasures=masked,
         shared_erasures=shared,
+    )
+
+
+def decide_batch(ok1, ok2, flag1, flag2, same_data) -> np.ndarray:
+    """The Section 3 decision table over arrays of word pairs.
+
+    Array form of :func:`decide_from_decodes`, which stays the reference:
+    ``ok*`` say whether each word decoded, ``flag*`` whether its decoder
+    changed a symbol (ignored where the word failed), and ``same_data``
+    whether the two decoded data words are equal.  Returns, per pair,
+    the word whose data the arbiter outputs: ``0`` (word 1), ``1``
+    (word 2) or ``-1`` (no output).
+    """
+    ok1 = np.asarray(ok1, dtype=bool)
+    ok2 = np.asarray(ok2, dtype=bool)
+    flag1 = np.asarray(flag1, dtype=bool) & ok1
+    flag2 = np.asarray(flag2, dtype=bool) & ok2
+    return np.select(
+        [
+            ~ok1 & ~ok2,                       # neither decoded
+            ~ok2,                              # only word 1 decoded
+            ~ok1,                              # only word 2 decoded
+            ~(flag1 | flag2) | same_data,      # no flag, or agreed
+            flag1 != flag2,                    # trust the unflagged word
+        ],
+        [-1, 0, 1, 0, flag1.astype(np.int64)],
+        default=-1,                            # both flagged, words differ
     )

@@ -28,7 +28,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,12 +36,16 @@ from ..memory.base import FAIL, MemoryMarkovModel
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..perf import PerfCounters, Stopwatch
-from ..rs import BatchRSCodec, RSCode, RSDecodingError
+from ..rs import BatchRSCodec, RSCode
 from ..rs.backends import create_backend
 from ..runtime import ChunkSupervisor, RuntimeConfig, seed_key
 from ..stats import AdaptiveStopper, BerSnapshot, StreamingEstimator
 from ..stats.intervals import wilson_interval  # noqa: F401  (moved; re-exported)
-from .arbiter import decide_from_decodes, recover_erasures
+from .arbiter import (  # noqa: F401  (decide_from_decodes: re-exported)
+    decide_batch,
+    decide_from_decodes,
+    recover_erasures,
+)
 from .faults import (
     FaultEvent,
     FaultKind,
@@ -412,8 +416,9 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
     Strategy: draw everything vectorized, skip trials with zero fault
     events outright (their read is trivially ``CORRECT``), replay the few
     dirty trials' event streams through the real bit-level systems, then
-    push *all* final reads through one ``decode_batch`` call and apply
-    the scalar classification/arbitration rules to the per-word results.
+    push *all* final reads through one ``decode_batch`` call and classify
+    them from the report's arrays (duplex pairs through
+    :func:`~repro.simulator.arbiter.decide_batch`).
 
     When a correlated ``pattern_spec``/``schedule_spec`` is set the
     transient process is the compound-Poisson mixture of
@@ -538,12 +543,12 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
         vec_trials = np.flatnonzero(vector_mask)
         replay_trials = np.flatnonzero(dirty & ~vector_mask)
 
-        # Per-trial ground truth / erasures / decode inputs, accumulated
-        # across both paths, decoded in one batch at the end.  Each entry
-        # of *_meta describes one trial: (truth row index, masked, shared).
-        pending_words: List[Sequence[int]] = []
-        pending_erasures: List[List[int]] = []
-        trial_meta: List[Tuple[int, int, int]] = []
+        # The final reads of every dirty trial, decoded in one batch at
+        # the end: the vectorized trials' words, then the replayed ones,
+        # n_modules consecutive rows per trial.
+        blocks: List[np.ndarray] = []
+        replay_words: List[List[int]] = []
+        replay_erasures: List[List[int]] = []
 
         if vec_trials.size:
             compact = np.full(n_trials, -1, dtype=np.int64)
@@ -562,11 +567,7 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
                     np.int64(1) << bits[ev_mask].astype(np.int64),
                 )
                 received_per_module.append(rec)
-            for row, trial in enumerate(vec_trials):
-                for module in range(n_modules):
-                    pending_words.append(received_per_module[module][row])
-                    pending_erasures.append([])
-                trial_meta.append((int(trial), 0, 0))
+            blocks.append(np.stack(received_per_module, axis=1).reshape(-1, n))
 
         # Replay the remaining dirty trials (permanent faults and/or
         # scrubs: stateful, order-dependent) through the bit-level
@@ -597,50 +598,45 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
             for event in events:
                 system.apply_event(event)
             if arrangement == "simplex":
-                pending_words.append(system.word.read())
-                pending_erasures.append(system.word.located_positions)
-                trial_meta.append((int(trial), 0, 0))
+                replay_words.append(system.word.read())
+                replay_erasures.append(system.word.located_positions)
             else:
-                s1, s2, shared, masked = recover_erasures(
+                s1, s2, shared, _masked = recover_erasures(
                     system.modules[0], system.modules[1]
                 )
-                pending_words.append(s1)
-                pending_words.append(s2)
-                pending_erasures.append(shared)
-                pending_erasures.append(shared)
-                trial_meta.append((int(trial), masked, len(shared)))
+                replay_words += [s1, s2]
+                replay_erasures += [shared, shared]
 
-        if pending_words:
+        if replay_words:
+            blocks.append(np.asarray(replay_words, dtype=np.int64))
+        if blocks:
             report = codec.decode_batch(
-                np.asarray(pending_words, dtype=np.int64), pending_erasures
+                np.concatenate(blocks),
+                [()] * (vec_trials.size * n_modules) + replay_erasures
+                if replay_erasures
+                else None,
             )
-            truth_rows = data.tolist()
-            for slot, (trial, masked, shared) in enumerate(trial_meta):
-                truth = truth_rows[trial]
-                if arrangement == "simplex":
-                    r = report.results[slot]
-                    if isinstance(r, RSDecodingError):
-                        outcome = ReadOutcome.UNREADABLE
-                    elif r.data == truth:
-                        outcome = ReadOutcome.CORRECT
-                    else:
-                        outcome = ReadOutcome.CORRUPTED
-                else:
-                    r1 = report.results[2 * slot]
-                    r2 = report.results[2 * slot + 1]
-                    result = decide_from_decodes(
-                        None if isinstance(r1, RSDecodingError) else r1,
-                        None if isinstance(r2, RSDecodingError) else r2,
-                        masked=masked,
-                        shared=shared,
-                    )
-                    if not result.produced_output:
-                        outcome = ReadOutcome.UNREADABLE
-                    elif result.data == truth:
-                        outcome = ReadOutcome.CORRECT
-                    else:
-                        outcome = ReadOutcome.CORRUPTED
-                counts[outcome.value] += 1
+            truth = data[np.concatenate([vec_trials, replay_trials])]
+            decoded = report.codewords[:, n - k :]
+            if arrangement == "simplex":
+                readable = report.ok
+            else:
+                ok = report.ok.reshape(-1, 2)
+                flags = report.corrected.reshape(-1, 2)
+                first, second = decoded[0::2], decoded[1::2]
+                source = decide_batch(
+                    ok[:, 0],
+                    ok[:, 1],
+                    flags[:, 0],
+                    flags[:, 1],
+                    (first == second).all(axis=1),
+                )
+                readable = source >= 0
+                decoded = np.where((source == 1)[:, None], second, first)
+            right = readable & (decoded == truth).all(axis=1)
+            counts[ReadOutcome.UNREADABLE.value] += int((~readable).sum())
+            counts[ReadOutcome.CORRECT.value] += int(right.sum())
+            counts[ReadOutcome.CORRUPTED.value] += int((readable & ~right).sum())
 
         failures = sum(
             counts[o.value] for o in ReadOutcome if o.is_failure

@@ -410,6 +410,125 @@ class TestBatchValidation:
         with pytest.raises(ValueError, match="does not match"):
             BatchRSCodec(18, 16, m=8, scalar=RSCode(18, 14, m=8))
 
+    def test_non_bm_scalar_codec_rejected(self):
+        """The batch decoder is Berlekamp-Massey; a Euclid oracle would
+        make single-word and batch decodes run different solvers."""
+        euclid = RSCode(18, 16, m=8, key_solver="euclid")
+        with pytest.raises(ValueError, match="key_solver"):
+            BatchRSCodec(18, 16, m=8, scalar=euclid)
+
+    def test_non_integer_symbols_rejected(self, pair):
+        """Regression: float symbols were cast to int64 and truncated, so
+        ``encode_batch([[1.7] * k])`` silently encoded 1s where the scalar
+        codec raises."""
+        scalar, batch = pair
+        with pytest.raises(ValueError):
+            scalar.encode([1.7] * scalar.k)
+        with pytest.raises(ValueError, match="integers"):
+            batch.encode_batch([[1.7] * scalar.k])
+        floats = np.ones((2, scalar.n))
+        with pytest.raises(ValueError, match="integers"):
+            batch.syndromes_batch(floats)
+        with pytest.raises(ValueError, match="integers"):
+            batch.is_codeword_mask(floats)
+        with pytest.raises(ValueError, match="integers"):
+            batch.decode_batch(floats)
+
+    def test_non_integer_erasure_positions_rejected(self, pair):
+        """Regression: a position of 2.5 passed the range check."""
+        scalar, batch = pair
+        word = batch.encode_batch(np.zeros((1, scalar.k), dtype=int))
+        with pytest.raises(ValueError, match="integers"):
+            batch.decode_batch(word, [[2.5]])
+        with pytest.raises(ValueError, match="integers"):
+            batch.decode_batch(np.repeat(word, 2, axis=0), [[1], [0, 2.0]])
+
+
+class TestMixedStrataBatch:
+    """One batch per code holding every stratum side by side.
+
+    Clean words, below/at/beyond-capacity mixes, erasure-only words,
+    zero-magnitude (benign) erasures and over-erased words share one
+    ``decode_batch`` call, so a per-row mask of the vectorized decoder
+    that leaks into a neighbouring row surfaces as a mismatch against
+    ``RSCode.decode``.
+    """
+
+    STRATA = (
+        "clean",
+        "below",
+        "at",
+        "beyond",
+        "erasure-only",
+        "benign-erasures",
+        "over-erased",
+    )
+
+    @staticmethod
+    def mixed_word(rng, code, stratum):
+        nsym, t = code.nsym, code.t
+        codeword = code.encode(
+            rng.integers(0, code.gf.order, size=code.k).tolist()
+        )
+        if stratum == "benign-erasures":
+            size = int(rng.integers(1, nsym + 1))
+            positions = rng.choice(code.n, size=size, replace=False)
+            return codeword, sorted(int(p) for p in positions)
+        if stratum == "clean":
+            re, er = 0, 0
+        elif stratum == "below":
+            re = int(rng.integers(0, (nsym - 1) // 2 + 1))
+            er = int(rng.integers(0, nsym - 2 * re))
+        elif stratum == "at":
+            re = int(rng.integers(0, t + 1))
+            er = nsym - 2 * re
+        elif stratum == "beyond":
+            budget = nsym + int(rng.integers(1, 4))
+            re = int(rng.integers(0, budget // 2 + 1))
+            er = min(budget - 2 * re, code.n - re)
+        elif stratum == "erasure-only":
+            re, er = 0, int(rng.integers(1, nsym + 1))
+        else:  # over-erased
+            re, er = 0, min(code.n, nsym + int(rng.integers(1, 4)))
+        word, erasures, _ = corrupt(rng, code, codeword, re, er)
+        return word, erasures
+
+    @pytest.mark.parametrize("B", [0, 1, 2, 4096])
+    @pytest.mark.parametrize(
+        "n, k, m, fcr",
+        [(18, 16, 8, 1), (36, 16, 8, 1), (15, 9, 4, 0), (15, 9, 4, 3)],
+        ids=lambda v: str(v),
+    )
+    def test_mixed_batch_matches_scalar(self, n, k, m, fcr, B):
+        code = RSCode(n, k, m=m, fcr=fcr)
+        batch = BatchRSCodec(n, k, m=m, fcr=fcr, scalar=code)
+        rng = np.random.default_rng([n, m, fcr, B])
+        words, erasures = [], []
+        for i in range(B):
+            stratum = self.STRATA[(i + B) % len(self.STRATA)]
+            word, positions = self.mixed_word(rng, code, stratum)
+            words.append(word)
+            erasures.append(positions)
+        report = batch.decode_batch(
+            np.asarray(words, dtype=np.int64).reshape(B, n), erasures
+        )
+        assert len(report) == B
+        for i in range(B):
+            try:
+                expected = code.decode(words[i], erasure_positions=erasures[i])
+            except RSDecodingError as exc:
+                assert not report.ok[i]
+                assert isinstance(report[i], RSDecodingError)
+                assert str(report[i]) == str(exc)
+                assert report.codewords[i].tolist() == words[i]
+                assert not report.corrected[i]
+                continue
+            assert report.ok[i]
+            assert_same_result(report[i], lambda: expected)
+            assert report.codewords[i].tolist() == expected.codeword
+            assert report.corrected[i] == expected.corrected
+            assert report.num_errors[i] == expected.num_errors
+
 
 class TestSyndromeOverflowRegression:
     """Regression: n=255 GF(2^8) batches in a signed narrow dtype.

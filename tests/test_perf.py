@@ -65,11 +65,18 @@ class TestDerived:
         assert PerfCounters().parallel_speedup == 0.0
 
     def test_summary_reports_both_time_axes(self):
-        c = PerfCounters(trials=10, elapsed_seconds=1.0, cpu_seconds=4.0)
+        c = PerfCounters(
+            trials=10,
+            elapsed_seconds=1.0,
+            cpu_seconds=4.0,
+            words_decoded=8,
+            scalar_fallbacks=2,
+        )
         text = c.summary()
         assert "elapsed (wall)" in text
         assert "cpu (all workers)" in text
         assert "4.00x" in text
+        assert "dirty words decoded: 2 (25.0%)" in text
 
     def test_publish_mirrors_fields_into_registry(self):
         registry = MetricsRegistry()

@@ -311,7 +311,9 @@ class TestRestartResume:
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
             chunk_journals = list((state / "chunks").glob("*.journal"))
-            if chunk_journals and chunk_journals[0].stat().st_size > 0:
+            # A chunk record, not just the header: a kill between the two
+            # leaves nothing to resume.
+            if chunk_journals and b'"kind": "chunk"' in chunk_journals[0].read_bytes():
                 break
             time.sleep(0.05)
         else:

@@ -6,12 +6,21 @@ the undecidable both-flags case, single-decodable fallback, and the
 erasure-recovery masking stage.
 """
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from repro.rs import RSCode, RSDecodingError
-from repro.simulator import ArbiterDecision, MemoryWord, arbitrate, recover_erasures
+from repro.rs import DecodeResult, RSCode, RSDecodingError
+from repro.simulator import (
+    ArbiterDecision,
+    MemoryWord,
+    arbitrate,
+    decide_batch,
+    decide_from_decodes,
+    recover_erasures,
+)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +131,25 @@ class TestDecisionBranches:
         result = arbitrate(code, w1, w2)
         assert result.decision is ArbiterDecision.NO_OUTPUT
         assert result.data is None
+
+
+class TestDecideBatch:
+    def test_matches_decide_from_decodes_on_every_combination(self):
+        """The array table agrees with the reference on all 32 inputs of
+        (ok1, ok2, flag1, flag2, data equal)."""
+        combos = list(itertools.product((False, True), repeat=5))
+        ok1, ok2, flag1, flag2, same = (np.array(c) for c in zip(*combos))
+        source = decide_batch(ok1, ok2, flag1, flag2, same)
+        for i, (a_ok, b_ok, a_flag, b_flag, equal) in enumerate(combos):
+            words = (
+                DecodeResult([1], [0, 1], 0, 0, a_flag) if a_ok else None,
+                DecodeResult([1 if equal else 2], [0, 1], 0, 0, b_flag)
+                if b_ok
+                else None,
+            )
+            expected = decide_from_decodes(*words).data
+            got = None if source[i] < 0 else words[source[i]].data
+            assert got == expected, combos[i]
 
 
 class TestErasureRecovery:

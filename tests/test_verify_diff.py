@@ -116,6 +116,28 @@ def test_target_agrees_on_seeded_trials(name):
         )
 
 
+def test_rs_batch_scalar_decodes_each_case_as_one_batch(monkeypatch):
+    """All words of a case share one decode_batch call, so a per-row
+    mask of the vectorized decoder that leaks across rows is reachable."""
+    from repro.rs import BatchRSCodec
+
+    sizes = []
+    decode_batch = BatchRSCodec.decode_batch
+
+    def spy(self, received, erasure_positions=None):
+        sizes.append(len(received))
+        return decode_batch(self, received, erasure_positions)
+
+    monkeypatch.setattr(BatchRSCodec, "decode_batch", spy)
+    target = get_target("rs-batch-scalar")
+    cases = [target.generate(case_rng(1234, trial)) for trial in range(10)]
+    for case in cases:
+        sizes.clear()
+        assert target.check(case) is None
+        assert sizes == [len(case["words"])]
+    assert max(len(case["words"]) for case in cases) > 1
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED_TARGETS))
 def test_induced_check_fires(name):
     """Each target's deliberately buggy self-test check detects something.
