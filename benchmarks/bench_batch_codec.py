@@ -116,94 +116,6 @@ def test_clean_decode_speedup(benchmark, save_table):
     )
 
 
-def test_backend_matrix_speedups(benchmark, save_table):
-    """Clean-word decode/encode across every registered backend.
-
-    The registry's promise is "same bits, different speed": this bench
-    measures the speed axis, one row per backend, against the scalar
-    codec loop as the common reference.  The compiled backend runs its
-    jitted kernels when numba is present; otherwise the numpy fallback
-    forms of the same bit-sliced algorithm are measured (and labeled).
-    """
-    import os
-
-    from repro.rs.backends import create_backend
-    from repro.rs.backends.kernels import KERNELS_ENV, kernel_mode
-
-    code, _codec, data, clean, _noisy = make_inputs()
-    clean_lists = [row.tolist() for row in clean]
-
-    def best(fn, *args, repeats=3):
-        return min(timed(fn, *args)[1] for _ in range(repeats))
-
-    t_loop_dec = best(lambda: [code.decode(w) for w in clean_lists])
-    t_loop_enc = best(lambda: [code.encode(d) for d in data.tolist()])
-
-    mode, _detail = kernel_mode()
-    forced_env = False
-    prior = os.environ.get(KERNELS_ENV)
-    if mode == "unavailable":
-        # No numba here: measure the compiled backend's numpy kernel
-        # forms instead of silently skipping the row.
-        os.environ[KERNELS_ENV] = "python"
-        forced_env = True
-        mode = "python"
-    try:
-        backends = {
-            name: create_backend(name, N, K, m=M)
-            for name in ("scalar", "numpy", "compiled")
-        }
-        rows, speedups = [], {}
-        for name, backend in backends.items():
-            report = backend.decode_batch(clean)
-            assert report.clean.all(), name  # same bits before timing speed
-            t_dec = best(backend.decode_batch, clean)
-            t_enc = best(backend.encode_batch, data)
-            speedups[name] = t_loop_dec / t_dec
-            label = f"compiled [{mode} kernels]" if name == "compiled" else name
-            rows.append(
-                [
-                    label,
-                    f"{BATCH / t_dec:,.0f}",
-                    f"{t_loop_dec / t_dec:.1f}x",
-                    f"{BATCH / t_enc:,.0f}",
-                    f"{t_loop_enc / t_enc:.1f}x",
-                ]
-            )
-        benchmark.pedantic(
-            backends["compiled"].decode_batch,
-            args=(clean,),
-            rounds=3,
-            iterations=1,
-        )
-    finally:
-        if forced_env:
-            if prior is None:
-                os.environ.pop(KERNELS_ENV, None)
-            else:
-                os.environ[KERNELS_ENV] = prior
-    save_table(
-        "batch_codec_backends",
-        f"RS({N},{K}) backend matrix, clean batch of {BATCH} words "
-        f"(vs scalar codec loop)",
-        _render(
-            ["backend", "decode w/s", "speedup", "encode w/s", "speedup"],
-            rows,
-        ),
-    )
-    # The registry's speed promise: vectorized backends land the 10-50x
-    # clean-word window (the jitted compiled kernels must clear it; the
-    # numpy fallback forms of the same algorithm get a softer floor),
-    # and the scalar backend — the contract floor — must not be
-    # materially slower than the raw loop it wraps.
-    assert speedups["numpy"] >= 8.0, speedups
-    assert speedups["compiled"] >= (10.0 if mode == "numba" else 3.0), (
-        mode,
-        speedups,
-    )
-    assert speedups["scalar"] > 0.3, speedups
-
-
 def test_batch_results_identical_to_scalar(benchmark):
     """The timed configurations really are bit-identical (spot check)."""
     code, codec, data, clean, noisy = make_inputs()

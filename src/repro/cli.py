@@ -8,9 +8,6 @@ Subcommands:
 * ``ber`` — evaluate BER(t) for an ad-hoc configuration (arrangement,
   code, rates, scrub period).
 * ``complexity`` — the Section 6 decoder latency/area table.
-* ``engines`` — the RS backend capability matrix (scalar / numpy /
-  compiled with availability and probe reasons, and what ``--engine
-  auto`` resolves to here).
 * ``validate`` — quick Monte-Carlo cross-check of the chains at an
   MC-visible rate.
 * ``scrub-design`` — the largest scrubbing period meeting a BER budget,
@@ -51,6 +48,8 @@ import numpy as np
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .simulator.campaign import ENGINES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -90,11 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     ber.add_argument("--points", type=int, default=13)
 
     sub.add_parser("complexity", help="Section 6 decoder cost table")
-
-    sub.add_parser(
-        "engines",
-        help="list registered RS backends with availability and reasons",
-    )
 
     val = sub.add_parser("validate", help="Monte-Carlo cross-check")
     val.add_argument("--trials", type=int, default=1000)
@@ -175,15 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--engine",
-        choices=("auto", "compiled", "numpy", "scalar", "batch", "reference"),
-        default="auto",
-        help="RS execution engine: 'auto' (default) picks the fastest "
-        "available batch backend (compiled when numba is usable, else "
-        "numpy); 'compiled'/'numpy'/'scalar' pin a batch backend "
-        "('batch' is a legacy alias for numpy) — all batch backends are "
-        "bit-identical, the choice only affects throughput; 'reference' "
-        "is the legacy one-trial-at-a-time loop (see 'repro engines' "
-        "for the capability matrix)",
+        choices=ENGINES,
+        default="batch",
+        help="trial engine: 'batch' (default) runs trials in vectorized "
+        "chunks through the batch codec ('numpy' is another name for "
+        "it); 'reference' runs one trial at a time through the scalar "
+        "codec, the oracle the batch engine is checked against",
     )
     camp.add_argument(
         "--workers",
@@ -450,13 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the coordinator's --fleet-ttl (default 15)",
     )
     worker.add_argument(
-        "--engine",
-        choices=("auto", "compiled", "numpy", "scalar", "batch"),
-        default="auto",
-        help="RS batch backend this worker computes with (bit-identical "
-        "across choices; 'auto' picks the fastest available)",
-    )
-    worker.add_argument(
         "--worker-id",
         default=None,
         metavar="ID",
@@ -538,19 +522,6 @@ def cmd_complexity(_args: argparse.Namespace) -> int:
     from .analysis import render_cost_table, table_decoder_complexity
 
     print(render_cost_table(table_decoder_complexity()))
-    return 0
-
-
-def cmd_engines(_args: argparse.Namespace) -> int:
-    from .rs.backends import auto_backend, list_backends
-
-    infos = list_backends()
-    width = max(len(info.name) for info in infos)
-    for info in infos:
-        status = "available" if info.available else "UNAVAILABLE"
-        print(f"{info.name:<{width}}  {status:<11}  {info.description}")
-        print(f"{'':<{width}}  {'':<11}  {info.reason}")
-    print(f"\n--engine auto resolves to: {auto_backend()}")
     return 0
 
 
@@ -742,41 +713,31 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print("--trials must be positive", file=sys.stderr)
         return 2
 
-    # Resolve the engine up front: '--engine compiled' in an environment
-    # that cannot run it exits loudly here (reason string included),
-    # before any journal header is written or model solved.
-    from .rs.backends import BackendUnavailableError, resolve_engine
-
-    try:
-        family, _backend = resolve_engine(args.engine)
-    except BackendUnavailableError as exc:
-        print(f"{exc} (see 'repro engines')", file=sys.stderr)
-        return 2
-
-    if args.checkpoint and family != "batch":
+    batch = args.engine != "reference"
+    if args.checkpoint and not batch:
         print(
-            "--checkpoint requires a batch-family engine (the reference "
+            "--checkpoint requires the batch engine (the reference "
             "loop has no chunk structure to journal)",
             file=sys.stderr,
         )
         return 2
-    if args.progress and family != "batch":
+    if args.progress and not batch:
         print(
-            "--progress requires a batch-family engine (heartbeats are "
+            "--progress requires the batch engine (heartbeats are "
             "emitted per chunk; the reference loop has none)",
             file=sys.stderr,
         )
         return 2
-    if args.executor != "auto" and family != "batch":
+    if args.executor != "auto" and not batch:
         print(
-            "--executor requires a batch-family engine (the reference "
+            "--executor requires the batch engine (the reference "
             "loop has no chunks to dispatch)",
             file=sys.stderr,
         )
         return 2
-    if args.stop_rel_ci is not None and family != "batch":
+    if args.stop_rel_ci is not None and not batch:
         print(
-            "--stop-rel-ci requires a batch-family engine (adaptive "
+            "--stop-rel-ci requires the batch engine (adaptive "
             "stopping consumes per-chunk results)",
             file=sys.stderr,
         )
@@ -913,7 +874,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             method=args.ci_method,
         )
     tracker = None
-    if family == "batch" and (args.progress or args.trace or args.manifest):
+    if batch and (args.progress or args.trace or args.manifest):
         tracker = ProgressTracker(
             total=trials * len(cells), unit="trials"
         )
@@ -951,7 +912,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             workers=args.workers,
             chunk_size=args.chunk_size,
             counters=counters,
-            runtime=runtime if family == "batch" else None,
+            runtime=runtime if batch else None,
         )
     except CheckpointMismatchError as exc:
         print(f"checkpoint refused: {exc}", file=sys.stderr)
@@ -1019,11 +980,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if counters.had_faults:
         print("\nresilience:")
         print(counters.resilience_summary())
-    if args.perf and family == "batch":
-        print(
-            f"\nbatch engine [{_backend} backend] "
-            f"({args.workers} worker(s)):"
-        )
+    if args.perf and batch:
+        print(f"\nbatch engine ({args.workers} worker(s)):")
         print(counters.summary())
     if args.manifest:
         manifest = build_manifest(
@@ -1100,7 +1058,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 def cmd_worker(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .rs.backends import BackendUnavailableError, resolve_engine
     from .runtime.fleet import DEFAULT_WORKER_TTL, worker_main
 
     board = Path(args.board)
@@ -1113,25 +1070,10 @@ def cmd_worker(args: argparse.Namespace) -> int:
     if args.max_chunks is not None and args.max_chunks < 0:
         print("--max-chunks must be >= 0", file=sys.stderr)
         return 2
-    backend = None
-    if args.engine != "auto":
-        try:
-            family, backend = resolve_engine(args.engine)
-        except BackendUnavailableError as exc:
-            print(f"{exc} (see 'repro engines')", file=sys.stderr)
-            return 2
-        if family != "batch":
-            print(
-                "worker: --engine must name a batch-family backend "
-                "(chunks are batch payloads)",
-                file=sys.stderr,
-            )
-            return 2
     done = worker_main(
         board,
         worker_id=args.worker_id,
         ttl=DEFAULT_WORKER_TTL if args.ttl is None else args.ttl,
-        backend=backend,
         max_chunks=args.max_chunks,
     )
     print(f"worker: drained after {done} chunk(s)", file=sys.stderr)
@@ -1296,7 +1238,6 @@ _COMMANDS = {
     "sensitivity": cmd_sensitivity,
     "ber": cmd_ber,
     "complexity": cmd_complexity,
-    "engines": cmd_engines,
     "validate": cmd_validate,
     "verify": cmd_verify,
     "doctor": cmd_doctor,

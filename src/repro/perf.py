@@ -63,10 +63,8 @@ class PerfCounters:
     cpu_seconds: busy time accumulated *inside* chunk executors;
         additive across workers and can exceed ``elapsed_seconds``
         under multiprocessing.
-    kernel_seconds: busy time spent inside the RS backend's encode /
-        syndrome kernels specifically (a subset of ``cpu_seconds``).
-        Additive; per-engine kernel time is this counter paired with
-        the run's engine label (a campaign uses one engine throughout).
+    kernel_seconds: busy time spent inside the batch engine's parity
+        and syndrome kernels (a subset of ``cpu_seconds``).  Additive.
 
     Resilience counters (filled by :mod:`repro.runtime`):
 

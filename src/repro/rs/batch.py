@@ -8,16 +8,16 @@ with a strict bit-identity contract enforced by the differential suite in
 * ``encode_batch`` runs the systematic LFSR division across the batch
   dimension — ``k`` vectorized steps instead of ``B`` polynomial
   divisions — and is symbol-identical to ``RSCode.encode`` per row.
-* ``decode_batch`` computes all syndromes in one vectorized pass (the
-  ``_syndromes_kernel`` hook).  Words whose syndromes are all zero are
-  *proved* clean by that pass alone.  All other words go together
-  through one vectorized errors-and-erasures decoder
+* ``decode_batch`` computes all syndromes in one vectorized pass.
+  Words whose syndromes are all zero are *proved* clean by that pass
+  alone.  All other words go together through one vectorized
+  errors-and-erasures decoder
   (:class:`~repro.rs.batch_decode.ErrataDecoder`: Forney syndromes,
   Berlekamp-Massey, Chien, Forney, post-correction check), which
   reproduces every correction, every mis-correction and the first
   failure of the scalar pipeline row for row.
 
-:class:`RSCode` stays the oracle: the differential suite, the backend
+:class:`RSCode` stays the oracle: the differential suite, the
 conformance suite and the ``rs-batch-scalar`` fuzz target compare every
 word's outcome — including the exact :class:`~repro.rs.codec.RSDecodingError`
 message — against it, and single-word ``decode`` calls still go to it.
@@ -201,24 +201,15 @@ class BatchRSCodec:
     Parameters mirror :class:`RSCode`; a prebuilt scalar codec may be
     supplied to guarantee both views share one generator/field; it must
     use the Berlekamp-Massey key solver, which is what the vectorized
-    decoder runs.  An optional :class:`~repro.perf.PerfCounters` records
+    decoder runs.
+
+    A codec holds no per-call state, so one instance may serve several
+    threads at once.  Each batch entry point takes an optional
+    :class:`~repro.perf.PerfCounters` for that call alone, which records
     words encoded, words decoded, fast-path hits, dirty words decoded,
-    and kernel busy time (``kernel_seconds``).
-
-    This class is also the ``numpy`` engine of the backend registry
-    (:mod:`repro.rs.backends`).  The *validation, counter, fast-path and
-    errata-decode logic* lives here and is shared by every engine;
-    subclasses override only the two kernel hooks —
-    :meth:`_parity_kernel` and :meth:`_syndromes_kernel` — with their
-    own arithmetic (pure-python loops for the ``scalar`` engine,
-    bit-sliced jitted kernels for ``compiled``).  Because both hooks
-    compute exact field arithmetic, every engine is bit-identical by
-    construction; the conformance suite and the ``rs-compiled-*``
-    differential targets enforce it.
+    and the busy time of the parity and syndrome kernels
+    (``kernel_seconds``).
     """
-
-    #: Registry name of this engine; subclasses override.
-    backend_name = "numpy"
 
     def __init__(
         self,
@@ -227,7 +218,6 @@ class BatchRSCodec:
         m: int = 8,
         fcr: int = 1,
         scalar: Optional[RSCode] = None,
-        counters: Optional[PerfCounters] = None,
     ):
         if scalar is None:
             scalar = RSCode(n, k, m=m, fcr=fcr)
@@ -250,24 +240,18 @@ class BatchRSCodec:
         self.nsym = scalar.nsym
         self.t = scalar.t
         self.bgf: BatchGF = batch_field(m, scalar.gf.prim_poly)
-        self.counters = counters
         # Generator tail g[0..nsym-1] (g is monic of degree nsym) drives the
         # vectorized LFSR encode step.
         self._gen_tail = np.asarray(scalar.generator[: self.nsym], dtype=np.int64)
-        # Syndrome evaluation points alpha^fcr .. alpha^(fcr+nsym-1).
-        self._synd_points = np.asarray(
-            [scalar.gf.exp(fcr + j) for j in range(self.nsym)], dtype=np.int64
-        )
         self._decoder = ErrataDecoder(self.bgf, n, self.nsym, fcr)
 
-    # -- kernel hooks --------------------------------------------------------
+    # -- kernels -------------------------------------------------------------
 
     def _parity_kernel(self, data: np.ndarray) -> np.ndarray:
         """``(B, nsym)`` parity of a validated ``(B, k)`` data batch.
 
-        The numpy engine runs the systematic LFSR division across the
-        batch dimension — ``k`` vectorized steps instead of ``B``
-        polynomial divisions.
+        Runs the systematic LFSR division across the batch dimension —
+        ``k`` vectorized steps instead of ``B`` polynomial divisions.
         """
         B = data.shape[0]
         parity = np.zeros((B, self.nsym), dtype=np.int64)
@@ -300,19 +284,26 @@ class BatchRSCodec:
             )
         return out
 
-    def _timed_kernel(self, kernel, *args) -> np.ndarray:
-        """Run a kernel hook, accounting busy time to ``kernel_seconds``."""
-        if self.counters is None:
-            return kernel(*args)
+    @staticmethod
+    def _timed_kernel(
+        counters: Optional[PerfCounters], kernel, arg: np.ndarray
+    ) -> np.ndarray:
+        """Run a kernel, accounting busy time to ``kernel_seconds``."""
+        if counters is None:
+            return kernel(arg)
         t0 = time.perf_counter()
         try:
-            return kernel(*args)
+            return kernel(arg)
         finally:
-            self.counters.kernel_seconds += time.perf_counter() - t0
+            counters.kernel_seconds += time.perf_counter() - t0
 
     # -- encoding -----------------------------------------------------------
 
-    def encode_batch(self, words: Sequence[Sequence[int]]) -> np.ndarray:
+    def encode_batch(
+        self,
+        words: Sequence[Sequence[int]],
+        counters: Optional[PerfCounters] = None,
+    ) -> np.ndarray:
         """Systematically encode a ``(B, k)`` batch into ``(B, n)`` codewords.
 
         Row-identical to ``RSCode.encode``: data lands unchanged in
@@ -326,15 +317,19 @@ class BatchRSCodec:
         B = data.shape[0]
         if B == 0:
             return np.zeros((0, self.n), dtype=np.int64)
-        parity = self._timed_kernel(self._parity_kernel, data)
+        parity = self._timed_kernel(counters, self._parity_kernel, data)
         out = np.concatenate([parity, data], axis=1)
-        if self.counters is not None:
-            self.counters.words_encoded += B
+        if counters is not None:
+            counters.words_encoded += B
         return out
 
     # -- syndromes ----------------------------------------------------------
 
-    def syndromes_batch(self, received: Sequence[Sequence[int]]) -> np.ndarray:
+    def syndromes_batch(
+        self,
+        received: Sequence[Sequence[int]],
+        counters: Optional[PerfCounters] = None,
+    ) -> np.ndarray:
         """``(B, nsym)`` syndrome matrix of a ``(B, n)`` received batch.
 
         Inputs are range-checked like every other entry point: a word
@@ -353,7 +348,7 @@ class BatchRSCodec:
             )
         if rec.shape[0] == 0:
             return np.zeros((0, self.nsym), dtype=np.int64)
-        return self._timed_kernel(self._syndromes_kernel, rec)
+        return self._timed_kernel(counters, self._syndromes_kernel, rec)
 
     def is_codeword_mask(self, received: Sequence[Sequence[int]]) -> np.ndarray:
         """Boolean mask of rows whose syndromes are all zero."""
@@ -396,6 +391,7 @@ class BatchRSCodec:
         self,
         received: Sequence[Sequence[int]],
         erasure_positions: Optional[Sequence[Sequence[int]]] = None,
+        counters: Optional[PerfCounters] = None,
     ) -> BatchDecodeReport:
         """Decode a ``(B, n)`` batch with optional per-word erasures.
 
@@ -412,7 +408,7 @@ class BatchRSCodec:
             )
         B = rec.shape[0]
         rho, erasures = self._erasure_table(erasure_positions, B)
-        syndromes = self.syndromes_batch(rec)
+        syndromes = self.syndromes_batch(rec, counters)
         # The scalar decoder rejects rho > nsym before looking at the
         # syndromes, so over-erased words are never clean.
         over_erased = rho > self.nsym
@@ -451,14 +447,14 @@ class BatchRSCodec:
             zero_position=zero_position,
             nsym=self.nsym,
         )
-        if self.counters is not None:
-            self.counters.words_decoded += B
-            self.counters.clean_fast_path += int(clean.sum())
-            self.counters.scalar_fallbacks += B - int(clean.sum())
-            self.counters.decode_failures += report.num_failures
+        if counters is not None:
+            counters.words_decoded += B
+            counters.clean_fast_path += int(clean.sum())
+            counters.scalar_fallbacks += B - int(clean.sum())
+            counters.decode_failures += report.num_failures
         return report
 
-    # -- single-word passthrough (backend contract) -------------------------
+    # -- single-word passthrough --------------------------------------------
 
     def encode(self, data: Sequence[int]) -> List[int]:
         """Encode one data word via the shared scalar codec."""
@@ -471,9 +467,8 @@ class BatchRSCodec:
     ) -> DecodeResult:
         """Full errors-and-erasures decode of one word.
 
-        Every engine hands single words to the scalar decoder, the
-        oracle the batch decoder is checked against, so per-word
-        semantics are engine-invariant by construction.
+        Single words go to the scalar decoder, the oracle the batch
+        decoder is checked against.
         """
         return self.scalar.decode(received, erasure_positions=erasure_positions)
 

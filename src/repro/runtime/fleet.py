@@ -253,7 +253,6 @@ def worker_main(
     *,
     worker_id: Optional[str] = None,
     ttl: float = DEFAULT_WORKER_TTL,
-    backend: Optional[str] = None,
     max_chunks: Optional[int] = None,
     poll_s: float = _CLAIM_POLL_S,
     install_signals: bool = True,
@@ -268,10 +267,6 @@ def worker_main(
     (graceful drain: the held lease is finished first), ``max_chunks``
     completes, or the board directory disappears.  Returns the number
     of chunks executed.
-
-    ``backend`` (a resolved batch backend name) overrides the engine
-    hint embedded in each payload — engines are execution hints, so a
-    heterogeneous fleet still produces bit-identical results.
     """
     if ttl <= 0:
         raise ValueError(f"ttl must be positive, got {ttl}")
@@ -300,7 +295,6 @@ def worker_main(
             "worker": wid,
             "pid": os.getpid(),
             "host": socket.gethostname(),
-            "backend": backend,
             "ttl": ttl,
         },
     )
@@ -332,7 +326,7 @@ def worker_main(
             if claimed is None:
                 time.sleep(poll_s)
                 continue
-            _run_leased_task(board, hb, wid, backend, ttl, *claimed)
+            _run_leased_task(board, hb, wid, ttl, *claimed)
             chunks_done += 1
     finally:
         hb.stop()
@@ -344,7 +338,6 @@ def _run_leased_task(
     board: Path,
     hb: _Heartbeat,
     wid: str,
-    backend: Optional[str],
     ttl: float,
     name: str,
     lease_path: Path,
@@ -377,13 +370,6 @@ def _run_leased_task(
                 hb.pause()  # SIGSTOP-like: alive but invisible
             if hang_s > 0:
                 time.sleep(hang_s)
-        if (
-            backend is not None
-            and isinstance(args, tuple)
-            and args
-            and isinstance(args[-1], str)
-        ):
-            args = args[:-1] + (backend,)
         outcome = {"ok": _supervised_call((fn, chunk_index, attempt, chaos, args))}
     except Exception as exc:  # noqa: BLE001 - chunk isolation boundary
         outcome = {"error": repr(exc)}

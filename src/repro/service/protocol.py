@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..rs.backends import ENGINE_CHOICES
 from ..runtime.executors import EXECUTOR_NAMES
 from ..simulator.campaign import (
     CampaignCell,
     campaign_fingerprint,
+    canonical_engine,
     fingerprint_digest,
 )
 from ..simulator.patterns import parse_pattern, parse_schedule
@@ -57,10 +57,8 @@ class CampaignSpec:
     ``workers``/``executor`` are execution hints and ``scenario`` is
     provenance only (a preset submitted by name and the same cells
     submitted explicitly are the same campaign).  ``engine`` enters the
-    fingerprint only as its result-relevant family
-    (:func:`repro.rs.backends.canonical_engine`): every batch backend
-    is bit-identical, so jobs differing only in backend share one cache
-    entry.
+    fingerprint as :func:`~repro.simulator.campaign.canonical_engine`
+    maps it, so ``batch`` and ``numpy`` jobs share one cache entry.
     """
 
     cells: Tuple[CampaignCell, ...]
@@ -343,20 +341,16 @@ def parse_spec(payload: Any) -> Tuple[str, CampaignSpec]:
     seed = _as_int(payload, "seed", defaults["seed"])
     _require(seed >= 0, f"seed must be >= 0, got {seed}")
     engine = payload.get("engine", "batch")
-    _require(
-        engine in ENGINE_CHOICES,
-        f"engine must be one of {ENGINE_CHOICES}, got {engine!r}",
-    )
-    # Family is a pure function of the name — spec validation must not
-    # depend on this host's capabilities (an unavailable compiled
-    # backend fails the *job*, loudly, not the submission digest).
-    engine_family = "reference" if engine == "reference" else "batch"
+    try:
+        batch = canonical_engine(engine) == "batch"
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
     chunk_size = _as_int(payload, "chunk_size", 512)
     _require(chunk_size > 0, f"chunk_size must be positive, got {chunk_size}")
     stop = _parse_stopping(payload.get("stopping"))
     _require(
-        stop is None or engine_family == "batch",
-        "adaptive stopping requires a batch-family engine",
+        stop is None or batch,
+        "adaptive stopping requires the batch engine",
     )
     workers = _as_int(payload, "workers", 1)
     _require(1 <= workers <= 64, f"workers must be in [1, 64], got {workers}")
@@ -367,8 +361,8 @@ def parse_spec(payload: Any) -> Tuple[str, CampaignSpec]:
         f"got {executor!r}",
     )
     _require(
-        executor is None or engine_family == "batch",
-        "an explicit executor requires a batch-family engine",
+        executor is None or batch,
+        "an explicit executor requires the batch engine",
     )
     return tenant, CampaignSpec(
         cells=tuple(cells),
@@ -407,9 +401,8 @@ class Job:
     snapshots: List[Dict[str, Any]] = field(default_factory=list)
     #: Per-job trace records (when the job held the trace slot).
     trace_records: Optional[List[Dict[str, Any]]] = None
-    #: Backend the run actually resolved to (``compiled``/``numpy``/...),
-    #: an execution fact outside the cache key — every batch backend is
-    #: bit-identical, so jobs differing only here share one cache entry.
+    #: Engine the run used, ``batch`` or ``reference``, set when it
+    #: starts; ``numpy`` specs report ``batch``.
     engine_resolved: Optional[str] = None
     #: Per-chunk decode-kernel telemetry
     #: (``{"cell", "chunk", "kernel_seconds"}`` rows from the chunk

@@ -147,8 +147,14 @@ class JobQueue:
             return  # wrong shape: skip rather than kill the server
         try:
             tenant, spec = parse_spec(raw_spec)
-        except SpecError:
-            return  # a spec this build cannot parse cannot be run
+        except SpecError as exc:
+            # A spec this build cannot parse (one naming a removed
+            # engine, say) cannot be run; drop the job, but visibly.
+            obs_metrics.get_registry().counter(
+                "repro.service.queue_specs_skipped"
+            ).inc()
+            trace.event("queue_spec_skipped", job=job_id, error=str(exc))
+            return
         job = Job(
             id=job_id, tenant=tenant, spec=spec, digest=spec.digest()
         )

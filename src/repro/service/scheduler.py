@@ -33,7 +33,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..perf import PerfCounters
-from ..rs.backends import resolve_engine
 from ..runtime import CheckpointJournal, RuntimeConfig
 from ..simulator.campaign import campaign_summary, run_campaign
 from .cache import ResultCache
@@ -258,14 +257,9 @@ class CampaignScheduler:
         if traced:
             collector = trace.TraceCollector()
         try:
-            # Resolve the engine up front so the poll view reports which
-            # backend will actually compute; an unavailable pinned
-            # backend raises here and fails the job loudly.
-            family, backend = resolve_engine(spec.engine)
-            job.engine_resolved = (
-                backend if family == "batch" else "reference"
-            )
-            if family == "batch":
+            batch = spec.engine != "reference"
+            job.engine_resolved = "batch" if batch else "reference"
+            if batch:
                 journal = CheckpointJournal(
                     self._chunk_journal_path(job.digest)
                 )

@@ -25,7 +25,6 @@ from ..memory.simplex import SimplexMarkovModel
 from ..obs import trace
 from ..perf import PerfCounters
 from ..rs import RSCode
-from ..rs.backends import ENGINE_CHOICES, canonical_engine, resolve_engine
 from ..runtime import RuntimeConfig
 from .montecarlo import (
     FailureEstimate,
@@ -33,6 +32,30 @@ from .montecarlo import (
     simulate_fail_probability_batched,
 )
 from .patterns import parse_pattern, parse_schedule
+
+
+#: Engine names accepted by :func:`run_campaign`, ``repro campaign
+#: --engine`` and service specs.  ``batch`` runs trials in vectorized
+#: chunks through :class:`~repro.rs.batch.BatchRSCodec`; ``numpy`` is
+#: another name for it.  ``reference`` runs one trial at a time through
+#: the scalar oracle :class:`~repro.rs.codec.RSCode`.
+ENGINES = ("batch", "numpy", "reference")
+
+
+def canonical_engine(engine: str) -> str:
+    """The engine's value in campaign fingerprints.
+
+    ``batch`` and ``numpy`` name one engine and map to ``"batch"``.  The
+    ``reference`` loop draws its random stream in another order and keeps
+    its historical value ``"scalar"``.  Existing journals, manifests and
+    service cache entries therefore stay valid.  Any other name raises
+    ``ValueError`` listing the valid ones.
+    """
+    if engine not in ENGINES:
+        raise ValueError(
+            f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
+        )
+    return "scalar" if engine == "reference" else "batch"
 
 
 @dataclass(frozen=True)
@@ -216,15 +239,10 @@ def campaign_fingerprint(
     result cache: two campaigns with equal fingerprints produce
     bit-identical estimates, so their journaled chunks (and cached
     results) are interchangeable.  Worker count is deliberately absent —
-    it cannot affect results.  The engine is recorded only as its
-    result-relevant family (:func:`~repro.rs.backends.canonical_engine`):
-    every batch backend (``scalar``/``numpy``/``compiled``/``auto``)
-    produces bit-identical estimates, so they share one identity —
-    ``"batch"``, the value pre-registry journals already carry — while
-    the legacy ``reference`` loop keeps its historical ``"scalar"``
-    value.  ``stop`` is the adaptive stopping rule (or ``None`` for a
-    full-budget run); see :func:`stopping_fingerprint` for why it is
-    part of the identity.
+    it cannot affect results.  The engine is recorded as
+    :func:`canonical_engine` maps it.  ``stop`` is the adaptive
+    stopping rule (or ``None`` for a full-budget run); see
+    :func:`stopping_fingerprint` for why it is part of the identity.
     """
     return {
         "schema": FINGERPRINT_SCHEMA,
@@ -314,7 +332,7 @@ def run_campaign(
     t_end_hours: float = 48.0,
     trials: int = 400,
     base_seed: int = 2005,
-    engine: str = "auto",
+    engine: str = "batch",
     workers: int = 1,
     chunk_size: int = 512,
     counters: Optional[PerfCounters] = None,
@@ -325,25 +343,22 @@ def run_campaign(
     Seeding is positional (``base_seed + index``) so a campaign is exactly
     reproducible and individual cells can be re-run in isolation.
 
-    ``engine`` selects the trial executor (see :mod:`repro.rs.backends`):
+    ``engine`` is one of :data:`ENGINES`:
 
-    * ``"auto"`` (default), ``"compiled"``, ``"numpy"`` (alias
-      ``"batch"``), and ``"scalar"`` all run the *batch family* — fault
-      events drawn in vectorized chunks, reads decoded in bulk through
-      the named RS backend, chunks optionally fanned out over ``workers``
-      processes.  All batch backends are bit-identical: the estimate is
-      a deterministic function of ``(base_seed, trials, chunk_size)``
-      only, never of the backend or ``workers``.  ``"auto"`` picks the
-      fastest available backend (``compiled`` when its capability probe
-      passes, else ``numpy`` — announced, never silent).
-    * ``"reference"`` is the legacy one-trial-at-a-time loop
-      (bit-for-bit identical to historic ``engine="scalar"`` campaigns
-      for a given seed), kept as the trusted validation path.
+    * ``"batch"`` (default; ``"numpy"`` is another name for it) draws
+      fault events in vectorized chunks, decodes reads in bulk through
+      :class:`~repro.rs.batch.BatchRSCodec`, and optionally fans chunks
+      out over ``workers`` processes.  The estimate is a deterministic
+      function of ``(base_seed, trials, chunk_size)`` only, never of
+      ``workers``.
+    * ``"reference"`` is the one-trial-at-a-time loop through the scalar
+      codec (bit-for-bit identical to historic ``engine="scalar"``
+      campaigns for a given seed), kept as the trusted validation path.
 
-    ``counters`` (batch family only) accumulates work and throughput
+    ``counters`` (batch engine only) accumulates work and throughput
     across all cells.
 
-    ``runtime`` (batch family only) threads the resilience layer
+    ``runtime`` (batch engine only) threads the resilience layer
     through every cell: supervised retries, per-chunk timeouts, chaos
     injection, and — when ``runtime.journal`` is set — chunk-level
     checkpointing.  The journal is bound to this campaign's
@@ -354,14 +369,7 @@ def run_campaign(
     """
     if not cells:
         raise ValueError("empty campaign")
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(
-            f"engine must be one of {', '.join(ENGINE_CHOICES)}, "
-            f"got {engine!r}"
-        )
-    # Resolve now: an unavailable compiled backend fails loudly here,
-    # before any model solve or journal header is written.
-    family, backend = resolve_engine(engine)
+    batch = canonical_engine(engine) == "batch"
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if chunk_size <= 0:
@@ -377,11 +385,10 @@ def run_campaign(
             parse_pattern(cell.pattern)
         parse_schedule(cell.schedule)
     if runtime is not None and runtime.journal is not None:
-        if family != "batch":
+        if not batch:
             raise ValueError(
-                "checkpoint journaling requires a batch-family engine "
-                "(auto/compiled/numpy/scalar); the 'reference' loop has "
-                "no chunk structure to journal"
+                "checkpoint journaling requires the batch engine; the "
+                "'reference' loop has no chunk structure to journal"
             )
         runtime.journal.ensure_header(
             campaign_fingerprint(
@@ -406,7 +413,6 @@ def run_campaign(
             cell=cell.label(),
             index=idx,
             engine=engine,
-            backend=backend,
             trials=trials,
         ):
             with trace.span("campaign_model_solve", cell=cell.label()):
@@ -416,7 +422,7 @@ def run_campaign(
                 if cell.scrub_period_seconds is None
                 else cell.scrub_period_seconds / 3600.0
             )
-            if family == "batch":
+            if batch:
                 estimate = simulate_fail_probability_batched(
                     cell.arrangement,
                     code,
@@ -434,7 +440,6 @@ def run_campaign(
                     cell_key=f"{idx}:{cell.label()}",
                     pattern=cell.pattern,
                     schedule=cell.schedule,
-                    backend=backend,
                 )
             else:
                 estimate = simulate_fail_probability(

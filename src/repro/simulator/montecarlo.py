@@ -37,7 +37,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace
 from ..perf import PerfCounters, Stopwatch
 from ..rs import BatchRSCodec, RSCode
-from ..rs.backends import create_backend
 from ..runtime import ChunkSupervisor, RuntimeConfig, seed_key
 from ..stats import AdaptiveStopper, BerSnapshot, StreamingEstimator
 from ..stats.intervals import wilson_interval  # noqa: F401  (moved; re-exported)
@@ -306,20 +305,19 @@ def chunk_sizes(trials: int, chunk_size: int) -> List[int]:
     return [chunk_size] * full + ([rest] if rest else [])
 
 
-def _cached_batch_codec(
-    n: int, k: int, m: int, fcr: int, backend: str = "numpy"
-) -> BatchRSCodec:
-    # One codec per (n, k, m, fcr, backend) per process; worker processes
-    # rebuild their own copy on first use (tables come from the
-    # lru-cached field, plane codegen from the gf_tables cache).
-    key = (n, k, m, fcr, backend)
+def _cached_batch_codec(n: int, k: int, m: int, fcr: int) -> BatchRSCodec:
+    # One codec per (n, k, m, fcr) per process; worker processes rebuild
+    # their own copy on first use (tables come from the lru-cached
+    # field).  Threads share it: the codec keeps no per-call state, and
+    # each chunk passes its own counters to every call.
+    key = (n, k, m, fcr)
     codec = _CODEC_CACHE.get(key)
     if codec is None:
-        codec = _CODEC_CACHE[key] = create_backend(backend, n, k, m=m, fcr=fcr)
+        codec = _CODEC_CACHE[key] = BatchRSCodec(n, k, m=m, fcr=fcr)
     return codec
 
 
-_CODEC_CACHE: Dict[Tuple[int, int, int, int, str], BatchRSCodec] = {}
+_CODEC_CACHE: Dict[Tuple[int, int, int, int], BatchRSCodec] = {}
 
 
 def _draw_event_table(
@@ -442,216 +440,209 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
         seed_seq,
         pattern_spec,
         schedule_spec,
-        *rest,
     ) = args
-    # The backend rides at the end of the args tuple so pre-registry
-    # 14-tuples (journals, tests, lease boards) stay replayable.
-    backend = rest[0] if rest else "numpy"
-    codec = _cached_batch_codec(n, k, m, fcr, backend)
+    codec = _cached_batch_codec(n, k, m, fcr)
     code = codec.scalar
     counters = PerfCounters()
-    codec.counters = counters
     # Busy time goes to the additive cpu_seconds axis; true wall clock
     # (elapsed_seconds) is owned by the coordinator's Stopwatch.
     t_busy = time.perf_counter()
-    try:
-        rng = np.random.default_rng(seed_seq)
-        n_modules = 2 if arrangement == "duplex" else 1
-        if arrangement not in ("simplex", "duplex"):
-            raise ValueError(f"unknown arrangement {arrangement!r}")
+    rng = np.random.default_rng(seed_seq)
+    n_modules = 2 if arrangement == "duplex" else 1
+    if arrangement not in ("simplex", "duplex"):
+        raise ValueError(f"unknown arrangement {arrangement!r}")
 
-        data = rng.integers(0, code.gf.order, size=(n_trials, k))
-        codewords = codec.encode_batch(data)
+    data = rng.integers(0, code.gf.order, size=(n_trials, k))
+    codewords = codec.encode_batch(data, counters)
 
-        use_patterns = pattern_spec is not None or schedule_spec is not None
-        if use_patterns:
-            pat = (
-                parse_pattern(pattern_spec)
-                if pattern_spec is not None
-                else IID_1BIT
+    use_patterns = pattern_spec is not None or schedule_spec is not None
+    if use_patterns:
+        pat = (
+            parse_pattern(pattern_spec)
+            if pattern_spec is not None
+            else IID_1BIT
+        )
+        sched = parse_schedule(schedule_spec)
+        expected = seu_per_bit * n * m * (
+            sched.integral(t_end) if sched is not None else t_end
+        )
+        seu_tables: Optional[List[tuple]] = None
+        seu_counts = np.zeros(n_trials, dtype=np.int64)
+        # Per module: {trial -> expanded events}; counts drawn
+        # vectorized, expansion done per dirty trial in trial order
+        # so the stream is a pure function of the chunk seed.
+        pattern_trial_events: List[Dict[int, List[FaultEvent]]] = []
+        for module in range(n_modules):
+            mod_counts = (
+                rng.poisson(expected, size=n_trials)
+                if expected > 0
+                else np.zeros(n_trials, dtype=np.int64)
             )
-            sched = parse_schedule(schedule_spec)
-            expected = seu_per_bit * n * m * (
-                sched.integral(t_end) if sched is not None else t_end
-            )
-            seu_tables: Optional[List[tuple]] = None
-            seu_counts = np.zeros(n_trials, dtype=np.int64)
-            # Per module: {trial -> expanded events}; counts drawn
-            # vectorized, expansion done per dirty trial in trial order
-            # so the stream is a pure function of the chunk seed.
-            pattern_trial_events: List[Dict[int, List[FaultEvent]]] = []
-            for module in range(n_modules):
-                mod_counts = (
-                    rng.poisson(expected, size=n_trials)
-                    if expected > 0
-                    else np.zeros(n_trials, dtype=np.int64)
-                )
-                per_trial: Dict[int, List[FaultEvent]] = {}
-                for trial in np.flatnonzero(mod_counts):
-                    arrivals = int(mod_counts[trial])
-                    if sched is not None:
-                        times = sched.sample_times(rng, t_end, arrivals)
-                    else:
-                        times = np.sort(
-                            rng.uniform(0.0, t_end, size=arrivals)
-                        )
-                    per_trial[int(trial)] = expand_arrivals(
-                        rng, pat, times, n, m, module
+            per_trial: Dict[int, List[FaultEvent]] = {}
+            for trial in np.flatnonzero(mod_counts):
+                arrivals = int(mod_counts[trial])
+                if sched is not None:
+                    times = sched.sample_times(rng, t_end, arrivals)
+                else:
+                    times = np.sort(
+                        rng.uniform(0.0, t_end, size=arrivals)
                     )
-                seu_counts = seu_counts + mod_counts.astype(np.int64)
-                pattern_trial_events.append(per_trial)
-        else:
-            seu_tables = [
-                _draw_event_table(
-                    rng, seu_per_bit * n * m, t_end, n_trials, n, m, False
+                per_trial[int(trial)] = expand_arrivals(
+                    rng, pat, times, n, m, module
                 )
-                for _ in range(n_modules)
-            ]
-        perm_tables = [
+            seu_counts = seu_counts + mod_counts.astype(np.int64)
+            pattern_trial_events.append(per_trial)
+    else:
+        seu_tables = [
             _draw_event_table(
-                rng, erasure_per_symbol * n, t_end, n_trials, n, m, True
+                rng, seu_per_bit * n * m, t_end, n_trials, n, m, False
             )
             for _ in range(n_modules)
         ]
-        scrub_times = _draw_scrub_times(
-            rng, t_end, scrub_period, scrub_exponential, n_trials
+    perm_tables = [
+        _draw_event_table(
+            rng, erasure_per_symbol * n, t_end, n_trials, n, m, True
         )
+        for _ in range(n_modules)
+    ]
+    scrub_times = _draw_scrub_times(
+        rng, t_end, scrub_period, scrub_exponential, n_trials
+    )
 
-        counts = {outcome.value: 0 for outcome in ReadOutcome}
-        # Trials with no fault events at all read back CORRECT by
-        # construction (scrubs are no-ops on fault-free words): count them
-        # without touching the codec.
-        if not use_patterns:
-            seu_counts = sum(t[0] for t in seu_tables)
-        perm_counts = sum(t[0] for t in perm_tables)
-        fault_counts = seu_counts + perm_counts
-        scrubless = np.asarray(
-            [len(times) == 0 for times in scrub_times], dtype=bool
-        )
-        dirty = fault_counts > 0
-        counts[ReadOutcome.CORRECT.value] += int(n_trials - dirty.sum())
+    counts = {outcome.value: 0 for outcome in ReadOutcome}
+    # Trials with no fault events at all read back CORRECT by
+    # construction (scrubs are no-ops on fault-free words): count them
+    # without touching the codec.
+    if not use_patterns:
+        seu_counts = sum(t[0] for t in seu_tables)
+    perm_counts = sum(t[0] for t in perm_tables)
+    fault_counts = seu_counts + perm_counts
+    scrubless = np.asarray(
+        [len(times) == 0 for times in scrub_times], dtype=bool
+    )
+    dirty = fault_counts > 0
+    counts[ReadOutcome.CORRECT.value] += int(n_trials - dirty.sum())
 
-        # SEU-only trials with no scrubs need no event replay: with no
-        # stuck cells and no rewrites, flips commute, so the final stored
-        # word is just the codeword XOR the scatter of all flip masks.
-        # Pattern events are excluded: mask strikes and in-arrival
-        # permanents are stateful, so every pattern-dirty trial replays.
-        if use_patterns:
-            vector_mask = np.zeros(n_trials, dtype=bool)
-        else:
-            vector_mask = dirty & (perm_counts == 0) & scrubless
-        vec_trials = np.flatnonzero(vector_mask)
-        replay_trials = np.flatnonzero(dirty & ~vector_mask)
+    # SEU-only trials with no scrubs need no event replay: with no
+    # stuck cells and no rewrites, flips commute, so the final stored
+    # word is just the codeword XOR the scatter of all flip masks.
+    # Pattern events are excluded: mask strikes and in-arrival
+    # permanents are stateful, so every pattern-dirty trial replays.
+    if use_patterns:
+        vector_mask = np.zeros(n_trials, dtype=bool)
+    else:
+        vector_mask = dirty & (perm_counts == 0) & scrubless
+    vec_trials = np.flatnonzero(vector_mask)
+    replay_trials = np.flatnonzero(dirty & ~vector_mask)
 
-        # The final reads of every dirty trial, decoded in one batch at
-        # the end: the vectorized trials' words, then the replayed ones,
-        # n_modules consecutive rows per trial.
-        blocks: List[np.ndarray] = []
-        replay_words: List[List[int]] = []
-        replay_erasures: List[List[int]] = []
+    # The final reads of every dirty trial, decoded in one batch at
+    # the end: the vectorized trials' words, then the replayed ones,
+    # n_modules consecutive rows per trial.
+    blocks: List[np.ndarray] = []
+    replay_words: List[List[int]] = []
+    replay_erasures: List[List[int]] = []
 
-        if vec_trials.size:
-            compact = np.full(n_trials, -1, dtype=np.int64)
-            compact[vec_trials] = np.arange(vec_trials.size)
-            received_per_module = []
-            for module in range(n_modules):
-                mod_counts, _times, symbols, bits, _values, _off = seu_tables[
-                    module
-                ]
-                ev_trial = np.repeat(np.arange(n_trials), mod_counts)
-                ev_mask = vector_mask[ev_trial]
-                rec = codewords[vec_trials].copy()
-                np.bitwise_xor.at(
-                    rec,
-                    (compact[ev_trial[ev_mask]], symbols[ev_mask]),
-                    np.int64(1) << bits[ev_mask].astype(np.int64),
-                )
-                received_per_module.append(rec)
-            blocks.append(np.stack(received_per_module, axis=1).reshape(-1, n))
-
-        # Replay the remaining dirty trials (permanent faults and/or
-        # scrubs: stateful, order-dependent) through the bit-level
-        # systems, still deferring the final read's decode to the batch.
-        for trial in replay_trials:
-            events: List[FaultEvent] = []
-            for module in range(n_modules):
-                if use_patterns:
-                    events += pattern_trial_events[module].get(int(trial), [])
-                else:
-                    events += _trial_events(
-                        trial, FaultKind.SEU, module, seu_tables[module]
-                    )
-                events += _trial_events(
-                    trial, FaultKind.PERMANENT, module, perm_tables[module]
-                )
-            events += [
-                FaultEvent(float(t), FaultKind.SCRUB) for t in scrub_times[trial]
+    if vec_trials.size:
+        compact = np.full(n_trials, -1, dtype=np.int64)
+        compact[vec_trials] = np.arange(vec_trials.size)
+        received_per_module = []
+        for module in range(n_modules):
+            mod_counts, _times, symbols, bits, _values, _off = seu_tables[
+                module
             ]
-            events.sort(key=event_sort_key)
-            codeword = codewords[trial].tolist()
-            if arrangement == "simplex":
-                system: SimplexSystem | DuplexSystem = SimplexSystem(
-                    code, codeword=codeword
-                )
-            else:
-                system = DuplexSystem(code, codeword=codeword)
-            for event in events:
-                system.apply_event(event)
-            if arrangement == "simplex":
-                replay_words.append(system.word.read())
-                replay_erasures.append(system.word.located_positions)
-            else:
-                s1, s2, shared, _masked = recover_erasures(
-                    system.modules[0], system.modules[1]
-                )
-                replay_words += [s1, s2]
-                replay_erasures += [shared, shared]
-
-        if replay_words:
-            blocks.append(np.asarray(replay_words, dtype=np.int64))
-        if blocks:
-            report = codec.decode_batch(
-                np.concatenate(blocks),
-                [()] * (vec_trials.size * n_modules) + replay_erasures
-                if replay_erasures
-                else None,
+            ev_trial = np.repeat(np.arange(n_trials), mod_counts)
+            ev_mask = vector_mask[ev_trial]
+            rec = codewords[vec_trials].copy()
+            np.bitwise_xor.at(
+                rec,
+                (compact[ev_trial[ev_mask]], symbols[ev_mask]),
+                np.int64(1) << bits[ev_mask].astype(np.int64),
             )
-            truth = data[np.concatenate([vec_trials, replay_trials])]
-            decoded = report.codewords[:, n - k :]
-            if arrangement == "simplex":
-                readable = report.ok
-            else:
-                ok = report.ok.reshape(-1, 2)
-                flags = report.corrected.reshape(-1, 2)
-                first, second = decoded[0::2], decoded[1::2]
-                source = decide_batch(
-                    ok[:, 0],
-                    ok[:, 1],
-                    flags[:, 0],
-                    flags[:, 1],
-                    (first == second).all(axis=1),
-                )
-                readable = source >= 0
-                decoded = np.where((source == 1)[:, None], second, first)
-            right = readable & (decoded == truth).all(axis=1)
-            counts[ReadOutcome.UNREADABLE.value] += int((~readable).sum())
-            counts[ReadOutcome.CORRECT.value] += int(right.sum())
-            counts[ReadOutcome.CORRUPTED.value] += int((readable & ~right).sum())
+            received_per_module.append(rec)
+        blocks.append(np.stack(received_per_module, axis=1).reshape(-1, n))
 
-        failures = sum(
-            counts[o.value] for o in ReadOutcome if o.is_failure
+    # Replay the remaining dirty trials (permanent faults and/or
+    # scrubs: stateful, order-dependent) through the bit-level
+    # systems, still deferring the final read's decode to the batch.
+    for trial in replay_trials:
+        events: List[FaultEvent] = []
+        for module in range(n_modules):
+            if use_patterns:
+                events += pattern_trial_events[module].get(int(trial), [])
+            else:
+                events += _trial_events(
+                    trial, FaultKind.SEU, module, seu_tables[module]
+                )
+            events += _trial_events(
+                trial, FaultKind.PERMANENT, module, perm_tables[module]
+            )
+        events += [
+            FaultEvent(float(t), FaultKind.SCRUB) for t in scrub_times[trial]
+        ]
+        events.sort(key=event_sort_key)
+        codeword = codewords[trial].tolist()
+        if arrangement == "simplex":
+            system: SimplexSystem | DuplexSystem = SimplexSystem(
+                code, codeword=codeword
+            )
+        else:
+            system = DuplexSystem(code, codeword=codeword)
+        for event in events:
+            system.apply_event(event)
+        if arrangement == "simplex":
+            replay_words.append(system.word.read())
+            replay_erasures.append(system.word.located_positions)
+        else:
+            s1, s2, shared, _masked = recover_erasures(
+                system.modules[0], system.modules[1]
+            )
+            replay_words += [s1, s2]
+            replay_erasures += [shared, shared]
+
+    if replay_words:
+        blocks.append(np.asarray(replay_words, dtype=np.int64))
+    if blocks:
+        report = codec.decode_batch(
+            np.concatenate(blocks),
+            [()] * (vec_trials.size * n_modules) + replay_erasures
+            if replay_erasures
+            else None,
+            counters,
         )
-        counters.trials += n_trials
-        counters.chunks += 1
-        counters.cpu_seconds += time.perf_counter() - t_busy
-        return {
-            "failures": failures,
-            "counts": counts,
-            "trials": n_trials,
-            "counters": counters.as_dict(),
-        }
-    finally:
-        codec.counters = None
+        truth = data[np.concatenate([vec_trials, replay_trials])]
+        decoded = report.codewords[:, n - k :]
+        if arrangement == "simplex":
+            readable = report.ok
+        else:
+            ok = report.ok.reshape(-1, 2)
+            flags = report.corrected.reshape(-1, 2)
+            first, second = decoded[0::2], decoded[1::2]
+            source = decide_batch(
+                ok[:, 0],
+                ok[:, 1],
+                flags[:, 0],
+                flags[:, 1],
+                (first == second).all(axis=1),
+            )
+            readable = source >= 0
+            decoded = np.where((source == 1)[:, None], second, first)
+        right = readable & (decoded == truth).all(axis=1)
+        counts[ReadOutcome.UNREADABLE.value] += int((~readable).sum())
+        counts[ReadOutcome.CORRECT.value] += int(right.sum())
+        counts[ReadOutcome.CORRUPTED.value] += int((readable & ~right).sum())
+
+    failures = sum(
+        counts[o.value] for o in ReadOutcome if o.is_failure
+    )
+    counters.trials += n_trials
+    counters.chunks += 1
+    counters.cpu_seconds += time.perf_counter() - t_busy
+    return {
+        "failures": failures,
+        "counts": counts,
+        "trials": n_trials,
+        "counters": counters.as_dict(),
+    }
 
 
 def _run_scalar_chunk(args: tuple) -> Dict[str, object]:
@@ -681,7 +672,6 @@ def _run_scalar_chunk(args: tuple) -> Dict[str, object]:
         seed_seq,
         pattern_spec,
         schedule_spec,
-        *_rest,  # backend hint; irrelevant to the scalar reference path
     ) = args
     code = _cached_batch_codec(n, k, m, fcr).scalar
     t_busy = time.perf_counter()
@@ -750,18 +740,13 @@ def simulate_fail_probability_batched(
     cell_key: str = "0",
     pattern: PatternLike = None,
     schedule: ScheduleLike = None,
-    backend: str = "numpy",
 ) -> FailureEstimate:
     """Batched Monte-Carlo failure probability through the batch codec.
 
     Same physics as :func:`simulate_fail_probability`, executed in
     vectorized chunks (see :func:`_run_injection_chunk`).  The estimate
     is a deterministic function of ``(seed, trials, chunk_size)`` and all
-    physical parameters — and of nothing else.  In particular,
-    ``backend`` selects which registered RS engine
-    (:mod:`repro.rs.backends`: ``scalar`` / ``numpy`` / ``compiled``)
-    executes the encode/syndrome kernels; all backends are bit-identical,
-    so it is a pure execution hint like ``workers``:
+    physical parameters — and of nothing else:
 
     * each chunk draws from its own spawned :class:`numpy.random.SeedSequence`
       (:func:`spawn_chunk_seeds`), so streams never overlap;
@@ -803,10 +788,9 @@ def simulate_fail_probability_batched(
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    # Fail before any work is dispatched (and loudly: an unavailable
-    # compiled backend raises BackendUnavailableError here, it never
-    # silently substitutes another engine).
-    _cached_batch_codec(code.n, code.k, code.m, code.fcr, backend)
+    # Build the codec now, so a code it rejects fails before any work is
+    # dispatched rather than once per chunk attempt.
+    _cached_batch_codec(code.n, code.k, code.m, code.fcr)
     # Canonicalize pattern/schedule to their spec strings: validated
     # here (ValueError on malformed input, before any work is spawned)
     # and picklable for the worker-process path.
@@ -835,7 +819,6 @@ def simulate_fail_probability_batched(
             chunk_seed,
             pattern_spec,
             schedule_spec,
-            backend,
         )
         for size, chunk_seed in zip(sizes, seeds)
     ]
@@ -904,7 +887,6 @@ def simulate_fail_probability_batched(
         trials=trials,
         chunk_size=chunk_size,
         workers=workers,
-        engine=backend,
         n_chunks=len(sizes),
         chunks_resumed=len(results),
         cell_key=cell_key,

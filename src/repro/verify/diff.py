@@ -25,11 +25,6 @@ target                    layers                   compares
                                                    (+ syndrome-table oracle where feasible)
 ``rs-solver-parity``      rs                       Berlekamp-Massey vs Euclid key solvers
 ``rs-batch-scalar``       gf, rs                   batch codec vs scalar codec, word for word
-``rs-compiled-scalar``    gf, rs                   compiled (bit-sliced codegen) backend vs
-                                                   scalar codec, word for word
-``rs-compiled-batch``     gf, rs                   compiled backend vs numpy batch codec:
-                                                   encode/syndrome arrays and decode
-                                                   outcomes must be bit-identical
 ``markov-transient``      markov                   uniformization vs expm vs Taylor oracle
 ``memory-analytic``       memory, markov           closed-form fail probability vs CTMC
 ``memory-mc-ber``         memory, simulator        analytic model vs batched Monte-Carlo
@@ -453,104 +448,10 @@ def _gen_rs_batch_case(rng: np.random.Generator) -> Case:
 
 def _check_rs_batch_scalar(case: Case) -> Optional[Mismatch]:
     """Batch codec vs scalar codec, word for word, across all strata."""
-    from ..rs import BatchRSCodec
-
-    scalar = gen.build_codec(case["words"][0])
-    batch = BatchRSCodec(case["n"], case["k"], m=case["m"], scalar=scalar)
-    return _diff_backend_vs_scalar(case, scalar, batch)
-
-
-def _compiled_codec(case: Case, scalar):
-    """The compiled backend for a case, wherever the fuzz run happens.
-
-    ``kernels="any"`` prefers the jitted kernels and falls back to the
-    numpy forms of the same bit-sliced algorithm, so the nightly fuzz
-    legs exercise the compiled backend's planes/codegen path even on
-    runners without numba.
-    """
-    from ..rs.backends.compiled import CompiledRSCodec
-
-    return CompiledRSCodec(
-        case["n"], case["k"], m=case["m"], scalar=scalar, kernels="any"
-    )
-
-
-def _check_rs_compiled_scalar(case: Case) -> Optional[Mismatch]:
-    """Compiled (bit-sliced) backend vs scalar codec, word for word."""
-    scalar = gen.build_codec(case["words"][0])
-    return _diff_backend_vs_scalar(case, scalar, _compiled_codec(case, scalar))
-
-
-def _check_rs_compiled_batch(case: Case) -> Optional[Mismatch]:
-    """Compiled backend vs numpy batch codec: arrays must be bit-identical.
-
-    Stricter than the scalar diff: the two batch engines share the whole
-    harness, so their encode outputs, syndrome matrices, masks, and
-    per-word outcomes must agree exactly — any divergence is a kernel
-    bug (planes codegen, XOR walk, LFSR step), not a tolerance question.
-    """
     from ..rs import BatchRSCodec, RSDecodingError
 
     scalar = gen.build_codec(case["words"][0])
-    numpy_codec = BatchRSCodec(case["n"], case["k"], m=case["m"], scalar=scalar)
-    compiled = _compiled_codec(case, scalar)
-    data = [w["data"] for w in case["words"]]
-    enc_numpy = numpy_codec.encode_batch(data)
-    enc_compiled = compiled.encode_batch(data)
-    if not np.array_equal(enc_numpy, enc_compiled):
-        return Mismatch(
-            "compiled encode_batch differs from numpy backend",
-            {"numpy": enc_numpy, "compiled": enc_compiled},
-        )
-    received, erasures = [], []
-    for word_case in case["words"]:
-        _cw, rec = gen.apply_corruption(scalar, word_case)
-        received.append(rec)
-        erasures.append(word_case["erasure_positions"])
-    rec_arr = np.asarray(received)
-    synd_numpy = numpy_codec.syndromes_batch(rec_arr)
-    synd_compiled = compiled.syndromes_batch(rec_arr)
-    if not np.array_equal(synd_numpy, synd_compiled):
-        return Mismatch(
-            "compiled syndromes_batch differs from numpy backend",
-            {"numpy": synd_numpy, "compiled": synd_compiled},
-        )
-    report_numpy = numpy_codec.decode_batch(rec_arr, erasures)
-    report_compiled = compiled.decode_batch(rec_arr, erasures)
-    if not np.array_equal(report_numpy.ok, report_compiled.ok) or (
-        not np.array_equal(report_numpy.clean, report_compiled.clean)
-    ):
-        return Mismatch(
-            "compiled decode masks differ from numpy backend",
-            {
-                "numpy_ok": report_numpy.ok,
-                "compiled_ok": report_compiled.ok,
-                "numpy_clean": report_numpy.clean,
-                "compiled_clean": report_compiled.clean,
-            },
-        )
-    for i in range(len(received)):
-        a, b = report_numpy[i], report_compiled[i]
-        if isinstance(a, RSDecodingError) or isinstance(b, RSDecodingError):
-            if type(a) is not type(b) or str(a) != str(b):
-                return Mismatch(
-                    "compiled and numpy word outcomes differ",
-                    {"index": i, "numpy": str(a), "compiled": str(b)},
-                )
-        elif a.codeword != b.codeword or a.data != b.data:
-            return Mismatch(
-                "compiled and numpy corrected to different words",
-                {"index": i, "numpy": a.codeword, "compiled": b.codeword},
-            )
-    return None
-
-
-def _diff_backend_vs_scalar(
-    case: Case, scalar, batch
-) -> Optional[Mismatch]:
-    """Any batch-contract backend vs the scalar codec, word for word."""
-    from ..rs import RSDecodingError
-
+    batch = BatchRSCodec(case["n"], case["k"], m=case["m"], scalar=scalar)
     encoded_scalar = [scalar.encode(w["data"]) for w in case["words"]]
     encoded_batch = batch.encode_batch([w["data"] for w in case["words"]])
     for i, (row, expected) in enumerate(zip(encoded_batch, encoded_scalar)):
@@ -1251,37 +1152,6 @@ register_target(
         ),
         generate=_gen_rs_batch_case,
         check=_check_rs_batch_scalar,
-        shrink=_shrink_batch_case,
-        induced_check=_induced_batch_bug,
-    )
-)
-
-register_target(
-    Target(
-        name="rs-compiled-scalar",
-        layers=("gf", "rs"),
-        description=(
-            "Compiled bit-sliced backend (codegen'd GF planes) vs scalar "
-            "codec word-for-word on the same stratified batches"
-        ),
-        generate=_gen_rs_batch_case,
-        check=_check_rs_compiled_scalar,
-        shrink=_shrink_batch_case,
-        induced_check=_induced_batch_bug,
-    )
-)
-
-register_target(
-    Target(
-        name="rs-compiled-batch",
-        layers=("gf", "rs"),
-        description=(
-            "Compiled backend vs numpy batch codec: encode rows, syndrome "
-            "matrices, clean/ok masks, and per-word outcomes must be "
-            "bit-identical"
-        ),
-        generate=_gen_rs_batch_case,
-        check=_check_rs_compiled_batch,
         shrink=_shrink_batch_case,
         induced_check=_induced_batch_bug,
     )

@@ -1,8 +1,7 @@
-"""Shared RS-backend conformance suite (library, not collected directly).
+"""Conformance suite of the batch codec's word-level contract.
 
-One set of contract tests, parametrized over *every* registered backend
-— ``tests/test_backend_conformance.py`` is the collected driver.  The
-suite is the executable definition of the ``RSBackend`` contract:
+The executable definition of what :class:`~repro.rs.batch.BatchRSCodec`
+promises:
 
 * round-trip: ``encode_batch`` → ``decode_batch`` recovers every word
   through the clean fast path;
@@ -17,62 +16,30 @@ suite is the executable definition of the ``RSBackend`` contract:
 * dtype/shape contracts: int64 outputs, exact shapes, loud rejection
   of wrong widths and out-of-range symbols (including the signed-int8
   wraparound that once silently corrupted syndromes);
-* counters: work accounting and kernel timing flow for every engine.
+* counters: work accounting and kernel timing flow into the counters
+  passed with each call.
 
-The ``compiled`` backend is exercised even where numba is missing: the
-suite constructs it with ``REPRO_COMPILED_KERNELS=python``, which runs
-the same bit-sliced plane kernels as vectorized numpy — identical
-algorithm, identical results, no capability lies (the registry still
-reports ``compiled`` unavailable in that environment).
+Every contract test runs once per code family in :data:`CODES`.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 
+from repro.gf import GF2m
 from repro.perf import PerfCounters
-from repro.rs import RSDecodingError
-from repro.rs.backends import BATCH_BACKENDS, create_backend
-from repro.rs.backends.kernels import KERNELS_ENV, numba_status
+from repro.rs import BatchRSCodec, RSCode, RSDecodingError
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "vectors" / "rs_golden.json"
 
 
 def load_golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
-
-
-@contextmanager
-def compiled_available():
-    """Make the compiled backend constructible in this environment.
-
-    No-op when numba imports; otherwise forces the python kernel forms
-    for the duration (construction reads the knob once and pins the
-    resolved implementation on the codec).
-    """
-    if numba_status()[0]:
-        yield
-        return
-    previous = os.environ.get(KERNELS_ENV)
-    os.environ[KERNELS_ENV] = "python"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[KERNELS_ENV]
-        else:
-            os.environ[KERNELS_ENV] = previous
-
-
-def build_backend(name: str, n: int, k: int, m: int = 8, counters=None):
-    with compiled_available():
-        return create_backend(name, n, k, m=m, counters=counters)
 
 
 def _outcomes_equal(ours, reference) -> bool:
@@ -92,38 +59,61 @@ def _outcomes_equal(ours, reference) -> bool:
     )
 
 
-class BackendConformanceSuite:
-    """Subclass in a collected ``test_*.py`` module to run the suite."""
+class Code(NamedTuple):
+    """One RS(n, k) code over GF(2^m) the contract is checked on."""
 
-    CODES = ((18, 16, 8), (36, 16, 8), (15, 9, 4))
+    n: int
+    k: int
+    m: int
+    fcr: int = 1
+    prim_poly: Optional[int] = None  # None: the field's default modulus
 
-    @pytest.fixture(params=BATCH_BACKENDS)
-    def backend(self, request):
-        return request.param
+    def __str__(self) -> str:
+        name = f"RS({self.n},{self.k})m{self.m}"
+        if self.fcr != 1:
+            name += f"-fcr{self.fcr}"
+        if self.prim_poly is not None:
+            name += f"-p{self.prim_poly:#x}"
+        return name
 
-    @pytest.fixture
-    def codec(self, backend):
-        return build_backend(backend, 18, 16, m=8)
+
+#: The paper's simplex and duplex codes, the full-length GF(2^8) code
+#: (whose syndrome kernel runs in several row blocks per batch), a small
+#: field, another first consecutive root, and another primitive
+#: polynomial for GF(2^8).
+CODES = (
+    Code(18, 16, 8),
+    Code(36, 16, 8),
+    Code(255, 223, 8),
+    Code(15, 9, 4),
+    Code(18, 16, 8, fcr=0),
+    Code(18, 16, 8, prim_poly=0x12B),
+)
+
+#: Codes whose symbols reach 128, where a signed int8 batch wraps.
+BYTE_CODES = tuple(code for code in CODES if code.m >= 8)
+
+
+class TestBatchConformance:
+    @pytest.fixture(params=CODES, ids=str)
+    def codec(self, request):
+        n, k, m, fcr, prim_poly = request.param
+        scalar = RSCode(n, k, m=m, fcr=fcr, gf=GF2m(m, prim_poly))
+        return BatchRSCodec(n, k, m=m, fcr=fcr, scalar=scalar)
 
     # -- round-trip ---------------------------------------------------------
 
-    @pytest.mark.parametrize("nkm", CODES)
-    def test_roundtrip_clean_fast_path(self, backend, nkm):
-        n, k, m = nkm
-        codec = build_backend(backend, n, k, m=m)
+    def test_roundtrip_clean_fast_path(self, codec):
         rng = np.random.default_rng(1)
-        data = rng.integers(0, 1 << m, size=(32, k), dtype=np.int64)
+        data = rng.integers(0, 1 << codec.m, size=(32, codec.k), dtype=np.int64)
         codewords = codec.encode_batch(data)
         report = codec.decode_batch(codewords)
         assert report.ok.all() and report.clean.all()
         assert report.data_rows() == data.tolist()
 
-    @pytest.mark.parametrize("nkm", CODES)
-    def test_encode_rows_match_scalar_reference(self, backend, nkm):
-        n, k, m = nkm
-        codec = build_backend(backend, n, k, m=m)
+    def test_encode_rows_match_scalar_reference(self, codec):
         rng = np.random.default_rng(2)
-        data = rng.integers(0, 1 << m, size=(16, k), dtype=np.int64)
+        data = rng.integers(0, 1 << codec.m, size=(16, codec.k), dtype=np.int64)
         batch = codec.encode_batch(data)
         for row, expected in zip(
             batch.tolist(),
@@ -131,14 +121,11 @@ class BackendConformanceSuite:
         ):
             assert row == expected
 
-    @pytest.mark.parametrize("nkm", CODES)
-    def test_syndromes_match_scalar_reference(self, backend, nkm):
+    def test_syndromes_match_scalar_reference(self, codec):
         from repro.rs.syndromes import compute_syndromes
 
-        n, k, m = nkm
-        codec = build_backend(backend, n, k, m=m)
         rng = np.random.default_rng(3)
-        rec = rng.integers(0, 1 << m, size=(16, n), dtype=np.int64)
+        rec = rng.integers(0, 1 << codec.m, size=(16, codec.n), dtype=np.int64)
         batch = codec.syndromes_batch(rec)
         for row, word in zip(batch.tolist(), rec.tolist()):
             assert row == compute_syndromes(
@@ -147,10 +134,8 @@ class BackendConformanceSuite:
 
     # -- correction capability ---------------------------------------------
 
-    @pytest.mark.parametrize("nkm", CODES)
-    def test_at_capacity_errors_corrected(self, backend, nkm):
-        n, k, m = nkm
-        codec = build_backend(backend, n, k, m=m)
+    def test_at_capacity_errors_corrected(self, codec):
+        n, k, m = codec.n, codec.k, codec.m
         rng = np.random.default_rng(4)
         data = rng.integers(0, 1 << m, size=(8, k), dtype=np.int64)
         rec = codec.encode_batch(data)
@@ -163,10 +148,8 @@ class BackendConformanceSuite:
         assert not report.clean.any()
         assert report.data_rows() == data.tolist()
 
-    @pytest.mark.parametrize("nkm", CODES)
-    def test_erasures_to_full_capability(self, backend, nkm):
-        n, k, m = nkm
-        codec = build_backend(backend, n, k, m=m)
+    def test_erasures_to_full_capability(self, codec):
+        n, k, m = codec.n, codec.k, codec.m
         rng = np.random.default_rng(5)
         data = rng.integers(0, 1 << m, size=(8, k), dtype=np.int64)
         rec = codec.encode_batch(data)
@@ -182,12 +165,10 @@ class BackendConformanceSuite:
 
     # -- failure signaling --------------------------------------------------
 
-    @pytest.mark.parametrize("nkm", CODES)
-    def test_beyond_capacity_matches_scalar_word_for_word(self, backend, nkm):
+    def test_beyond_capacity_matches_scalar_word_for_word(self, codec):
         """Beyond-capacity words fail *or* miscorrect exactly like the
         scalar reference — the batch call itself never raises."""
-        n, k, m = nkm
-        codec = build_backend(backend, n, k, m=m)
+        n, k, m = codec.n, codec.k, codec.m
         rng = np.random.default_rng(6)
         data = rng.integers(0, 1 << m, size=(16, k), dtype=np.int64)
         rec = codec.encode_batch(data)
@@ -202,7 +183,7 @@ class BackendConformanceSuite:
             except RSDecodingError as exc:
                 reference = exc
             assert _outcomes_equal(report[i], reference), (
-                f"{backend}: word {i} diverged from scalar reference"
+                f"word {i} diverged from scalar reference"
             )
 
     def test_over_erased_word_records_error(self, codec):
@@ -219,13 +200,11 @@ class BackendConformanceSuite:
 
     # -- golden vectors -----------------------------------------------------
 
-    def test_golden_vectors(self, backend):
+    def test_golden_vectors(self):
         doc = load_golden()
         assert doc["schema"] == 1
         for code_doc in doc["codes"]:
-            codec = build_backend(
-                backend, code_doc["n"], code_doc["k"], m=code_doc["m"]
-            )
+            codec = BatchRSCodec(code_doc["n"], code_doc["k"], m=code_doc["m"])
             cases = code_doc["cases"]
             encoded = codec.encode_batch([c["data"] for c in cases])
             report = codec.decode_batch(
@@ -233,7 +212,7 @@ class BackendConformanceSuite:
                 [c["erasures"] for c in cases],
             )
             for i, case in enumerate(cases):
-                where = f"{backend}: RS({code_doc['n']},{code_doc['k']}) {case['label']}"
+                where = f"RS({code_doc['n']},{code_doc['k']}) {case['label']}"
                 assert encoded[i].tolist() == case["codeword"], where
                 expect = case["expect"]
                 assert bool(report.clean[i]) == expect["clean"], where
@@ -253,10 +232,10 @@ class BackendConformanceSuite:
 
     def test_single_word_encode_decode(self, codec):
         rng = np.random.default_rng(7)
-        data = rng.integers(0, 256, size=codec.k).tolist()
+        data = rng.integers(0, 1 << codec.m, size=codec.k).tolist()
         cw = codec.encode(data)
         assert cw == codec.scalar.encode(data)
-        cw[3] ^= 0x41
+        cw[3] ^= (1 << codec.m) - 1
         result = codec.decode(cw)
         assert result.data == data
 
@@ -279,11 +258,10 @@ class BackendConformanceSuite:
         with pytest.raises(ValueError):
             codec.decode_batch(bad)
 
+    @pytest.mark.parametrize("codec", BYTE_CODES, ids=str, indirect=True)
     def test_signed_int8_wraparound_rejected(self, codec):
         """Values >= 128 in an int8 batch wrap negative; they must raise,
         not negative-index the log tables into wrong syndromes."""
-        if codec.m < 8:
-            pytest.skip("wraparound needs m >= 8 symbols")
         word = np.asarray(codec.encode([200] * codec.k), dtype=np.int64)
         as_int8 = word.astype(np.int8).reshape(1, -1)
         assert (as_int8 < 0).any()  # the hazard is real for this word
@@ -291,7 +269,7 @@ class BackendConformanceSuite:
             codec.syndromes_batch(as_int8)
 
     def test_accepts_lists_and_unsigned_dtypes(self, codec):
-        data = [[5] * codec.k, [250] * codec.k]
+        data = [[5] * codec.k, [(1 << codec.m) - 1] * codec.k]
         from_list = codec.encode_batch(data)
         from_u8 = codec.encode_batch(np.asarray(data, dtype=np.uint8))
         assert np.array_equal(from_list, from_u8)
@@ -306,7 +284,7 @@ class BackendConformanceSuite:
 
     def test_output_dtype_and_shape(self, codec):
         rng = np.random.default_rng(8)
-        data = rng.integers(0, 256, size=(5, codec.k), dtype=np.int64)
+        data = rng.integers(0, 1 << codec.m, size=(5, codec.k), dtype=np.int64)
         enc = codec.encode_batch(data)
         assert enc.dtype == np.int64 and enc.shape == (5, codec.n)
         synd = codec.syndromes_batch(enc)
@@ -315,14 +293,13 @@ class BackendConformanceSuite:
 
     # -- counters -----------------------------------------------------------
 
-    def test_counters_flow(self, backend):
+    def test_counters_flow(self, codec):
         counters = PerfCounters()
-        codec = build_backend(backend, 18, 16, m=8, counters=counters)
         rng = np.random.default_rng(9)
-        data = rng.integers(0, 256, size=(64, 16), dtype=np.int64)
-        rec = codec.encode_batch(data)
+        data = rng.integers(0, 1 << codec.m, size=(64, codec.k), dtype=np.int64)
+        rec = codec.encode_batch(data, counters)
         rec[0, 0] ^= 1
-        codec.decode_batch(rec)
+        codec.decode_batch(rec, counters=counters)
         assert counters.words_encoded == 64
         assert counters.words_decoded == 64
         assert counters.clean_fast_path == 63

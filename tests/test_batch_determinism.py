@@ -6,6 +6,10 @@ of the worker count or of scheduling — and the chunk RNG streams are
 mutually non-overlapping by spawn-key construction.
 """
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -106,67 +110,54 @@ class TestCampaignBatchEngine:
             run_campaign(self.CELLS, trials=10, engine="gpu")
 
 
-class TestEngineIdentity:
-    """Every engine choice is an execution hint, never a result knob.
+class TestConcurrentCampaigns:
+    """Campaigns on threads of one process share the cached batch codec.
 
-    A seeded ensemble run under ``auto``, ``compiled``, ``numpy``, and
-    ``scalar`` must produce bit-identical campaign rows (estimates, BER,
-    outcome splits) *and* bit-identical checkpoint journals — the same
-    chunk results in the same order with the same seeds.  Only wall-time
-    counters may differ.
+    ``repro serve`` runs its jobs this way.  Each thread's work counters,
+    estimate and retry count must equal those of the same campaign run
+    alone: counters that one thread's chunk attaches to the shared codec
+    would absorb another thread's work.
     """
 
-    CELLS = [
-        CampaignCell("simplex", 2e-3, 0.0),
-        CampaignCell("duplex", 2e-3, 1e-2),
-    ]
-    ENGINES = ("auto", "compiled", "numpy", "scalar")
-    _TIMING = {"cpu_seconds", "elapsed_seconds", "kernel_seconds"}
+    SEEDS = range((os.cpu_count() or 1) + 2)  # more threads than cores
+    TIMING = {"cpu_seconds", "elapsed_seconds", "kernel_seconds"}
 
-    def _journal_fields(self, path):
-        from repro.runtime import scan_journal
+    def _run(self, seed):
+        counters = PerfCounters()
+        estimate = batched(trials=3000, seed=seed, chunk_size=100, counters=counters)
+        work = {
+            key: value
+            for key, value in counters.as_dict().items()
+            if key not in self.TIMING
+        }
+        return estimate, work
 
-        out = []
-        for _line, record in scan_journal(path).chunk_records:
-            result = dict(record["result"])
-            result["counters"] = {
-                key: value
-                for key, value in result["counters"].items()
-                if key not in self._TIMING
-            }
-            out.append((record["chunk"], record["seed"], result))
-        return out
+    def test_threads_match_serial_runs(self):
+        serial = {seed: self._run(seed) for seed in self.SEEDS}
+        results, errors = {}, []
 
-    def _run(self, engine, tmp_path):
-        from tests.backend_conformance import compiled_available
+        def worker(seed):
+            try:
+                results[seed] = self._run(seed)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
 
-        from repro.runtime import CheckpointJournal, RuntimeConfig
-
-        path = tmp_path / f"{engine}.jsonl"
-        with compiled_available(), CheckpointJournal(path) as journal:
-            rows = run_campaign(
-                self.CELLS,
-                trials=300,
-                base_seed=19,
-                engine=engine,
-                chunk_size=100,
-                runtime=RuntimeConfig(journal=journal),
-            )
-        return rows, self._journal_fields(path)
-
-    def test_all_engines_bit_identical_rows_and_journals(self, tmp_path):
-        reference_rows, reference_journal = self._run("numpy", tmp_path)
-        assert reference_journal  # journaling actually happened
-        for engine in self.ENGINES:
-            if engine == "numpy":
-                continue
-            rows, journal = self._run(engine, tmp_path)
-            for ours, ref in zip(rows, reference_rows):
-                assert ours.estimate == ref.estimate, engine
-                assert (
-                    ours.model_fail_probability == ref.model_fail_probability
-                ), engine
-            assert journal == reference_journal, engine
+        threads = [threading.Thread(target=worker, args=(s,)) for s in self.SEEDS]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for seed in self.SEEDS:
+            estimate, work = results[seed]
+            assert work["retries"] == 0, seed
+            assert (estimate, work) == serial[seed], seed
 
 
 class TestChunkSeeding:

@@ -82,10 +82,9 @@ class TestCleanDecodeDifferential:
     def test_clean_decode_takes_fast_path_and_matches(self, pair):
         scalar, batch = pair
         counters = PerfCounters()
-        batch.counters = counters
         rng = np.random.default_rng(103)
         encoded = batch.encode_batch(random_batch(rng, scalar, 24))
-        report = batch.decode_batch(encoded)
+        report = batch.decode_batch(encoded, counters=counters)
         assert report.clean.all() and report.ok.all()
         assert counters.clean_fast_path == 24
         assert counters.scalar_fallbacks == 0

@@ -30,10 +30,20 @@ ARGS = dict(n=18, k=16, m=8, t_end_hours=48.0, trials=100,
             base_seed=7, engine="batch", chunk_size=50)
 
 
-def fp(stop=None):
+#: ``fingerprint_digest(fp(engine=...))`` as recorded before the engine
+#: names were collapsed to batch/numpy/reference: journals, manifests and
+#: service cache entries written then must keep their identity.
+PINNED_DIGESTS = {
+    "batch": "f3a79927196714fa1b0798f69a9f3cc4fe359df7382fbdf6d8504ab0d248f384",
+    "numpy": "f3a79927196714fa1b0798f69a9f3cc4fe359df7382fbdf6d8504ab0d248f384",
+    "reference": "508fbd155027f679f261cbeb8aee3f7dbee5b7ab0a2755362433ee2bec93df03",
+}
+
+
+def fp(stop=None, engine=ARGS["engine"]):
     return campaign_fingerprint(
         CELLS, ARGS["n"], ARGS["k"], ARGS["m"], ARGS["t_end_hours"],
-        ARGS["trials"], ARGS["base_seed"], ARGS["engine"],
+        ARGS["trials"], ARGS["base_seed"], engine,
         ARGS["chunk_size"], stop=stop,
     )
 
@@ -80,6 +90,10 @@ class TestSchema3Identity:
     def test_digest_stable_across_key_order(self):
         scrambled = dict(reversed(list(fp().items())))
         assert fingerprint_digest(scrambled) == fingerprint_digest(fp())
+
+    @pytest.mark.parametrize("engine", sorted(PINNED_DIGESTS))
+    def test_engine_digest_pinned(self, engine):
+        assert fingerprint_digest(fp(engine=engine)) == PINNED_DIGESTS[engine]
 
 
 class TestUpgrade:

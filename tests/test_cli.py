@@ -214,7 +214,7 @@ class TestCampaignCommand:
             )
             == 2
         )
-        assert "batch-family engine" in capsys.readouterr().err
+        assert "requires the batch engine" in capsys.readouterr().err
 
     def test_manifest_records_progress_and_metrics(
         self, tmp_path, capsys, fresh_metrics

@@ -3,7 +3,9 @@
 Exhaustive sweeps over every element pair for small m, plus
 hypothesis-driven (falling back to seeded-random when hypothesis is not
 installed) batches for GF(256), plus shape/broadcasting edge cases —
-empty batches, B=1, scalars against vectors.
+empty batches, B=1, scalars against vectors.  The zero-sentinel tables
+the RS decoder gathers from are also checked against the table-free
+reference multiplier of :mod:`repro.verify.oracles`.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from repro.gf import GF2m, batch_field
 from repro.gf.batch import BatchGF
+from repro.verify.oracles import gf_mul_reference, gf_pow_reference
 
 try:
     from hypothesis import given, settings
@@ -91,6 +94,79 @@ class TestExhaustiveAgreement:
             bgf.poly_eval(coeffs, x),
             np.array([poly.eval_at(gf, coeffs, int(v)) for v in x]),
         )
+
+
+#: Fields checked against the table-free reference multiplier: every
+#: width above, and GF(2^8) under a non-default primitive polynomial.
+REFERENCE_FIELDS = [(m, None) for m in ALL_MS] + [(8, 0x12B)]
+
+
+def field_id(field):
+    m, prim = field
+    return f"GF(2^{m})" if prim is None else f"GF(2^{m})/{prim:#x}"
+
+
+class TestSentinelTablesAgainstReference:
+    """The zero-sentinel gathers the RS decoder indexes directly.
+
+    The agreement tests above compare ``BatchGF`` with ``GF2m``, which
+    builds the exp/log tables both of them read.  Here the gathers are
+    compared with :func:`~repro.verify.oracles.gf_mul_reference`, a
+    carry-less multiplier that uses no tables at all.
+    """
+
+    @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=field_id)
+    def test_product_gather(self, field):
+        m, prim = field
+        bgf = batch_field(m, prim)
+        a, b = full_pair_grid(bgf.order)
+        got = bgf.zexp[bgf.zlog[a] + bgf.zlog[b]]
+        expected = [
+            gf_mul_reference(m, int(x), int(y), prim) for x, y in zip(a, b)
+        ]
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=field_id)
+    def test_quotient_product_chain(self, field):
+        """``zexp[zlog[a] - zlog[b] + (q - 1) + zlog[c]]`` is ``a / b * c``.
+
+        The decoder folds a division and a product into this one gather;
+        a zero ``a`` or ``c`` must land in the all-zero tail of ``zexp``.
+        Every triple for small m, a seeded sample with zeros for m = 8.
+        """
+        m, prim = field
+        bgf = batch_field(m, prim)
+        order = bgf.order
+        if m <= 4:
+            a, b, c = (
+                grid.ravel()
+                for grid in np.meshgrid(
+                    np.arange(order),
+                    np.arange(1, order),
+                    np.arange(order),
+                    indexing="ij",
+                )
+            )
+        else:
+            rng = np.random.default_rng(m)
+            a = rng.integers(0, order, size=4096)
+            b = rng.integers(1, order, size=4096)
+            c = rng.integers(0, order, size=4096)
+            a[:64] = 0
+            c[32:96] = 0  # rows 32..63 have both a and c zero
+        got = bgf.zexp[bgf.zlog[a] - bgf.zlog[b] + (order - 1) + bgf.zlog[c]]
+        expected = [
+            gf_mul_reference(
+                m,
+                gf_mul_reference(
+                    m, int(x), gf_pow_reference(m, int(y), order - 2, prim), prim
+                ),
+                int(z),
+                prim,
+            )
+            for x, y, z in zip(a, b, c)
+        ]
+        np.testing.assert_array_equal(got, expected)
 
 
 if HAVE_HYPOTHESIS:

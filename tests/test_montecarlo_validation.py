@@ -59,10 +59,6 @@ class TestCampaignValidation:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_campaign(CELLS, trials=10, workers=0)
 
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine must be"):
-            run_campaign(CELLS, trials=10, engine="quantum")
-
     def test_unknown_arrangement_checked_before_any_cell_runs(self):
         cells = [CampaignCell("simplex", 2e-3, 0.0), CampaignCell("nplex", 0, 0)]
         with pytest.raises(ValueError, match="unknown arrangement 'nplex'"):
@@ -74,17 +70,6 @@ class TestCampaignValidation:
         runtime = RuntimeConfig(journal=CheckpointJournal(tmp_path / "j.jsonl"))
         with pytest.raises(ValueError, match="'reference' loop has"):
             run_campaign(CELLS, trials=10, engine="reference", runtime=runtime)
-
-    def test_scalar_backend_engine_may_journal(self, tmp_path):
-        # "scalar" now names the scalar *batch backend*: chunked, and
-        # therefore journalable like every other batch-family engine.
-        from repro.runtime import CheckpointJournal, RuntimeConfig
-
-        runtime = RuntimeConfig(journal=CheckpointJournal(tmp_path / "j.jsonl"))
-        rows = run_campaign(
-            CELLS, trials=20, chunk_size=10, engine="scalar", runtime=runtime
-        )
-        assert len(rows) == 1
 
 
 class TestCellLabels:

@@ -64,8 +64,8 @@ class TestParseSpec:
         assert fleet.digest() == base.digest()
 
     def test_engine_choice_does_not_change_digest(self):
-        # engine is an execution hint (every batch backend is
-        # bit-identical), so the cache key must be engine-invariant
+        # numpy is another name for the batch engine, so both names
+        # must share one cache key
         _, base = parse_spec(SPEC)
         _, pinned = parse_spec({**SPEC, "engine": "numpy"})
         assert pinned.digest() == base.digest()
@@ -276,6 +276,40 @@ class TestJobQueue:
             assert queue.records_quarantined == 1
         assert path.with_suffix(".journal.quarantine").exists()
 
+    def test_unparseable_spec_skipped_visibly_on_load(self, tmp_path):
+        from repro.obs.metrics import get_registry
+        from repro.obs.trace import TraceCollector, use_collector
+        from repro.runtime.integrity import CHAIN_SEED, frame_record
+
+        # A queued job whose spec names an engine that no longer exists.
+        records = [
+            {"kind": "header", "queue_schema": 1},
+            {
+                "kind": "job",
+                "id": "j00000000",
+                "seq": 0,
+                "tenant": "default",
+                "digest": "0" * 64,
+                "spec": {**SPEC, "engine": "compiled"},
+            },
+        ]
+        lines, chain = [], CHAIN_SEED
+        for record in records:
+            payload = json.dumps(record, sort_keys=True).encode("utf-8")
+            line, chain = frame_record(payload, chain)
+            lines.append(line)
+        path = tmp_path / "queue.journal"
+        path.write_text("\n".join(lines) + "\n")
+
+        collector = TraceCollector()
+        with use_collector(collector), JobQueue(path) as queue:
+            assert queue.jobs == {}
+        counter = get_registry().snapshot()["repro.service.queue_specs_skipped"]
+        assert counter["value"] == 1
+        events = collector.events("queue_spec_skipped")
+        assert [event["attrs"]["job"] for event in events] == ["j00000000"]
+        assert "'compiled'" in events[0]["attrs"]["error"]
+
     def test_torn_tail_truncated_silently(self, tmp_path):
         path = tmp_path / "queue.journal"
         with JobQueue(path) as queue:
@@ -367,7 +401,7 @@ class TestScheduler:
             assert sched.wait(out.job.id, timeout=120) == "done"
             status = out.job.status_dict()
             assert status["engine"] == "batch"
-            assert status["engine_resolved"] == "numpy"  # legacy alias
+            assert status["engine_resolved"] == "batch"
             rows = status["kernel_seconds"]
             # 40 trials / 16 per chunk -> 3 chunks for the single cell
             assert [r["chunk"] for r in rows] == [0, 1, 2]

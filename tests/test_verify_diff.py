@@ -25,8 +25,6 @@ EXPECTED_TARGETS = {
     "rs-decode",
     "rs-solver-parity",
     "rs-batch-scalar",
-    "rs-compiled-scalar",
-    "rs-compiled-batch",
     "markov-transient",
     "memory-analytic",
     "memory-mc-ber",
@@ -43,8 +41,6 @@ TRIALS = {
     "rs-decode": 12,
     "rs-solver-parity": 30,
     "rs-batch-scalar": 10,
-    "rs-compiled-scalar": 10,
-    "rs-compiled-batch": 10,
     "markov-transient": 20,
     "memory-analytic": 8,
     "memory-mc-ber": 3,

@@ -4,12 +4,12 @@ Run from the repo root::
 
     PYTHONPATH=src python tests/vectors/make_rs_golden.py
 
-The vectors pin the *word-level contract* of every RS backend for the
+The vectors pin the *word-level contract* of the batch codec for the
 paper's codes: encode output, clean-word detection, at/below/beyond
 capacity correction, erasure handling (including over-erasure refusal),
 and the exact failure messages.  Expectations are produced by the
 pure-python scalar codec — the trusted reference the whole repo
-validates against the paper — so a backend that disagrees with this
+validates against the paper — so a codec that disagrees with this
 file disagrees with the reference, not with a previous version of
 itself.
 
