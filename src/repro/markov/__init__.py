@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`~repro.markov.chain.CTMC` — finite CTMC with transient solvers.
 * :func:`~repro.markov.builder.build_chain` — BFS state-space exploration
-  from a local transition rule.
+  from a local transition rule, or level by level from its array form
+  (:class:`~repro.markov.builder.FrontierRule`).
 * :mod:`~repro.markov.solvers` — uniformization / expm / ODE transient
   solvers.
 """
@@ -14,7 +15,7 @@ from .absorbing import (
     expected_time_in_states,
     mean_time_to_absorption,
 )
-from .builder import build_chain
+from .builder import FrontierRule, build_chain
 from .quasistationary import QuasiStationary, quasi_stationary
 from .chain import CTMC
 from .solvers import (
@@ -27,6 +28,7 @@ from .solvers import (
 __all__ = [
     "CTMC",
     "build_chain",
+    "FrontierRule",
     "TRANSIENT_SOLVERS",
     "transient_expm",
     "transient_ode",

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy import sparse
 
 State = Hashable
@@ -44,27 +45,71 @@ class CTMC:
         transitions: Iterable[Transition],
         initial: State | Mapping[State, float],
     ):
-        self.states: List[State] = list(states)
-        if len(set(self.states)) != len(self.states):
+        states = list(states)
+        index = {s: i for i, s in enumerate(states)}
+        src, dst, rates = [], [], []
+        for s, d, rate in transitions:
+            src.append(index[s])
+            dst.append(index[d])
+            rates.append(rate)
+        self._setup(states, index, src, dst, rates, initial)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        states: Sequence[State],
+        src: ArrayLike,
+        dst: ArrayLike,
+        rates: ArrayLike,
+        initial: State | Mapping[State, float],
+    ) -> "CTMC":
+        """The indexed constructor: transition ``i`` runs from
+        ``states[src[i]]`` to ``states[dst[i]]`` at ``rates[i]``.
+
+        Validation and summation of parallel transitions are those of the
+        triple form, which is parsed into these arrays.  Large chains
+        (:func:`~repro.markov.builder.build_chain` with a frontier rule)
+        come through here without building a triple per transition.
+        """
+        chain = cls.__new__(cls)
+        states = list(states)
+        chain._setup(
+            states, {s: i for i, s in enumerate(states)}, src, dst, rates, initial
+        )
+        return chain
+
+    def _setup(
+        self,
+        states: List[State],
+        index: Dict[State, int],
+        src: ArrayLike,
+        dst: ArrayLike,
+        rates: ArrayLike,
+        initial: State | Mapping[State, float],
+    ) -> None:
+        self.states: List[State] = states
+        if len(index) != len(states):
             raise ValueError("duplicate state labels")
-        self.index: Dict[State, int] = {s: i for i, s in enumerate(self.states)}
-        n = len(self.states)
+        self.index: Dict[State, int] = index
+        n = len(states)
         if n == 0:
             raise ValueError("empty state space")
 
-        rows, cols, vals = [], [], []
-        for src, dst, rate in transitions:
-            if rate < 0:
-                raise ValueError(f"negative rate {rate} on {src!r}->{dst!r}")
-            if src == dst:
-                raise ValueError(f"self-loop on state {src!r}")
-            if rate == 0:
-                continue
-            rows.append(self.index[src])
-            cols.append(self.index[dst])
-            vals.append(float(rate))
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        rates = np.asarray(rates, dtype=float)
+        negative = np.flatnonzero(rates < 0)
+        if negative.size:
+            i = negative[0]
+            raise ValueError(
+                f"negative rate {rates[i]} on {states[src[i]]!r}->{states[dst[i]]!r}"
+            )
+        loops = np.flatnonzero(src == dst)
+        if loops.size:
+            raise ValueError(f"self-loop on state {states[src[loops[0]]]!r}")
+        live = rates != 0
         self._rates = sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(n, n), dtype=float
+            (rates[live], (src[live], dst[live])), shape=(n, n), dtype=float
         )
         self._rates.sum_duplicates()
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -39,7 +39,7 @@ from .chain import CTMC
 def uniformization_propagate(
     rates: sparse.spmatrix,
     p0: np.ndarray,
-    t: float,
+    t: float | np.ndarray,
     rtol: float = 1e-14,
     max_terms: int = 2_000_000,
     min_terms: int | None = None,
@@ -51,79 +51,162 @@ def uniformization_propagate(
     shared by :func:`transient_uniformization` and the deterministic
     scrubbing solver.
 
-    Truncation preserves *relative* accuracy of small entries: the series
-    runs for at least ``min_terms`` terms (default: the state count, so
-    every reachable state receives its leading-order contribution) and
-    then until the remaining Poisson mass is below ``rtol`` times the
-    smallest positive accumulated entry.  This is what lets absorbing-state
-    probabilities of 1e-200 come out with full significance instead of
-    being lost against the O(1) bulk.
+    ``t`` is a scalar (the result is one distribution) or a 1-D time grid
+    (one row per time, in the grid's order; duplicates and zeros are
+    fine).  A grid costs one pass: the terms ``p0 · P^j`` do not depend
+    on ``t``, so each is computed once with one sparse product and
+    weighted into every time still summing.  Each time keeps its own
+    Poisson weights, stopping test and large-``L·t`` fallback, so a grid
+    row equals the scalar call for that time bit for bit.
 
-    The span recorded under the name ``"uniformization_propagate"``
-    carries the truncation decision: ``terms_used``, ``lt``,
-    ``tail_bound`` at exit, and ``fallback`` (whether the log-domain
-    large-``L·t`` path ran).
+    Truncation preserves *relative* accuracy of small entries.  The
+    series for one time stops at the first term ``j`` where either the
+    Poisson weight has underflowed to 0, or ``j >= min_terms`` (default
+    ``min(num_states + 1, 10_000)``, so every state within that many
+    moves receives its leading-order contribution) and the remaining
+    Poisson mass is below ``rtol`` times the smallest positive
+    accumulated entry.  This is what lets absorbing-state probabilities
+    of 1e-200 come out with full significance instead of being lost
+    against the O(1) bulk.  On the duplex RS(36,16) chain the weight
+    underflow ends every time of a 48-hour grid within 100 terms.
+
+    The span recorded under the name ``"uniformization_propagate"`` (one
+    per call, whether scalar or grid) carries the truncation decision of
+    each time: ``terms_used``, ``lt``, ``tail_bound`` at exit, and
+    ``fallback`` (whether the log-domain large-``L·t`` path ran) —
+    scalars for a scalar ``t``, lists aligned with the grid otherwise —
+    and ``products``, the sparse kernel products the call performed.
     """
-    if t < 0:
+    grid = np.ndim(t) != 0
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1:
+        raise ValueError("t must be a scalar or a 1-D time grid")
+    if np.any(times < 0):
         raise ValueError("time must be nonnegative")
     registry = metrics.get_registry()
     with trace.span(
         "uniformization_propagate",
         n_states=rates.shape[0],
-        t=float(t),
+        t=times.tolist() if grid else float(times[0]),
         rtol=rtol,
     ) as sp:
         registry.counter("repro.solver.uniformization.calls").inc()
+        v = np.asarray(p0, dtype=float)
+        result = np.tile(v, (times.size, 1))  # a zero time keeps p0
+        info = [
+            {"lt": 0.0, "terms_used": 0, "tail_bound": 0.0, "fallback": False}
+            for _ in range(times.size)
+        ]
         out_rates = np.asarray(rates.sum(axis=1)).ravel()
         lam = float(out_rates.max(initial=0.0))
         # subnormal rates make the kernel division meaningless; any total
         # rate below ~1e-250 cannot move representable probability mass
-        if lam < 1e-250 or t == 0.0:
-            sp.set_attrs(lt=0.0, terms_used=0, tail_bound=0.0, fallback=False)
-            return np.asarray(p0, dtype=float).copy()
-        kernel = (rates + sparse.diags(lam - out_rates)) / lam  # row-stochastic
-        n_states = rates.shape[0]
-        if min_terms is None:
-            # every state is first reached within num_states terms; cap to
-            # keep very large models affordable (their callers can raise it)
-            min_terms = min(n_states + 1, 10_000)
-        lt = lam * t
-        sp.set_attr("lt", lt)
-        v = np.asarray(p0, dtype=float).copy()
-        weight = math.exp(-lt)
-        if weight < sys.float_info.min:
-            # e^{-Lt} underflowed to zero OR landed in the subnormal range
-            # (Lt in ~(708, 745)), where the starting weight keeps only a
-            # handful of mantissa bits and the upward recursion inherits
-            # that error for every term: use the windowed fallback, whose
-            # relative weights never leave the normal range.
-            sp.set_attr("fallback", True)
-            registry.counter("repro.solver.uniformization.fallbacks").inc()
-            return _uniformization_large_lt(v, kernel, lt, rtol, sp)
-        acc = weight * v
-        j = 0
-        tail_bound = float("inf")
-        while j < max_terms:
-            j += 1
-            v = v @ kernel
-            weight *= lt / j
-            acc += weight * v
-            if weight == 0.0:
-                tail_bound = 0.0
-                break
-            if j < min_terms:
-                continue
+        moving = [] if lam < 1e-250 else np.flatnonzero(times > 0.0).tolist()
+        products = 0
+        if moving:
+            kernel = (rates + sparse.diags(lam - out_rates)) / lam  # row-stochastic
+            if min_terms is None:
+                # every state is first reached within num_states terms; cap
+                # to keep very large models affordable (their callers can
+                # raise it)
+                min_terms = min(rates.shape[0] + 1, 10_000)
+            summing = []
+            for i in moving:
+                lt = lam * float(times[i])
+                info[i]["lt"] = lt
+                if math.exp(-lt) >= sys.float_info.min:
+                    summing.append(i)
+                    continue
+                # e^{-Lt} underflowed to zero OR landed in the subnormal
+                # range (Lt in ~(708, 745)), where the starting weight keeps
+                # only a handful of mantissa bits and the upward recursion
+                # inherits that error for every term: use the windowed
+                # fallback, whose relative weights never leave the normal
+                # range.
+                registry.counter("repro.solver.uniformization.fallbacks").inc()
+                result[i], window = _uniformization_large_lt(v, kernel, lt, rtol)
+                products += window.pop("products")
+                info[i].update(window, fallback=True)
+            if summing:
+                products += _poisson_series(
+                    kernel, v, summing, info, result, rtol, max_terms, min_terms
+                )
+        if grid:
+            keys = dict.fromkeys(key for entry in info for key in entry)
+            sp.set_attrs(**{key: [entry.get(key) for entry in info] for key in keys})
+        elif info:
+            sp.set_attrs(**info[0])
+        sp.set_attr("products", products)
+        return result if grid else result[0]
+
+
+def _poisson_series(
+    kernel: sparse.spmatrix,
+    v: np.ndarray,
+    summing: list,
+    info: list,
+    result: np.ndarray,
+    rtol: float,
+    max_terms: int,
+    min_terms: int,
+) -> int:
+    """Sum ``Poisson(j; L t) · p0 P^j`` for the times ``summing`` at once.
+
+    Row ``r`` of ``acc`` sums the time with index ``live[r]``.  Every
+    array operation below acts on each row as the scalar recursion would
+    on that time alone, so each time's weights, sum and stopping test are
+    bit-identical to a separate call.  A time that stops leaves the
+    arrays, its row copied into ``result`` and its truncation into
+    ``info``.  Returns the number of kernel products.
+    """
+    # scipy computes ``v @ kernel`` as ``kernel.transpose() @ v``; build
+    # that transpose once instead of once per product
+    kernel_t = kernel.transpose()
+    live = np.array(summing)
+    lt = np.array([info[i]["lt"] for i in summing])
+    # math.exp, not np.exp: the two can differ by an ulp, and the golden
+    # BER vectors were computed from math.exp start weights
+    weight = np.array([math.exp(-x) for x in lt.tolist()])
+    acc = weight[:, None] * v
+    tail = np.full(live.size, np.inf)
+    j = 0
+    while live.size and j < max_terms:
+        j += 1
+        v = kernel_t @ v
+        weight *= lt / j
+        acc += weight[:, None] * v
+        stop = weight == 0.0
+        tail[stop] = 0.0
+        if j >= min_terms:
             ratio = lt / (j + 2)
-            if ratio >= 1.0:
-                continue  # Poisson weights still growing / not yet decaying
-            tail_bound = weight * ratio / (1.0 - ratio)
-            positive = acc[acc > 0.0]
-            floor = positive.min() if positive.size else 1.0
-            if tail_bound < max(rtol * floor, 1e-305):
-                break
-        sp.set_attrs(terms_used=j, tail_bound=tail_bound, fallback=False)
-        registry.counter("repro.solver.uniformization.terms").inc(j)
-        return acc
+            # Poisson weights decaying: the rest of the mass is below the
+            # geometric bound, which must fall below rtol times the
+            # smallest positive entry of each time's sum
+            test = ~stop & (ratio < 1.0)
+            if test.any():
+                r = ratio[test]
+                tail[test] = bound = weight[test] * r / (1.0 - r)
+                rows = acc[test]
+                floor = np.where(rows > 0.0, rows, np.inf).min(axis=1)
+                floor[floor == np.inf] = 1.0
+                stop[test] = bound < np.maximum(rtol * floor, 1e-305)
+        if stop.any():
+            _finish(stop, j, live, acc, tail, info, result)
+            keep = ~stop
+            live, lt, weight = live[keep], lt[keep], weight[keep]
+            acc, tail = acc[keep], tail[keep]
+    _finish(np.ones(live.size, dtype=bool), j, live, acc, tail, info, result)
+    return j
+
+
+def _finish(stop, j, live, acc, tail, info, result) -> None:
+    """Record the times ``live[stop]`` as summed to ``j`` terms."""
+    terms = metrics.get_registry().counter("repro.solver.uniformization.terms")
+    for r in np.flatnonzero(stop).tolist():
+        i = int(live[r])
+        result[i] = acc[r]
+        info[i].update(terms_used=j, tail_bound=float(tail[r]))
+        terms.inc(j)
 
 
 def transient_uniformization(
@@ -145,6 +228,7 @@ def transient_uniformization(
     Poisson weights are generated in the linear domain by upward recursion
     from ``e^{-Lt}``; for the paper's rates and horizons ``L t`` stays far
     from the underflow regime (a log-domain fallback covers the rest).
+    The whole grid is one :func:`uniformization_propagate` pass.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
@@ -154,12 +238,9 @@ def transient_uniformization(
         n_states=chain.num_states,
         n_times=len(times),
     ):
-        result = np.empty((len(times), chain.num_states))
-        for pos, t in enumerate(times):
-            result[pos] = uniformization_propagate(
-                chain.rate_matrix, chain.p0, float(t), rtol=rtol, max_terms=max_terms
-            )
-        return result
+        return uniformization_propagate(
+            chain.rate_matrix, chain.p0, times, rtol=rtol, max_terms=max_terms
+        )
 
 
 def _uniformization_large_lt(
@@ -167,8 +248,7 @@ def _uniformization_large_lt(
     kernel: sparse.spmatrix,
     lt: float,
     rtol: float,
-    sp: trace.Span | None = None,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, Dict[str, Any]]:
     """Uniformization fallback when ``e^{-Lt}`` underflows.
 
     Sums the series inside a window of Poisson-significant terms around
@@ -177,6 +257,10 @@ def _uniformization_large_lt(
     scale of numerator and denominator cancels, so no log-domain
     bookkeeping is needed).  Only exercised for extreme ``L*t`` (not
     reached by the paper's parameter ranges, but kept for generality).
+
+    Returns the distribution and the window's span attributes
+    (``window_lo``, ``window_hi``, ``terms_used``, ``tail_bound``) plus
+    the number of sparse kernel ``products`` it performed.
     """
     # The Poisson(lt) mass beyond +-k*sqrt(lt) decays like exp(-k^2/2),
     # so choose k from the caller's rtol (the discarded tail is below it)
@@ -186,11 +270,8 @@ def _uniformization_large_lt(
     half = int(max(k, 10.0) * math.sqrt(lt)) + 10
     j_lo = max(0, centre - half)
     j_hi = centre + half
-    if sp is not None:
-        sp.set_attrs(
-            window_lo=j_lo, window_hi=j_hi, terms_used=j_hi - j_lo + 1
-        )
     v = p0.copy()
+    products = 0
     if j_lo > 4096:
         # jump to the window with dense repeated squaring instead of j_lo
         # individual matvecs (j_lo can be 1e7+ when L*t is extreme)
@@ -198,6 +279,7 @@ def _uniformization_large_lt(
     else:
         for _ in range(j_lo):
             v = v @ kernel
+        products += j_lo
     acc = np.zeros_like(p0)
     total = 0.0
     w = 1.0  # relative weight; overall scale cancels in acc / total
@@ -205,15 +287,21 @@ def _uniformization_large_lt(
         acc += w * v
         total += w
         v = v @ kernel
+        products += 1
         w *= lt / (j + 1)
         if w > 1e200:
             acc /= w
             total /= w
             w = 1.0
-    if sp is not None:
+    window = {
+        "window_lo": j_lo,
+        "window_hi": j_hi,
+        "terms_used": j_hi - j_lo + 1,
         # relative mass outside the window, bounded by the Gaussian tail
-        sp.set_attr("tail_bound", math.exp(-0.5 * max(k, 10.0) ** 2))
-    return acc / total
+        "tail_bound": math.exp(-0.5 * max(k, 10.0) ** 2),
+        "products": products,
+    }
+    return acc / total, window
 
 
 def transient_expm(chain: CTMC, times: np.ndarray) -> np.ndarray:

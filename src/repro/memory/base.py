@@ -18,7 +18,7 @@ from typing import Hashable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..markov import CTMC, build_chain
+from ..markov import CTMC, FrontierRule, build_chain
 from .rates import FaultRates
 
 #: Label of the absorbing unrecoverable-error state.
@@ -56,6 +56,14 @@ class MemoryMarkovModel(ABC):
     def transitions(self, state: State) -> Iterable[Tuple[State, float]]:
         """Local transition rule: ``(successor, rate)`` pairs from ``state``."""
 
+    def frontier_rule(self) -> Optional[FrontierRule]:
+        """:meth:`transitions` in array form, for large chains.
+
+        :attr:`chain` explores with it when a model supplies one; the
+        default ``None`` keeps the per-state exploration.
+        """
+        return None
+
     # -- derived quantities ----------------------------------------------
 
     @property
@@ -72,7 +80,9 @@ class MemoryMarkovModel(ABC):
     def chain(self) -> CTMC:
         """The compiled CTMC (built lazily, cached)."""
         if self._chain is None:
-            self._chain = build_chain(self.initial_state(), self.transitions)
+            self._chain = build_chain(
+                self.initial_state(), self.transitions, frontier=self.frontier_rule()
+            )
         return self._chain
 
     def fail_probability(

@@ -32,7 +32,10 @@ The thirteen transition families (A-I, L-O) of paper Fig. 4 are
 implemented verbatim, with one documented correction: the text gives the
 rate of family B (erasure landing on the errored partner of an
 erasure/error pair) as ``λe * Y`` but Fig. 4 labels the arc ``b * λe``,
-which is also what the semantics require; we use ``λe * b``.
+which is also what the semantics require; we use ``λe * b``.  They are
+written once, in the table :data:`FAMILIES`, which the per-state rule
+:meth:`DuplexMarkovModel.transitions` and the array rule
+:class:`DuplexFrontier` (used to build the chain) both read.
 
 Scrubbing rewrites corrected data, clearing every random error while
 permanent faults persist: ``(X, Y, b, e1, e2, ec) → (X, Y + b, 0, 0, 0, 0)``
@@ -44,12 +47,50 @@ from __future__ import annotations
 
 from typing import Iterable, List, Tuple
 
+import numpy as np
+
 from .base import FAIL, MemoryMarkovModel
 from .rates import FaultRates
 
 DuplexState = Tuple[int, int, int, int, int, int]  # (X, Y, b, e1, e2, ec)
 
 FAIL_RULES = ("either", "both")
+
+# Rate classes: a move fires at (class rate) x (count of its source pairs).
+ERASURE, SEU, SCRUB = range(3)
+# Count sources: the six state components, the untouched pairs, and one.
+X, Y, B, E1, E2, EC, CLEAN, ONE = range(8)
+
+
+def _scrub(x, y, b, e1, e2, ec):
+    """Scrubbing clears every random error; a b pair keeps its erasure."""
+    return (0, b, -b, -e1, -e2, -ec)
+
+
+#: Paper Fig. 4's transition families, then scrubbing, in emission order:
+#: ``(label, rate class, count source, change of (X, Y, b, e1, e2, ec))``.
+#: The change is a tuple, or a function of the six components that works
+#: on ints and on arrays alike.  :meth:`DuplexMarkovModel.transitions`
+#: reads this table per state and :class:`DuplexFrontier` per BFS level.
+FAMILIES = (
+    # erasure-driven (states A..H)
+    ("A", ERASURE, Y, (1, -1, 0, 0, 0, 0)),  # second erasure completes a pair
+    ("B", ERASURE, B, (1, 0, -1, 0, 0, 0)),  # erasure on the errored partner of a b pair
+    ("C", ERASURE, CLEAN, (0, 1, 0, 0, 0, 0)),  # erasure on an untouched pair
+    ("D", ERASURE, E1, (0, 1, 0, -1, 0, 0)),  # erasure lands on the errored symbol
+    ("E", ERASURE, E2, (0, 1, 0, 0, -1, 0)),
+    ("F", ERASURE, EC, (0, 0, 1, 0, 0, -1)),  # erasure on a doubly-errored pair
+    ("G", ERASURE, E1, (0, 0, 1, -1, 0, 0)),  # erasure on the clean partner of an error
+    ("H", ERASURE, E2, (0, 0, 1, 0, -1, 0)),
+    # random-error-driven (states I, L, M, N, O)
+    ("I", SEU, Y, (0, -1, 1, 0, 0, 0)),  # SEU on the clean partner of an erasure
+    ("L", SEU, CLEAN, (0, 0, 0, 1, 0, 0)),  # SEU on an untouched pair, word 1
+    ("M", SEU, CLEAN, (0, 0, 0, 0, 1, 0)),  # ... word 2
+    ("N", SEU, E1, (0, 0, 0, -1, 0, 1)),  # SEU on the partner of an e1 symbol
+    ("O", SEU, E2, (0, 0, 0, 0, -1, 1)),
+    # scrubbing: random errors cleared, erasures persist
+    ("scrub", SCRUB, ONE, _scrub),
+)
 
 
 class DuplexMarkovModel(MemoryMarkovModel):
@@ -91,65 +132,113 @@ class DuplexMarkovModel(MemoryMarkovModel):
         return x + 2 * (b + ec + e_own) <= self.nsym
 
     def is_valid(self, state: DuplexState) -> bool:
-        """Non-FAIL condition under the configured fail rule."""
+        """Non-FAIL condition under the configured fail rule.
+
+        Also takes a tuple of six component arrays and answers per entry.
+        """
         ok1 = self.word_ok(state, 1)
         ok2 = self.word_ok(state, 2)
         if self.fail_rule == "either":
-            return ok1 and ok2
-        return ok1 or ok2
+            return ok1 & ok2
+        return ok1 | ok2
 
     # -- dynamics ---------------------------------------------------------
+
+    def _class_rates(self) -> Tuple[float, float, float]:
+        """Rate per source pair of each rate class (ERASURE, SEU, SCRUB)."""
+        flip = self.m * self.rates.seu_per_bit  # per-symbol SEU rate
+        return (self.rates.erasure_per_symbol, flip, self.rates.scrub_rate)
 
     def transitions(self, state) -> Iterable[Tuple[object, float]]:
         if state == FAIL:
             return []
-        x, y, b, e1, e2, ec = state
-        clean = self.n - x - y - b - e1 - e2 - ec
-        lam = self.rates.seu_per_bit
-        lam_e = self.rates.erasure_per_symbol
-        flip = self.m * lam  # per-symbol SEU rate
+        counts = (*state, self.n - sum(state), 1)
+        class_rates = self._class_rates()
         moves: List[Tuple[object, float]] = []
-
-        def emit(target: DuplexState, rate: float) -> None:
+        for _label, rate_class, source, change in FAMILIES:
+            count = counts[source]
+            if count <= 0:
+                continue
+            rate = class_rates[rate_class] * count
             if rate <= 0.0:
-                return
-            moves.append((target if self.is_valid(target) else FAIL, rate))
-
-        # --- erasure-driven transitions (paper Fig. 4, states A..H) ---
-        if y > 0:  # A: second erasure completes a pair
-            emit((x + 1, y - 1, b, e1, e2, ec), lam_e * y)
-        if b > 0:  # B: erasure on the errored partner of a b pair
-            emit((x + 1, y, b - 1, e1, e2, ec), lam_e * b)
-        if clean > 0:  # C: erasure on an untouched pair
-            emit((x, y + 1, b, e1, e2, ec), lam_e * clean)
-        if e1 > 0:  # D: erasure lands on the errored symbol itself
-            emit((x, y + 1, b, e1 - 1, e2, ec), lam_e * e1)
-        if e2 > 0:  # E
-            emit((x, y + 1, b, e1, e2 - 1, ec), lam_e * e2)
-        if ec > 0:  # F: erasure on a doubly-errored pair
-            emit((x, y, b + 1, e1, e2, ec - 1), lam_e * ec)
-        if e1 > 0:  # G: erasure on the clean partner of an errored symbol
-            emit((x, y, b + 1, e1 - 1, e2, ec), lam_e * e1)
-        if e2 > 0:  # H
-            emit((x, y, b + 1, e1, e2 - 1, ec), lam_e * e2)
-
-        # --- random-error-driven transitions (states I, L, M, N, O) ---
-        if y > 0:  # I: SEU on the clean partner of a single-sided erasure
-            emit((x, y - 1, b + 1, e1, e2, ec), flip * y)
-        if clean > 0:  # L, M: SEU on an untouched pair, word 1 / word 2
-            emit((x, y, b, e1 + 1, e2, ec), flip * clean)
-            emit((x, y, b, e1, e2 + 1, ec), flip * clean)
-        if e1 > 0:  # N: SEU on the partner of an e1 symbol
-            emit((x, y, b, e1 - 1, e2, ec + 1), flip * e1)
-        if e2 > 0:  # O
-            emit((x, y, b, e1, e2 - 1, ec + 1), flip * e2)
-
-        # --- scrubbing: random errors cleared, erasures persist ---
-        if self.rates.has_scrubbing:
-            target = (x, y + b, 0, 0, 0, 0)
+                continue
+            if callable(change):
+                change = change(*state)
+            target = tuple(s + d for s, d in zip(state, change))
             if target != state:
-                emit(target, self.rates.scrub_rate)
+                moves.append((target if self.is_valid(target) else FAIL, rate))
         return moves
+
+    def frontier_rule(self) -> "DuplexFrontier | None":
+        # keys pack the six components in radix n + 1
+        if (self.n + 1) ** 6 >= 2**62:
+            return None
+        return DuplexFrontier(self)
+
+
+class DuplexFrontier:
+    """:data:`FAMILIES` over a BFS level of packed duplex states.
+
+    A state's key packs ``(X, Y, b, e1, e2, ec)`` in radix ``n + 1``;
+    ``FAIL`` is the sink key ``-1``.  Packing is linear, so a family's
+    target key is the state's key plus the packed change.  The rates,
+    targets and FAIL tests are those :meth:`DuplexMarkovModel.transitions`
+    computes state by state, for a whole level of states and every family
+    at once.
+    """
+
+    SINK = -1
+
+    def __init__(self, model: DuplexMarkovModel):
+        self.model = model
+        self.radix = model.n + 1
+        self.powers = self.radix ** np.arange(5, -1, -1, dtype=np.int64)
+        _labels, classes, self.sources, changes = zip(*FAMILIES)
+        self.class_rates = np.array(model._class_rates())[list(classes)]
+        self.varying = [f for f, change in enumerate(changes) if callable(change)]
+        # the fixed changes, one column per family (zero for varying ones)
+        fixed = np.array(
+            [(0,) * 6 if callable(change) else change for change in changes],
+            dtype=np.int64,
+        )
+        self.change_rows = fixed.T
+        self.key_shift = fixed @ self.powers
+
+    def encode(self, state) -> int:
+        return self.SINK if state == FAIL else int(np.dot(state, self.powers))
+
+    def _unpack(self, keys: np.ndarray) -> np.ndarray:
+        """``(len(keys), 6)`` components of non-sink keys."""
+        return keys[:, None] // self.powers % self.radix
+
+    def decode(self, keys: np.ndarray) -> List[object]:
+        keys = np.asarray(keys, dtype=np.int64)
+        labels = list(map(tuple, self._unpack(keys).tolist()))
+        for i in np.flatnonzero(keys == self.SINK).tolist():
+            labels[i] = FAIL
+        return labels
+
+    def expand(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        model = self.model
+        state = self._unpack(keys)
+        counts = np.column_stack(
+            [state, model.n - state.sum(axis=1), np.ones_like(keys)]
+        )
+        # one row per state, one column per family
+        count = counts[:, self.sources]
+        rates = self.class_rates * count
+        target = [state[:, c, None] + self.change_rows[c] for c in range(6)]
+        key = keys[:, None] + self.key_shift
+        for f in self.varying:
+            change = FAMILIES[f][3](*state.T)
+            for c, d in enumerate(change):
+                target[c][:, f] = state[:, c] + d
+            key[:, f] = keys + sum(d * p for d, p in zip(change, self.powers.tolist()))
+        live = (count > 0) & ~(rates <= 0.0) & (key != keys[:, None])
+        key = np.where(model.is_valid(tuple(target)), key, self.SINK)
+        # row-major nonzero: ordered by parent, then by family
+        parent, family = np.nonzero(live)
+        return parent, key[parent, family], rates[parent, family]
 
 
 def duplex_model(

@@ -25,8 +25,12 @@ target                    layers                   compares
                                                    (+ syndrome-table oracle where feasible)
 ``rs-solver-parity``      rs                       Berlekamp-Massey vs Euclid key solvers
 ``rs-batch-scalar``       gf, rs                   batch codec vs scalar codec, word for word
-``markov-transient``      markov                   uniformization vs expm vs Taylor oracle
-``memory-analytic``       memory, markov           closed-form fail probability vs CTMC
+``markov-transient``      markov                   uniformization vs expm vs Taylor oracle,
+                                                   and the uniformization grid pass vs
+                                                   per-time calls, exactly
+``memory-analytic``       memory, markov           closed-form fail probability vs CTMC,
+                                                   and (duplex) the frontier-built chain
+                                                   vs the per-state build, exactly
 ``memory-mc-ber``         memory, simulator        analytic model vs batched Monte-Carlo
                                                    within a 5-sigma Wilson interval
 ``journal-roundtrip``     runtime, simulator       random single-point corruption of a v2
@@ -534,8 +538,16 @@ _TRANSIENT_ATOL = 1e-9
 
 
 def _check_markov_transient(case: Case) -> Optional[Mismatch]:
-    """Uniformization vs scipy expm vs truncated-Taylor oracle."""
-    from ..markov.solvers import transient_expm, transient_uniformization
+    """Uniformization vs scipy expm vs truncated-Taylor oracle.
+
+    The uniformization grid pass must also equal one scalar propagation
+    per time exactly: each time keeps its own weights and stopping test.
+    """
+    from ..markov.solvers import (
+        transient_expm,
+        transient_uniformization,
+        uniformization_propagate,
+    )
 
     chain = gen.build_ctmc_from_case(case)
     times = np.asarray(case["times"], dtype=float)
@@ -544,6 +556,22 @@ def _check_markov_transient(case: Case) -> Optional[Mismatch]:
         "expm": transient_expm(chain, times),
         "taylor-oracle": oracles.transient_taylor_oracle(chain, times),
     }
+    per_time = np.array(
+        [
+            uniformization_propagate(chain.rate_matrix, chain.p0, float(t))
+            for t in times
+        ]
+    ).reshape(len(times), chain.num_states)
+    if not np.array_equal(solutions["uniformization"], per_time):
+        return Mismatch(
+            "uniformization grid pass differs from per-time propagation",
+            {
+                "times": times,
+                "max_abs_diff": float(
+                    np.abs(solutions["uniformization"] - per_time).max()
+                ),
+            },
+        )
     for name, sol in solutions.items():
         row_sums = sol.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > 1e-8):
@@ -587,6 +615,39 @@ def _build_memory_model(case: Case):
     )
 
 
+def _chain_arrays(chain) -> Dict[str, np.ndarray]:
+    rates = chain.rate_matrix
+    return {
+        "states": np.fromiter(chain.states, dtype=object, count=chain.num_states),
+        "p0": chain.p0,
+        "indptr": rates.indptr,
+        "indices": rates.indices,
+        "data": rates.data,
+    }
+
+
+def _check_frontier_build(model) -> Optional[Mismatch]:
+    """The model's frontier-built chain vs the per-state exploration."""
+    from ..markov import build_chain
+
+    frontier = _chain_arrays(model.chain)
+    per_state = _chain_arrays(build_chain(model.initial_state(), model.transitions))
+    differ = [
+        name
+        for name, array in per_state.items()
+        if not np.array_equal(frontier[name], array)
+    ]
+    if differ:
+        return Mismatch(
+            "frontier-built and per-state duplex chains differ",
+            {
+                "arrays": differ,
+                "num_states": [len(frontier["states"]), len(per_state["states"])],
+            },
+        )
+    return None
+
+
 def _gen_memory_analytic_case(rng: np.random.Generator) -> Case:
     return gen.gen_memory_case(rng, pure_regime=True, with_scrub=False)
 
@@ -604,6 +665,9 @@ def _check_memory_analytic(case: Case) -> Optional[Mismatch]:
     if case["arrangement"] == "simplex":
         closed = simplex_fail_probability(model, times)
     else:
+        mismatch = _check_frontier_build(model)
+        if mismatch is not None:
+            return mismatch
         closed = duplex_fail_probability(model, times)
     chain = model.fail_probability(times, method="uniformization")
     scale = np.maximum(np.maximum(np.abs(closed), np.abs(chain)), 1e-280)
@@ -1164,7 +1228,7 @@ register_target(
         description=(
             "Uniformization vs scipy expm vs a truncated-Taylor oracle "
             "on random well-formed CTMCs (absorbing rows, frozen chains, "
-            "stiff rate spreads)"
+            "stiff rate spreads); the grid pass vs per-time calls exactly"
         ),
         generate=gen.gen_ctmc_case,
         check=_check_markov_transient,
@@ -1179,7 +1243,8 @@ register_target(
         layers=("memory", "markov"),
         description=(
             "Closed-form no-scrub fail probability vs the CTMC transient "
-            "solution on random pure-regime memory configurations"
+            "solution on random pure-regime memory configurations; the "
+            "frontier-built duplex chain vs the per-state build exactly"
         ),
         generate=_gen_memory_analytic_case,
         check=_check_memory_analytic,

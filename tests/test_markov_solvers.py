@@ -164,6 +164,157 @@ class TestUniformizationInternals:
         assert np.allclose(direct, stepped, atol=1e-12)
 
 
+def _loop_propagate(rates, p0, t, rtol=1e-14):
+    """The per-time scalar recursion, one Python float weight at a time:
+    the reference the array pass must reproduce bit for bit."""
+    out_rates = np.asarray(rates.sum(axis=1)).ravel()
+    lam = float(out_rates.max(initial=0.0))
+    if t == 0.0:
+        return np.asarray(p0, dtype=float).copy()
+    kernel = (rates + sparse.diags(lam - out_rates)) / lam
+    min_terms = min(rates.shape[0] + 1, 10_000)
+    lt = lam * t
+    v = np.asarray(p0, dtype=float).copy()
+    weight = math.exp(-lt)
+    acc = weight * v
+    j = 0
+    while True:
+        j += 1
+        v = v @ kernel
+        weight *= lt / j
+        acc += weight * v
+        if weight == 0.0:
+            return acc
+        if j < min_terms or lt / (j + 2) >= 1.0:
+            continue
+        ratio = lt / (j + 2)
+        tail_bound = weight * ratio / (1.0 - ratio)
+        positive = acc[acc > 0.0]
+        floor = positive.min() if positive.size else 1.0
+        if tail_bound < max(rtol * floor, 1e-305):
+            return acc
+
+
+class TestGridSolve:
+    """A time grid is one uniformization pass whose rows equal the
+    per-time scalar calls exactly."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_equal_the_scalar_loop(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        chain = random_chain(rng, int(rng.integers(3, 9)))
+        times = np.concatenate([[0.0], rng.uniform(0.0, 6.0, 5)])
+        grid = uniformization_propagate(chain.rate_matrix, chain.p0, times)
+        for row, t in zip(grid, times):
+            assert np.array_equal(row, _loop_propagate(chain.rate_matrix, chain.p0, t))
+
+    @staticmethod
+    def _stacked(rates, p0, times, **kwargs):
+        return np.vstack(
+            [uniformization_propagate(rates, p0, float(t), **kwargs) for t in times]
+        )
+
+    @staticmethod
+    def _traced(rates, p0, t):
+        collector = trace.TraceCollector()
+        with trace.use_collector(collector):
+            out = uniformization_propagate(rates, p0, t)
+        [span] = collector.spans("uniformization_propagate")
+        return out, span["attrs"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unsorted_duplicate_and_zero_times(self, seed):
+        chain = random_chain(np.random.default_rng(seed), 6)
+        times = np.array([1.3, 0.0, 0.4, 1.3, 2.9, 0.0, 0.05])
+        grid = uniformization_propagate(chain.rate_matrix, chain.p0, times)
+        stacked = self._stacked(chain.rate_matrix, chain.p0, times)
+        assert grid.shape == (len(times), chain.num_states)
+        assert np.array_equal(grid, stacked)
+
+    def test_deep_tail_grid(self):
+        chain = erlang_chain(6, 1e-6)
+        times = np.array([10.0, 1.0, 5.0])
+        grid = transient_uniformization(chain, times)
+        assert np.array_equal(grid, self._stacked(chain.rate_matrix, chain.p0, times))
+        assert 0.0 < grid[1, 6] < grid[2, 6] < grid[0, 6] < 1e-30
+
+    def test_grid_mixing_a_large_lt_fallback_time(self):
+        chain = CTMC(
+            ["A", "B", "C"],
+            [("A", "B", 1000.0), ("B", "A", 1000.0), ("A", "C", 1e-3)],
+            "A",
+        )
+        times = np.array([0.01, 0.8, 0.0, 0.3, 0.8])  # L*0.8 ~ 800: fallback
+        grid, attrs = self._traced(chain.rate_matrix, chain.p0, times)
+        assert np.array_equal(
+            grid, self._stacked(chain.rate_matrix, chain.p0, times)
+        )
+        assert attrs["fallback"] == [False, True, False, False, True]
+        assert attrs["window_lo"][0] is None and attrs["window_lo"][1] > 0
+
+    def test_span_carries_each_times_truncation(self):
+        chain = random_chain(np.random.default_rng(3), 5)
+        rates, p0 = chain.rate_matrix, chain.p0
+        times = np.array([2.0, 0.0, 0.7])
+        _, attrs = self._traced(rates, p0, times)
+        scalar = [self._traced(rates, p0, float(t))[1] for t in times]
+        for key in ("terms_used", "tail_bound", "fallback", "lt"):
+            assert attrs[key] == [a[key] for a in scalar], key
+        # one shared pass: the products are those of the longest series
+        assert attrs["products"] == max(attrs["terms_used"])
+        assert [a["products"] for a in scalar] == [a["terms_used"] for a in scalar]
+
+    def test_terms_counter_adds_each_times_terms(self):
+        from repro.obs.metrics import MetricsRegistry, set_registry
+
+        chain = random_chain(np.random.default_rng(4), 5)
+        times = np.array([0.5, 1.5, 0.0, 1.5])
+        counts = []
+        for call in (
+            lambda: uniformization_propagate(chain.rate_matrix, chain.p0, times),
+            lambda: self._stacked(chain.rate_matrix, chain.p0, times),
+        ):
+            fresh = MetricsRegistry()
+            previous = set_registry(fresh)
+            try:
+                call()
+            finally:
+                set_registry(previous)
+            counts.append(
+                (
+                    fresh.counter("repro.solver.uniformization.terms").value,
+                    fresh.counter("repro.solver.uniformization.calls").value,
+                )
+            )
+        (grid_terms, grid_calls), (scalar_terms, scalar_calls) = counts
+        assert grid_terms == scalar_terms > 0
+        assert (grid_calls, scalar_calls) == (1, len(times))
+
+    def test_transient_solve_is_one_propagate_call(self):
+        chain = random_chain(np.random.default_rng(5), 4)
+        collector = trace.TraceCollector()
+        with trace.use_collector(collector):
+            transient_uniformization(chain, np.linspace(0.0, 3.0, 7))
+        [span] = collector.spans("uniformization_propagate")
+        assert len(span["attrs"]["terms_used"]) == 7
+
+    def test_scalar_call_keeps_scalar_attrs(self):
+        chain = random_chain(np.random.default_rng(6), 4)
+        out, attrs = self._traced(chain.rate_matrix, chain.p0, 1.0)
+        assert out.shape == (chain.num_states,)
+        assert isinstance(attrs["terms_used"], int)
+        assert attrs["products"] == attrs["terms_used"]
+
+    def test_grid_shape_and_sign_checked(self):
+        rates = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        p0 = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            uniformization_propagate(rates, p0, np.array([0.5, -1.0]))
+        with pytest.raises(ValueError, match="1-D"):
+            uniformization_propagate(rates, p0, np.ones((2, 2)))
+        assert uniformization_propagate(rates, p0, np.array([])).shape == (0, 2)
+
+
 class TestInputHandling:
     def test_negative_times_rejected_everywhere(self):
         chain = erlang_chain(2, 1.0)

@@ -316,6 +316,64 @@ def test_worker_max_chunks_zero_exits_immediately(tmp_path):
 
 
 # --------------------------------------------------------------------------
+# publish durability
+# --------------------------------------------------------------------------
+
+
+def _post_fleet_task(board, token=0, epoch=0):
+    with open(board / "todo" / f"{token:08d}.e{epoch:04d}.task", "wb") as fh:
+        pickle.dump((_echo_chunk, token, 0, None, (token, 7)), fh)
+
+
+def test_worker_publish_fsyncs_done_dir_before_lease_release(
+    tmp_path, monkeypatch
+):
+    """The done/ directory entry must be durable *before* the lease (the
+    only evidence the chunk was claimed) is removed."""
+    from repro.runtime import fleet
+
+    board = _make_board(tmp_path)
+    _post_fleet_task(board)
+    real_fsync_dir = fleet.fsync_dir
+    observed = []
+
+    def recording(path):
+        observed.append(
+            (
+                (board / "done" / "00000000.e0000.done").exists(),
+                any((board / "leases").iterdir()),
+            )
+        )
+        return real_fsync_dir(path)
+
+    monkeypatch.setattr(fleet, "fsync_dir", recording)
+    assert fleet.worker_main(board, max_chunks=1, install_signals=False) == 1
+    # exactly one publish: at fsync time the rename had landed and the
+    # lease had not yet been released
+    assert observed == [(True, True)]
+    assert (board / "done" / "00000000.e0000.done").exists()
+    assert not any((board / "leases").iterdir())
+
+
+def test_worker_publish_crash_window_never_loses_both(tmp_path, monkeypatch):
+    """A crash between publishing the done-file and removing the lease
+    must leave BOTH behind, so the completed chunk is never lost."""
+    from repro.runtime import fleet
+
+    board = _make_board(tmp_path)
+    _post_fleet_task(board)
+
+    def crash(path):
+        raise RuntimeError("injected host crash during done/ fsync")
+
+    monkeypatch.setattr(fleet, "fsync_dir", crash)
+    with pytest.raises(RuntimeError, match="injected host crash"):
+        fleet.worker_main(board, max_chunks=1, install_signals=False)
+    assert (board / "done" / "00000000.e0000.done").exists()
+    assert list((board / "leases").iterdir())  # claim evidence retained
+
+
+# --------------------------------------------------------------------------
 # empty-fleet degradation
 # --------------------------------------------------------------------------
 

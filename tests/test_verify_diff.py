@@ -134,6 +134,50 @@ def test_rs_batch_scalar_decodes_each_case_as_one_batch(monkeypatch):
     assert max(len(case["words"]) for case in cases) > 1
 
 
+def test_markov_transient_flags_grid_pass_drift(monkeypatch):
+    """A grid solve one ulp off the per-time calls is a mismatch, although
+    it still agrees with expm and the Taylor oracle to 1e-9."""
+    import numpy as np
+
+    from repro.markov import solvers
+
+    grid = solvers.transient_uniformization
+
+    def drifted(chain, times, **kwargs):
+        return np.nextafter(grid(chain, times, **kwargs), np.inf)
+
+    monkeypatch.setattr(solvers, "transient_uniformization", drifted)
+    target = get_target("markov-transient")
+    mismatch = target.check(target.generate(case_rng(1234, 0)))
+    assert isinstance(mismatch, Mismatch)
+    assert "grid pass" in mismatch.description
+
+
+def test_memory_analytic_flags_frontier_build_drift(monkeypatch):
+    """A frontier-built duplex chain one ulp off the per-state build is a
+    mismatch, although the closed form still agrees to 1e-6."""
+    import numpy as np
+
+    from repro.memory.duplex import DuplexFrontier
+
+    expand = DuplexFrontier.expand
+
+    def drifted(self, keys):
+        parent, target, rate = expand(self, keys)
+        return parent, target, np.nextafter(rate, np.inf)
+
+    monkeypatch.setattr(DuplexFrontier, "expand", drifted)
+    target = get_target("memory-analytic")
+    case = next(
+        case
+        for case in (target.generate(case_rng(1234, t)) for t in range(50))
+        if case["arrangement"] == "duplex"
+    )
+    mismatch = target.check(case)
+    assert isinstance(mismatch, Mismatch)
+    assert "frontier-built" in mismatch.description
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED_TARGETS))
 def test_induced_check_fires(name):
     """Each target's deliberately buggy self-test check detects something.
