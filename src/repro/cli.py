@@ -35,7 +35,9 @@ Subcommands:
 
 Exit codes shared with the runtime: 130 on SIGINT (journal resumable),
 75 when another campaign holds the journal lock, 74 when journal writes
-failed mid-run (campaign completed; resumable state lost).
+failed mid-run (campaign completed; resumable state lost) or a worker
+could not publish a result, 70 when a chunk failed every attempt
+(completed chunks stay journaled).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import numpy as np
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .runtime.executors import EXECUTOR_NAMES
     from .simulator.campaign import ENGINES
 
     parser = argparse.ArgumentParser(
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--manifest",
         metavar="PATH",
         help="write a machine-readable JSON run manifest (seed, engine, "
-        "retry/fallback counts, git describe, wall clock, results)",
+        "retry counts, git describe, wall clock, results)",
     )
     camp.add_argument(
         "--chunk-timeout",
@@ -215,15 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         metavar="N",
-        help="attempts per chunk on the batch engine before degrading "
-        "that chunk to the scalar engine (default 3)",
+        help="attempts per chunk before the campaign fails with exit 70 "
+        "(default 3)",
     )
     camp.add_argument(
         "--chaos",
         metavar="SPEC",
         help="[dev] deterministic fault injection, e.g. "
         "'crash@0;hang@2:30;poison@1;slow@*:0.1' — proves the "
-        "supervisor's retry/fallback machinery end to end; journal "
+        "supervisor's retry and fail-loud machinery end to end; journal "
         "faults 'bitrot@i[:mask]', 'torn@i[:frac]', 'enospc@i[:n]' "
         "corrupt/tear/fail checkpoint appends to prove quarantine, "
         "torn-tail truncation, and ENOSPC degradation",
@@ -244,13 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--executor",
-        choices=("auto", "serial", "pool", "lease", "fleet"),
+        choices=("auto", *EXECUTOR_NAMES),
         default="auto",
         help="chunk dispatch backend (batch engine only): 'serial' runs "
-        "in-process, 'pool' uses the process pool, 'lease' posts chunks "
-        "to an on-disk board next to the checkpoint journal where "
-        "long-lived workers lease them (multi-host-shaped, with "
-        "work-stealing and straggler re-dispatch); 'fleet' drives "
+        "in-process, 'pool' uses the process pool, 'fleet' drives "
         "detachable `repro worker` agents over a shared board with "
         "heartbeat leases and epoch-fenced re-dispatch (cross-host "
         "capable; spawns local agents unless --board points at an "
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument(
         "--board",
         metavar="DIR",
-        help="shared board directory for --executor lease/fleet "
+        help="shared board directory for --executor fleet "
         "(default: derived from the checkpoint journal path); with "
         "--executor fleet an explicit board means external `repro "
         "worker` agents do the computing and none are spawned locally",
@@ -659,11 +659,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     from .obs.progress import ProgressTracker, format_progress
     from .perf import PerfCounters
     from .runtime import (
+        CHUNK_FAILED_EXIT_CODE,
         LOCK_CONTENTION_EXIT_CODE,
         STATE_LOST_EXIT_CODE,
         CheckpointError,
         CheckpointJournal,
         CheckpointMismatchError,
+        ChunkFailedError,
         JournalLockedError,
         RetryPolicy,
         RuntimeConfig,
@@ -764,10 +766,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.max_retries < 1:
         print("--max-retries must be >= 1", file=sys.stderr)
         return 2
-    if args.board is not None and args.executor not in ("lease", "fleet"):
+    if args.board is not None and args.executor != "fleet":
         print(
-            "--board requires --executor lease or fleet (other "
-            "executors have no on-disk board)",
+            "--board requires --executor fleet (other executors have "
+            "no on-disk board)",
             file=sys.stderr,
         )
         return 2
@@ -886,13 +888,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         executor=None if args.executor == "auto" else args.executor,
         board_dir=Path(args.board) if args.board else None,
         worker_ttl=args.fleet_ttl,
-        # The board-backed executors are the multi-host-shaped backends,
-        # so they get straggler speculation by default; serial/pool
-        # chunks share one machine and a slow chunk there is just a
-        # slow machine.
-        straggler=(
-            StragglerPolicy() if args.executor in ("lease", "fleet") else None
-        ),
+        # The fleet is the multi-host backend, so it gets straggler
+        # speculation by default; serial/pool chunks share one machine
+        # and a slow chunk there is just a slow machine.
+        straggler=StragglerPolicy() if args.executor == "fleet" else None,
         stop=stop,
         on_snapshot=on_snapshot if args.progress else None,
         progress=tracker,
@@ -920,6 +919,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except JournalLockedError as exc:
         print(f"checkpoint locked: {exc}", file=sys.stderr)
         return LOCK_CONTENTION_EXIT_CODE
+    except ChunkFailedError as exc:
+        hint = ""
+        if journal is not None and not (journal.readonly or journal.degraded):
+            hint = "; completed chunks are journaled; rerun to resume"
+        print(f"campaign failed: {exc}{hint}", file=sys.stderr)
+        return CHUNK_FAILED_EXIT_CODE
     except KeyboardInterrupt:
         if journal is not None:
             print(
@@ -1058,6 +1063,7 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 def cmd_worker(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from .runtime import STATE_LOST_EXIT_CODE
     from .runtime.fleet import DEFAULT_WORKER_TTL, worker_main
 
     board = Path(args.board)
@@ -1070,12 +1076,18 @@ def cmd_worker(args: argparse.Namespace) -> int:
     if args.max_chunks is not None and args.max_chunks < 0:
         print("--max-chunks must be >= 0", file=sys.stderr)
         return 2
-    done = worker_main(
-        board,
-        worker_id=args.worker_id,
-        ttl=DEFAULT_WORKER_TTL if args.ttl is None else args.ttl,
-        max_chunks=args.max_chunks,
-    )
+    try:
+        done = worker_main(
+            board,
+            worker_id=args.worker_id,
+            ttl=DEFAULT_WORKER_TTL if args.ttl is None else args.ttl,
+            max_chunks=args.max_chunks,
+        )
+    except OSError as exc:
+        # The held lease stays on the board; the coordinator expires it
+        # and re-dispatches the chunk.
+        print(f"worker: board I/O failed: {exc}", file=sys.stderr)
+        return STATE_LOST_EXIT_CODE
     print(f"worker: drained after {done} chunk(s)", file=sys.stderr)
     return 0
 

@@ -73,7 +73,10 @@ class PerfCounters:
     chunk_timeouts: chunks that exceeded the per-chunk deadline.
     worker_crashes: worker-process deaths detected via a broken pool.
     pool_restarts: times the worker pool was torn down and rebuilt.
-    engine_fallbacks: chunks degraded from the batch to scalar engine.
+    engine_fallbacks: always 0 (a chunk that fails every attempt
+        raises ``ChunkFailedError``).  Kept because every journaled
+        chunk record carries it, so dropping it would change journal
+        bytes.
     serial_fallbacks: times pooled execution degraded to serial.
     chunks_resumed: chunks replayed from a checkpoint journal.
     io_errors: journal appends lost to write failures (ENOSPC, I/O
@@ -221,7 +224,6 @@ class PerfCounters:
             or self.chunk_timeouts
             or self.worker_crashes
             or self.pool_restarts
-            or self.engine_fallbacks
             or self.serial_fallbacks
             or self.chunks_resumed
             or self.io_errors
@@ -241,7 +243,6 @@ class PerfCounters:
             ("chunk timeouts", self.chunk_timeouts),
             ("worker crashes", self.worker_crashes),
             ("pool restarts", self.pool_restarts),
-            ("engine fallbacks", self.engine_fallbacks),
             ("serial fallbacks", self.serial_fallbacks),
             ("chunks resumed", self.chunks_resumed),
             ("journal io errors", self.io_errors),

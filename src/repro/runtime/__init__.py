@@ -11,18 +11,19 @@ Public surface:
   chunks; resuming replays journaled chunks for bit-identical results.
 * :class:`ChunkSupervisor` / :class:`RetryPolicy` — supervised chunk
   dispatch with per-chunk timeouts, bounded exponential-backoff
-  retries, straggler re-dispatch, engine fallback (batch -> scalar)
-  and serial degradation.
+  retries, straggler re-dispatch and serial degradation; a chunk that
+  fails every attempt raises :class:`ChunkFailedError`.
 * :class:`Executor` and friends (:mod:`repro.runtime.executors`) — the
   pluggable execution backends the coordinator drives: serial
-  in-process, ``ProcessPoolExecutor`` pool, the multi-host-shaped
-  :class:`LeaseExecutor` board guarded by the integrity layer's lock,
-  and the cross-host :class:`~repro.runtime.fleet.FleetExecutor`.
+  in-process, ``ProcessPoolExecutor`` pool, and the cross-host
+  :class:`~repro.runtime.fleet.FleetExecutor` board guarded by the
+  integrity layer's lock.
 * :mod:`repro.runtime.fleet` — detachable ``repro worker`` agents with
   heartbeat leases, epoch-fenced re-dispatch, zombie-result rejection,
   and the ``repro doctor`` board audit/repair helpers.
 * :class:`ChaosSpec` / :func:`parse_chaos_spec` — deterministic
-  crash/hang/poison/slow injection to prove the above under test.
+  crash/hang/poison/slow injection to prove the above under test
+  (``poison`` exercises the fail-loud path).
 * :class:`RuntimeConfig` — the bundle threaded through
   ``simulate_fail_probability_batched`` and ``run_campaign``.
 * :func:`build_manifest` / :func:`write_manifest` — machine-readable
@@ -73,7 +74,6 @@ from .executors import (
     ChunkState,
     Completion,
     Executor,
-    LeaseExecutor,
     PoolExecutor,
     SerialExecutor,
     StragglerPolicy,
@@ -89,6 +89,7 @@ from .fleet import (
 )
 from .manifest import build_manifest, git_describe, write_manifest
 from .supervisor import (
+    CHUNK_FAILED_EXIT_CODE,
     CHUNK_KERNEL_METRIC,
     CHUNK_LATENCY_METRIC,
     ChunkFailedError,
@@ -113,11 +114,11 @@ class RuntimeConfig:
     chaos: Optional[ChaosSpec] = None
     journal: Optional[CheckpointJournal] = None
 
-    #: Executor backend name (``serial`` | ``pool`` | ``lease`` |
-    #: ``fleet``); ``None`` selects the historical default (serial for
-    #: one worker, else pool).
+    #: Executor backend name (``serial`` | ``pool`` | ``fleet``);
+    #: ``None`` selects the historical default (serial for one worker,
+    #: else pool).
     executor: Optional[str] = None
-    #: Shared board directory for ``lease``/``fleet`` executors; ``None``
+    #: Shared board directory for the ``fleet`` executor; ``None``
     #: derives a journal-adjacent (or private temporary) board.
     board_dir: Optional[Path] = None
     #: Heartbeat-lease TTL for the ``fleet`` executor, seconds; ``None``
@@ -173,7 +174,6 @@ __all__ = [
     "ChunkState",
     "Completion",
     "Executor",
-    "LeaseExecutor",
     "PoolExecutor",
     "SerialExecutor",
     "StragglerPolicy",
@@ -186,6 +186,7 @@ __all__ = [
     "worker_main",
     "BerSnapshot",
     "StoppingRule",
+    "CHUNK_FAILED_EXIT_CODE",
     "CHUNK_KERNEL_METRIC",
     "CHUNK_LATENCY_METRIC",
     "ChunkFailedError",

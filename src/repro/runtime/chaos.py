@@ -24,8 +24,10 @@ A :class:`ChaosSpec` is parsed from a compact string grammar::
   :class:`ChaosHangError` instead (a blocking sleep in the parent could
   never be supervised).
 * ``poison@i[:a]`` — the batch executor raises :class:`ChaosPoisonError`
-  for chunk ``i`` on every attempt (``a = -1``, the default), forcing
-  the supervisor's engine fallback to the scalar path.
+  for chunk ``i`` on every attempt (``a = -1``, the default), so the
+  chunk exhausts its retries and the supervisor fails loud with
+  :class:`~repro.runtime.supervisor.ChunkFailedError` (a finite budget
+  ``a`` below the retry limit is retried to the undisturbed result).
 * ``slow@i[:s]``   — benign: sleep ``s`` seconds (default 0.1) before
   computing chunk ``i``.  Widens race windows for interrupt tests
   without changing any result.

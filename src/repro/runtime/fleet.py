@@ -1,9 +1,8 @@
 """Fleet runtime: detachable worker agents over heartbeat-leased boards.
 
-The :class:`~repro.runtime.executors.LeaseExecutor` proved the pull
-model on one host, but its orphan detection attributes a dead worker by
-*local pid* — meaningless the moment a second machine attaches to the
-board.  This module replaces pid-liveness with three host-independent
+Workers pull chunks from a shared on-disk *board*.  Attributing a dead
+worker by *local pid* is meaningless the moment a second machine
+attaches to the board, so liveness rests on three host-independent
 mechanisms:
 
 * **heartbeat leases** — every worker registers
@@ -72,7 +71,7 @@ from ..ioutil import fsync_dir
 from ..obs import metrics as obs_metrics
 from ..obs import trace
 from .chaos import CHAOS_EXIT_CODE, ChaosSpec
-from .executors import _CLAIM_POLL_S, _STOP_NAME, Completion, Executor, _supervised_call
+from .executors import Completion, Executor, _supervised_call
 from .integrity import JournalLock, probe_lock
 
 #: Default worker heartbeat TTL (seconds): a lease whose worker has not
@@ -86,11 +85,17 @@ DEFAULT_BENCH_THRESHOLD = 3
 DEFAULT_BENCH_BASE_S = 1.0
 DEFAULT_BENCH_MAX_S = 30.0
 
+#: Flag file that tells every worker on the board to exit.
+_STOP_NAME = "STOP"
+#: Idle poll interval of workers and of the coordinator, seconds.
+_CLAIM_POLL_S = 0.02
+
 _TASK_RE = re.compile(r"^(\d{8})\.e(\d{4})\.task$")
 _DONE_RE = re.compile(r"^(\d{8})\.e(\d{4})\.done$")
 #: Lease names are ``<task-name>.<worker-id>``.
 _LEASE_RE = re.compile(r"^(\d{8})\.e(\d{4})\.task\.(.+)$")
-# Legacy (single-host LeaseExecutor) names: no epoch, pid-suffixed leases.
+# Legacy names from boards of the retired single-host lease executor (no
+# epoch, pid-suffixed leases); such boards may still sit at <journal>.board.
 _LEGACY_TASK_RE = re.compile(r"^(\d{8})\.task$")
 _LEGACY_DONE_RE = re.compile(r"^(\d{8})\.done$")
 _LEGACY_LEASE_RE = re.compile(r"^(\d{8})\.task\.(\d+)$")
@@ -143,8 +148,8 @@ def _ensure_board(board: Path) -> None:
 def _looks_like_board(path: Path) -> bool:
     """A directory with the lease-board layout (doctor dispatch).
 
-    ``workers/`` is optional so legacy single-host :class:`LeaseExecutor`
-    boards (todo/leases/done only) are recognized too.
+    ``workers/`` is optional so legacy single-host lease boards
+    (todo/leases/done only) are recognized too.
     """
     return path.is_dir() and all(
         (path / sub).is_dir() for sub in ("todo", "leases", "done")
@@ -266,7 +271,9 @@ def worker_main(
     Exits when the board drops a ``STOP`` flag, ``SIGTERM`` arrives
     (graceful drain: the held lease is finished first), ``max_chunks``
     completes, or the board directory disappears.  Returns the number
-    of chunks executed.
+    of chunks executed.  An ``OSError`` while publishing propagates with
+    the lease left in place and the heartbeat deregistered, so the
+    coordinator expires the lease and re-dispatches the chunk.
     """
     if ttl <= 0:
         raise ValueError(f"ttl must be positive, got {ttl}")
@@ -384,19 +391,20 @@ def _run_leased_task(
     if zombie:
         _await_fence(board, token, epoch, timeout=max(10.0 * ttl, 2.0))
     tmp_path = done / f"{token:08d}.e{epoch:04d}.tmp.{wid}"
-    try:
-        with open(tmp_path, "wb") as fh:
-            pickle.dump(outcome, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, done / _done_name(token, epoch))
-        # Make the publication durable *before* dropping the lease: the
-        # lease is the only evidence this chunk was claimed, so losing
-        # the rename in a crash while the lease is already gone would
-        # silently lose a completed result.
-        fsync_dir(done)
-    except OSError:  # pragma: no cover - board torn down mid-publish
-        pass
+    # An OSError anywhere in the publish propagates with the lease kept:
+    # the worker then exits and deregisters its heartbeat, so the
+    # coordinator expires the lease and re-posts the chunk under a
+    # bumped epoch instead of waiting for a result that may never land.
+    with open(tmp_path, "wb") as fh:
+        pickle.dump(outcome, fh)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp_path, done / _done_name(token, epoch))
+    # Make the publication durable *before* dropping the lease: the
+    # lease is the only evidence this chunk was claimed, so losing
+    # the rename in a crash while the lease is already gone would
+    # silently lose a completed result.
+    fsync_dir(done)
     try:
         os.remove(lease_path)
     except OSError:  # coordinator expired the lease first; fine
@@ -460,7 +468,7 @@ class FleetExecutor(Executor):
         self.board = Path(board_dir)
         _ensure_board(self.board)
         # Same single-coordinator discipline (and exit path) as the
-        # lease board and the journal itself.
+        # journal itself.
         self._lock = JournalLock(self.board / "board")
         try:
             self._lock.acquire()

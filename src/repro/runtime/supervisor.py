@@ -6,7 +6,7 @@ chunk exception.  :class:`ChunkSupervisor` replaces it with a supervised
 dispatch loop, now split from the execution backend: the coordinator
 owns retry/backoff/timeout/speculation *policy* and speaks the small
 :class:`~repro.runtime.executors.Executor` interface (serial in-process,
-``ProcessPoolExecutor`` pool, or the journal-adjacent lease board) for
+``ProcessPoolExecutor`` pool, or the heartbeat-leased fleet board) for
 *mechanism*.
 
 * **crash detection** — an executor reports a dead worker as a
@@ -16,12 +16,12 @@ owns retry/backoff/timeout/speculation *policy* and speaks the small
 * **hang detection** — each in-flight chunk carries a deadline
   (``chunk_timeout``); an expired deadline charges the chunk and asks
   the executor to :meth:`~repro.runtime.executors.Executor.abandon`
-  just that submission (lease: kill one worker), falling back to a full
+  just that submission (fleet: fence its epoch), falling back to a full
   backend restart when it cannot (pool: workers are not individually
   evictable).
 * **bounded retries with exponential backoff** — each chunk gets
-  ``RetryPolicy.max_attempts`` tries on the primary executor, separated
-  by ``base_delay * growth**n`` (capped at ``max_delay``).  Backoff is
+  ``RetryPolicy.max_attempts`` tries, separated by
+  ``base_delay * growth**n`` (capped at ``max_delay``).  Backoff is
   per-chunk state (:class:`~repro.runtime.executors.ChunkState`), so
   one flapping chunk never stalls the rest of the queue.
 * **straggler re-dispatch** — with a :class:`StragglerPolicy`, a chunk
@@ -34,18 +34,20 @@ owns retry/backoff/timeout/speculation *policy* and speaks the small
   it fires; the stopping *decision* itself lives in
   :mod:`repro.stats.streaming`, where it is defined on the contiguous
   chunk prefix so it cannot depend on scheduling.
-* **graceful degradation** — a chunk that exhausts its attempts falls
-  back to the (slower, simpler) ``fallback`` executor in-process; a
-  backend that keeps dying (``max_pool_restarts``) degrades the
-  remaining work to serial in-process execution.  Both paths emit a
-  :class:`ResilienceWarning` and count into
-  :class:`~repro.perf.PerfCounters`, so a degraded campaign is loud,
-  but it *completes*.
+* **fail loud** — a chunk that exhausts its attempts is never routed
+  around: the other chunks run to completion (each journaled as it
+  lands), then :class:`ChunkFailedError` names the failed chunk and its
+  last error.  A deterministic chunk exception is a bug to surface.
+* **serial degradation** — a backend that keeps dying
+  (``max_pool_restarts``) is closed and the remaining work continues on
+  a :class:`~repro.runtime.executors.SerialExecutor` through the same
+  retry path, with a :class:`ResilienceWarning` and a
+  ``serial_fallbacks`` count in :class:`~repro.perf.PerfCounters`.
 
 Because chunk RNG streams are spawned ``SeedSequence`` children and
-aggregation is commutative, retries, speculation, and re-dispatch cannot
-change the estimate: any schedule that completes yields bit-identical
-results.
+aggregation is commutative, retries, speculation, re-dispatch and serial
+degradation cannot change the estimate: any schedule that completes
+yields bit-identical results.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ from .chaos import ChaosSpec
 from .executors import (
     ChunkState,
     Executor,
+    SerialExecutor,
     StragglerPolicy,
-    _supervised_call,  # noqa: F401  (re-exported: historical import site)
     make_executor,
 )
 
@@ -80,11 +82,24 @@ CHUNK_KERNEL_METRIC = "repro.mc.chunk_kernel_seconds"
 
 
 class ResilienceWarning(UserWarning):
-    """Structured warning for retries, fallbacks, and degradation."""
+    """Structured warning for degraded execution (serial, empty fleet)."""
+
+
+#: CLI exit code when a chunk failed every attempt (EX_SOFTWARE).
+CHUNK_FAILED_EXIT_CODE = 70
 
 
 class ChunkFailedError(RuntimeError):
-    """A chunk failed on the primary executor *and* the fallback."""
+    """A chunk failed all ``RetryPolicy.max_attempts`` attempts."""
+
+    def __init__(self, index: int, attempts: int, last_error: str):
+        super().__init__(
+            f"chunk {index} failed {attempts} attempt(s); "
+            f"last error: {last_error}"
+        )
+        self.index = index
+        self.attempts = attempts
+        self.last_error = last_error
 
 
 @dataclass(frozen=True)
@@ -108,9 +123,9 @@ class RetryPolicy:
 class SupervisorEvent:
     """One recorded resilience event (for summaries and manifests)."""
 
-    kind: str  # retry | timeout | crash | pool_restart | engine_fallback
-    #         | serial_degrade | chunk_failed | straggler_redispatch
-    #         | duplicate_drop | copy_failed | early_stop
+    kind: str  # retry | timeout | crash | pool_restart | serial_degrade
+    #         | chunk_failed | straggler_redispatch | duplicate_drop
+    #         | copy_failed | early_stop
     chunk: int
     attempt: int
     detail: str
@@ -227,27 +242,29 @@ class ChunkSupervisor:
         self,
         jobs: Sequence[Tuple[int, tuple]],
         primary: Callable[[tuple], Dict[str, Any]],
-        fallback: Optional[Callable[[tuple], Dict[str, Any]]] = None,
         on_complete: Optional[Callable[[int, Dict[str, Any]], None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> Dict[int, Dict[str, Any]]:
         """Run ``(chunk_index, args)`` jobs to completion (or early stop).
 
-        ``primary`` is the fast batch executor; ``fallback`` (optional)
-        is the degraded per-chunk engine used once a chunk exhausts its
-        primary attempts.  ``on_complete(index, result)`` fires the
-        moment each chunk first finishes (in completion order, once per
-        index) — the journal hook.  ``should_stop`` (optional) is
+        ``primary`` runs one chunk.  ``on_complete(index, result)`` fires
+        the moment each chunk first finishes (in completion order, once
+        per index) — the journal hook.  ``should_stop`` (optional) is
         consulted after every completion; once true, queued work is
         abandoned and the results so far are returned.  Returns
         ``{chunk_index: result}``.
+
+        Raises :class:`ChunkFailedError` for the lowest-numbered chunk
+        that failed every attempt, once all other chunks have finished
+        (unless the stopping rule fired first: a stopped estimate never
+        reads past its complete prefix).
         """
         if not jobs:
             return {}
         executor = self._resolve_executor(len(jobs))
         try:
             return self._run_coordinated(
-                executor, jobs, primary, fallback, on_complete, should_stop
+                executor, jobs, primary, on_complete, should_stop
             )
         finally:
             executor.close()
@@ -266,58 +283,6 @@ class ChunkSupervisor:
             )
         return spec
 
-    # -- in-process paths (fallback + degraded-serial drain) ---------------
-
-    def _run_one_serial(
-        self,
-        index: int,
-        args: tuple,
-        primary: Callable,
-        fallback: Optional[Callable],
-        first_attempt: int = 0,
-    ) -> Dict[str, Any]:
-        failures = 0
-        for attempt in range(first_attempt, self.retry.max_attempts):
-            try:
-                return _supervised_call((primary, index, attempt, self.chaos, args))
-            except Exception as exc:  # noqa: BLE001 - chunk isolation boundary
-                failures += 1
-                self.counters.chunk_failures += 1
-                if attempt + 1 < self.retry.max_attempts:
-                    self.counters.retries += 1
-                    self._event("retry", index, attempt, repr(exc))
-                    time.sleep(self.retry.delay(failures))
-                else:
-                    self._event("chunk_failed", index, attempt, repr(exc))
-        return self._run_fallback(index, args, fallback)
-
-    def _run_fallback(
-        self, index: int, args: tuple, fallback: Optional[Callable]
-    ) -> Dict[str, Any]:
-        if fallback is None:
-            raise ChunkFailedError(
-                f"chunk {index} failed {self.retry.max_attempts} attempts "
-                "and no fallback engine is available"
-            )
-        self.counters.engine_fallbacks += 1
-        self._event(
-            "engine_fallback",
-            index,
-            self.retry.max_attempts,
-            "degrading chunk to fallback engine",
-        )
-        self._warn(
-            f"chunk {index}: batch engine failed "
-            f"{self.retry.max_attempts} attempt(s); degrading this chunk "
-            "to the scalar engine"
-        )
-        try:
-            return fallback(args)
-        except Exception as exc:
-            raise ChunkFailedError(
-                f"chunk {index} failed on the fallback engine too: {exc!r}"
-            ) from exc
-
     # -- coordinator loop --------------------------------------------------
 
     def _run_coordinated(
@@ -325,7 +290,6 @@ class ChunkSupervisor:
         executor: Executor,
         jobs: Sequence[Tuple[int, tuple]],
         primary: Callable,
-        fallback: Optional[Callable],
         on_complete: Optional[Callable],
         should_stop: Optional[Callable[[], bool]],
     ) -> Dict[int, Dict[str, Any]]:
@@ -335,18 +299,17 @@ class ChunkSupervisor:
             index: ChunkState(index=index, args=args) for index, args in jobs
         }
         queue: List[int] = [index for index, _ in jobs]
-        fallback_jobs: List[int] = []
+        failed: Dict[int, str] = {}  # exhausted chunk -> last error
         dispatches: Dict[int, _Dispatch] = {}  # token -> live submission
         latencies: List[float] = []
         pool_restarts = 0
-        degraded_serial = False
         stopping = False
 
         def live_copies(index: int) -> int:
             return sum(1 for d in dispatches.values() if d.index == index)
 
         def charge_failure(index: int, attempt: int, why: str) -> None:
-            """One failed attempt: schedule a retry or route to fallback."""
+            """One failed attempt: schedule a retry or give the chunk up."""
             state = states[index]
             state.failures += 1
             state.speculations = 0  # new attempt wave speculates afresh
@@ -358,7 +321,7 @@ class ChunkSupervisor:
                 queue.append(index)
             else:
                 self._event("chunk_failed", index, attempt, why)
-                fallback_jobs.append(index)
+                failed[index] = why
 
         def finish(index: int, result: Dict[str, Any], latency_s: float) -> None:
             nonlocal stopping
@@ -373,11 +336,6 @@ class ChunkSupervisor:
                     "early_stop", index, states[index].failures,
                     "stopping rule satisfied; abandoning queued chunks",
                 )
-
-        def finish_timed(index: int, run: Callable[[], Dict[str, Any]]) -> None:
-            t0 = time.perf_counter()
-            result = run()
-            finish(index, result, time.perf_counter() - t0)
 
         def dispatch(state: ChunkState, speculative: bool) -> None:
             payload = (primary, state.index, state.failures, self.chaos, state.args)
@@ -394,41 +352,7 @@ class ChunkSupervisor:
                 speculative=speculative,
             )
 
-        while (queue or dispatches or fallback_jobs) and not stopping:
-            if degraded_serial:
-                # Backend is gone for good: drain everything in-process.
-                while queue and not stopping:
-                    index = queue.pop(0)
-                    finish_timed(
-                        index,
-                        lambda index=index: self._run_one_serial(
-                            index, states[index].args, primary, fallback,
-                            states[index].failures,
-                        ),
-                    )
-                while fallback_jobs and not stopping:
-                    index = fallback_jobs.pop(0)
-                    finish_timed(
-                        index,
-                        lambda index=index: self._run_fallback(
-                            index, states[index].args, fallback
-                        ),
-                    )
-                continue
-
-            # Fallback chunks run in-process immediately (the batch
-            # engine already proved unreliable for them).
-            while fallback_jobs and not stopping:
-                index = fallback_jobs.pop(0)
-                finish_timed(
-                    index,
-                    lambda index=index: self._run_fallback(
-                        index, states[index].args, fallback
-                    ),
-                )
-            if stopping:
-                break
-
+        while (queue or dispatches) and not stopping:
             now = time.monotonic()
             for index in [i for i in queue if states[i].not_before <= now]:
                 if len(dispatches) >= executor.capacity:
@@ -524,7 +448,6 @@ class ChunkSupervisor:
                         disp.index not in results
                         and live_copies(disp.index) == 0
                         and disp.index not in queue
-                        and disp.index not in fallback_jobs
                     ):
                         states[disp.index].not_before = 0.0
                         queue.append(disp.index)
@@ -537,10 +460,9 @@ class ChunkSupervisor:
                     pool_restarts,
                     f"restart {pool_restarts}/{retry.max_pool_restarts}",
                 )
-                if pool_restarts >= retry.max_pool_restarts and (
-                    queue or fallback_jobs
-                ):
-                    degraded_serial = True
+                if pool_restarts >= retry.max_pool_restarts and queue:
+                    executor.close()
+                    executor = SerialExecutor()
                     self.counters.serial_fallbacks += 1
                     self._event(
                         "serial_degrade",
@@ -553,6 +475,9 @@ class ChunkSupervisor:
                         "degrading the remaining chunks to serial "
                         "in-process execution"
                     )
+        if failed and not stopping:
+            index = min(failed)
+            raise ChunkFailedError(index, states[index].failures, failed[index])
         return results
 
     def _maybe_speculate(

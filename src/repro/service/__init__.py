@@ -21,8 +21,8 @@ computation:
   :class:`~repro.runtime.integrity.JournalLock`); queued and running
   jobs survive server restarts, running jobs re-queue and resume from
   their per-digest chunk journals bit-identically.
-* :mod:`repro.service.scheduler` — dispatches jobs onto the PR 6
-  executor tier (serial/pool/lease) with per-tenant concurrency caps
+* :mod:`repro.service.scheduler` — dispatches jobs onto the runtime's
+  executor tier (serial/pool/fleet) with per-tenant concurrency caps
   and coalesces concurrent submissions of one fingerprint into a single
   execution.
 * :mod:`repro.service.app` — the asyncio HTTP/JSON API (stdlib only):

@@ -11,8 +11,9 @@ The scheduler owns the service's compute story:
   tenant's burst cannot starve the rest;
 * **executor tier** — each job runs through
   :func:`repro.simulator.campaign.run_campaign` with a
-  :class:`~repro.runtime.RuntimeConfig` selecting the PR 6 backend
-  (serial / pool / lease / fleet) the spec asked for;
+  :class:`~repro.runtime.RuntimeConfig` selecting the executor backend
+  (serial / pool / fleet) the spec asked for; a chunk that fails every
+  attempt fails the job with the chunk's last error;
 * **restart resume** — batch jobs journal their chunks to a per-digest
   checkpoint journal under the state dir; after a crash the queue
   replays the job as ``queued`` and the re-run replays completed chunks

@@ -645,68 +645,6 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
     }
 
 
-def _run_scalar_chunk(args: tuple) -> Dict[str, object]:
-    """Scalar (one-trial-at-a-time) executor for one chunk; the fallback.
-
-    Takes the same args tuple as :func:`_run_injection_chunk` and
-    produces the same result payload, but runs every trial through the
-    trusted :func:`simulate_read_outcome` reference path.  The chunk's
-    spawned ``SeedSequence`` seeds the generator, so the fallback is
-    deterministic; it consumes the stream in a different *order* than
-    the batch executor, so a degraded chunk is distribution-identical
-    (same physics, same seed independence) but not stream-identical to
-    its batch counterpart.
-    """
-    (
-        arrangement,
-        n,
-        k,
-        m,
-        fcr,
-        t_end,
-        seu_per_bit,
-        erasure_per_symbol,
-        scrub_period,
-        scrub_exponential,
-        n_trials,
-        seed_seq,
-        pattern_spec,
-        schedule_spec,
-    ) = args
-    code = _cached_batch_codec(n, k, m, fcr).scalar
-    t_busy = time.perf_counter()
-    rng = np.random.default_rng(seed_seq)
-    pattern = None if pattern_spec is None else parse_pattern(pattern_spec)
-    schedule = parse_schedule(schedule_spec)
-    counts = {outcome.value: 0 for outcome in ReadOutcome}
-    failures = 0
-    for _ in range(n_trials):
-        outcome = simulate_read_outcome(
-            arrangement,
-            code,
-            t_end,
-            seu_per_bit,
-            erasure_per_symbol,
-            rng,
-            scrub_period=scrub_period,
-            scrub_exponential=scrub_exponential,
-            pattern=pattern,
-            schedule=schedule,
-        )
-        counts[outcome.value] += 1
-        if outcome.is_failure:
-            failures += 1
-    counters = PerfCounters(
-        trials=n_trials, chunks=1, cpu_seconds=time.perf_counter() - t_busy
-    )
-    return {
-        "failures": failures,
-        "counts": counts,
-        "trials": n_trials,
-        "counters": counters.as_dict(),
-    }
-
-
 def _publish_ber_snapshot(snapshot: BerSnapshot, cell_key: str) -> None:
     """Mirror an incremental BER±CI snapshot into the obs layer.
 
@@ -755,9 +693,10 @@ def simulate_fail_probability_batched(
 
     ``workers > 1`` distributes chunks over a supervised process pool
     (:class:`~repro.runtime.ChunkSupervisor`): crashed or hung workers
-    are detected, failed chunks retried with bounded backoff, and
-    persistently failing chunks degraded to the scalar reference
-    executor so the run always completes.  ``counters`` (optional)
+    are detected and failed chunks retried with bounded backoff; a chunk
+    that fails every attempt raises
+    :class:`~repro.runtime.ChunkFailedError` after the other chunks
+    finish (and are journaled).  ``counters`` (optional)
     receives the merged work/throughput/resilience counters of all
     chunks, wherever they ran.
 
@@ -893,8 +832,10 @@ def simulate_fail_probability_batched(
     ), Stopwatch(own_counters):
         if jobs:
             board_dir = cfg.board_dir
-            if board_dir is None and journal is not None and (
-                cfg.executor in ("lease", "fleet")
+            if (
+                board_dir is None
+                and journal is not None
+                and cfg.executor == "fleet"
             ):
                 board_dir = Path(str(journal.path) + ".board")
             # An explicit board means external `repro worker` agents do
@@ -928,7 +869,6 @@ def simulate_fail_probability_batched(
                 supervisor.run(
                     jobs,
                     primary=_run_injection_chunk,
-                    fallback=_run_scalar_chunk,
                     on_complete=record,
                     should_stop=(
                         None

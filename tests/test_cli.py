@@ -247,6 +247,52 @@ class TestCampaignCommand:
         assert perf["elapsed_seconds"] > 0.0
 
 
+class TestCampaignExecutorFlags:
+    def test_retired_lease_executor_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["campaign", "--executor", "lease"])
+        assert info.value.code == 2
+        assert "'serial', 'pool', 'fleet'" in capsys.readouterr().err
+
+    def test_board_requires_fleet_executor(self, tmp_path, capsys):
+        code = main(
+            ["campaign", "--executor", "pool", "--board", str(tmp_path)]
+        )
+        assert code == 2
+        assert "requires --executor fleet" in capsys.readouterr().err
+
+    def test_poisoned_chunk_exits_70_then_resumes(
+        self, tmp_path, capsys, fresh_metrics
+    ):
+        import json
+
+        argv = ["campaign", "--trials", "80", "--seed", "7",
+                "--chunk-size", "20"]
+        ckpt = str(tmp_path / "p.jsonl")
+        code = main(argv + ["--checkpoint", ckpt, "--chaos", "poison@2"])
+        assert code == 70
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "chunk 2 failed 3 attempt(s)" in err[0]
+        assert "ChaosPoisonError" in err[0]
+        assert err[0].endswith("completed chunks are journaled; rerun to resume")
+
+        resumed, reference = tmp_path / "r.json", tmp_path / "ref.json"
+        assert main(argv + ["--checkpoint", ckpt,
+                            "--manifest", str(resumed)]) == 0
+        assert "resuming from" in capsys.readouterr().out
+        assert main(argv + ["--manifest", str(reference)]) == 0
+
+        def rows(path):
+            return [
+                (r["cell"], r["probability"], r["failures"],
+                 r["outcome_counts"])
+                for r in json.loads(path.read_text())["results"]
+            ]
+
+        assert rows(resumed) == rows(reference)
+
+
 class TestCampaignScenarioFlags:
     def test_list_scenarios(self, capsys):
         from repro.simulator.scenarios import scenario_names

@@ -1,6 +1,6 @@
-"""Executor parity, straggler re-dispatch, and lease-board discipline.
+"""Executor parity, straggler re-dispatch, and board discipline.
 
-The pluggable-executor contract: serial, pool, and lease backends move
+The pluggable-executor contract: serial, pool, and fleet backends move
 *scheduling only*.  For the same seed they must produce bit-identical
 estimates, bit-identical per-chunk journal records (timing fields
 aside), and identical deterministic work counters.  Straggler
@@ -9,7 +9,6 @@ dedup keeps every derived number — including the chunk-latency
 histogram — exactly what a speculation-free run would report.
 """
 
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,6 @@ from repro.runtime import (
     CheckpointJournal,
     JournalLock,
     JournalLockedError,
-    LeaseExecutor,
     RuntimeConfig,
     StragglerPolicy,
     make_executor,
@@ -85,9 +83,9 @@ def _chunk_fields(journal_path):
 
 
 @pytest.mark.chaos
-def test_serial_pool_lease_journals_bit_identical(tmp_path):
+def test_serial_pool_fleet_journals_bit_identical(tmp_path):
     estimates, journals = {}, {}
-    for name, workers in (("serial", 1), ("pool", 2), ("lease", 2)):
+    for name, workers in (("serial", 1), ("pool", 2), ("fleet", 2)):
         path = tmp_path / f"{name}.jsonl"
         with CheckpointJournal(path) as journal:
             estimates[name] = run(
@@ -95,7 +93,7 @@ def test_serial_pool_lease_journals_bit_identical(tmp_path):
             )
         journals[name] = _chunk_fields(path)
     ref = estimates["serial"]
-    for name in ("pool", "lease"):
+    for name in ("pool", "fleet"):
         est = estimates[name]
         assert (est.failures, est.trials, est.probability) == (
             ref.failures,
@@ -104,7 +102,7 @@ def test_serial_pool_lease_journals_bit_identical(tmp_path):
         ), name
         assert est.outcome_counts == ref.outcome_counts, name
         assert (est.ci_low, est.ci_high) == (ref.ci_low, ref.ci_high), name
-    assert journals["serial"] == journals["pool"] == journals["lease"]
+    assert journals["serial"] == journals["pool"] == journals["fleet"]
     assert len(journals["serial"]) == 6  # 300 trials / 50
 
 
@@ -114,7 +112,7 @@ def test_parity_holds_with_adaptive_stopping(tmp_path):
 
     stop = StoppingRule(rel_ci=1.0, min_trials=100)
     results = []
-    for name, workers in (("serial", 1), ("pool", 2), ("lease", 4)):
+    for name, workers in (("serial", 1), ("pool", 2), ("fleet", 4)):
         runtime = RuntimeConfig(executor=name, stop=stop)
         results.append(
             simulate_fail_probability_batched(
@@ -209,25 +207,12 @@ def test_straggler_policy_threshold():
 
 
 # --------------------------------------------------------------------------
-# lease-board single-coordinator discipline
+# board single-coordinator discipline
 # --------------------------------------------------------------------------
 
 
-def test_second_lease_coordinator_fails_fast(tmp_path):
-    board = tmp_path / "board"
-    first = LeaseExecutor(1, board_dir=board)
-    try:
-        with pytest.raises(JournalLockedError):
-            LeaseExecutor(1, board_dir=board)
-    finally:
-        first.close()
-    # a clean shutdown releases the board for the next coordinator
-    second = LeaseExecutor(1, board_dir=board)
-    second.close()
-
-
-def test_contended_lease_board_surfaces_lock_error(tmp_path):
-    """The campaign path raises JournalLockedError when the lease board
+def test_contended_board_surfaces_lock_error(tmp_path):
+    """The campaign path raises JournalLockedError when the fleet board
     is held — the exact exception ``repro campaign`` maps to exit 75."""
     journal_path = tmp_path / "ckpt.jsonl"
     board = Path(str(journal_path) + ".board")
@@ -237,96 +222,13 @@ def test_contended_lease_board_surfaces_lock_error(tmp_path):
     try:
         with CheckpointJournal(journal_path) as journal:
             with pytest.raises(JournalLockedError):
-                run(executor="lease", workers=2, journal=journal)
+                run(executor="fleet", workers=2, journal=journal)
     finally:
         holder.release()
 
 
-def test_make_executor_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown executor"):
-        make_executor("threads")
-
-
-# --------------------------------------------------------------------------
-# lease publish durability (done/ dir fsync before lease release)
-# --------------------------------------------------------------------------
-
-
-def _lease_board(tmp_path):
-    board = tmp_path / "board"
-    for sub in ("todo", "leases", "done"):
-        (board / sub).mkdir(parents=True)
-    return board
-
-
-def _echo_result(args):
-    return {"value": args[0]}
-
-
-def _post_lease_task(board, token=0):
-    import pickle
-
-    with open(board / "todo" / f"{token:08d}.task", "wb") as fh:
-        pickle.dump((_echo_result, token, 0, None, (7,)), fh)
-
-
-def test_lease_publish_fsyncs_done_dir_before_lease_release(
-    tmp_path, monkeypatch
-):
-    """The done/ directory entry must be durable *before* the lease (the
-    only evidence the chunk was claimed) is removed."""
-    from repro.runtime import executors
-
-    board = _lease_board(tmp_path)
-    _post_lease_task(board)
-    real_fsync_dir = executors.fsync_dir
-    observed = []
-
-    def recording(path):
-        observed.append(
-            (
-                (board / "done" / "00000000.done").exists(),
-                any((board / "leases").iterdir()),
-            )
-        )
-        (board / "STOP").touch()  # let the worker loop exit after this task
-        return real_fsync_dir(path)
-
-    monkeypatch.setattr(executors, "fsync_dir", recording)
-    executors._lease_worker_main(str(board))
-    # exactly one publish: at fsync time the rename had landed and the
-    # lease had not yet been released
-    assert observed == [(True, True)]
-    assert (board / "done" / "00000000.done").exists()
-    assert not any((board / "leases").iterdir())
-
-
-def test_lease_publish_crash_window_never_loses_both(tmp_path, monkeypatch):
-    """Regression: a crash between publishing the done-file and removing
-    the lease must leave BOTH behind — before the fix, the lease could
-    be gone while the done-file's directory entry was still volatile,
-    silently losing a completed chunk."""
-    from repro.runtime import executors
-
-    board = _lease_board(tmp_path)
-    _post_lease_task(board)
-
-    def crash(path):
-        raise RuntimeError("injected host crash during done/ fsync")
-
-    monkeypatch.setattr(executors, "fsync_dir", crash)
-    with pytest.raises(RuntimeError, match="injected host crash"):
-        executors._lease_worker_main(str(board))
-    assert (board / "done" / "00000000.done").exists()
-    assert list((board / "leases").iterdir())  # claim evidence retained
-
-
-def test_lease_board_defaults_to_private_tempdir():
-    executor = make_executor("lease", workers=1)
-    try:
-        board = executor.board
-        assert board.exists()
-        assert tempfile.gettempdir() in str(board)
-    finally:
-        executor.close()
-    assert not board.exists()  # private boards are cleaned up on close
+@pytest.mark.parametrize("name", ["threads", "lease"])
+def test_make_executor_rejects_unknown_name(name):
+    with pytest.raises(ValueError, match="unknown executor") as info:
+        make_executor(name)
+    assert "('serial', 'pool', 'fleet')" in str(info.value)

@@ -373,6 +373,46 @@ def test_worker_publish_crash_window_never_loses_both(tmp_path, monkeypatch):
     assert list((board / "leases").iterdir())  # claim evidence retained
 
 
+def _failing_fsync_dir(path):
+    raise OSError(5, "injected I/O error during done/ fsync")
+
+
+def test_worker_publish_oserror_keeps_lease_and_deregisters(
+    tmp_path, monkeypatch
+):
+    """An OSError while publishing must keep the lease and take the
+    heartbeat down with the worker, so the coordinator expires the lease
+    and re-dispatches the chunk instead of waiting for it forever."""
+    from repro.runtime import fleet
+
+    board = _make_board(tmp_path)
+    _post_fleet_task(board)
+    monkeypatch.setattr(fleet, "fsync_dir", _failing_fsync_dir)
+    with pytest.raises(OSError, match="injected I/O error"):
+        fleet.worker_main(
+            board, worker_id="w1", max_chunks=1, install_signals=False
+        )
+    assert (board / "done" / "00000000.e0000.done").exists()
+    assert [p.name for p in (board / "leases").iterdir()] == [
+        "00000000.e0000.task.w1"
+    ]
+    assert not any((board / "workers").iterdir())  # heartbeat deregistered
+
+
+def test_worker_cli_exits_74_on_publish_error(tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+    from repro.runtime import fleet
+
+    board = _make_board(tmp_path)
+    _post_fleet_task(board)
+    monkeypatch.setattr(fleet, "fsync_dir", _failing_fsync_dir)
+    # keep the test process's own SIGTERM handler
+    monkeypatch.setattr(fleet.signal, "signal", lambda *_: None)
+    assert main(["worker", "--board", str(board), "--max-chunks", "1"]) == 74
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "injected I/O error" in err[0]
+
+
 # --------------------------------------------------------------------------
 # empty-fleet degradation
 # --------------------------------------------------------------------------

@@ -1,33 +1,29 @@
 """Supervisor behaviour under injected crashes, hangs, and poison.
 
 The resilience contract: any campaign that completes — with retries,
-pool restarts, or engine fallbacks along the way — yields exactly the
-result an undisturbed run would have produced, except for chunks that
-were *persistently* un-runnable on the batch engine, which degrade to
-the deterministic scalar reference executor.
+pool restarts, or serial degradation along the way — yields exactly the
+result an undisturbed run would have produced.  A chunk that fails
+every attempt never yields an estimate: the run raises
+:class:`ChunkFailedError` naming it, and the chunks that finished stay
+journaled so a rerun resumes.
 """
-
-import warnings
 
 import pytest
 
 from repro.perf import PerfCounters
 from repro.rs import RSCode
 from repro.runtime import (
+    CheckpointJournal,
     ChunkFailedError,
     ChunkSupervisor,
     ResilienceWarning,
     RetryPolicy,
     RuntimeConfig,
+    StoppingRule,
     parse_chaos_spec,
+    scan_journal,
 )
-from repro.simulator import (
-    chunk_sizes,
-    simulate_fail_probability_batched,
-    spawn_chunk_seeds,
-)
-from repro.simulator.montecarlo import _run_scalar_chunk, wilson_interval
-from repro.simulator.systems import ReadOutcome
+from repro.simulator import simulate_fail_probability_batched
 
 CODE = RSCode(18, 16, m=8)
 LAM = 2e-3 / 24.0
@@ -45,24 +41,11 @@ def batched(runtime=None, counters=None, workers=1, **kw):
     )
 
 
-def scalar_reference(trials=300, seed=17, chunk_size=75):
-    """The estimate a fully scalar-degraded run must produce."""
-    sizes = chunk_sizes(trials, chunk_size)
-    seeds = spawn_chunk_seeds(seed, len(sizes))
-    failures = 0
-    counts = {outcome.value: 0 for outcome in ReadOutcome}
-    for size, seed_seq in zip(sizes, seeds):
-        res = _run_scalar_chunk(
-            ("simplex", 18, 16, 8, 1, 48.0, LAM, 0.0, None, False, size, seed_seq,
-             None, None)
-        )
-        failures += res["failures"]
-        for key, value in res["counts"].items():
-            counts[key] += value
-    return failures, counts
-
-
 REFERENCE = batched()
+
+
+def _always_fails(_args):
+    raise RuntimeError("boom")
 
 
 class TestSerialResilience:
@@ -75,58 +58,25 @@ class TestSerialResilience:
         assert estimate == REFERENCE
         assert counters.retries == 1
         assert counters.chunk_failures == 1
-        assert counters.engine_fallbacks == 0
 
-    def test_poisoned_chunk_degrades_to_scalar_engine(self):
-        counters = PerfCounters()
-        runtime = RuntimeConfig(
-            retry=FAST_RETRY, chaos=parse_chaos_spec("poison@2")
-        )
-        with pytest.warns(ResilienceWarning, match="scalar"):
-            estimate = batched(runtime=runtime, counters=counters)
-        assert counters.engine_fallbacks == 1
-        assert counters.chunk_failures == FAST_RETRY.max_attempts
-        # The degraded chunk ran the deterministic scalar executor with
-        # the same spawned seed: reconstruct the expected estimate.
-        sizes = chunk_sizes(300, 75)
-        seeds = spawn_chunk_seeds(17, len(sizes))
-        scalar_res = _run_scalar_chunk(
-            ("simplex", 18, 16, 8, 1, 48.0, LAM, 0.0, None, False,
-             sizes[2], seeds[2], None, None)
-        )
-        expected_failures = (
-            REFERENCE.failures - _chunk_failures(2) + scalar_res["failures"]
-        )
-        assert estimate.failures == expected_failures
-        assert estimate.trials == 300
-        low, high = wilson_interval(expected_failures, 300)
-        assert (estimate.ci_low, estimate.ci_high) == (low, high)
-
-    def test_poison_everywhere_matches_full_scalar_reference(self):
-        counters = PerfCounters()
+    def test_poison_everywhere_names_the_lowest_chunk(self):
         runtime = RuntimeConfig(
             retry=FAST_RETRY, chaos=parse_chaos_spec("poison@*")
         )
-        with pytest.warns(ResilienceWarning):
-            estimate = batched(runtime=runtime, counters=counters)
-        failures, counts = scalar_reference()
-        assert estimate.failures == failures
-        assert estimate.outcome_counts == counts
-        assert counters.engine_fallbacks == 4
+        with pytest.raises(ChunkFailedError) as info:
+            batched(runtime=runtime)
+        assert info.value.index == 0
+        assert info.value.attempts == FAST_RETRY.max_attempts
 
-    def test_fallbackless_chunk_failure_raises(self):
+    def test_exhausted_chunk_raises_chunk_failed(self):
         supervisor = ChunkSupervisor(retry=FAST_RETRY)
-        with pytest.raises(ChunkFailedError, match="no fallback"):
-            supervisor.run([(0, ())], primary=_always_fails, fallback=None)
-
-    def test_failing_fallback_raises_chunk_failed(self):
-        supervisor = ChunkSupervisor(retry=FAST_RETRY)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResilienceWarning)
-            with pytest.raises(ChunkFailedError, match="fallback engine too"):
-                supervisor.run(
-                    [(0, ())], primary=_always_fails, fallback=_always_fails
-                )
+        with pytest.raises(
+            ChunkFailedError, match=r"chunk 0 failed 2 attempt\(s\)"
+        ) as info:
+            supervisor.run([(0, ())], primary=_always_fails)
+        assert info.value.last_error == "RuntimeError('boom')"
+        kinds = [event.kind for event in supervisor.events]
+        assert kinds == ["retry", "chunk_failed"]
 
     def test_events_are_recorded(self):
         runtime = RuntimeConfig(
@@ -137,21 +87,56 @@ class TestSerialResilience:
         assert "retry" in kinds
 
 
-def _chunk_failures(index, trials=300, seed=17, chunk_size=75):
-    """Failures chunk ``index`` contributes to the undisturbed batch run."""
-    from repro.simulator.montecarlo import _run_injection_chunk
-
-    sizes = chunk_sizes(trials, chunk_size)
-    seeds = spawn_chunk_seeds(seed, len(sizes))
-    res = _run_injection_chunk(
-        ("simplex", 18, 16, 8, 1, 48.0, LAM, 0.0, None, False,
-         sizes[index], seeds[index], None, None)
+@pytest.mark.parametrize(
+    "workers", [1, pytest.param(2, marks=pytest.mark.chaos)]
+)
+def test_poisoned_chunk_fails_loud_and_resumes(tmp_path, workers):
+    """Serial and pool: the poisoned chunk raises, every other chunk is
+    journaled, and a rerun without chaos resumes to the reference."""
+    path = tmp_path / "p.jsonl"
+    runtime = RuntimeConfig(
+        retry=FAST_RETRY,
+        chaos=parse_chaos_spec("poison@2"),
+        journal=CheckpointJournal(path),
     )
-    return res["failures"]
+    try:
+        with pytest.raises(ChunkFailedError) as info:
+            batched(runtime=runtime, workers=workers)
+    finally:
+        runtime.journal.close()
+    assert info.value.index == 2
+    assert info.value.attempts == FAST_RETRY.max_attempts
+    assert "ChaosPoisonError" in info.value.last_error
+    journaled = sorted(
+        record["chunk"] for _line, record in scan_journal(path).chunk_records
+    )
+    assert journaled == [0, 1, 3]
+
+    counters = PerfCounters()
+    with CheckpointJournal(path) as journal:
+        estimate = batched(
+            runtime=RuntimeConfig(journal=journal),
+            counters=counters,
+            workers=workers,
+        )
+    assert estimate == REFERENCE
+    assert counters.chunks_resumed == 3
 
 
-def _always_fails(_args):
-    raise RuntimeError("boom")
+@pytest.mark.parametrize(
+    "workers", [1, pytest.param(2, marks=pytest.mark.chaos)]
+)
+def test_failed_chunk_past_the_stop_point_is_never_read(workers):
+    """Adaptive stopping settles on chunks 0-1; poisoned chunks 2-3 lie
+    past that prefix, so whether the pool got round to failing them
+    cannot change the outcome: the stopped estimate, never an error."""
+    stop = StoppingRule(rel_ci=1.0, min_trials=100)
+    expected = batched(runtime=RuntimeConfig(stop=stop))
+    assert expected.stopped_early and expected.trials == 150
+    runtime = RuntimeConfig(
+        retry=FAST_RETRY, chaos=parse_chaos_spec("poison@2,3"), stop=stop
+    )
+    assert batched(runtime=runtime, workers=workers) == expected
 
 
 @pytest.mark.chaos
@@ -167,7 +152,6 @@ class TestPooledResilience:
         assert counters.worker_crashes >= 1
         assert counters.pool_restarts >= 1
         assert counters.retries >= 1
-        assert counters.engine_fallbacks == 0
 
     def test_hung_worker_is_timed_out_and_retried(self):
         counters = PerfCounters()
@@ -180,40 +164,22 @@ class TestPooledResilience:
         assert estimate == REFERENCE
         assert counters.chunk_timeouts == 1
         assert counters.pool_restarts >= 1
-        assert counters.engine_fallbacks == 0
 
-    def test_dying_pool_degrades_to_serial_and_completes(self):
+    def test_dying_pool_degrades_to_serial_with_identical_result(self):
+        """Every chunk crashes its first two attempts: each of the two
+        pool rounds dies, then the serial executor's retries (attempts
+        2-3, in-process ChaosCrashError before that) outlive the crash
+        budget and the run returns exactly the undisturbed estimate."""
         counters = PerfCounters()
         runtime = RuntimeConfig(
             retry=RetryPolicy(
-                max_attempts=2, base_delay=0.01, max_pool_restarts=2
+                max_attempts=4, base_delay=0.01, max_pool_restarts=2
             ),
-            chaos=parse_chaos_spec("crash@*:-1"),
+            chaos=parse_chaos_spec("crash@*:2"),
         )
         with pytest.warns(ResilienceWarning, match="serial"):
             estimate = batched(runtime=runtime, counters=counters, workers=2)
-        # Crashes persist in-process too (as ChaosCrashError), so every
-        # remaining chunk must have ended on the scalar fallback — and
-        # the run still completes with the full trial count.
+        assert estimate == REFERENCE
         assert counters.serial_fallbacks == 1
         assert counters.pool_restarts == 2
-        assert counters.engine_fallbacks >= 1
-        assert estimate.trials == 300
-        assert sum(estimate.outcome_counts.values()) == 300
-
-    def test_poisoned_chunk_in_pool_degrades_only_that_chunk(self):
-        counters = PerfCounters()
-        runtime = RuntimeConfig(
-            retry=FAST_RETRY, chaos=parse_chaos_spec("poison@0")
-        )
-        with pytest.warns(ResilienceWarning, match="scalar"):
-            estimate = batched(runtime=runtime, counters=counters, workers=2)
-        assert counters.engine_fallbacks == 1
-        sizes = chunk_sizes(300, 75)
-        seeds = spawn_chunk_seeds(17, len(sizes))
-        scalar_res = _run_scalar_chunk(
-            ("simplex", 18, 16, 8, 1, 48.0, LAM, 0.0, None, False,
-             sizes[0], seeds[0], None, None)
-        )
-        expected = REFERENCE.failures - _chunk_failures(0) + scalar_res["failures"]
-        assert estimate.failures == expected
+        assert any(e.kind == "serial_degrade" for e in runtime.events)

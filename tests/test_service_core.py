@@ -136,6 +136,7 @@ class TestParseSpec:
             {**SPEC, "stopping": {"rel_ci": 0.5, "confidence": 1.5}},
             {**SPEC, "workers": 0},
             {**SPEC, "executor": "quantum"},
+            {**SPEC, "executor": "lease"},  # retired backend
             {**SPEC, "tenant": ""},
             {**SPEC, "tenant": "bad tenant!"},
             {**SPEC, "chunk_size": 0},
