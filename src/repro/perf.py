@@ -47,8 +47,13 @@ class PerfCounters:
 
     Attributes
     ----------
-    words_encoded: codewords produced by ``encode_batch``.
-    words_decoded: words submitted to ``decode_batch``.
+    words_encoded: codewords produced by ``encode_batch``.  The
+        Monte-Carlo engine encodes only the trials that have a fault
+        event; the others read back correct without a codeword.
+    words_decoded: words submitted to ``decode_batch``.  In the
+        Monte-Carlo engine these are the reads of the scrubs it runs
+        and the final read of every trial with a fault event (two words
+        per duplex read); the three counters below split the same words.
     clean_fast_path: decoded words that took the all-zero-syndrome
         vectorized early-out.
     scalar_fallbacks: dirty words decoded — words with a nonzero

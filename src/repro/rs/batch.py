@@ -56,6 +56,10 @@ SYNDROME_BLOCK = 1 << 14
 #: the scalar pipeline raises for that word.
 WordOutcome = Union[DecodeResult, RSDecodingError]
 
+#: Erasures of a batch: per-word position lists, or a ``(B, n)`` boolean
+#: mask of the erased positions.
+ErasureInput = Union[Sequence[Sequence[int]], np.ndarray]
+
 
 class BatchDecodeReport:
     """Outcome of one ``decode_batch`` call.
@@ -356,47 +360,73 @@ class BatchRSCodec:
 
     # -- decoding -----------------------------------------------------------
 
-    def _erasure_table(
-        self, erasure_positions: Optional[Sequence[Sequence[int]]], B: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-word erasure counts and a ``(B, max rho)`` position table.
+    def _erasure_mask(
+        self, erasure_positions: Optional[ErasureInput], B: int
+    ) -> Optional[np.ndarray]:
+        """The ``(B, n)`` boolean erasure mask of either input form.
 
-        Positions are deduplicated and sorted per word, as the scalar
-        decoder does; row ``i`` holds them in its first ``rho[i]``
-        columns.
+        Per-word position lists are scattered into a mask, which
+        deduplicates them; ``None`` stays ``None`` (no erasures).
         """
         if erasure_positions is None:
-            return np.zeros(B, dtype=np.int64), np.zeros((B, 0), dtype=np.int64)
+            return None
+        if isinstance(erasure_positions, np.ndarray) and (
+            erasure_positions.dtype == bool
+        ):
+            if erasure_positions.shape != (B, self.n):
+                raise ValueError(
+                    f"erasure mask has shape {erasure_positions.shape} "
+                    f"for a ({B}, {self.n}) batch"
+                )
+            return erasure_positions
         if len(erasure_positions) != B:
             raise ValueError(
                 f"erasure_positions has {len(erasure_positions)} entries "
                 f"for a batch of {B}"
             )
-        per_word = [sorted(set(e)) for e in erasure_positions]
-        rho = np.fromiter(map(len, per_word), dtype=np.int64, count=B)
-        flat = np.asarray(list(itertools.chain.from_iterable(per_word)))
+        counts = np.fromiter(map(len, erasure_positions), dtype=np.int64, count=B)
+        flat = np.asarray(list(itertools.chain.from_iterable(erasure_positions)))
+        mask = np.zeros((B, self.n), dtype=bool)
         if flat.size == 0:
-            return rho, np.zeros((B, 0), dtype=np.int64)
+            return mask
         if flat.dtype.kind not in "iu":
             raise ValueError(
                 f"erasure positions must be integers, got dtype {flat.dtype}"
             )
         if flat.min() < 0 or flat.max() >= self.n:
             raise ValueError("erasure position out of range")
-        table = np.zeros((B, int(rho.max())), dtype=np.int64)
-        table[np.arange(table.shape[1]) < rho[:, None]] = flat
+        mask[np.repeat(np.arange(B), counts), flat] = True
+        return mask
+
+    def _erasure_table(
+        self, erasure_positions: Optional[ErasureInput], B: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-word erasure counts and a ``(B, max rho)`` position table.
+
+        Positions come out of the mask deduplicated and ascending, as
+        the scalar decoder sorts them; row ``i`` holds them in its first
+        ``rho[i]`` columns.
+        """
+        mask = self._erasure_mask(erasure_positions, B)
+        if mask is None:
+            return np.zeros(B, dtype=np.int64), np.zeros((B, 0), dtype=np.int64)
+        rho = np.count_nonzero(mask, axis=1).astype(np.int64)
+        table = np.zeros((B, int(rho.max(initial=0))), dtype=np.int64)
+        table[np.arange(table.shape[1]) < rho[:, None]] = np.nonzero(mask)[1]
         return rho, table
 
     def decode_batch(
         self,
         received: Sequence[Sequence[int]],
-        erasure_positions: Optional[Sequence[Sequence[int]]] = None,
+        erasure_positions: Optional[ErasureInput] = None,
         counters: Optional[PerfCounters] = None,
     ) -> BatchDecodeReport:
         """Decode a ``(B, n)`` batch with optional per-word erasures.
 
-        ``erasure_positions`` is ``None`` (no erasures anywhere) or a
-        length-``B`` sequence of per-word integer position lists.
+        ``erasure_positions`` is ``None`` (no erasures anywhere), a
+        length-``B`` sequence of per-word integer position lists, or a
+        ``(B, n)`` boolean ndarray marking the erased positions; both
+        forms give identical reports.
         Uncorrectable words do not raise; the report records, at the
         word's index, the :class:`RSDecodingError` the scalar decoder
         raises for it, with exactly the same message.

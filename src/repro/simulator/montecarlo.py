@@ -12,14 +12,24 @@ Three fault-injection validators:
   effects the chains idealize away (mis-corrections, benign stuck-ats,
   repeated SEUs on one symbol).  One trial at a time, trusted reference.
 * :func:`simulate_fail_probability_batched` — the same physics executed
-  by the batch layer: trials are processed in chunks whose fault events
-  are drawn vectorized from per-chunk spawned RNG streams, final reads
-  (and duplex replica pairs) go through :class:`~repro.rs.batch.BatchRSCodec`
-  in bulk, and an opt-in ``workers=N`` pool distributes chunks across
-  processes.  Because every chunk owns an independent spawned
+  by the batch layer.  Each chunk draws its trials' data, fault events
+  and scrub instants vectorized from its own spawned RNG stream
+  (:func:`draw_chunk`).  Trials without a fault event read back correct
+  by construction; the rest run through one array engine
+  (:func:`replay_batch`) that applies the events between two scrubs at
+  once, runs each scrub as one batch read over every trial that has it
+  (``decode_batch``, plus vectorized erasure recovery and
+  :func:`decide_batch` for duplex pairs), and decodes every final read
+  in one more batch.  An opt-in ``workers=N`` pool distributes chunks
+  across processes.  Because every chunk owns an independent spawned
   ``SeedSequence`` and the aggregation is a commutative sum over chunks,
   a fixed ``(seed, trials, chunk_size)`` triple yields an identical
   :class:`FailureEstimate` for any worker count.
+
+The scalar :class:`SimplexSystem`/:class:`DuplexSystem` replay stays the
+oracle of the array engine: the ``reference`` campaign engine runs it,
+and the ``mc-replay-scalar`` verify target compares the two trial by
+trial on the same events.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,15 +50,12 @@ from ..rs import BatchRSCodec, RSCode
 from ..runtime import ChunkSupervisor, RuntimeConfig, seed_key
 from ..stats import AdaptiveStopper, BerSnapshot, StreamingEstimator
 from ..stats.intervals import wilson_interval  # noqa: F401  (moved; re-exported)
-from .arbiter import (  # noqa: F401  (decide_from_decodes: re-exported)
-    decide_batch,
-    decide_from_decodes,
-    recover_erasures,
-)
+from .arbiter import decide_batch
+# Re-exported so that benchmarks/e2e/spans.py, which wraps these call
+# sites where it finds them, still finds them bound here.
+from .arbiter import decide_from_decodes, recover_erasures  # noqa: F401
 from .faults import (
-    FaultEvent,
     FaultKind,
-    event_sort_key,
     merge_event_streams,
     sample_permanent_events,
     sample_seu_events,
@@ -320,6 +327,70 @@ def _cached_batch_codec(n: int, k: int, m: int, fcr: int) -> BatchRSCodec:
 _CODEC_CACHE: Dict[Tuple[int, int, int, int], BatchRSCodec] = {}
 
 
+class EventTable(NamedTuple):
+    """Fault events as flat arrays, one array per :class:`FaultEvent` field.
+
+    Entry ``i`` is ``FaultEvent(time[i], PERMANENT if permanent[i] else
+    SEU, module[i], symbol[i], bit[i], value[i], mask[i])`` of trial
+    ``trial[i]``; entries may come in any order.
+    """
+
+    trial: np.ndarray
+    time: np.ndarray
+    permanent: np.ndarray
+    module: np.ndarray
+    symbol: np.ndarray
+    bit: np.ndarray
+    value: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def build(cls, trial, time, permanent, module, symbol, bit, value=0, mask=0):
+        """A table from per-event sequences; a scalar applies to every event."""
+        size = len(time)
+
+        def column(values, dtype):
+            values = np.asarray(values, dtype=dtype)
+            return values if values.ndim else np.full(size, values)
+
+        return cls(
+            column(trial, np.int64),
+            column(time, np.float64),
+            column(permanent, bool),
+            *(column(c, np.int64) for c in (module, symbol, bit, value, mask)),
+        )
+
+    @classmethod
+    def concat(cls, tables: List["EventTable"]) -> "EventTable":
+        if not tables:
+            return cls.build((), (), False, 0, (), 0)
+        if len(tables) == 1:
+            return tables[0]
+        return cls(*map(np.concatenate, zip(*tables)))
+
+    def take(self, index) -> "EventTable":
+        return EventTable(*(column[index] for column in self))
+
+
+@dataclass(frozen=True)
+class ChunkDraw:
+    """Everything a chunk draws from its RNG stream.
+
+    ``scrub_times`` row ``i`` holds trial ``i``'s ``scrub_counts[i]``
+    scrub instants in ascending order, padded with ``inf``.
+    """
+
+    data: np.ndarray
+    events: EventTable
+    scrub_counts: np.ndarray
+    scrub_times: np.ndarray
+
+
+#: Outcome codes of :func:`replay_batch`: code ``i`` means ``OUTCOMES[i]``.
+OUTCOMES = (ReadOutcome.CORRECT, ReadOutcome.CORRUPTED, ReadOutcome.UNREADABLE)
+_CORRECT, _CORRUPTED, _UNREADABLE = range(len(OUTCOMES))
+
+
 def _draw_event_table(
     rng: np.random.Generator,
     rate_total: float,
@@ -327,57 +398,69 @@ def _draw_event_table(
     n_trials: int,
     n_symbols: int,
     m: int,
-    with_values: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+    module: int,
+    permanent: bool,
+) -> List[EventTable]:
     """Vectorized Poisson event draw for a whole chunk of trials.
 
-    Returns ``(counts, times, symbols, bits, values, offsets)`` where the
-    flat arrays hold the events of every trial back to back and
-    ``offsets`` are the per-trial split points (``cumsum`` of counts).
     Distribution-identical to running :func:`sample_seu_events` /
-    :func:`sample_permanent_events` once per trial.
+    :func:`sample_permanent_events` once per trial.  Returns no table,
+    and draws nothing, when the rate or the horizon is zero.
     """
     if rate_total <= 0 or t_end <= 0:
-        zeros = np.zeros(n_trials, dtype=np.int64)
-        empty = np.zeros(0)
-        return zeros, empty, empty, empty, (empty if with_values else None), zeros
+        return []
     counts = rng.poisson(rate_total * t_end, size=n_trials)
     total = int(counts.sum())
     times = rng.uniform(0.0, t_end, size=total)
     symbols = rng.integers(0, n_symbols, size=total)
     bits = rng.integers(0, m, size=total)
-    values = rng.integers(0, 2, size=total) if with_values else None
-    return counts, times, symbols, bits, values, np.cumsum(counts)
+    values = rng.integers(0, 2, size=total) if permanent else 0
+    trial = np.repeat(np.arange(n_trials), counts)
+    return [EventTable.build(trial, times, permanent, module, symbols, bits, values)]
 
 
-def _trial_events(
-    trial: int,
-    kind: FaultKind,
+def _draw_pattern_events(
+    rng: np.random.Generator,
+    pattern: FaultPattern,
+    schedule: Optional[RateSchedule],
+    expected: float,
+    t_end: float,
+    n_trials: int,
+    n: int,
+    m: int,
     module: int,
-    table,
-) -> List[FaultEvent]:
-    """Materialize one trial's slice of a flat event table."""
-    counts, times, symbols, bits, values, offsets = table
-    if counts[trial] == 0:
+) -> List[EventTable]:
+    """One module's compound-Poisson transients for a chunk of trials.
+
+    Arrival counts are drawn vectorized; arrivals are expanded trial by
+    trial, in trial order, so the stream is a pure function of the seed.
+    """
+    if expected <= 0:
         return []
-    hi = offsets[trial]
-    lo = hi - counts[trial]
-    if values is None:
-        return [
-            FaultEvent(float(times[i]), kind, module, int(symbols[i]), int(bits[i]))
-            for i in range(lo, hi)
+    counts = rng.poisson(expected, size=n_trials)
+    records = []
+    for trial in np.flatnonzero(counts).tolist():
+        arrivals = int(counts[trial])
+        if schedule is not None:
+            times = schedule.sample_times(rng, t_end, arrivals)
+        else:
+            times = np.sort(rng.uniform(0.0, t_end, size=arrivals))
+        records += [
+            (
+                trial,
+                ev.time,
+                ev.kind is FaultKind.PERMANENT,
+                ev.symbol,
+                ev.bit,
+                ev.stuck_value,
+                ev.mask,
+            )
+            for ev in expand_arrivals(rng, pattern, times, n, m, module)
         ]
-    return [
-        FaultEvent(
-            float(times[i]),
-            kind,
-            module,
-            int(symbols[i]),
-            int(bits[i]),
-            int(values[i]),
-        )
-        for i in range(lo, hi)
-    ]
+    if not records:
+        return []
+    trial, time, permanent, symbol, bit, value, mask = zip(*records)
+    return [EventTable.build(trial, time, permanent, module, symbol, bit, value, mask)]
 
 
 def _draw_scrub_times(
@@ -386,44 +469,296 @@ def _draw_scrub_times(
     period: Optional[float],
     exponential: bool,
     n_trials: int,
-) -> List[np.ndarray]:
-    """Per-trial scrub instants, matching :func:`scrub_schedule` in law.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-trial scrub counts and a sorted, ``inf``-padded instant table.
 
-    The exponential schedule is a Poisson process of rate ``1/period``;
-    drawing ``Poisson(t/period)`` counts and sorting uniform instants is
-    the standard equivalent construction, vectorized over the chunk.
+    Matches :func:`scrub_schedule` in law.  The exponential schedule is a
+    Poisson process of rate ``1/period``; drawing ``Poisson(t/period)``
+    counts and sorting uniform instants is the standard equivalent
+    construction, vectorized over the chunk.
     """
     if period is None or period <= 0 or t_end <= 0:
-        return [np.zeros(0)] * n_trials
+        return np.zeros(n_trials, dtype=np.int64), np.zeros((n_trials, 0))
     if not exponential:
         ticks = np.arange(1, int(t_end / period) + 1) * period
-        return [ticks] * n_trials
+        return (
+            np.full(n_trials, ticks.size, dtype=np.int64),
+            np.broadcast_to(ticks, (n_trials, ticks.size)),
+        )
     counts = rng.poisson(t_end / period, size=n_trials)
     flat = rng.uniform(0.0, t_end, size=int(counts.sum()))
-    out: List[np.ndarray] = []
-    offset = 0
-    for c in counts:
-        out.append(np.sort(flat[offset : offset + int(c)]))
-        offset += int(c)
-    return out
+    table = np.full((n_trials, int(counts.max(initial=0))), np.inf)
+    table[np.arange(table.shape[1]) < counts[:, None]] = flat
+    table.sort(axis=1)
+    return counts, table
+
+
+def draw_chunk(
+    rng: np.random.Generator,
+    arrangement: str,
+    n: int,
+    k: int,
+    m: int,
+    t_end: float,
+    seu_per_bit: float,
+    erasure_per_symbol: float,
+    scrub_period: Optional[float],
+    scrub_exponential: bool,
+    n_trials: int,
+    pattern: Optional[FaultPattern] = None,
+    schedule: Optional[RateSchedule] = None,
+) -> ChunkDraw:
+    """Draw a chunk's data words, fault events and scrub instants.
+
+    The draw order is fixed — data, every module's transients, every
+    module's permanent faults, scrubs — so a chunk is a pure function of
+    its RNG stream.  ``pattern``/``schedule`` switch the transients to
+    the compound-Poisson mixture of :mod:`repro.simulator.patterns`
+    (a schedule alone means i.i.d. ``1BIT`` arrivals).
+    """
+    modules = 2 if arrangement == "duplex" else 1
+    data = rng.integers(0, 1 << m, size=(n_trials, k))
+    tables: List[EventTable] = []
+    if pattern is not None or schedule is not None:
+        expected = seu_per_bit * n * m * (
+            schedule.integral(t_end) if schedule is not None else t_end
+        )
+        for module in range(modules):
+            tables += _draw_pattern_events(
+                rng,
+                IID_1BIT if pattern is None else pattern,
+                schedule,
+                expected,
+                t_end,
+                n_trials,
+                n,
+                m,
+                module,
+            )
+    else:
+        for module in range(modules):
+            tables += _draw_event_table(
+                rng, seu_per_bit * n * m, t_end, n_trials, n, m, module, False
+            )
+    for module in range(modules):
+        tables += _draw_event_table(
+            rng, erasure_per_symbol * n, t_end, n_trials, n, m, module, True
+        )
+    scrub_counts, scrub_times = _draw_scrub_times(
+        rng, t_end, scrub_period, scrub_exponential, n_trials
+    )
+    return ChunkDraw(data, EventTable.concat(tables), scrub_counts, scrub_times)
+
+
+class _MemoryBatch:
+    """The bit-level state of many trials' memory words, as arrays.
+
+    Array form of :class:`~repro.simulator.word.MemoryWord`: each
+    ``(trials, modules, n)`` array holds one field of every word — the
+    logical value, stuck-cell mask, stuck values and located flag.
+    """
+
+    def __init__(self, codewords: np.ndarray, modules: int, m: int):
+        self.m = m
+        self.logical = np.repeat(codewords[:, None, :], modules, axis=1)
+        self.stuck_mask = np.zeros_like(self.logical)
+        self.stuck_value = np.zeros_like(self.logical)
+        self.located = np.zeros(self.logical.shape, dtype=bool)
+
+    def apply(self, events: EventTable) -> None:
+        """Apply faults that no scrub separates.
+
+        Flips commute (a flip of a stuck cell only changes its hidden
+        logical bit), so they XOR in at once.  Stuck cells OR in; a cell
+        stuck twice keeps the value of the later event in the order the
+        table is given.
+        """
+        _, modules, n = self.logical.shape
+        cell = (events.trial * modules + events.module) * n + events.symbol
+        cells = np.where(events.mask != 0, events.mask, 1 << events.bit)
+        flips = ~events.permanent
+        np.bitwise_xor.at(self.logical.reshape(-1), cell[flips], cells[flips])
+        if flips.all():
+            return
+        cell, cells = cell[~flips], cells[~flips]
+        stuck = np.where(
+            events.mask != 0, events.value, events.value << events.bit
+        )[~flips]
+        event, bit = np.nonzero((cells[:, None] >> np.arange(self.m)) & 1)
+        key = cell[event] * self.m + bit
+        order = np.argsort(key, kind="stable")
+        last = order[np.append(key[order][1:] != key[order][:-1], True)]
+        sites, bits = cell[event[last]], 1 << bit[last]
+        np.bitwise_or.at(self.stuck_mask.reshape(-1), sites, bits)
+        np.bitwise_and.at(self.stuck_value.reshape(-1), sites, ~bits)
+        np.bitwise_or.at(
+            self.stuck_value.reshape(-1), sites, stuck[event[last]] & bits
+        )
+        self.located.reshape(-1)[cell] = True
+
+    def reads(self, rows) -> Tuple[np.ndarray, np.ndarray]:
+        """The words and erasure masks the codec sees for ``rows``.
+
+        Stuck cells read as their stuck value.  Duplex pairs go through
+        the arbiter's erasure-recovery stage
+        (:func:`~repro.simulator.arbiter.recover_erasures`): a position
+        erased on one side only takes the other side's symbol, and the
+        positions erased on both sides are each word's erasures.
+        """
+        mask = self.stuck_mask[rows]
+        words = (self.logical[rows] & ~mask) | (self.stuck_value[rows] & mask)
+        located = self.located[rows]
+        if words.shape[1] == 1:
+            return words, located
+        only = located & ~located[:, ::-1]
+        words = np.where(only, words[:, ::-1], words)
+        shared = located[:, 0] & located[:, 1]
+        return words, np.stack([shared, shared], axis=1)
+
+
+def _read_batch(
+    codec: BatchRSCodec,
+    words: np.ndarray,
+    erasures: np.ndarray,
+    counters: Optional[PerfCounters],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode ``(trials, modules, n)`` reads in one batch.
+
+    Returns, per trial, whether the memory gives output and the codeword
+    it outputs: the decoded word for simplex, the word the Section 3
+    arbiter (:func:`decide_batch`) picks for duplex.
+    """
+    trials, modules, n = words.shape
+    report = codec.decode_batch(
+        words.reshape(-1, n),
+        erasures.reshape(-1, n) if erasures.any() else None,
+        counters,
+    )
+    if modules == 1:
+        return report.ok, report.codewords
+    ok = report.ok.reshape(trials, 2)
+    flags = report.corrected.reshape(trials, 2)
+    codewords = report.codewords.reshape(trials, 2, n)
+    data = codewords[:, :, codec.nsym :]
+    source = decide_batch(
+        ok[:, 0],
+        ok[:, 1],
+        flags[:, 0],
+        flags[:, 1],
+        (data[:, 0] == data[:, 1]).all(axis=1),
+    )
+    return source >= 0, codewords[np.arange(trials), np.maximum(source, 0)]
+
+
+def _scrub_epochs(
+    trial: np.ndarray, time: np.ndarray, scrub_times: np.ndarray
+) -> np.ndarray:
+    """Per event, how many of its trial's scrubs come strictly before it.
+
+    A fault at a scrub's exact instant therefore lands before that scrub
+    (the ``event_sort_key`` order).  One ``searchsorted`` serves every
+    row: ``(trial, time)`` pairs are complex numbers, which numpy orders
+    lexicographically, so the row-major table is sorted and its ``inf``
+    padding sorts after every event of its row.
+    """
+    rows, width = scrub_times.shape
+    if width == 0:
+        return np.zeros(trial.size, dtype=np.int64)
+    table = np.empty((rows, width), dtype=complex)
+    table.real = np.arange(rows)[:, None]
+    table.imag = scrub_times
+    keys = np.empty(trial.size, dtype=complex)
+    keys.real = trial
+    keys.imag = time
+    return np.searchsorted(table.reshape(-1), keys) - trial * width
+
+
+def replay_batch(
+    codec: BatchRSCodec,
+    arrangement: str,
+    data: np.ndarray,
+    events: EventTable,
+    scrub_counts: np.ndarray,
+    scrub_times: np.ndarray,
+    counters: Optional[PerfCounters] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inject events into trials' words, scrub, and read every trial once.
+
+    ``data`` holds each trial's ``k`` data symbols, ``events.trial``
+    indexes its rows, and ``scrub_counts``/``scrub_times`` are laid out
+    as in :class:`ChunkDraw`.  Returns the final read words and erasure
+    masks, both ``(trials, modules, n)`` (duplex: after erasure
+    recovery, with the shared erasures on both words), and per-trial
+    :data:`OUTCOMES` codes — what :class:`SimplexSystem` /
+    :class:`DuplexSystem` give for the same events, trial by trial.
+
+    The events between two scrubs are applied at once, then the scrub
+    runs as one batch read over every trial that has it, writing the
+    output codeword back wherever the memory gives one.  A scrub after
+    an event-free stretch is skipped, because it is a no-op: a scrub
+    that gives no output leaves the state unchanged, so the next one
+    sees the same words; after one that does, every word the decoder
+    sees differs from the written codeword only at its erasures (for
+    duplex, the shared ones left by erasure recovery) — at most
+    ``n - k`` of them, or no decode would have succeeded — and an
+    erasure-only decode returns that codeword unchanged.  The loop
+    therefore runs over each trial's event-bearing scrub epochs, not
+    over scrub ordinals.
+    """
+    modules = 2 if arrangement == "duplex" else 1
+    memory = _MemoryBatch(codec.encode_batch(data, counters), modules, codec.m)
+    events = events.take(
+        np.lexsort(
+            (
+                events.value,
+                events.mask,
+                events.bit,
+                events.symbol,
+                events.module,
+                events.permanent,
+                events.time,
+                events.trial,
+            )
+        )
+    )
+    trial = events.trial
+    epoch = _scrub_epochs(trial, events.time, scrub_times)
+    # Step s of a trial is its s-th epoch that holds events.
+    new_trial = np.ones(trial.size, dtype=bool)
+    new_trial[1:] = trial[1:] != trial[:-1]
+    new_epoch = new_trial.copy()
+    new_epoch[1:] |= epoch[1:] != epoch[:-1]
+    group = np.cumsum(new_epoch) - 1
+    step = group - np.maximum.accumulate(np.where(new_trial, group, 0))
+    by_step = np.argsort(step, kind="stable")
+    bounds = np.searchsorted(step[by_step], np.arange(step.max(initial=-1) + 2))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        index = by_step[lo:hi]
+        memory.apply(events.take(index))
+        heads = index[new_epoch[index]]
+        rows = trial[heads][epoch[heads] < scrub_counts[trial[heads]]]
+        if rows.size:
+            readable, codewords = _read_batch(
+                codec, *memory.reads(rows), counters
+            )
+            memory.logical[rows[readable]] = codewords[readable][:, None, :]
+    words, erasures = memory.reads(slice(None))
+    readable, codewords = _read_batch(codec, words, erasures, counters)
+    right = (codewords[:, codec.nsym :] == data).all(axis=1)
+    outcome = np.where(
+        readable, np.where(right, _CORRECT, _CORRUPTED), _UNREADABLE
+    )
+    return words, erasures, outcome
 
 
 def _run_injection_chunk(args: tuple) -> Dict[str, object]:
     """Execute one chunk of trials; picklable, runs in worker processes.
 
-    Strategy: draw everything vectorized, skip trials with zero fault
-    events outright (their read is trivially ``CORRECT``), replay the few
-    dirty trials' event streams through the real bit-level systems, then
-    push *all* final reads through one ``decode_batch`` call and classify
-    them from the report's arrays (duplex pairs through
-    :func:`~repro.simulator.arbiter.decide_batch`).
-
-    When a correlated ``pattern_spec``/``schedule_spec`` is set the
-    transient process is the compound-Poisson mixture of
-    :mod:`repro.simulator.patterns`: arrival *counts* are still drawn
-    vectorized per chunk, but every fault-bearing trial takes the replay
-    path (mask events and in-arrival permanents are stateful), keeping
-    the fast zero-event shortcut for the clean majority.
+    Draws the chunk (:func:`draw_chunk`), counts every trial without a
+    fault event as ``CORRECT`` (scrubs are no-ops on fault-free words,
+    so its read is right by construction), and replays the rest in one
+    array engine (:func:`replay_batch`): scrub epochs advance in batch
+    steps and every read goes through ``decode_batch``.
     """
     (
         arrangement,
@@ -441,204 +776,51 @@ def _run_injection_chunk(args: tuple) -> Dict[str, object]:
         pattern_spec,
         schedule_spec,
     ) = args
+    if arrangement not in ("simplex", "duplex"):
+        raise ValueError(f"unknown arrangement {arrangement!r}")
     codec = _cached_batch_codec(n, k, m, fcr)
-    code = codec.scalar
     counters = PerfCounters()
     # Busy time goes to the additive cpu_seconds axis; true wall clock
     # (elapsed_seconds) is owned by the coordinator's Stopwatch.
     t_busy = time.perf_counter()
-    rng = np.random.default_rng(seed_seq)
-    n_modules = 2 if arrangement == "duplex" else 1
-    if arrangement not in ("simplex", "duplex"):
-        raise ValueError(f"unknown arrangement {arrangement!r}")
-
-    data = rng.integers(0, code.gf.order, size=(n_trials, k))
-    codewords = codec.encode_batch(data, counters)
-
-    use_patterns = pattern_spec is not None or schedule_spec is not None
-    if use_patterns:
-        pat = (
-            parse_pattern(pattern_spec)
-            if pattern_spec is not None
-            else IID_1BIT
-        )
-        sched = parse_schedule(schedule_spec)
-        expected = seu_per_bit * n * m * (
-            sched.integral(t_end) if sched is not None else t_end
-        )
-        seu_tables: Optional[List[tuple]] = None
-        seu_counts = np.zeros(n_trials, dtype=np.int64)
-        # Per module: {trial -> expanded events}; counts drawn
-        # vectorized, expansion done per dirty trial in trial order
-        # so the stream is a pure function of the chunk seed.
-        pattern_trial_events: List[Dict[int, List[FaultEvent]]] = []
-        for module in range(n_modules):
-            mod_counts = (
-                rng.poisson(expected, size=n_trials)
-                if expected > 0
-                else np.zeros(n_trials, dtype=np.int64)
-            )
-            per_trial: Dict[int, List[FaultEvent]] = {}
-            for trial in np.flatnonzero(mod_counts):
-                arrivals = int(mod_counts[trial])
-                if sched is not None:
-                    times = sched.sample_times(rng, t_end, arrivals)
-                else:
-                    times = np.sort(
-                        rng.uniform(0.0, t_end, size=arrivals)
-                    )
-                per_trial[int(trial)] = expand_arrivals(
-                    rng, pat, times, n, m, module
-                )
-            seu_counts = seu_counts + mod_counts.astype(np.int64)
-            pattern_trial_events.append(per_trial)
-    else:
-        seu_tables = [
-            _draw_event_table(
-                rng, seu_per_bit * n * m, t_end, n_trials, n, m, False
-            )
-            for _ in range(n_modules)
-        ]
-    perm_tables = [
-        _draw_event_table(
-            rng, erasure_per_symbol * n, t_end, n_trials, n, m, True
-        )
-        for _ in range(n_modules)
-    ]
-    scrub_times = _draw_scrub_times(
-        rng, t_end, scrub_period, scrub_exponential, n_trials
+    draw = draw_chunk(
+        np.random.default_rng(seed_seq),
+        arrangement,
+        n,
+        k,
+        m,
+        t_end,
+        seu_per_bit,
+        erasure_per_symbol,
+        scrub_period,
+        scrub_exponential,
+        n_trials,
+        None if pattern_spec is None else parse_pattern(pattern_spec),
+        parse_schedule(schedule_spec),
     )
-
-    counts = {outcome.value: 0 for outcome in ReadOutcome}
-    # Trials with no fault events at all read back CORRECT by
-    # construction (scrubs are no-ops on fault-free words): count them
-    # without touching the codec.
-    if not use_patterns:
-        seu_counts = sum(t[0] for t in seu_tables)
-    perm_counts = sum(t[0] for t in perm_tables)
-    fault_counts = seu_counts + perm_counts
-    scrubless = np.asarray(
-        [len(times) == 0 for times in scrub_times], dtype=bool
-    )
-    dirty = fault_counts > 0
-    counts[ReadOutcome.CORRECT.value] += int(n_trials - dirty.sum())
-
-    # SEU-only trials with no scrubs need no event replay: with no
-    # stuck cells and no rewrites, flips commute, so the final stored
-    # word is just the codeword XOR the scatter of all flip masks.
-    # Pattern events are excluded: mask strikes and in-arrival
-    # permanents are stateful, so every pattern-dirty trial replays.
-    if use_patterns:
-        vector_mask = np.zeros(n_trials, dtype=bool)
-    else:
-        vector_mask = dirty & (perm_counts == 0) & scrubless
-    vec_trials = np.flatnonzero(vector_mask)
-    replay_trials = np.flatnonzero(dirty & ~vector_mask)
-
-    # The final reads of every dirty trial, decoded in one batch at
-    # the end: the vectorized trials' words, then the replayed ones,
-    # n_modules consecutive rows per trial.
-    blocks: List[np.ndarray] = []
-    replay_words: List[List[int]] = []
-    replay_erasures: List[List[int]] = []
-
-    if vec_trials.size:
-        compact = np.full(n_trials, -1, dtype=np.int64)
-        compact[vec_trials] = np.arange(vec_trials.size)
-        received_per_module = []
-        for module in range(n_modules):
-            mod_counts, _times, symbols, bits, _values, _off = seu_tables[
-                module
-            ]
-            ev_trial = np.repeat(np.arange(n_trials), mod_counts)
-            ev_mask = vector_mask[ev_trial]
-            rec = codewords[vec_trials].copy()
-            np.bitwise_xor.at(
-                rec,
-                (compact[ev_trial[ev_mask]], symbols[ev_mask]),
-                np.int64(1) << bits[ev_mask].astype(np.int64),
-            )
-            received_per_module.append(rec)
-        blocks.append(np.stack(received_per_module, axis=1).reshape(-1, n))
-
-    # Replay the remaining dirty trials (permanent faults and/or
-    # scrubs: stateful, order-dependent) through the bit-level
-    # systems, still deferring the final read's decode to the batch.
-    for trial in replay_trials:
-        events: List[FaultEvent] = []
-        for module in range(n_modules):
-            if use_patterns:
-                events += pattern_trial_events[module].get(int(trial), [])
-            else:
-                events += _trial_events(
-                    trial, FaultKind.SEU, module, seu_tables[module]
-                )
-            events += _trial_events(
-                trial, FaultKind.PERMANENT, module, perm_tables[module]
-            )
-        events += [
-            FaultEvent(float(t), FaultKind.SCRUB) for t in scrub_times[trial]
-        ]
-        events.sort(key=event_sort_key)
-        codeword = codewords[trial].tolist()
-        if arrangement == "simplex":
-            system: SimplexSystem | DuplexSystem = SimplexSystem(
-                code, codeword=codeword
-            )
-        else:
-            system = DuplexSystem(code, codeword=codeword)
-        for event in events:
-            system.apply_event(event)
-        if arrangement == "simplex":
-            replay_words.append(system.word.read())
-            replay_erasures.append(system.word.located_positions)
-        else:
-            s1, s2, shared, _masked = recover_erasures(
-                system.modules[0], system.modules[1]
-            )
-            replay_words += [s1, s2]
-            replay_erasures += [shared, shared]
-
-    if replay_words:
-        blocks.append(np.asarray(replay_words, dtype=np.int64))
-    if blocks:
-        report = codec.decode_batch(
-            np.concatenate(blocks),
-            [()] * (vec_trials.size * n_modules) + replay_erasures
-            if replay_erasures
-            else None,
+    dirty = np.flatnonzero(np.bincount(draw.events.trial, minlength=n_trials))
+    tally = np.zeros(len(OUTCOMES), dtype=np.int64)
+    tally[_CORRECT] = n_trials - dirty.size
+    if dirty.size:
+        events = draw.events._replace(
+            trial=np.searchsorted(dirty, draw.events.trial)
+        )
+        _words, _erasures, outcome = replay_batch(
+            codec,
+            arrangement,
+            draw.data[dirty],
+            events,
+            draw.scrub_counts[dirty],
+            draw.scrub_times[dirty],
             counters,
         )
-        truth = data[np.concatenate([vec_trials, replay_trials])]
-        decoded = report.codewords[:, n - k :]
-        if arrangement == "simplex":
-            readable = report.ok
-        else:
-            ok = report.ok.reshape(-1, 2)
-            flags = report.corrected.reshape(-1, 2)
-            first, second = decoded[0::2], decoded[1::2]
-            source = decide_batch(
-                ok[:, 0],
-                ok[:, 1],
-                flags[:, 0],
-                flags[:, 1],
-                (first == second).all(axis=1),
-            )
-            readable = source >= 0
-            decoded = np.where((source == 1)[:, None], second, first)
-        right = readable & (decoded == truth).all(axis=1)
-        counts[ReadOutcome.UNREADABLE.value] += int((~readable).sum())
-        counts[ReadOutcome.CORRECT.value] += int(right.sum())
-        counts[ReadOutcome.CORRUPTED.value] += int((readable & ~right).sum())
-
-    failures = sum(
-        counts[o.value] for o in ReadOutcome if o.is_failure
-    )
+        tally += np.bincount(outcome, minlength=len(OUTCOMES))
+    counts = {o.value: int(c) for o, c in zip(OUTCOMES, tally)}
     counters.trials += n_trials
     counters.chunks += 1
     counters.cpu_seconds += time.perf_counter() - t_busy
     return {
-        "failures": failures,
+        "failures": n_trials - counts[ReadOutcome.CORRECT.value],
         "counts": counts,
         "trials": n_trials,
         "counters": counters.as_dict(),
@@ -708,7 +890,7 @@ def simulate_fail_probability_batched(
     run bit-identical to an uninterrupted one.
 
     ``runtime.executor`` selects the dispatch backend (serial, pool, or
-    the journal-adjacent lease board) and ``runtime.straggler`` enables
+    fleet) and ``runtime.straggler`` enables
     speculative re-dispatch — neither can affect the estimate.  Every
     completion streams an incremental BER±CI snapshot into the obs
     layer (and ``runtime.on_snapshot``); ``runtime.stop`` adds the

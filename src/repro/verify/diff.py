@@ -41,6 +41,10 @@ target                    layers                   compares
                                                    final estimate, and the adaptive
                                                    early-stop prefix vs a literal
                                                    recomputation of the stopping rule
+``mc-replay-scalar``      simulator, rs            batch chunk engine vs trial-by-trial
+                                                   SimplexSystem/DuplexSystem replay of the
+                                                   same events: final words, erasure sets,
+                                                   outcomes, exactly
 ``scenario-analytic-parity`` memory, simulator     random i.i.d.-reducible fault-pattern
                                                    mixtures (optionally rate-scheduled) vs
                                                    the campaign's analytic bridge within a
@@ -1156,6 +1160,202 @@ def _shrink_streaming_case(case: Case) -> Iterator[Case]:
 
 
 # --------------------------------------------------------------------------
+# mc-replay-scalar: the batch chunk engine vs trial-by-trial system replay
+# --------------------------------------------------------------------------
+
+
+def _gen_mc_replay_case(rng: np.random.Generator) -> Case:
+    return gen.gen_mc_replay_case(rng)
+
+
+def _replay_draw(case: Case):
+    """The case's chunk draw, with ``snap`` applied to its events."""
+    from dataclasses import replace
+
+    from ..simulator.montecarlo import draw_chunk
+    from ..simulator.patterns import parse_pattern, parse_schedule
+
+    draw = draw_chunk(
+        np.random.default_rng(case["seed"]),
+        case["arrangement"],
+        case["n"],
+        case["k"],
+        case["m"],
+        case["t_end_hours"],
+        case["seu_per_bit"],
+        case["erasure_per_symbol"],
+        case["scrub_period"],
+        case["scrub_exponential"],
+        case["trials"],
+        None if case["pattern"] is None else parse_pattern(case["pattern"]),
+        parse_schedule(case["schedule"]),
+    )
+    if not case["snap"]:
+        return draw
+    times = draw.events.time.copy()
+    for i in range(0, times.size, 2):
+        trial = draw.events.trial[i]
+        scrubs = draw.scrub_times[trial, : draw.scrub_counts[trial]]
+        nxt = int(np.searchsorted(scrubs, times[i]))
+        if nxt < scrubs.size:
+            times[i] = scrubs[nxt]
+    return replace(draw, events=draw.events._replace(time=times))
+
+
+def _scalar_replay(case: Case, code, draw, trial: int, buggy: bool):
+    """Replay one trial through :class:`SimplexSystem`/:class:`DuplexSystem`.
+
+    Returns the final read words, erasure sets and the read outcome.
+    ``buggy`` runs the induced bug instead: a scrub goes before the
+    faults that share its instant, and a cell stuck twice keeps its
+    first stuck value.
+    """
+    from ..simulator.arbiter import recover_erasures
+    from ..simulator.faults import FaultEvent, FaultKind, event_sort_key
+    from ..simulator.systems import DuplexSystem, SimplexSystem
+
+    codeword = code.encode(draw.data[trial].tolist())
+    table = draw.events
+    events = [
+        FaultEvent(
+            float(table.time[i]),
+            FaultKind.PERMANENT if table.permanent[i] else FaultKind.SEU,
+            int(table.module[i]),
+            int(table.symbol[i]),
+            int(table.bit[i]),
+            int(table.value[i]),
+            int(table.mask[i]),
+        )
+        for i in np.flatnonzero(table.trial == trial)
+    ]
+    events += [
+        FaultEvent(float(t), FaultKind.SCRUB)
+        for t in draw.scrub_times[trial, : draw.scrub_counts[trial]]
+    ]
+    if buggy:
+        events.sort(
+            key=lambda e: (e.time, e.kind is not FaultKind.SCRUB)
+            + event_sort_key(e)[1:]
+        )
+    else:
+        events.sort(key=event_sort_key)
+    if case["arrangement"] == "simplex":
+        system = SimplexSystem(code, codeword=codeword)
+    else:
+        system = DuplexSystem(code, codeword=codeword)
+    stuck: Dict[Tuple[int, int], int] = {}
+    for event in events:
+        if buggy and event.kind is FaultKind.PERMANENT:
+            # Stick only the cells no earlier event stuck.
+            if event.mask:
+                cells, values = event.mask, event.stuck_value
+            else:
+                cells, values = 1 << event.bit, event.stuck_value << event.bit
+            site = (event.module, event.symbol)
+            fresh = cells & ~stuck.get(site, 0)
+            stuck[site] = stuck.get(site, 0) | cells
+            if not fresh:
+                continue
+            event = FaultEvent(
+                event.time,
+                event.kind,
+                event.module,
+                event.symbol,
+                stuck_value=values & fresh,
+                mask=fresh,
+            )
+        system.apply_event(event)
+    if case["arrangement"] == "simplex":
+        words = [system.word.read()]
+        erasures = [system.word.located_positions]
+    else:
+        s1, s2, shared, _masked = recover_erasures(*system.modules)
+        words, erasures = [s1, s2], [shared, shared]
+    return words, erasures, system.read().value
+
+
+def _check_mc_replay(case: Case, buggy: bool = False) -> Optional[Mismatch]:
+    """Batch chunk engine vs a trial-by-trial replay through the systems.
+
+    :func:`~repro.simulator.montecarlo.replay_batch` runs every trial of
+    the drawn chunk; each trial's final read words, erasure sets and
+    read outcome must equal those of the same events (and scrubs)
+    applied one by one to a :class:`SimplexSystem`/:class:`DuplexSystem`
+    in ``event_sort_key`` order.  Without ``snap`` the chunk's outcome
+    counts from ``_run_injection_chunk``, which replays only the trials
+    that have events, must equal the replay's tally too.
+    """
+    from ..rs import BatchRSCodec
+    from ..simulator import montecarlo as mc
+
+    draw = _replay_draw(case)
+    codec = BatchRSCodec(case["n"], case["k"], m=case["m"])
+    words, erasures, outcome = mc.replay_batch(
+        codec,
+        case["arrangement"],
+        draw.data,
+        draw.events,
+        draw.scrub_counts,
+        draw.scrub_times,
+    )
+    tally = {o.value: 0 for o in mc.OUTCOMES}
+    for trial in range(case["trials"]):
+        want_words, want_erasures, want = _scalar_replay(
+            case, codec.scalar, draw, trial, buggy
+        )
+        got = mc.OUTCOMES[outcome[trial]].value
+        got_erasures = [np.flatnonzero(e).tolist() for e in erasures[trial]]
+        tally[want] += 1
+        if (words[trial].tolist(), got_erasures, got) != (
+            want_words, want_erasures, want
+        ):
+            return Mismatch(
+                "batch replay differs from the scalar system replay",
+                {
+                    "trial": trial,
+                    "batch": [words[trial].tolist(), got_erasures, got],
+                    "scalar": [want_words, want_erasures, want],
+                },
+            )
+    if case["snap"]:
+        return None
+    chunk = mc._run_injection_chunk(
+        (
+            case["arrangement"],
+            case["n"],
+            case["k"],
+            case["m"],
+            1,
+            case["t_end_hours"],
+            case["seu_per_bit"],
+            case["erasure_per_symbol"],
+            case["scrub_period"],
+            case["scrub_exponential"],
+            case["trials"],
+            np.random.SeedSequence(case["seed"]),
+            case["pattern"],
+            case["schedule"],
+        )
+    )
+    if chunk["counts"] != tally:
+        return Mismatch(
+            "chunk outcome counts differ from the scalar replay's tally",
+            {"chunk": chunk["counts"], "scalar": tally},
+        )
+    return None
+
+
+def _induced_mc_replay_bug(case: Case) -> Optional[Mismatch]:
+    return _check_mc_replay(case, buggy=True)
+
+
+def _shrink_mc_replay(case: Case) -> Iterator[Case]:
+    if case["trials"] > 1:
+        yield {**case, "trials": case["trials"] // 2}
+        yield {**case, "trials": case["trials"] - 1}
+
+
+# --------------------------------------------------------------------------
 # registration
 # --------------------------------------------------------------------------
 
@@ -1300,6 +1500,23 @@ register_target(
         check=_check_mc_streaming_vs_final,
         shrink=_shrink_streaming_case,
         induced_check=_induced_generic_bug,
+    )
+)
+
+register_target(
+    Target(
+        name="mc-replay-scalar",
+        layers=("simulator", "rs"),
+        description=(
+            "Batch chunk engine (scrub epochs replayed in array steps) vs "
+            "a trial-by-trial SimplexSystem/DuplexSystem replay of the "
+            "same events: final read words, erasure sets and outcomes, "
+            "exactly"
+        ),
+        generate=_gen_mc_replay_case,
+        check=_check_mc_replay,
+        shrink=_shrink_mc_replay,
+        induced_check=_induced_mc_replay_bug,
     )
 )
 

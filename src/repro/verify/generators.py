@@ -379,3 +379,58 @@ def gen_scenario_parity_case(rng: np.random.Generator) -> Dict[str, Any]:
         "trials": 400,
         "mc_seed": int(rng.integers(0, 2**31 - 1)),
     }
+
+
+#: Codes of the ``mc-replay-scalar`` target: the paper's RS(18,16), a
+#: small field, and RS(7,3), whose 21 cells make repeated stuck-ats of
+#: one cell and ``n - k`` located symbols common.
+REPLAY_CODES = ((18, 16, 8), (15, 9, 4), (7, 3, 3))
+
+#: Transient processes of the ``mc-replay-scalar`` target: the i.i.d.
+#: tables, a mixed pattern, a pattern with a permanent (``!``) term, and
+#: a pattern under a rate schedule (``{t}`` is filled with the horizon).
+REPLAY_TRANSIENTS = {
+    "iid": (None, None),
+    "mixed": ("0.6*1BIT+0.3*MBU:3+0.1*ROW", None),
+    "permanent": ("0.7*1BIT+0.3*MBU:2!", None),
+    "scheduled": ("0.8*1BIT+0.2*COL:3", "{quiet}h@1.0,{flare}h@4.0"),
+}
+
+
+def gen_mc_replay_case(rng: np.random.Generator) -> Dict[str, Any]:
+    """One chunk for the batch-replay vs scalar-replay comparison.
+
+    Rates give each module a few transient and permanent events per
+    trial, so words fail, scrubs find work, and cells get stuck twice.
+    ``snap`` moves every other event of a scrubbed trial onto the
+    instant of the next scrub, where the order of a fault and a scrub
+    that share an instant decides the outcome.
+    """
+    n, k, m = REPLAY_CODES[int(rng.integers(len(REPLAY_CODES)))]
+    t_end = float(rng.choice([12.0, 24.0, 48.0]))
+    scrub = str(rng.choice(["none", "periodic", "exponential"]))
+    transients = str(rng.choice(sorted(REPLAY_TRANSIENTS)))
+    pattern, schedule = REPLAY_TRANSIENTS[transients]
+    if schedule is not None:
+        schedule = schedule.format(quiet=0.75 * t_end, flare=0.25 * t_end)
+    seu_events = float(rng.choice([0.5, 1.5, 3.0]))
+    perm_events = float(rng.choice([0.0, 0.5, 1.5, 3.0]))
+    return {
+        "kind": "mc-replay",
+        "arrangement": "simplex" if rng.random() < 0.5 else "duplex",
+        "n": n,
+        "k": k,
+        "m": m,
+        "t_end_hours": t_end,
+        "seu_per_bit": seu_events / (n * m * t_end),
+        "erasure_per_symbol": perm_events / (n * t_end),
+        "scrub_period": None
+        if scrub == "none"
+        else t_end / float(rng.choice([2, 4, 8])),
+        "scrub_exponential": scrub == "exponential",
+        "pattern": pattern,
+        "schedule": schedule,
+        "snap": scrub != "none" and bool(rng.random() < 0.5),
+        "trials": int(rng.integers(20, 61)),
+        "seed": int(rng.integers(0, 2**31 - 1)),
+    }

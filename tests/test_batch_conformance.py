@@ -198,6 +198,50 @@ class TestBatchConformance:
         with pytest.raises(RSDecodingError):
             report.result(0)
 
+    # -- erasure input forms ------------------------------------------------
+
+    def test_erasure_mask_matches_position_lists(self, codec):
+        """A ``(B, n)`` boolean mask and per-word position lists give
+        identical reports, for duplicate and unsorted lists, empty rows
+        and over-erased rows alike."""
+        n, m = codec.n, codec.m
+        rng = np.random.default_rng(10)
+        data = rng.integers(0, 1 << m, size=(15, codec.k), dtype=np.int64)
+        rec = codec.encode_batch(data)
+        sizes = (0, 1, codec.nsym // 2, codec.nsym, codec.nsym + 1)
+        lists = []
+        for i, row in enumerate(rec):
+            positions = rng.choice(n, size=sizes[i % len(sizes)], replace=False)
+            for pos in positions:
+                row[pos] ^= int(rng.integers(1, 1 << m))
+            listed = sorted((int(p) for p in positions), reverse=True)
+            lists.append(listed + listed[:1])  # unsorted, one duplicate
+        mask = np.zeros((len(rec), n), dtype=bool)
+        for i, listed in enumerate(lists):
+            mask[i, listed] = True
+        by_list = codec.decode_batch(rec, lists)
+        by_mask = codec.decode_batch(rec, mask)
+        for name in (
+            "ok", "clean", "codewords", "corrected", "num_errors", "num_erasures"
+        ):
+            assert np.array_equal(getattr(by_list, name), getattr(by_mask, name)), name
+        for ours, reference in zip(by_mask.results, by_list.results):
+            assert _outcomes_equal(ours, reference)
+        over_erased = np.arange(len(rec)) % len(sizes) == len(sizes) - 1
+        assert not by_mask.ok[over_erased].any()
+        assert by_mask.ok[~over_erased].all()
+
+    def test_erasure_input_rejected_when_malformed(self, codec):
+        rec = codec.encode_batch([[1] * codec.k] * 2)
+        with pytest.raises(ValueError, match="out of range"):
+            codec.decode_batch(rec, [[0], [codec.n]])
+        with pytest.raises(ValueError, match="out of range"):
+            codec.decode_batch(rec, [[-1], []])
+        with pytest.raises(ValueError, match="entries"):
+            codec.decode_batch(rec, [[0]])
+        with pytest.raises(ValueError, match="shape"):
+            codec.decode_batch(rec, np.zeros((2, codec.n - 1), dtype=bool))
+
     # -- golden vectors -----------------------------------------------------
 
     def test_golden_vectors(self):

@@ -30,6 +30,7 @@ EXPECTED_TARGETS = {
     "memory-mc-ber",
     "journal-roundtrip",
     "mc-streaming-vs-final",
+    "mc-replay-scalar",
     "scenario-analytic-parity",
 }
 
@@ -46,6 +47,7 @@ TRIALS = {
     "memory-mc-ber": 3,
     "journal-roundtrip": 3,
     "mc-streaming-vs-final": 3,
+    "mc-replay-scalar": 12,
     "scenario-analytic-parity": 3,
 }
 
@@ -208,3 +210,59 @@ def test_shrink_candidates_stay_checkable(name):
         if i >= 10:
             break
         target.check(candidate)  # must not raise
+
+
+def test_mc_replay_flags_fault_after_same_instant_scrub(monkeypatch):
+    """An engine that puts a fault after the scrub sharing its instant is
+    caught on a case whose events were snapped onto scrub instants."""
+    import numpy as np
+
+    from repro.simulator import montecarlo
+
+    scrub_epochs = montecarlo._scrub_epochs
+
+    def late(trial, time, scrub_times):
+        return scrub_epochs(trial, np.nextafter(time, np.inf), scrub_times)
+
+    target = get_target("mc-replay-scalar")
+    cases = [target.generate(case_rng(1234, t)) for t in range(40)]
+    snapped = [case for case in cases if case["snap"]]
+    assert snapped and all(target.check(case) is None for case in snapped)
+    monkeypatch.setattr(montecarlo, "_scrub_epochs", late)
+    assert any(isinstance(target.check(case), Mismatch) for case in snapped)
+
+
+def test_mc_replay_corpus_case_reaches_n_minus_k_located():
+    """The committed boundary case still holds what its note says: trials
+    3 and 6 end with exactly n - k located symbols and two event-free
+    scrubs after their last fault."""
+    from pathlib import Path
+
+    import numpy as np
+
+    from repro.rs import BatchRSCodec
+    from repro.simulator.montecarlo import replay_batch
+    from repro.verify import load_artifact
+    from repro.verify.diff import _replay_draw
+
+    path = (
+        Path(__file__).parent
+        / "corpus"
+        / "mc-replay-scalar-n-k-located-idle-scrubs.json"
+    )
+    case = load_artifact(path)["case"]
+    draw = _replay_draw(case)
+    codec = BatchRSCodec(case["n"], case["k"], m=case["m"])
+    _words, erasures, _outcome = replay_batch(
+        codec,
+        case["arrangement"],
+        draw.data,
+        draw.events,
+        draw.scrub_counts,
+        draw.scrub_times,
+    )
+    for trial in (3, 6):
+        last = draw.events.time[draw.events.trial == trial].max()
+        scrubs = draw.scrub_times[trial, : draw.scrub_counts[trial]]
+        assert int(erasures[trial, 0].sum()) == case["n"] - case["k"]
+        assert int(np.count_nonzero(scrubs > last)) == 2
