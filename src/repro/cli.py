@@ -23,15 +23,12 @@ Subcommands:
   manifests (``--manifest``), deterministic fault injection
   (``--chaos``, dev), a JSONL span/event/metric trace (``--trace``),
   and live per-chunk heartbeats with ETA (``--progress``).
-* ``serve --state-dir DIR`` — the campaign service: an HTTP/JSON API
-  to submit campaign specs as jobs, poll/stream their progress, and
-  fetch results, backed by a durable job queue (jobs survive restarts)
-  and a content-addressed result cache keyed by campaign fingerprint.
 * ``doctor PATH [--repair]`` — audit a checkpoint journal or a whole
   state directory (frame CRCs, hash chain, quarantine sidecars, locks,
-  manifests) and print a machine-readable JSON report; with
-  ``--repair`` truncate torn tails, quarantine corrupt records, and
-  rewrite a clean v2 journal (upgrading legacy v1 files).
+  manifests, fleet boards) and print a machine-readable JSON report;
+  with ``--repair`` truncate torn tails, quarantine corrupt records,
+  and rewrite a clean v3 journal.  A file in an older journal format
+  (or no journal at all) is reported ``unsupported`` and left as it is.
 
 Exit codes shared with the runtime: 130 on SIGINT (journal resumable),
 75 when another campaign holds the journal lock, 74 when journal writes
@@ -380,43 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--repair",
         action="store_true",
         help="truncate torn tails, quarantine corrupt records, and "
-        "rewrite a clean checksummed v2 journal (upgrades legacy v1 "
-        "files); the rewrite is atomic",
-    )
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the campaign service HTTP API (submit/poll/stream/"
-        "result jobs backed by a durable queue and result cache)",
-    )
-    serve.add_argument(
-        "--state-dir",
-        required=True,
-        help="service state directory (job queue journal, chunk "
-        "journals, content-addressed result cache)",
-    )
-    serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address (default: loopback only)",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8765,
-        help="TCP port; 0 picks an ephemeral port (default: 8765)",
-    )
-    serve.add_argument(
-        "--max-jobs",
-        type=int,
-        default=2,
-        help="worker threads / concurrent campaigns (default: 2)",
-    )
-    serve.add_argument(
-        "--tenant-cap",
-        type=int,
-        default=1,
-        help="max concurrent jobs per tenant (default: 1)",
+        "rewrite a clean checksummed v3 journal; the rewrite is atomic "
+        "and a file in any other format is left untouched",
     )
 
     worker = sub.add_parser(
@@ -714,6 +676,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.trials is not None and args.trials <= 0:
         print("--trials must be positive", file=sys.stderr)
         return 2
+    if args.chunk_size <= 0:
+        print("--chunk-size must be positive", file=sys.stderr)
+        return 2
+    if args.workers < 1:
+        print("--workers must be >= 1", file=sys.stderr)
+        return 2
 
     batch = args.engine != "reference"
     if args.checkpoint and not batch:
@@ -835,13 +803,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             "the affected chunks will be recomputed",
             file=sys.stderr,
         )
-    if journal is not None and journal.readonly:
-        print(
-            f"note: {args.checkpoint} is a legacy v1 journal — resuming "
-            "read-only (new chunks are not persisted; run "
-            f"'repro doctor {args.checkpoint} --repair' to upgrade)",
-            file=sys.stderr,
-        )
 
     collector = obs_trace.TraceCollector() if args.trace else None
     if collector is not None:
@@ -921,7 +882,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return LOCK_CONTENTION_EXIT_CODE
     except ChunkFailedError as exc:
         hint = ""
-        if journal is not None and not (journal.readonly or journal.degraded):
+        if journal is not None and not journal.degraded:
             hint = "; completed chunks are journaled; rerun to resume"
         print(f"campaign failed: {exc}{hint}", file=sys.stderr)
         return CHUNK_FAILED_EXIT_CODE
@@ -1043,11 +1004,9 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 
         repairs = []
         for journal in report["journals"]:
-            needs = (
-                journal["classification"] in ("corrupt", "torn-tail")
-                or journal["version"] == 1
-            )
-            if needs:
+            # repair_journal logs an unsupported file as skipped.
+            repairable = ("corrupt", "torn-tail", "unsupported")
+            if journal["classification"] in repairable:
                 repairs.append(repair_journal(journal["path"]))
         for board in report.get("boards", []):
             if not board["healthy"]:
@@ -1176,72 +1135,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    from .runtime.integrity import (
-        LOCK_CONTENTION_EXIT_CODE,
-        JournalLockedError,
-    )
-    from .service import CampaignScheduler, ServiceServer
-    from .service.queue import QueueError
-
-    if not (0 <= args.port <= 65535):
-        print(f"--port must be in [0, 65535], got {args.port}", file=sys.stderr)
-        return 2
-    if args.max_jobs < 1:
-        print(f"--max-jobs must be >= 1, got {args.max_jobs}", file=sys.stderr)
-        return 2
-    if args.tenant_cap < 1:
-        print(
-            f"--tenant-cap must be >= 1, got {args.tenant_cap}",
-            file=sys.stderr,
-        )
-        return 2
-
-    try:
-        scheduler = CampaignScheduler(
-            args.state_dir,
-            max_jobs=args.max_jobs,
-            tenant_cap=args.tenant_cap,
-        )
-    except JournalLockedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return LOCK_CONTENTION_EXIT_CODE
-    except QueueError as exc:
-        print(
-            f"error: {exc}\nhint: repro doctor {args.state_dir}",
-            file=sys.stderr,
-        )
-        return 2
-    scheduler.start()
-
-    async def run() -> int:
-        server = ServiceServer(scheduler, host=args.host, port=args.port)
-        await server.start()
-        print(
-            f"repro service on http://{args.host}:{server.port} "
-            f"(state: {args.state_dir}, workers: {args.max_jobs})",
-            flush=True,
-        )
-        loop = asyncio.get_running_loop()
-        stopping = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(signum, stopping.set)
-        await stopping.wait()
-        await server.close()
-        return 130
-
-    try:
-        code = asyncio.run(run())
-    finally:
-        scheduler.stop()
-    # Queued/running jobs revert to queued on the next start; 130
-    # mirrors the campaign SIGINT contract (state resumable).
-    return code
-
-
 _COMMANDS = {
     "figure": cmd_figure,
     "report": cmd_report,
@@ -1255,7 +1148,6 @@ _COMMANDS = {
     "doctor": cmd_doctor,
     "worker": cmd_worker,
     "scrub-design": cmd_scrub_design,
-    "serve": cmd_serve,
 }
 
 

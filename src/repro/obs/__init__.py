@@ -34,7 +34,6 @@ from .metrics import (
     MetricsRegistry,
     get_registry,
     log_spaced_buckets,
-    render_prometheus,
     set_registry,
 )
 from .progress import ProgressEvent, ProgressTracker, format_progress
@@ -66,7 +65,6 @@ __all__ = [
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "log_spaced_buckets",
-    "render_prometheus",
     "get_registry",
     "set_registry",
     "ProgressEvent",

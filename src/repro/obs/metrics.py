@@ -2,8 +2,7 @@
 
 This registry absorbs the quantitative run telemetry that previously
 lived only in the ad-hoc :class:`repro.perf.PerfCounters` fields and
-adds the two shapes a serving stack needs that plain additive counters
-cannot express: *gauges* (last-value, e.g. true wall clock) and
+adds the two shapes that plain additive counters cannot express: *gauges* (last-value, e.g. true wall clock) and
 *histograms* (distributions, e.g. per-chunk latency).  The registry is
 in-process and thread-safe; snapshots are plain dicts suitable for run
 manifests and the JSONL trace export.
@@ -192,70 +191,6 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._metrics.clear()
-
-
-def _prometheus_name(name: str) -> str:
-    """Map a dotted metric name to a Prometheus-legal one.
-
-    ``repro.service.cache_hits`` -> ``repro_service_cache_hits``; any
-    other character outside ``[a-zA-Z0-9_:]`` also becomes ``_``.
-    """
-    out = []
-    for ch in name:
-        if ch.isalnum() or ch in "_:":
-            out.append(ch)
-        else:
-            out.append("_")
-    if out and out[0].isdigit():
-        out.insert(0, "_")
-    return "".join(out)
-
-
-def _prometheus_number(value: Optional[float]) -> str:
-    if value is None:
-        return "NaN"
-    if value == math.inf:
-        return "+Inf"
-    if value == -math.inf:
-        return "-Inf"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
-def render_prometheus(registry: "MetricsRegistry") -> str:
-    """Render a registry in the Prometheus text exposition format (0.0.4).
-
-    Counters and gauges become single samples; histograms become the
-    conventional cumulative ``_bucket{le=...}`` series plus ``_sum`` and
-    ``_count``.  Names are sorted, so the scrape is deterministic.
-    """
-    lines: List[str] = []
-    for name, snap in registry.snapshot().items():
-        pname = _prometheus_name(name)
-        kind = snap["type"]
-        if kind == "counter":
-            lines.append(f"# TYPE {pname} counter")
-            lines.append(f"{pname} {_prometheus_number(snap['value'])}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {pname} gauge")
-            lines.append(f"{pname} {_prometheus_number(snap['value'])}")
-        elif kind == "histogram":
-            lines.append(f"# TYPE {pname} histogram")
-            cumulative = 0
-            for bound, count in zip(
-                snap["bounds"], snap["bucket_counts"]
-            ):
-                cumulative += count
-                lines.append(
-                    f'{pname}_bucket{{le="{_prometheus_number(bound)}"}} '
-                    f"{cumulative}"
-                )
-            cumulative += snap["bucket_counts"][-1]
-            lines.append(f'{pname}_bucket{{le="+Inf"}} {cumulative}')
-            lines.append(f"{pname}_sum {_prometheus_number(snap['sum'])}")
-            lines.append(f"{pname}_count {snap['count']}")
-    return "\n".join(lines) + "\n" if lines else ""
 
 
 #: Process-wide default registry (solver/runtime instrumentation target).

@@ -3,8 +3,8 @@
 The batch codec and the chunked Monte-Carlo engine are performance
 features, so they carry their own meters: :class:`PerfCounters` counts
 the work actually done (words encoded/decoded, how many words took the
-vectorized clean fast path vs. the scalar errors-and-erasures fallback,
-trials completed) and :class:`Stopwatch` accumulates time so throughput
+vectorized clean fast path vs. the errors-and-erasures decoder, trials
+completed) and :class:`Stopwatch` accumulates time so throughput
 (trials/sec, words/sec) can be reported by benchmarks and the CLI
 without any external profiler.
 
@@ -56,9 +56,9 @@ class PerfCounters:
         per duplex read); the three counters below split the same words.
     clean_fast_path: decoded words that took the all-zero-syndrome
         vectorized early-out.
-    scalar_fallbacks: dirty words decoded — words with a nonzero
-        syndrome or more erasures than ``n - k``, which go through the
-        vectorized errors-and-erasures decoder (the name predates it).
+    dirty_words_decoded: words with a nonzero syndrome or more
+        erasures than ``n - k``, which go through the vectorized
+        errors-and-erasures decoder.
     decode_failures: decoded words reported uncorrectable.
     trials: Monte-Carlo trials completed.
     chunks: Monte-Carlo chunks processed.
@@ -78,10 +78,6 @@ class PerfCounters:
     chunk_timeouts: chunks that exceeded the per-chunk deadline.
     worker_crashes: worker-process deaths detected via a broken pool.
     pool_restarts: times the worker pool was torn down and rebuilt.
-    engine_fallbacks: always 0 (a chunk that fails every attempt
-        raises ``ChunkFailedError``).  Kept because every journaled
-        chunk record carries it, so dropping it would change journal
-        bytes.
     serial_fallbacks: times pooled execution degraded to serial.
     chunks_resumed: chunks replayed from a checkpoint journal.
     io_errors: journal appends lost to write failures (ENOSPC, I/O
@@ -97,7 +93,7 @@ class PerfCounters:
     words_encoded: int = 0
     words_decoded: int = 0
     clean_fast_path: int = 0
-    scalar_fallbacks: int = 0
+    dirty_words_decoded: int = 0
     decode_failures: int = 0
     trials: int = 0
     chunks: int = 0
@@ -109,7 +105,6 @@ class PerfCounters:
     chunk_timeouts: int = 0
     worker_crashes: int = 0
     pool_restarts: int = 0
-    engine_fallbacks: int = 0
     serial_fallbacks: int = 0
     chunks_resumed: int = 0
     io_errors: int = 0
@@ -143,8 +138,7 @@ class PerfCounters:
 
     @classmethod
     def from_dict(cls, d: Dict[str, float]) -> "PerfCounters":
-        # Tolerate dicts from older journal/checkpoint records that
-        # predate newer counter fields (they default to zero).
+        # Unknown keys are dropped; missing fields default to zero.
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in d.items() if k in known})
 
@@ -162,11 +156,11 @@ class PerfCounters:
     # -- derived metrics ---------------------------------------------------
 
     @property
-    def fallback_rate(self) -> float:
-        """Fraction of decoded words that were dirty (``scalar_fallbacks``)."""
+    def dirty_rate(self) -> float:
+        """Fraction of decoded words that were dirty."""
         if self.words_decoded <= 0:
             return 0.0
-        return self.scalar_fallbacks / self.words_decoded
+        return self.dirty_words_decoded / self.words_decoded
 
     @property
     def trials_per_second(self) -> float:
@@ -197,8 +191,8 @@ class PerfCounters:
             f"words encoded      : {self.words_encoded}",
             f"words decoded      : {self.words_decoded}",
             f"clean fast path    : {self.clean_fast_path}",
-            f"dirty words decoded: {self.scalar_fallbacks} "
-            f"({100.0 * self.fallback_rate:.1f}%)",
+            f"dirty words decoded: {self.dirty_words_decoded} "
+            f"({100.0 * self.dirty_rate:.1f}%)",
             f"decode failures    : {self.decode_failures}",
             f"elapsed (wall)     : {self.elapsed_seconds:.3f} s",
             f"cpu (all workers)  : {self.cpu_seconds:.3f} s",

@@ -480,7 +480,7 @@ class BatchRSCodec:
         if counters is not None:
             counters.words_decoded += B
             counters.clean_fast_path += int(clean.sum())
-            counters.scalar_fallbacks += B - int(clean.sum())
+            counters.dirty_words_decoded += B - int(clean.sum())
             counters.decode_failures += report.num_failures
         return report
 

@@ -28,9 +28,9 @@ Public surface:
   ``simulate_fail_probability_batched`` and ``run_campaign``.
 * :func:`build_manifest` / :func:`write_manifest` — machine-readable
   provenance records for campaign runs.
-* :mod:`repro.runtime.integrity` — framed (CRC + hash chain) v2
-  journals, damage quarantine, advisory locking, and the audit/repair
-  engine behind ``repro doctor``.
+* :mod:`repro.runtime.integrity` — framed (CRC + hash chain) v3
+  journals, refusal of every other format, damage quarantine, advisory
+  locking, and the audit/repair engine behind ``repro doctor``.
 """
 
 from __future__ import annotations

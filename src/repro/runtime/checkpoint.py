@@ -14,17 +14,18 @@ line-oriented file with one record per line:
   ``(cell, chunk_index, seed_entropy/spawn_key)`` and carrying the
   chunk's result payload (failures, outcome counts, perf counters).
 
-Since journal format v2 every line is *framed*
-(:mod:`repro.runtime.integrity`): a CRC-32C over the JSON payload plus
-a SHA-256 chain field linking each line to its predecessor.  On load,
-damage is classified — a torn trailing line (the append an interrupt
-cut short) is truncated and tolerated, while mid-file corruption is
-moved to a ``.quarantine`` sidecar and the affected chunks are simply
-recomputed on resume.  Because chunk seeds come from
-``SeedSequence.spawn`` and aggregation is a commutative sum, a resume
-that replays the surviving chunks and recomputes the quarantined ones
-is still bit-identical to an uninterrupted run.  Legacy v1 journals
-(bare JSON lines) are accepted read-only.
+Every line is *framed* (:mod:`repro.runtime.integrity`, format v3): a
+CRC-32C over the JSON payload plus a SHA-256 chain field linking each
+line to its predecessor.  On load, damage is classified — a torn
+trailing line (the append an interrupt cut short) is truncated and
+tolerated, while mid-file corruption is moved to a ``.quarantine``
+sidecar and the affected chunks are simply recomputed on resume.
+Because chunk seeds come from ``SeedSequence.spawn`` and aggregation is
+a commutative sum, a resume that replays the surviving chunks and
+recomputes the quarantined ones is still bit-identical to an
+uninterrupted run.  A file in any other format (an older journal, or
+no journal at all) raises :class:`CheckpointError` and is left
+byte-identical: it is never read, rewritten or quarantined.
 
 Records are appended with ``flush`` + ``fsync`` the moment a chunk
 completes, and the journal's *parent directory* is fsynced when the
@@ -45,10 +46,11 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from .integrity import (
     CHAIN_SEED,
+    JOURNAL_VERSION,
     JournalLock,
     LineDamage,
     frame_record,
@@ -57,8 +59,6 @@ from .integrity import (
     scan_journal,
     write_quarantine,
 )
-
-JOURNAL_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -125,10 +125,6 @@ class CheckpointJournal:
         self._chain = CHAIN_SEED
         self._lock = JournalLock(self.path)
         self._append_index = 0  # chunk appends so far (chaos targeting)
-        #: Journal format version of the on-disk file (2 for fresh files).
-        self.version: int = JOURNAL_VERSION
-        #: Legacy v1 journals are replayed but never appended to.
-        self.readonly = False
         #: Mid-file-corrupt records moved to the ``.quarantine`` sidecar.
         self.records_quarantined = 0
         #: Failed appends (ENOSPC / I/O errors) absorbed by degradation.
@@ -143,13 +139,21 @@ class CheckpointJournal:
     # -- loading -----------------------------------------------------------
 
     def _load(self) -> None:
+        if self.path.is_dir():
+            raise CheckpointError(
+                f"{self.path} is a directory, not a journal: pass a file "
+                "path as --checkpoint and rerun"
+            )
         scan = scan_journal(self.path)
         if not scan.exists:
             return
-        if scan.version == 1:
-            self._load_legacy(scan)
-            return
-        self.version = JOURNAL_VERSION
+        if scan.unsupported is not None:
+            raise CheckpointError(
+                f"{self.path} is {scan.unsupported}; this version reads "
+                f"only v{JOURNAL_VERSION} journals and left the file "
+                "untouched: delete it, or pass a fresh --checkpoint path, "
+                "and rerun"
+            )
         self._torn_lines = len(scan.torn_tail)
         quarantine: list[LineDamage] = list(scan.mid_file)
         records = [record for _line_no, record in scan.records]
@@ -184,20 +188,6 @@ class CheckpointJournal:
             _line, chain = frame_record(payload, chain)
         self._chain = chain
 
-    def _load_legacy(self, scan) -> None:
-        """Legacy v1 journal: replayable, but strictly read-only."""
-        self.version = 1
-        self.readonly = True
-        self._torn_lines = len(scan.torn_tail)
-        if scan.mid_file:
-            raise CheckpointError(
-                f"corrupt journal {self.path}: bad record at line "
-                f"{scan.mid_file[0].line_no} (legacy v1 format; run "
-                f"'repro doctor {self.path} --repair' to quarantine the "
-                "damage and upgrade to the checksummed v2 format)"
-            )
-        self._ingest([record for _line_no, record in scan.records])
-
     def _ingest(self, records) -> None:
         for record in records:
             kind = record.get("kind")
@@ -230,11 +220,6 @@ class CheckpointJournal:
         return self._fh
 
     def _append(self, record: Dict[str, Any]) -> None:
-        if self.readonly:
-            raise CheckpointError(
-                f"journal {self.path} is a legacy v1 file and read-only; "
-                f"run 'repro doctor {self.path} --repair' to upgrade it"
-            )
         chaos = self.chaos
         is_chunk = record.get("kind") == "chunk"
         index = self._append_index
@@ -293,11 +278,7 @@ class CheckpointJournal:
 
     # -- protocol ----------------------------------------------------------
 
-    def ensure_header(
-        self,
-        fingerprint: Dict[str, Any],
-        upgrade=None,
-    ) -> bool:
+    def ensure_header(self, fingerprint: Dict[str, Any]) -> bool:
         """Bind the journal to a campaign fingerprint.
 
         Writes the header on a fresh journal; on an existing one,
@@ -307,15 +288,8 @@ class CheckpointJournal:
         journal's advisory lock happens here (or at the first append),
         so a second concurrent campaign fails fast with
         :class:`~repro.runtime.integrity.JournalLockedError`.
-
-        ``upgrade`` (optional) lifts a *stored* legacy fingerprint to
-        the caller's current schema before comparison (see
-        :func:`repro.simulator.campaign.upgrade_fingerprint`), so old
-        journals stay resumable without weakening the strict equality
-        check for same-schema fingerprints.
         """
-        if not self.readonly:
-            self._lock.acquire()
+        self._lock.acquire()
         if self._header is None:
             header = {
                 "kind": "header",
@@ -323,12 +297,9 @@ class CheckpointJournal:
                 "fingerprint": fingerprint,
             }
             self._header = header
-            if not self.readonly:
-                self._append(header)
+            self._append(header)
             return False
         stored = self._header.get("fingerprint")
-        if upgrade is not None and isinstance(stored, dict):
-            stored = upgrade(stored)
         if stored != fingerprint:
             diff = sorted(
                 k
@@ -359,30 +330,6 @@ class CheckpointJournal:
             return None
         return record.get("result")
 
-    def chunk_kernel_seconds(self) -> List[Dict[str, Any]]:
-        """Per-chunk decode-kernel telemetry, sorted by ``(cell, chunk)``.
-
-        Each entry is ``{"cell", "chunk", "kernel_seconds"}`` pulled from
-        the journaled chunk's merged perf counters — the service layer's
-        per-chunk engine-telemetry source (``GET /v1/jobs/{id}``).
-        """
-        out: List[Dict[str, Any]] = []
-        for (cell, chunk), record in sorted(self._chunks.items()):
-            result = record.get("result")
-            counters = (
-                result.get("counters") if isinstance(result, dict) else None
-            )
-            try:
-                kernel_s = float(
-                    (counters or {}).get("kernel_seconds", 0.0)
-                )
-            except (TypeError, ValueError):
-                kernel_s = 0.0
-            out.append(
-                {"cell": cell, "chunk": chunk, "kernel_seconds": kernel_s}
-            )
-        return out
-
     def record_chunk(
         self,
         cell: str,
@@ -404,9 +351,6 @@ class CheckpointJournal:
             "result": result,
         }
         self._chunks[(str(cell), int(chunk_index))] = record
-        if self.readonly:
-            self.appends_lost += 1
-            return
         if self.degraded:
             self.appends_lost += 1
             return

@@ -94,11 +94,6 @@ _TASK_RE = re.compile(r"^(\d{8})\.e(\d{4})\.task$")
 _DONE_RE = re.compile(r"^(\d{8})\.e(\d{4})\.done$")
 #: Lease names are ``<task-name>.<worker-id>``.
 _LEASE_RE = re.compile(r"^(\d{8})\.e(\d{4})\.task\.(.+)$")
-# Legacy names from boards of the retired single-host lease executor (no
-# epoch, pid-suffixed leases); such boards may still sit at <journal>.board.
-_LEGACY_TASK_RE = re.compile(r"^(\d{8})\.task$")
-_LEGACY_DONE_RE = re.compile(r"^(\d{8})\.done$")
-_LEGACY_LEASE_RE = re.compile(r"^(\d{8})\.task\.(\d+)$")
 _HB_SUFFIX = ".hb"
 _BENCH_SUFFIX = ".bench"
 
@@ -111,16 +106,6 @@ def _task_name(token: int, epoch: int) -> str:
 
 def _done_name(token: int, epoch: int) -> str:
     return f"{token:08d}.e{epoch:04d}.done"
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):  # pragma: no cover - foreign owner
-        return True
-    return True
 
 
 def _sanitize_worker_id(raw: str) -> str:
@@ -146,13 +131,10 @@ def _ensure_board(board: Path) -> None:
 
 
 def _looks_like_board(path: Path) -> bool:
-    """A directory with the lease-board layout (doctor dispatch).
-
-    ``workers/`` is optional so legacy single-host lease boards
-    (todo/leases/done only) are recognized too.
-    """
+    """A directory with the fleet-board layout (doctor dispatch)."""
     return path.is_dir() and all(
-        (path / sub).is_dir() for sub in ("todo", "leases", "done")
+        (path / sub).is_dir()
+        for sub in ("todo", "leases", "done", _WORKERS_DIRNAME)
     )
 
 
@@ -904,7 +886,7 @@ class FleetExecutor(Executor):
 def audit_board(
     path: Union[str, Path], *, ttl: float = DEFAULT_WORKER_TTL
 ) -> Dict[str, Any]:
-    """Audit one fleet/lease board directory (machine-readable).
+    """Audit one fleet board directory (machine-readable).
 
     Reports, without mutating anything: registered workers and their
     heartbeat ages, orphaned leases (holder's heartbeat stale or
@@ -952,10 +934,10 @@ def audit_board(
                 )
     max_epoch: Dict[int, int] = {}
     entries: List[tuple] = []  # (subdir, name, token, epoch)
-    for sub, regex, legacy_regex in (
-        ("todo", _TASK_RE, _LEGACY_TASK_RE),
-        ("leases", _LEASE_RE, _LEGACY_LEASE_RE),
-        ("done", _DONE_RE, _LEGACY_DONE_RE),
+    for sub, regex in (
+        ("todo", _TASK_RE),
+        ("leases", _LEASE_RE),
+        ("done", _DONE_RE),
     ):
         sub_dir = board / sub
         names = sorted(os.listdir(sub_dir)) if sub_dir.is_dir() else []
@@ -965,24 +947,12 @@ def audit_board(
                 report["torn_tmp"].append(f"{sub}/{name}")
                 continue
             match = regex.match(name)
-            if match is not None:
-                count += 1
-                token, epoch = int(match.group(1)), int(match.group(2))
-                entries.append((sub, name, token, epoch))
-                max_epoch[token] = max(max_epoch.get(token, 0), epoch)
-                continue
-            legacy = legacy_regex.match(name)
-            if legacy is None:
+            if match is None:
                 continue
             count += 1
-            if sub == "leases":
-                # Legacy pid-suffixed lease: single-host by construction,
-                # so local pid liveness is the right (and only) signal.
-                pid = int(legacy.group(2))
-                if not _pid_alive(pid):
-                    report["orphaned_leases"].append(
-                        {"entry": f"leases/{name}", "worker": f"pid:{pid}"}
-                    )
+            token, epoch = int(match.group(1)), int(match.group(2))
+            entries.append((sub, name, token, epoch))
+            max_epoch[token] = max(max_epoch.get(token, 0), epoch)
         report["counts"][sub] = count
     for sub, name, token, epoch in entries:
         if epoch < max_epoch[token]:
@@ -1004,7 +974,7 @@ def audit_board(
         report["orphaned_leases"]
         or report["torn_tmp"]
         or report["epoch_mismatches"]
-        or (report["stop_flag"] and not locked)
+        or (report["stop_flag"] and not report["coordinator_attached"])
     )
     return report
 
@@ -1034,14 +1004,8 @@ def repair_board(
     for item in audit["orphaned_leases"]:
         sub, name = item["entry"].split("/", 1)
         match = _LEASE_RE.match(name)
-        if match is not None:
-            token, epoch = int(match.group(1)), int(match.group(2))
-            target = board / "todo" / _task_name(token, epoch + 1)
-        else:
-            legacy = _LEGACY_LEASE_RE.match(name)
-            if legacy is None:  # pragma: no cover - audit only emits matches
-                continue
-            target = board / "todo" / f"{int(legacy.group(1)):08d}.task"
+        token, epoch = int(match.group(1)), int(match.group(2))
+        target = board / "todo" / _task_name(token, epoch + 1)
         try:
             os.replace(board / sub / name, target)
             actions.append(f"re-enqueued {item['entry']} as todo/{target.name}")

@@ -6,12 +6,16 @@ flipped byte or a torn ``rename`` either crashed resume or — worse —
 silently resumed from a damaged chunk record.  This module gives every
 journal line the same defenses the paper demands of memories:
 
-* **Framed v2 records** — each line is ``2|<crc32c>|<chain>|<payload>``
+* **Framed v3 records** — each line is ``3|<crc32c>|<chain>|<payload>``
   where the CRC-32C covers the JSON payload (bitrot detection within a
   line) and the chain field is a truncated SHA-256 over the previous
   chain value plus the payload (splice / whole-line-loss detection
-  across lines).  Legacy v1 journals (bare JSON lines) are still read,
-  in read-only mode.
+  across lines).  :data:`JOURNAL_VERSION` sets the marker, the header's
+  ``version`` and the chain seed.
+* **Refusal of other formats** — a file that is not a v3 journal (v1
+  bare JSON, v2 frames, or no journal at all) is classified
+  *unsupported*: it is never read, quarantined or rewritten, and the
+  caller tells the user to delete it or pick a fresh path.
 * **Damage classification** — :func:`scan_journal` parses a journal
   defensively and labels every bad line *torn tail* (trailing garbage
   from an interrupted final append — tolerated, truncated on repair) or
@@ -26,8 +30,7 @@ journal line the same defenses the paper demands of memories:
   ``repro doctor`` subcommand: audit a journal or a whole state
   directory (journals, manifests, quarantine sidecars, locks) into a
   machine-readable report, and with ``--repair`` truncate torn tails,
-  quarantine bad records, and rewrite a clean v2 journal (upgrading v1
-  files in the process).
+  quarantine bad records, and rewrite a clean v3 journal.
 
 Every mutation here goes through :func:`repro.ioutil.atomic_write`, so
 a crash during *repair* is itself recoverable.
@@ -39,6 +42,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -53,14 +57,22 @@ LOCK_CONTENTION_EXIT_CODE = 75
 #: (EX_IOERR).
 STATE_LOST_EXIT_CODE = 74
 
-#: Frame marker of a v2 journal line.
-FRAME_VERSION = "2"
+#: Journal format version: the frame marker of every line, the header's
+#: ``version`` and the chain seed all derive from it.  Files of any
+#: other format are refused untouched.
+JOURNAL_VERSION = 3
+
+#: Frame marker of a journal line.
+FRAME_VERSION = str(JOURNAL_VERSION)
+_MARKER = FRAME_VERSION + "|"
 
 #: Hex digits of the truncated SHA-256 chain field (8 bytes).
 CHAIN_HEX_DIGITS = 16
 
 #: Chain value before the first record of a journal.
-CHAIN_SEED = hashlib.sha256(b"repro.journal.v2").digest()[: CHAIN_HEX_DIGITS // 2]
+CHAIN_SEED = hashlib.sha256(
+    f"repro.journal.v{JOURNAL_VERSION}".encode("ascii")
+).digest()[: CHAIN_HEX_DIGITS // 2]
 
 #: Quarantine sidecar schema version.
 QUARANTINE_SCHEMA = 1
@@ -71,7 +83,7 @@ class IntegrityError(RuntimeError):
 
 
 class FrameError(IntegrityError):
-    """A line could not be parsed / verified as a framed v2 record."""
+    """A line could not be parsed / verified as a framed record."""
 
 
 class JournalLockedError(IntegrityError):
@@ -89,7 +101,7 @@ def chain_hash(prev_chain: bytes, payload: bytes) -> bytes:
 
 
 def frame_record(payload: bytes, prev_chain: bytes) -> Tuple[str, bytes]:
-    """Frame one JSON payload as a v2 journal line.
+    """Frame one JSON payload as a journal line.
 
     Returns ``(line_without_newline, new_chain)``.  The CRC covers the
     payload only, so a flipped byte in the CRC or chain field damages at
@@ -112,7 +124,7 @@ def parse_frame(line: str) -> Tuple[int, str, bytes]:
     """
     parts = line.split("|", 3)
     if len(parts) != 4 or parts[0] != FRAME_VERSION:
-        raise FrameError("not a framed v2 line")
+        raise FrameError(f"not a framed v{JOURNAL_VERSION} line")
     crc_text, chain_hex, payload_text = parts[1], parts[2], parts[3]
     if len(crc_text) != 8 or len(chain_hex) != CHAIN_HEX_DIGITS:
         raise FrameError("bad frame field widths")
@@ -153,7 +165,12 @@ class JournalScan:
 
     path: Path
     exists: bool = False
-    version: Optional[int] = None  # 2 framed, 1 legacy, None empty/missing
+    #: ``JOURNAL_VERSION`` for a journal; for an unsupported file the
+    #: format it looks like (``None`` if no journal at all); ``None``
+    #: for an empty or missing file.
+    version: Optional[int] = None
+    #: What an unsupported file looks like; ``None`` for a journal.
+    unsupported: Optional[str] = None
     records: List[Tuple[int, Dict[str, Any]]] = field(default_factory=list)
     damage: List[LineDamage] = field(default_factory=list)
     total_lines: int = 0
@@ -209,6 +226,8 @@ class JournalScan:
     def classification(self) -> str:
         if not self.exists:
             return "missing"
+        if self.unsupported is not None:
+            return "unsupported"
         if not self.records and not self.damage:
             return "empty"
         if self.mid_file:
@@ -222,6 +241,7 @@ class JournalScan:
             "path": str(self.path),
             "exists": self.exists,
             "version": self.version,
+            "unsupported": self.unsupported,
             "classification": self.classification,
             "records": len(self.records),
             "chunk_records": len(self.chunk_records),
@@ -233,14 +253,53 @@ class JournalScan:
         }
 
 
-def scan_journal(path: Union[str, Path]) -> JournalScan:
-    """Parse a journal defensively, verifying v2 frames line by line.
+#: Frame prefix of another framed format (``2|<crc32c>|<chain>|``).
+_FOREIGN_FRAME_RE = re.compile(r"^(\d+)\|[0-9a-f]{8}\|[0-9a-f]{16}\|")
 
-    Never raises on content: every undecodable, CRC-failing,
-    chain-breaking, or structurally wrong line becomes a
-    :class:`LineDamage` entry instead.  Damage with no valid record
-    after it is classified as a torn tail (an interrupted final append);
-    anything earlier is mid-file corruption.
+
+def _is_journal(blob: bytes, lines: List[str]) -> bool:
+    """True if the file starts with a prefix of the frame marker or any
+    of its lines starts with the marker.
+
+    One truncation cannot fail both tests (a journal cut to fewer than
+    two bytes is still a prefix of the marker), and neither can one
+    flipped byte in a journal of two or more lines, since it hits one
+    line's marker at most.  A header-only journal whose marker is hit
+    is refused; it held no chunk to lose.
+    """
+    marker = _MARKER.encode("ascii")
+    return marker.startswith(blob[: len(marker)]) or any(
+        line.startswith(_MARKER) for line in lines
+    )
+
+
+def _foreign_format(lines: List[str]) -> Tuple[Optional[int], str]:
+    """``(version, description)`` of a file that is not a journal."""
+    for line in lines:
+        match = _FOREIGN_FRAME_RE.match(line)
+        if match is not None:
+            version = int(match.group(1))
+            return version, f"a v{version} journal ({version}|... frames)"
+    first = next((line for line in lines if line.strip()), "")
+    try:
+        record = json.loads(first)
+    except ValueError:
+        record = None
+    if isinstance(record, dict) and record.get("kind") in ("header", "chunk"):
+        return 1, "a v1 journal (bare JSON lines)"
+    return None, "not a journal"
+
+
+def scan_journal(path: Union[str, Path]) -> JournalScan:
+    """Parse a journal defensively, verifying its frames line by line.
+
+    Never raises on content.  A non-empty file that is not a journal
+    (:func:`_is_journal`) is classified ``unsupported`` and not parsed
+    further.  In a journal, every undecodable, CRC-failing,
+    chain-breaking, or unframed line becomes a :class:`LineDamage`
+    entry instead.  Damage with no valid record after it is classified
+    as a torn tail (an interrupted final append); anything earlier is
+    mid-file corruption.
     """
     scan = JournalScan(path=Path(path))
     try:
@@ -253,9 +312,13 @@ def scan_journal(path: Union[str, Path]) -> JournalScan:
     if lines and lines[-1] == "":
         lines.pop()  # trailing newline, not an empty record
     scan.total_lines = len(lines)
+    if not blob:
+        return scan
+    if not _is_journal(blob, lines):
+        scan.version, scan.unsupported = _foreign_format(lines)
+        return scan
+    scan.version = JOURNAL_VERSION
 
-    framed_seen = False
-    legacy_seen = False
     running_chain = CHAIN_SEED
     damage: List[LineDamage] = []
 
@@ -266,64 +329,42 @@ def scan_journal(path: Union[str, Path]) -> JournalScan:
         line_no = pos + 1
         if not raw.strip():
             continue
-        if raw.startswith(FRAME_VERSION + "|"):
-            framed_seen = True
-            try:
-                crc, chain_hex, payload = parse_frame(raw)
-            except FrameError:
-                damaged(line_no, "bad-frame", raw)
-                continue
-            if crc32c(payload) != crc:
-                damaged(line_no, "bad-crc", raw)
-                # Best-effort resync: trust the stored chain so one
-                # damaged payload doesn't condemn its successors.
-                running_chain = bytes.fromhex(chain_hex)
-                continue
-            expected = chain_hash(running_chain, payload)
-            stored = bytes.fromhex(chain_hex)
-            if expected != stored:
-                # Payload is CRC-clean but the chain disagrees: either
-                # this line's chain field was hit or a predecessor line
-                # vanished.  Quarantine conservatively and resync on the
-                # stored value (the writer's own continuation point).
-                damaged(line_no, "chain-break", raw)
-                running_chain = stored
-                continue
+        if not raw.startswith(_MARKER):
+            # No frame, so no CRC: the line cannot be trusted.
+            damaged(line_no, "unframed", raw)
+            continue
+        try:
+            crc, chain_hex, payload = parse_frame(raw)
+        except FrameError:
+            damaged(line_no, "bad-frame", raw)
+            continue
+        if crc32c(payload) != crc:
+            damaged(line_no, "bad-crc", raw)
+            # Best-effort resync: trust the stored chain so one
+            # damaged payload doesn't condemn its successors.
+            running_chain = bytes.fromhex(chain_hex)
+            continue
+        expected = chain_hash(running_chain, payload)
+        stored = bytes.fromhex(chain_hex)
+        if expected != stored:
+            # Payload is CRC-clean but the chain disagrees: either
+            # this line's chain field was hit or a predecessor line
+            # vanished.  Quarantine conservatively and resync on the
+            # stored value (the writer's own continuation point).
+            damaged(line_no, "chain-break", raw)
             running_chain = stored
-            try:
-                record = json.loads(payload.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                damaged(line_no, "bad-json", raw)
-                continue
-            if not isinstance(record, dict):
-                damaged(line_no, "bad-json", raw)
-                continue
-            scan.records.append((line_no, record))
-        else:
-            # Legacy v1 line (bare JSON) — or garbage.
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                reason = "unframed" if framed_seen else "bad-json"
-                damaged(line_no, reason, raw)
-                continue
-            if not isinstance(record, dict):
-                damaged(line_no, "bad-json", raw)
-                continue
-            if framed_seen:
-                # A bare-JSON line inside a framed journal carries no
-                # CRC and cannot be trusted.
-                damaged(line_no, "unframed", raw)
-                continue
-            legacy_seen = True
-            scan.records.append((line_no, record))
+            continue
+        running_chain = stored
+        try:
+            record = json.loads(payload.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            damaged(line_no, "bad-json", raw)
+            continue
+        if not isinstance(record, dict):
+            damaged(line_no, "bad-json", raw)
+            continue
+        scan.records.append((line_no, record))
 
-    if framed_seen:
-        scan.version = 2
-    elif legacy_seen:
-        scan.version = 1
-    elif scan.records or damage:
-        scan.version = 1  # garbage-only file: treat as legacy damage
     # Classify trailing damage (nothing valid after it) as torn tail.
     last_valid = scan.records[-1][0] if scan.records else 0
     scan.damage = [
@@ -382,7 +423,7 @@ def write_quarantine(
 
 
 def render_journal(records: List[Dict[str, Any]]) -> str:
-    """Serialize records as framed v2 lines (fresh chain from the seed)."""
+    """Serialize records as framed lines (fresh chain from the seed)."""
     chain = CHAIN_SEED
     lines = []
     for record in records:
@@ -395,7 +436,7 @@ def render_journal(records: List[Dict[str, Any]]) -> str:
 def rewrite_journal(
     path: Union[str, Path], records: List[Dict[str, Any]]
 ) -> Path:
-    """Atomically rewrite a journal as clean framed v2 records."""
+    """Atomically rewrite a journal as clean framed records."""
     return atomic_write(path, render_journal(records))
 
 
@@ -507,8 +548,9 @@ def probe_lock(journal: Union[str, Path]) -> Dict[str, Any]:
 # doctor: audit & repair
 # --------------------------------------------------------------------------
 
-#: Audit/repair report schema version.
-DOCTOR_SCHEMA = 1
+#: Audit/repair report schema version.  2: journals carry
+#: ``unsupported``, repairs lost ``upgraded_from_v1``.
+DOCTOR_SCHEMA = 2
 
 
 def audit_journal(path: Union[str, Path]) -> Dict[str, Any]:
@@ -565,11 +607,11 @@ def repair_journal(path: Union[str, Path]) -> Dict[str, Any]:
     * torn tails are truncated;
     * mid-file corrupt lines are copied to the ``.quarantine`` sidecar
       and dropped (their chunks will be recomputed on resume);
-    * the surviving records are rewritten as clean framed v2 lines —
-      which also upgrades legacy v1 journals.
+    * the surviving records are rewritten as clean framed lines.
 
     The rewrite is atomic, so a crash during repair leaves either the
-    original damaged journal (re-repairable) or the clean one.
+    original damaged journal (re-repairable) or the clean one.  An
+    unsupported file is left byte-identical, with a ``skipped`` action.
     """
     path = Path(path)
     scan = scan_journal(path)
@@ -578,21 +620,21 @@ def repair_journal(path: Union[str, Path]) -> Dict[str, Any]:
         "repaired": False,
         "truncated_torn_lines": 0,
         "quarantined_lines": 0,
-        "upgraded_from_v1": False,
         "rewritten": False,
     }
     if not scan.exists:
         actions["error"] = "missing"
         return actions
-    records = [record for _line_no, record in scan.records]
-    needs_rewrite = bool(scan.damage) or scan.version == 1
-    if not needs_rewrite:
+    if scan.unsupported is not None:
+        actions["skipped"] = f"{scan.unsupported}; left untouched"
         return actions
+    if not scan.damage:
+        return actions
+    records = [record for _line_no, record in scan.records]
     if scan.mid_file:
         write_quarantine(path, scan.mid_file, reason="doctor-repair")
         actions["quarantined_lines"] = len(scan.mid_file)
     actions["truncated_torn_lines"] = len(scan.torn_tail)
-    actions["upgraded_from_v1"] = scan.version == 1
     rewrite_journal(path, records)
     actions["rewritten"] = True
     actions["repaired"] = True
@@ -604,11 +646,11 @@ def audit_path(path: Union[str, Path]) -> Dict[str, Any]:
     """Audit a journal file, a board directory, or a state directory.
 
     Directories are searched (non-recursively) for ``*.jsonl`` journals,
-    run-manifest ``*.json`` files, and lease/fleet *board* directories
-    (``todo/leases/done`` layout — the directory itself if board-shaped,
-    else any board-shaped subdirectory); sidecars (``.quarantine``,
-    ``.lock``) are reported with their journal, boards under a
-    ``boards`` key.
+    run-manifest ``*.json`` files, and fleet *board* directories
+    (``todo/leases/done/workers`` layout — the directory itself if
+    board-shaped, else any board-shaped subdirectory); sidecars
+    (``.quarantine``, ``.lock``) are reported with their journal,
+    boards under a ``boards`` key.
     """
     # Deferred: fleet imports executors which imports this module.
     from .fleet import _looks_like_board, audit_board
@@ -651,6 +693,7 @@ __all__ = [
     "FRAME_VERSION",
     "FrameError",
     "IntegrityError",
+    "JOURNAL_VERSION",
     "JournalLock",
     "JournalLockedError",
     "JournalScan",

@@ -27,7 +27,9 @@ from ..ioutil import atomic_write
 # provenance ("pattern", "schedule") with the robustness counters
 # ("silent_miscorrections", "detected_uncorrectable");
 # "model_fail_probability" may now be null (out-of-model cells).
-MANIFEST_VERSION = 3
+# Version 4 changed the "counters" keys: the dirty-word count is now
+# "dirty_words_decoded", and the always-zero engine-fallback count is gone.
+MANIFEST_VERSION = 4
 
 
 def git_describe(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:

@@ -76,8 +76,7 @@ from .executors import (
 CHUNK_LATENCY_METRIC = "repro.mc.chunk_seconds"
 
 #: Per-chunk decode-kernel CPU time (from each chunk's merged perf
-#: counters) — the engine-telemetry histogram surfaced by the service
-#: layer's ``/metrics``.
+#: counters), exported with the rest of the registry by ``--trace``.
 CHUNK_KERNEL_METRIC = "repro.mc.chunk_kernel_seconds"
 
 

@@ -31,13 +31,10 @@ from .campaign import (
     CampaignRow,
     campaign_fingerprint,
     campaign_summary,
-    canonical_fingerprint_json,
     cell_model_probability,
     default_validation_campaign,
-    fingerprint_digest,
     run_campaign,
     stopping_fingerprint,
-    upgrade_fingerprint,
 )
 from .controller import ControllerStats, simulate_controller
 from .faults import (
@@ -139,10 +136,7 @@ __all__ = [
     "CampaignRow",
     "FINGERPRINT_SCHEMA",
     "campaign_fingerprint",
-    "canonical_fingerprint_json",
-    "fingerprint_digest",
     "stopping_fingerprint",
-    "upgrade_fingerprint",
     "cell_model_probability",
     "run_campaign",
     "default_validation_campaign",

@@ -10,8 +10,6 @@ of what this module automates.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,11 +32,11 @@ from .montecarlo import (
 from .patterns import parse_pattern, parse_schedule
 
 
-#: Engine names accepted by :func:`run_campaign`, ``repro campaign
-#: --engine`` and service specs.  ``batch`` runs trials in vectorized
-#: chunks through :class:`~repro.rs.batch.BatchRSCodec`; ``numpy`` is
-#: another name for it.  ``reference`` runs one trial at a time through
-#: the scalar oracle :class:`~repro.rs.codec.RSCode`.
+#: Engine names accepted by :func:`run_campaign` and ``repro campaign
+#: --engine``.  ``batch`` runs trials in vectorized chunks through
+#: :class:`~repro.rs.batch.BatchRSCodec`; ``numpy`` is another name for
+#: it.  ``reference`` runs one trial at a time through the scalar oracle
+#: :class:`~repro.rs.codec.RSCode`.
 ENGINES = ("batch", "numpy", "reference")
 
 
@@ -47,9 +45,8 @@ def canonical_engine(engine: str) -> str:
 
     ``batch`` and ``numpy`` name one engine and map to ``"batch"``.  The
     ``reference`` loop draws its random stream in another order and keeps
-    its historical value ``"scalar"``.  Existing journals, manifests and
-    service cache entries therefore stay valid.  Any other name raises
-    ``ValueError`` listing the valid ones.
+    its historical value ``"scalar"``, so fingerprints keep their bytes.
+    Any other name raises ``ValueError`` listing the valid ones.
     """
     if engine not in ENGINES:
         raise ValueError(
@@ -199,7 +196,8 @@ def cell_model_probability(
 #: ``stop_rel_ci``/``min_trials``/``ci_method`` change the recorded
 #: ``stopped_early`` prefix and hence the final estimate, so two runs
 #: differing only in the stopping rule are *different campaigns* and
-#: must not share a journal (or a cached result).
+#: must not share a journal.  A journal header of any other schema
+#: fails the strict equality check and is refused.
 FINGERPRINT_SCHEMA = 3
 
 
@@ -234,12 +232,10 @@ def campaign_fingerprint(
 ) -> Dict[str, object]:
     """Every parameter the campaign estimates depend on, as plain JSON.
 
-    This is the identity a checkpoint journal is bound to — and, via
-    :func:`fingerprint_digest`, the content address of the service-layer
-    result cache: two campaigns with equal fingerprints produce
-    bit-identical estimates, so their journaled chunks (and cached
-    results) are interchangeable.  Worker count is deliberately absent —
-    it cannot affect results.  The engine is recorded as
+    This is the identity a checkpoint journal is bound to: two campaigns
+    with equal fingerprints produce bit-identical estimates, so their
+    journaled chunks are interchangeable.  Worker count is deliberately
+    absent — it cannot affect results.  The engine is recorded as
     :func:`canonical_engine` maps it.  ``stop`` is the adaptive
     stopping rule (or ``None`` for a full-budget run); see
     :func:`stopping_fingerprint` for why it is part of the identity.
@@ -267,61 +263,6 @@ def campaign_fingerprint(
             for cell in cells
         ],
     }
-
-
-def upgrade_fingerprint(fingerprint: Dict[str, object]) -> Dict[str, object]:
-    """Lift a legacy journal fingerprint to the current schema.
-
-    Older schemas could only have been written by features that did not
-    exist yet, so the migration defaults are exact, not guesses:
-
-    * schema 1 (pre fault-physics) — every cell ran the i.i.d. model:
-      ``pattern``/``schedule`` become ``None``;
-    * schema 2 (pre stopping-rule identity) — the journal's *header*
-      carries no stopping information, so it is treated as a full-budget
-      run (``stopping: None``).  A schema-2 journal that was actually
-      written under ``--stop-rel-ci`` is exactly the bug this migration
-      closes: it now only resumes into a run with no stopping rule,
-      which replays every journaled chunk and recomputes the rest —
-      still bit-identical, never silently truncated.
-
-    Unknown/newer schemas are returned unchanged (the strict equality
-    check in ``ensure_header`` then refuses them).
-    """
-    schema = fingerprint.get("schema")
-    if schema not in (1, 2):
-        return fingerprint
-    upgraded = dict(fingerprint)
-    if schema == 1:
-        upgraded["cells"] = [
-            {**cell, "pattern": None, "schedule": None}
-            for cell in upgraded.get("cells", [])
-        ]
-    upgraded["schema"] = FINGERPRINT_SCHEMA
-    upgraded.setdefault("stopping", None)
-    return upgraded
-
-
-def canonical_fingerprint_json(fingerprint: Dict[str, object]) -> str:
-    """The one canonical serialization shared by journals and the cache.
-
-    Sorted keys, no whitespace — byte-identical for equal fingerprints,
-    so the digest below is a true content address.
-    """
-    return json.dumps(
-        fingerprint, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-
-
-def fingerprint_digest(fingerprint: Dict[str, object]) -> str:
-    """SHA-256 hex digest of the canonical fingerprint JSON.
-
-    This is the content-address of the service result cache *and* the
-    identity journals are bound to: one canonicalization, one key space.
-    """
-    return hashlib.sha256(
-        canonical_fingerprint_json(fingerprint).encode("utf-8")
-    ).hexdigest()
 
 
 def run_campaign(
@@ -402,8 +343,7 @@ def run_campaign(
                 engine,
                 chunk_size,
                 stop=runtime.stop,
-            ),
-            upgrade=upgrade_fingerprint,
+            )
         )
     code = RSCode(n, k, m=m)
     rows: List[CampaignRow] = []

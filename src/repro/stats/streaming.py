@@ -96,7 +96,7 @@ class StreamingEstimator:
         """Fold chunk ``index`` in; ``None`` if it was a duplicate.
 
         Inputs are validated before any state changes: a malformed
-        service request or a corrupt chunk record must raise here, not
+        caller or a corrupt chunk record must raise here, not
         propagate ``failures > trials`` into ``binomial_interval`` and
         come back as a nonsense interval.
         """

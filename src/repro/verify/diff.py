@@ -33,7 +33,7 @@ target                    layers                   compares
                                                    vs the per-state build, exactly
 ``memory-mc-ber``         memory, simulator        analytic model vs batched Monte-Carlo
                                                    within a 5-sigma Wilson interval
-``journal-roundtrip``     runtime, simulator       random single-point corruption of a v2
+``journal-roundtrip``     runtime, simulator       random single-point corruption of a v3
                                                    checkpoint journal: doctor-repair or
                                                    direct resume must converge to the
                                                    bit-identical campaign estimate
@@ -1475,7 +1475,7 @@ register_target(
         layers=("runtime", "simulator"),
         description=(
             "Random single-point corruption (byte flip or truncation) of "
-            "a recorded v2 checkpoint journal: doctor --repair or direct "
+            "a recorded v3 checkpoint journal: doctor --repair or direct "
             "resume must heal it and reproduce the bit-identical "
             "campaign estimate, never raise"
         ),

@@ -347,5 +347,22 @@ class TestBatchConformance:
         assert counters.words_encoded == 64
         assert counters.words_decoded == 64
         assert counters.clean_fast_path == 63
-        assert counters.scalar_fallbacks == 1
+        assert counters.dirty_words_decoded == 1
         assert counters.kernel_seconds > 0.0
+
+    def test_dirty_words_are_nonzero_syndrome_or_over_erased(self, codec):
+        # Erasures alone do not make a word dirty; a nonzero syndrome
+        # does, and so does one erasure more than n - k.
+        rng = np.random.default_rng(10)
+        data = rng.integers(0, 1 << codec.m, size=(4, codec.k), dtype=np.int64)
+        rec = codec.encode_batch(data)
+        rec[2, 1] ^= 1
+        erasures = [[], list(range(codec.nsym)), [], list(range(codec.nsym + 1))]
+        counters = PerfCounters()
+        report = codec.decode_batch(rec, erasures, counters=counters)
+        assert report.clean.tolist() == [True, True, False, False]
+        assert counters.words_decoded == 4
+        assert counters.clean_fast_path == 2
+        assert counters.dirty_words_decoded == 2
+        assert counters.decode_failures == 1
+        assert counters.dirty_rate == 0.5

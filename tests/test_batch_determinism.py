@@ -79,7 +79,7 @@ class TestWorkerCountInvariance:
         assert c1.trials == c4.trials == 600
         assert c1.words_decoded == c4.words_decoded
         assert c1.clean_fast_path == c4.clean_fast_path
-        assert c1.scalar_fallbacks == c4.scalar_fallbacks
+        assert c1.dirty_words_decoded == c4.dirty_words_decoded
 
 
 class TestCampaignBatchEngine:
@@ -113,10 +113,10 @@ class TestCampaignBatchEngine:
 class TestConcurrentCampaigns:
     """Campaigns on threads of one process share the cached batch codec.
 
-    ``repro serve`` runs its jobs this way.  Each thread's work counters,
-    estimate and retry count must equal those of the same campaign run
-    alone: counters that one thread's chunk attaches to the shared codec
-    would absorb another thread's work.
+    Threaded campaigns in one process are supported.  Each thread's work
+    counters, estimate and retry count must equal those of the same
+    campaign run alone: counters that one thread's chunk attaches to the
+    shared codec would absorb another thread's work.
     """
 
     SEEDS = range((os.cpu_count() or 1) + 2)  # more threads than cores

@@ -87,7 +87,7 @@ class TestCleanDecodeDifferential:
         report = batch.decode_batch(encoded, counters=counters)
         assert report.clean.all() and report.ok.all()
         assert counters.clean_fast_path == 24
-        assert counters.scalar_fallbacks == 0
+        assert counters.dirty_words_decoded == 0
         for i, row in enumerate(encoded):
             assert_same_result(
                 report[i], lambda row=row: scalar.decode(row.tolist())

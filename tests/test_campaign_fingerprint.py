@@ -1,13 +1,16 @@
-"""Campaign fingerprint schema 3: stopping-rule identity and migration.
+"""Campaign fingerprint schema 3: stopping-rule identity.
 
 The schema-2 fingerprint omitted the adaptive-stopping parameters even
 though ``--stop-rel-ci``/``min_trials``/``method`` change the produced
 estimates — so a journal written under one stopping rule would happily
 resume under another.  Schema 3 folds the rule into the identity; these
-tests pin the canonicalization, the digest, the legacy-journal
-migration, and the end-to-end readback path.
+tests pin the fingerprint bytes (through a SHA-256 digest of their
+sorted, compact JSON), the refusal of a journal whose header carries
+another schema, and the end-to-end readback path.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -17,11 +20,8 @@ from repro.simulator import (
     FINGERPRINT_SCHEMA,
     CampaignCell,
     campaign_fingerprint,
-    canonical_fingerprint_json,
-    fingerprint_digest,
     run_campaign,
     stopping_fingerprint,
-    upgrade_fingerprint,
 )
 from repro.stats import StoppingRule
 
@@ -30,14 +30,22 @@ ARGS = dict(n=18, k=16, m=8, t_end_hours=48.0, trials=100,
             base_seed=7, engine="batch", chunk_size=50)
 
 
-#: ``fingerprint_digest(fp(engine=...))`` as recorded before the engine
-#: names were collapsed to batch/numpy/reference: journals, manifests and
-#: service cache entries written then must keep their identity.
+#: ``digest(fp(engine=...))`` as recorded before the engine names were
+#: collapsed to batch/numpy/reference: the fingerprint bytes that journal
+#: headers and manifests carry must not move.
 PINNED_DIGESTS = {
     "batch": "f3a79927196714fa1b0798f69a9f3cc4fe359df7382fbdf6d8504ab0d248f384",
     "numpy": "f3a79927196714fa1b0798f69a9f3cc4fe359df7382fbdf6d8504ab0d248f384",
     "reference": "508fbd155027f679f261cbeb8aee3f7dbee5b7ab0a2755362433ee2bec93df03",
 }
+
+
+def digest(fingerprint):
+    """SHA-256 hex digest of the sorted, compact fingerprint JSON."""
+    text = json.dumps(
+        fingerprint, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def fp(stop=None, engine=ARGS["engine"]):
@@ -71,69 +79,97 @@ class TestSchema3Identity:
          StoppingRule(rel_ci=0.1, confidence=0.99)),
     ])
     def test_every_stopping_field_changes_the_digest(self, a, b):
-        assert fingerprint_digest(fp(a)) != fingerprint_digest(fp(b))
+        assert digest(fp(a)) != digest(fp(b))
 
     def test_stopping_fingerprint_none_passthrough(self):
         assert stopping_fingerprint(None) is None
 
-    def test_canonical_json_is_sorted_and_compact(self):
-        text = canonical_fingerprint_json(fp())
-        assert " " not in text
-        assert json.loads(text) == fp()
-        assert text == canonical_fingerprint_json(json.loads(text))
-
-    def test_digest_is_sha256_hex(self):
-        digest = fingerprint_digest(fp())
-        assert len(digest) == 64
-        assert all(c in "0123456789abcdef" for c in digest)
-
-    def test_digest_stable_across_key_order(self):
-        scrambled = dict(reversed(list(fp().items())))
-        assert fingerprint_digest(scrambled) == fingerprint_digest(fp())
-
     @pytest.mark.parametrize("engine", sorted(PINNED_DIGESTS))
     def test_engine_digest_pinned(self, engine):
-        assert fingerprint_digest(fp(engine=engine)) == PINNED_DIGESTS[engine]
+        assert digest(fp(engine=engine)) == PINNED_DIGESTS[engine]
 
 
-class TestUpgrade:
-    def test_schema2_gains_null_stopping(self):
-        legacy = dict(fp())
-        legacy["schema"] = 2
-        del legacy["stopping"]
-        upgraded = upgrade_fingerprint(legacy)
-        assert upgraded["schema"] == 3
-        assert upgraded["stopping"] is None
-        assert upgraded == fp()
+def fingerprint_of(**changes):
+    """The fingerprint of ``CELLS``/``ARGS`` with some arguments changed."""
+    return campaign_fingerprint(**{**ARGS, "cells": CELLS, **changes})
 
-    def test_schema1_gains_iid_cells_and_null_stopping(self):
-        legacy = dict(fp())
-        legacy["schema"] = 1
-        del legacy["stopping"]
-        legacy["cells"] = [
-            {k: v for k, v in cell.items()
-             if k not in ("pattern", "schedule")}
-            for cell in legacy["cells"]
-        ]
-        upgraded = upgrade_fingerprint(legacy)
-        assert upgraded == fp()
 
-    def test_current_schema_unchanged(self):
-        current = fp(StoppingRule(rel_ci=0.5))
-        assert upgrade_fingerprint(current) == current
+def one_cell(**fields):
+    """``CELLS`` with the fields of its one cell changed."""
+    return [dataclasses.replace(CELLS[0], **fields)]
 
-    def test_unknown_schema_passthrough(self):
-        weird = {"schema": 99, "x": 1}
-        assert upgrade_fingerprint(weird) == weird
 
-    def test_upgrade_does_not_mutate_input(self):
-        legacy = {"schema": 2, "cells": [{"arrangement": "simplex"}]}
-        upgrade_fingerprint(legacy)
-        assert legacy == {"schema": 2, "cells": [{"arrangement": "simplex"}]}
+#: identity field -> (changed ``campaign_fingerprint`` arguments, the
+#: fingerprint key a journal mismatch names)
+IDENTITY_CHANGES = {
+    "n": ({"n": 20}, "n"),
+    "k": ({"k": 14}, "k"),
+    "m": ({"m": 9}, "m"),
+    "t_end_hours": ({"t_end_hours": 24.0}, "t_end_hours"),
+    "trials": ({"trials": 200}, "trials"),
+    "base_seed": ({"base_seed": 8}, "base_seed"),
+    "engine": ({"engine": "reference"}, "engine"),
+    "chunk_size": ({"chunk_size": 25}, "chunk_size"),
+    "stopping": ({"stop": StoppingRule(rel_ci=0.5)}, "stopping"),
+    "arrangement": ({"cells": one_cell(arrangement="duplex")}, "cells"),
+    "seu_per_bit_day": ({"cells": one_cell(seu_per_bit_day=2e-3)}, "cells"),
+    "erasure_per_symbol_day": (
+        {"cells": one_cell(erasure_per_symbol_day=1e-2)},
+        "cells",
+    ),
+    "scrub_period_seconds": (
+        {"cells": one_cell(scrub_period_seconds=3600.0)},
+        "cells",
+    ),
+    "pattern": ({"cells": one_cell(pattern="1BIT")}, "cells"),
+    "schedule": (
+        {"cells": one_cell(schedule="42.0h@1.0,6.0h@8.0")},
+        "cells",
+    ),
+    "cell-added": (
+        {"cells": CELLS + [CampaignCell("duplex", 1e-3, 0.0)]},
+        "cells",
+    ),
+}
+
+
+class TestIdentityFields:
+    """Every estimate-shaping parameter binds the journal; nothing else."""
+
+    @pytest.mark.parametrize("field", IDENTITY_CHANGES)
+    def test_each_field_refuses_the_journal(self, tmp_path, field):
+        changes, key = IDENTITY_CHANGES[field]
+        path = tmp_path / "c.journal"
+        with CheckpointJournal(path) as journal:
+            journal.ensure_header(fingerprint_of())
+        before = path.read_bytes()
+        with CheckpointJournal(path) as journal:
+            with pytest.raises(
+                CheckpointMismatchError, match=rf"mismatched fields: {key}\)"
+            ):
+                journal.ensure_header(fingerprint_of(**changes))
+            assert journal.ensure_header(fingerprint_of()) is True
+        assert path.read_bytes() == before
+
+    def test_key_order_is_not_identity(self, tmp_path):
+        path = tmp_path / "c.journal"
+        with CheckpointJournal(path) as journal:
+            journal.ensure_header(fp())
+        scrambled = dict(reversed(list(fp().items())))
+        with CheckpointJournal(path) as journal:
+            assert journal.ensure_header(scrambled) is True
+
+    @pytest.mark.parametrize("engine", sorted(PINNED_DIGESTS))
+    def test_journal_header_keeps_the_pinned_digest(self, tmp_path, engine):
+        path = tmp_path / "c.journal"
+        with CheckpointJournal(path) as journal:
+            journal.ensure_header(fp(engine=engine))
+        with CheckpointJournal(path) as journal:
+            assert digest(journal.header_fingerprint) == PINNED_DIGESTS[engine]
 
 
 class TestJournalReadback:
-    """End-to-end: journals written under older schemas still resume."""
+    """End-to-end: a journal resumes only under its own fingerprint."""
 
     def _run(self, journal_path, stop=None, trials=100):
         journal = CheckpointJournal(journal_path)
@@ -148,7 +184,7 @@ class TestJournalReadback:
 
     @staticmethod
     def _downgrade_header_to_schema2(path):
-        """Rewrite the on-disk journal header to the legacy schema-2 form."""
+        """Rewrite the on-disk journal header to the schema-2 form."""
         from repro.runtime.integrity import rewrite_journal, scan_journal
 
         records = [record for _line, record in scan_journal(path).records]
@@ -159,19 +195,17 @@ class TestJournalReadback:
         legacy_header["fingerprint"] = legacy_fp
         rewrite_journal(path, [legacy_header] + records[1:])
 
-    def test_schema2_journal_resumes_as_full_budget(self, tmp_path):
+    def test_schema2_journal_refused(self, tmp_path):
         path = tmp_path / "c.journal"
-        rows = self._run(path)
+        self._run(path)
         self._downgrade_header_to_schema2(path)
 
-        resumed = self._run(path)
-        assert [r.estimate.probability for r in resumed] == [
-            r.estimate.probability for r in rows
-        ]
+        with pytest.raises(CheckpointMismatchError, match=r"fields: schema\)"):
+            self._run(path)
 
     def test_schema2_journal_rejected_under_stopping_rule(self, tmp_path):
-        # The bug this PR closes: a legacy journal must NOT silently
-        # resume into a run whose stopping rule changes the estimate.
+        # A schema-2 journal must never resume into a run whose stopping
+        # rule changes the estimate.
         path = tmp_path / "c.journal"
         self._run(path)
         self._downgrade_header_to_schema2(path)

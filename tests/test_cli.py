@@ -237,7 +237,7 @@ class TestCampaignCommand:
         )
         assert code == 0
         manifest = json.loads(path.read_text())
-        assert manifest["manifest_version"] == 3
+        assert manifest["manifest_version"] == 4
         assert manifest["progress"]
         assert manifest["progress"][-1]["done"] == 480
         assert manifest["metrics"]["repro.mc.chunk_seconds"]["count"] == 16
@@ -291,6 +291,97 @@ class TestCampaignExecutorFlags:
             ]
 
         assert rows(resumed) == rows(reference)
+
+
+#: ``repro campaign`` arguments refused before any work, with the one
+#: stderr line that says why.  ``{tmp}`` is the test's directory.
+MISUSE = {
+    "trials-zero": (["--trials", "0"], "--trials must be positive"),
+    "trials-negative": (["--trials", "-3"], "--trials must be positive"),
+    "chunk-size-zero": (["--chunk-size", "0"], "--chunk-size must be positive"),
+    "workers-zero": (["--workers", "0"], "--workers must be >= 1"),
+    "reference-checkpoint": (
+        ["--engine", "reference", "--checkpoint", "{tmp}/run.jsonl"],
+        "--checkpoint requires the batch engine",
+    ),
+    "reference-executor": (
+        ["--engine", "reference", "--executor", "serial"],
+        "--executor requires the batch engine",
+    ),
+    "reference-stop-rel-ci": (
+        ["--engine", "reference", "--stop-rel-ci", "0.5"],
+        "--stop-rel-ci requires the batch engine",
+    ),
+    "stop-rel-ci-zero": (["--stop-rel-ci", "0"], "--stop-rel-ci must be > 0"),
+    "stop-rel-ci-negative": (
+        ["--stop-rel-ci", "-0.2"],
+        "--stop-rel-ci must be > 0",
+    ),
+    "min-trials-negative": (
+        ["--stop-rel-ci", "0.5", "--min-trials", "-1"],
+        "--min-trials must be >= 0",
+    ),
+    "min-trials-alone": (
+        ["--min-trials", "50"],
+        "--min-trials is a floor for --stop-rel-ci; pass both",
+    ),
+    "ci-method-alone": (
+        ["--ci-method", "jeffreys"],
+        "--ci-method selects the --stop-rel-ci interval family; pass both",
+    ),
+    "max-retries-zero": (["--max-retries", "0"], "--max-retries must be >= 1"),
+    "fleet-ttl-without-fleet": (
+        ["--fleet-ttl", "5"],
+        "--fleet-ttl requires --executor fleet",
+    ),
+    "fleet-ttl-zero": (
+        ["--executor", "fleet", "--fleet-ttl", "0"],
+        "--fleet-ttl must be positive",
+    ),
+    "bad-chaos": (["--chaos", "nonsense"], "bad --chaos spec: "),
+}
+
+
+class TestCampaignMisuse:
+    @pytest.mark.parametrize("case", MISUSE)
+    def test_refused_before_any_work(self, tmp_path, capsys, case):
+        extra, reason = MISUSE[case]
+        extra = [arg.replace("{tmp}", str(tmp_path)) for arg in extra]
+        code = main(
+            ["campaign", "--trials", "20", "--chunk-size", "10",
+             "--manifest", str(tmp_path / "run.json"), *extra]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(reason)
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []  # no journal, no manifest
+
+    def test_directory_checkpoint_is_refused(self, tmp_path, capsys):
+        code = main(
+            ["campaign", "--trials", "20", "--chunk-size", "10",
+             "--checkpoint", str(tmp_path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith(f"checkpoint unusable: {tmp_path} is a directory")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--executor", "quantum"],
+            ["campaign", "--ci-method", "exact", "--stop-rel-ci", "0.5"],
+            ["serve", "--state-dir", "state"],
+        ],
+        ids=["executor", "ci-method", "serve"],
+    )
+    def test_unknown_choice_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCampaignScenarioFlags:

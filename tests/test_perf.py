@@ -70,7 +70,7 @@ class TestDerived:
             elapsed_seconds=1.0,
             cpu_seconds=4.0,
             words_decoded=8,
-            scalar_fallbacks=2,
+            dirty_words_decoded=2,
         )
         text = c.summary()
         assert "elapsed (wall)" in text
@@ -83,6 +83,16 @@ class TestDerived:
         PerfCounters(trials=42, cpu_seconds=1.5).publish(registry)
         assert registry.gauge("repro.perf.trials").value == 42
         assert registry.gauge("repro.perf.cpu_seconds").value == 1.5
+
+    def test_published_gauges_name_the_dirty_words(self):
+        registry = MetricsRegistry()
+        PerfCounters(words_decoded=8, dirty_words_decoded=3).publish(registry)
+        names = set(registry.snapshot())
+        assert registry.gauge("repro.perf.dirty_words_decoded").value == 3
+        assert not {
+            "repro.perf.engine_fallbacks",
+            "repro.perf.scalar_fallbacks",
+        } & names
 
 
 class TestStopwatch:

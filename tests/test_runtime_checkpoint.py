@@ -10,6 +10,7 @@ from repro.runtime import (
     CheckpointError,
     CheckpointJournal,
     CheckpointMismatchError,
+    ResilienceWarning,
     RuntimeConfig,
     seed_key,
 )
@@ -57,17 +58,20 @@ class TestJournalBasics:
         assert recovered.n_chunks == 1
         assert recovered.torn_lines == 1
 
-    def test_corruption_in_the_middle_raises(self, tmp_path):
+    def test_corruption_in_the_middle_is_quarantined(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        records = [
-            {"kind": "header", "version": 1, "fingerprint": {}},
-            {"kind": "chunk", "cell": "c", "chunk": 0, "seed": "s", "result": {}},
-        ]
-        lines = [json.dumps(r) for r in records]
+        with CheckpointJournal(path) as journal:
+            journal.ensure_header({"x": 1})
+            journal.record_chunk("c", 0, "sk", {"failures": 1})
+        lines = path.read_text().splitlines()
         lines.insert(1, "NOT JSON")
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="corrupt"):
-            CheckpointJournal(path)
+        with pytest.warns(ResilienceWarning, match="quarantined 1"):
+            healed = CheckpointJournal(path)
+        assert healed.header_fingerprint == {"x": 1}
+        assert healed.completed("c", 0, "sk") == {"failures": 1}
+        assert "NOT JSON" not in path.read_text()
+        healed.close()
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -83,6 +87,49 @@ class TestJournalBasics:
         keys = {seed_key(s) for s in seeds}
         assert len(keys) == 3
         assert keys == {seed_key(s) for s in spawn_chunk_seeds(7, 3)}
+
+
+class TestJournalFormat:
+    def test_one_constant_sets_marker_version_and_chain_seed(self, tmp_path):
+        import hashlib
+
+        from repro.runtime import checkpoint, integrity
+
+        assert checkpoint.JOURNAL_VERSION == integrity.JOURNAL_VERSION == 3
+        assert integrity.CHAIN_SEED == hashlib.sha256(
+            b"repro.journal.v3"
+        ).digest()[:8]
+        path = tmp_path / "j.jsonl"
+        with CheckpointJournal(path) as journal:
+            journal.ensure_header({"x": 1})
+            batched(runtime=RuntimeConfig(journal=journal))
+        lines = path.read_text().splitlines()
+        assert all(line.startswith("3|") for line in lines)
+        header = json.loads(lines[0].split("|", 3)[3])
+        assert (header["kind"], header["version"]) == ("header", 3)
+
+    def test_chunk_counters_are_the_perf_counter_fields(self, tmp_path):
+        from dataclasses import fields
+
+        path = tmp_path / "j.jsonl"
+        with CheckpointJournal(path) as journal:
+            batched(runtime=RuntimeConfig(journal=journal))
+        records = [
+            json.loads(line.split("|", 3)[3])
+            for line in path.read_text().splitlines()
+        ]
+        names = {f.name for f in fields(PerfCounters)}
+        assert "dirty_words_decoded" in names
+        assert not {"engine_fallbacks", "scalar_fallbacks"} & names
+        chunks = [r for r in records if r["kind"] == "chunk"]
+        assert len(chunks) == 4
+        for record in chunks:
+            assert set(record["result"]["counters"]) == names
+
+    def test_directory_path_is_refused(self, tmp_path):
+        with pytest.raises(CheckpointError, match="is a directory"):
+            CheckpointJournal(tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestResumeDeterminism:
@@ -108,7 +155,7 @@ class TestResumeDeterminism:
             batched(runtime=RuntimeConfig(journal=journal))
 
         # Drop the last two chunk records: an interrupt after chunk 1.
-        # v2 lines are framed (version|crc|chain|payload); dropping a
+        # Lines are framed (version|crc|chain|payload); dropping a
         # suffix keeps the surviving prefix's hash chain intact.
         lines = path.read_text().strip().split("\n")
         kept = [

@@ -7,17 +7,21 @@ the machine-readable contract, the exit code is the scriptable one
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.rs import RSCode
 from repro.runtime import (
+    CheckpointError,
     CheckpointJournal,
+    CheckpointMismatchError,
     JournalLock,
     RuntimeConfig,
     write_manifest,
 )
+from repro.runtime.integrity import quarantine_path, scan_journal
 from repro.simulator import simulate_fail_probability_batched
 
 CODE = RSCode(18, 16, m=8)
@@ -59,7 +63,7 @@ class TestAudit:
         assert report["healthy"] is True
         journal = report["journals"][0]
         assert journal["classification"] == "healthy"
-        assert journal["version"] == 2
+        assert journal["version"] == 3
         assert journal["fingerprint_present"] is True
         assert journal["lock"]["held"] is False
 
@@ -195,22 +199,6 @@ class TestRepair:
         assert sidecar["exists"] is True
         assert sidecar["entries"] >= 1
 
-    def test_repair_upgrades_v1_to_v2(self, tmp_path, capsys):
-        path = tmp_path / "run.jsonl"
-        reference = record_journal(path)
-        lines = path.read_text().splitlines()
-        path.write_text(
-            "\n".join(line.split("|", 3)[3] for line in lines) + "\n"
-        )
-        code, report = doctor(capsys, str(path), "--repair")
-        assert code == 0
-        assert report["repairs"][0]["upgraded_from_v1"] is True
-        assert report["journals"][0]["version"] == 2
-        with CheckpointJournal(path) as journal:
-            assert not journal.readonly
-            resumed = batched(runtime=RuntimeConfig(journal=journal))
-        assert resumed == reference
-
     def test_repair_is_idempotent(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"
         record_journal(path)
@@ -224,3 +212,159 @@ class TestRepair:
         assert code1 == code2 == 0
         assert report1["repairs"][0]["repaired"] is True
         assert report2["repairs"] == []  # nothing left to do
+
+
+def make_file(path, kind):
+    """A file of one of the :data:`KINDS` that no journal may read."""
+    if kind == "csv":
+        path.write_text("cell,probability\nsimplex,0.1\n")
+    elif kind == "csv-starting-with-3":
+        # Its first byte is the marker's, its second is not.
+        path.write_text("3,simplex,0.1\n4,duplex,0.2\n")
+    elif kind == "manifest":
+        write_manifest(path, {"manifest_version": 4, "results": []})
+    elif kind == "trace":
+        path.write_text(
+            '{"kind": "span", "name": "campaign_cell"}\n'
+            '{"kind": "event", "name": "chunk_retry"}\n'
+        )
+    elif kind == "binary":
+        path.write_bytes(b"\x1f\x8b\x08\x00" + bytes(range(256)))
+    else:
+        # A recorded journal in another format: frames stripped (v1) or
+        # re-marked with another version (v2, v4).
+        record_journal(path)
+        lines = path.read_text().splitlines()
+        if kind == "v1":
+            lines = [line.split("|", 3)[3] for line in lines]
+        elif kind == "v2-header-only":
+            lines = ["2" + lines[0][1:]]
+        else:
+            lines = [kind[1] + line[1:] for line in lines]
+        path.write_text("".join(line + "\n" for line in lines))
+
+
+#: file kind -> (the ``version`` doctor reports, what the file is called)
+KINDS = {
+    "v1": (1, "a v1 journal"),
+    "v2": (2, "a v2 journal"),
+    "v2-header-only": (2, "a v2 journal"),
+    "v4": (4, "a v4 journal"),
+    "csv": (None, "not a journal"),
+    "csv-starting-with-3": (None, "not a journal"),
+    "manifest": (None, "not a journal"),
+    "trace": (None, "not a journal"),
+    "binary": (None, "not a journal"),
+}
+
+
+class TestUnsupportedFiles:
+    """Older journal formats and foreign files: refused, never touched."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_journal_refuses_and_leaves_the_file(self, tmp_path, kind):
+        path = tmp_path / "old.jsonl"
+        make_file(path, kind)
+        before = path.read_bytes()
+        listing = sorted(tmp_path.iterdir())
+        with pytest.raises(CheckpointError) as info:
+            CheckpointJournal(path)
+        assert not isinstance(info.value, CheckpointMismatchError)
+        message = str(info.value)
+        assert message.startswith(f"{path} is {KINDS[kind][1]}")
+        assert "reads only v3 journals" in message
+        assert "delete it, or pass a fresh --checkpoint path" in message
+        assert message.endswith("and rerun")
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == listing  # no sidecar, no lock
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scan_classifies_without_parsing(self, tmp_path, kind):
+        path = tmp_path / "old.jsonl"
+        make_file(path, kind)
+        scan = scan_journal(path)
+        assert scan.classification == "unsupported"
+        assert scan.version == KINDS[kind][0]
+        assert scan.unsupported.startswith(KINDS[kind][1])
+        assert scan.records == [] and scan.damage == []
+        assert scan.header is None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_campaign_refuses_with_one_line(self, tmp_path, capsys, kind):
+        path = tmp_path / "old.jsonl"
+        make_file(path, kind)
+        before = path.read_bytes()
+        listing = sorted(tmp_path.iterdir())
+        code = main(
+            ["campaign", "--trials", "20", "--chunk-size", "10",
+             "--checkpoint", str(path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("checkpoint unusable:")
+        assert KINDS[kind][1] in err and "rerun" in err
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == listing  # no sidecar
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_audit_reports_unsupported(self, tmp_path, capsys, kind):
+        path = tmp_path / "old.jsonl"
+        make_file(path, kind)
+        code, report = doctor(capsys, str(path))
+        assert code == 1
+        assert report["schema"] == 2
+        journal = report["journals"][0]
+        assert journal["classification"] == "unsupported"
+        assert journal["version"] == KINDS[kind][0]
+        assert journal["unsupported"].startswith(KINDS[kind][1])
+        assert journal["records"] == 0 and journal["damage"] == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_repair_skips_and_leaves_bytes(self, tmp_path, capsys, kind):
+        path = tmp_path / "old.jsonl"
+        make_file(path, kind)
+        before = path.read_bytes()
+        listing = sorted(tmp_path.iterdir())
+        code, report = doctor(capsys, str(path), "--repair")
+        assert code == 1
+        assert report["journals"][0]["classification"] == "unsupported"
+        assert report["repairs"][0]["repaired"] is False
+        assert "left untouched" in report["repairs"][0]["skipped"]
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == listing  # no sidecar
+
+    def test_directory_audit_flags_the_old_journal_only(
+        self, tmp_path, capsys
+    ):
+        record_journal(tmp_path / "new.jsonl")
+        make_file(tmp_path / "old.jsonl", "v2")
+        code, report = doctor(capsys, str(tmp_path))
+        assert code == 1
+        assert report["healthy"] is False
+        classes = {
+            Path(j["path"]).name: j["classification"]
+            for j in report["journals"]
+        }
+        assert classes == {"new.jsonl": "healthy", "old.jsonl": "unsupported"}
+
+    def test_directory_repair_heals_v3_and_skips_the_old_journal(
+        self, tmp_path, capsys
+    ):
+        torn = tmp_path / "torn.jsonl"
+        reference = record_journal(torn)
+        torn.write_bytes(torn.read_bytes()[:-9])
+        old = tmp_path / "old.jsonl"
+        make_file(old, "v2")
+        before = old.read_bytes()
+        code, report = doctor(capsys, str(tmp_path), "--repair")
+        assert code == 1  # the old journal stays, so still unhealthy
+        actions = {Path(r["path"]).name: r for r in report["repairs"]}
+        assert actions["torn.jsonl"]["repaired"] is True
+        assert actions["old.jsonl"]["repaired"] is False
+        assert "left untouched" in actions["old.jsonl"]["skipped"]
+        assert old.read_bytes() == before
+        assert not quarantine_path(old).exists()
+        with CheckpointJournal(torn) as journal:
+            resumed = batched(runtime=RuntimeConfig(journal=journal))
+        assert resumed == reference

@@ -3,9 +3,8 @@
 Cross-host semantics proven without a second machine: worker agents run
 as detached subprocesses (``python -m repro worker``) against a shared
 board directory, and the coordinator's only liveness signal is the
-heartbeat file each worker renews — ``_pid_alive`` is monkeypatched to
-explode if anything consults a local pid during a run.  The acceptance
-invariant throughout: no matter how workers die, hang, partition, or
+heartbeat file each worker renews.  The acceptance invariant
+throughout: no matter how workers die, hang, partition, or
 zombie-publish, the journal and estimate are bit-identical to an
 uninterrupted serial run.
 """
@@ -136,17 +135,6 @@ def _wait_for_heartbeats(board, count, timeout=30.0):
     raise AssertionError(f"fewer than {count} worker heartbeats appeared")
 
 
-def _no_pid_liveness(monkeypatch):
-    """Fail loudly if the coordinator falls back to local-pid liveness."""
-
-    def _boom(pid):  # pragma: no cover - the point is it never runs
-        raise AssertionError(
-            "fleet coordinator consulted local pid liveness"
-        )
-
-    monkeypatch.setattr("repro.runtime.fleet._pid_alive", _boom)
-
-
 # --------------------------------------------------------------------------
 # parity with external detached workers (1 / 2 / 4 agents)
 # --------------------------------------------------------------------------
@@ -154,10 +142,7 @@ def _no_pid_liveness(monkeypatch):
 
 @pytest.mark.chaos
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
-def test_fleet_external_workers_journal_bit_identical(
-    tmp_path, monkeypatch, n_workers
-):
-    _no_pid_liveness(monkeypatch)
+def test_fleet_external_workers_journal_bit_identical(tmp_path, n_workers):
     serial_path = tmp_path / "serial.jsonl"
     with CheckpointJournal(serial_path) as journal:
         reference = run(executor="serial", journal=journal, trials=300)
@@ -204,14 +189,11 @@ def test_fleet_external_workers_journal_bit_identical(
 
 
 @pytest.mark.chaos
-def test_worker_kill_and_zombie_recovered_bit_identical(
-    tmp_path, monkeypatch
-):
+def test_worker_kill_and_zombie_recovered_bit_identical(tmp_path):
     """SIGKILL-equivalent worker death on chunk 1 plus a zombie publish
     on chunk 0: the lease must expire by heartbeat staleness, the chunks
     re-dispatch under a bumped epoch, the stale epoch-0 result must be
     rejected and counted, and the journal must match serial exactly."""
-    _no_pid_liveness(monkeypatch)
     serial_path = tmp_path / "serial.jsonl"
     with CheckpointJournal(serial_path) as journal:
         reference = run(executor="serial", journal=journal)
@@ -242,11 +224,10 @@ def test_worker_kill_and_zombie_recovered_bit_identical(
 
 
 @pytest.mark.chaos
-def test_partition_recovered_bit_identical(tmp_path, monkeypatch):
+def test_partition_recovered_bit_identical(tmp_path):
     """A full board partition (frozen heartbeat + withheld publication)
     on chunk 0: re-dispatched under epoch 1, the delayed stale result is
     fenced off, and the journal matches serial."""
-    _no_pid_liveness(monkeypatch)
     serial_path = tmp_path / "serial.jsonl"
     with CheckpointJournal(serial_path) as journal:
         reference = run(executor="serial", journal=journal)
@@ -615,11 +596,33 @@ def test_repair_refuses_live_coordinator(tmp_path):
         executor.close()
 
 
-def test_audit_covers_legacy_pid_leases(tmp_path):
+def test_leftover_stop_flag_alone_is_unhealthy_then_repaired(tmp_path):
     board = _make_board(tmp_path)
-    # a legacy LeaseExecutor lease held by a certainly-dead pid
-    (board / "leases" / "00000000.task.999999").write_bytes(b"x")
+    (board / "STOP").write_text("")
     report = audit_board(board)
-    assert [o["worker"] for o in report["orphaned_leases"]] == ["pid:999999"]
+    assert report["stop_flag"] is True
+    assert report["healthy"] is False
     repair_board(board)
-    assert (board / "todo" / "00000000.task").exists()
+    assert not (board / "STOP").exists()
+    assert audit_board(board)["healthy"] is True
+
+
+def test_stop_flag_under_an_attached_coordinator_is_healthy(tmp_path):
+    board = tmp_path / "board"
+    executor = FleetExecutor(1, board_dir=board, spawn_workers=0)
+    try:
+        (board / "STOP").write_text("")
+        report = audit_board(board)
+        assert report["coordinator_attached"] is True
+        assert report["healthy"] is True
+    finally:
+        executor.close()
+
+
+def test_directory_without_workers_is_not_a_board(tmp_path):
+    from repro.runtime.fleet import _looks_like_board
+
+    board = _make_board(tmp_path)
+    assert _looks_like_board(board)
+    (board / "workers").rmdir()
+    assert not _looks_like_board(board)

@@ -2,7 +2,7 @@
 
 Unit coverage for :mod:`repro.ioutil` and
 :mod:`repro.runtime.integrity`, plus end-to-end quarantine/degradation
-behaviour of the v2 :class:`~repro.runtime.checkpoint.CheckpointJournal`
+behaviour of the v3 :class:`~repro.runtime.checkpoint.CheckpointJournal`
 driven through ``simulate_fail_probability_batched``.
 """
 
@@ -32,7 +32,6 @@ from repro.runtime.integrity import (
     probe_lock,
     quarantine_path,
     render_journal,
-    repair_journal,
     scan_journal,
 )
 from repro.simulator import simulate_fail_probability_batched
@@ -142,11 +141,11 @@ class TestFraming:
         "bad",
         [
             "not a frame",
-            "3|00000000|0011223344556677|{}",
-            "2|short|0011223344556677|{}",
-            "2|00000000|tooshort|{}",
-            "2|zzzzzzzz|0011223344556677|{}",
-            "2|00000000",
+            "2|00000000|0011223344556677|{}",
+            "3|short|0011223344556677|{}",
+            "3|00000000|tooshort|{}",
+            "3|zzzzzzzz|0011223344556677|{}",
+            "3|00000000",
         ],
     )
     def test_malformed_lines_rejected(self, bad):
@@ -171,12 +170,12 @@ class TestScanClassification:
         path.write_text(self.journal_text())
         scan = scan_journal(path)
         assert scan.classification == "healthy"
-        assert scan.version == 2
+        assert scan.version == 3
         assert len(scan.records) == 5
 
     def test_torn_tail_is_trailing_damage_only(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        path.write_text(self.journal_text() + "2|dead")
+        path.write_text(self.journal_text() + "3|dead")
         scan = scan_journal(path)
         assert scan.classification == "torn-tail"
         assert len(scan.torn_tail) == 1
@@ -203,7 +202,7 @@ class TestScanClassification:
         scan = scan_journal(path)
         assert any(d.reason == "chain-break" for d in scan.damage)
 
-    def test_unframed_line_inside_v2_is_damage(self, tmp_path):
+    def test_unframed_line_inside_journal_is_damage(self, tmp_path):
         path = tmp_path / "j.jsonl"
         lines = self.journal_text().splitlines()
         lines.insert(2, '{"kind": "chunk", "chunk": 99}')
@@ -212,12 +211,24 @@ class TestScanClassification:
         assert any(d.reason == "unframed" for d in scan.damage)
         assert all(r.get("chunk") != 99 for _ln, r in scan.records)
 
-    def test_legacy_v1_detected(self, tmp_path):
+    def test_prefix_of_the_marker_is_a_journal(self, tmp_path):
+        # A journal cut to one byte is a torn tail, not a foreign file.
         path = tmp_path / "j.jsonl"
-        path.write_text('{"kind": "header", "fingerprint": {}}\n')
+        path.write_text("3")
         scan = scan_journal(path)
-        assert scan.version == 1
-        assert scan.classification == "healthy"
+        assert scan.version == 3
+        assert scan.classification == "torn-tail"
+
+    def test_one_marked_line_makes_a_journal(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        lines = self.journal_text().splitlines()
+        lines[0] = "2" + lines[0][1:]  # the first line's marker flipped
+        path.write_text("\n".join(lines) + "\n")
+        scan = scan_journal(path)
+        assert scan.version == 3
+        assert scan.unsupported is None
+        assert (scan.damage[0].line_no, scan.damage[0].reason) == (1, "unframed")
+        assert scan.classification == "corrupt"
 
 
 class TestLocking:
@@ -343,47 +354,65 @@ class TestQuarantineResume:
         assert counters.chunks_resumed == 0  # nothing could be trusted
 
 
-class TestLegacyReadOnly:
-    def to_v1(self, path):
-        lines = path.read_text().splitlines()
-        path.write_text(
-            "\n".join(line.split("|", 3)[3] for line in lines) + "\n"
-        )
+def _remark(lines, indices, marker="2"):
+    """Re-mark the given lines with another frame version."""
+    return [
+        marker + line[1:] if i in indices else line
+        for i, line in enumerate(lines)
+    ]
 
-    def test_v1_resumes_bit_identical_without_writing(self, tmp_path):
+
+def _lines(blob):
+    return blob.decode("utf-8").splitlines()
+
+
+def _join(lines):
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+#: damage -> the journal bytes after it.  Each leaves the file a v3
+#: journal: a prefix of the marker, or at least one marked line.
+MARKER_DAMAGE = {
+    "cut-to-1-byte": lambda blob: blob[:1],
+    "cut-to-2-bytes": lambda blob: blob[:2],
+    "cut-inside-first-frame": lambda blob: blob[: blob.index(b"\n") // 2],
+    "first-marker-flipped": lambda blob: _join(_remark(_lines(blob), {0})),
+    "last-marker-flipped": lambda blob: _join(
+        _remark(_lines(blob), {len(_lines(blob)) - 1})
+    ),
+    "all-but-last-marker-flipped": lambda blob: _join(
+        _remark(_lines(blob), set(range(len(_lines(blob)) - 1)))
+    ),
+}
+
+
+class TestMarkerBoundary:
+    """One cut or one flipped marker heals; no marked line is refused."""
+
+    @pytest.mark.parametrize("damage", MARKER_DAMAGE)
+    def test_damaged_v3_journal_heals_bit_identically(self, tmp_path, damage):
         path = tmp_path / "run.jsonl"
         reference = record_journal(path)
-        self.to_v1(path)
-        before = path.read_bytes()
+        path.write_bytes(MARKER_DAMAGE[damage](path.read_bytes()))
+        assert scan_journal(path).unsupported is None
 
-        counters = PerfCounters()
-        with CheckpointJournal(path) as journal:
-            assert journal.readonly
-            assert journal.version == 1
-            resumed = batched(
-                runtime=RuntimeConfig(journal=journal), counters=counters
-            )
-        assert resumed == reference
-        assert counters.chunks_resumed == 3
-        assert path.read_bytes() == before  # never appended to
-
-    def test_v1_mid_file_corruption_still_raises(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        record_journal(path)
-        self.to_v1(path)
-        lines = path.read_text().splitlines()
-        lines.insert(2, "NOT JSON")
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="doctor"):
-            CheckpointJournal(path)
-        # ... and doctor --repair's engine makes it loadable again.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            actions = repair_journal(path)
-        assert actions["repaired"] and actions["upgraded_from_v1"]
-        journal = CheckpointJournal(path)
-        assert not journal.readonly and journal.version == 2
-        journal.close()
+            with CheckpointJournal(path) as journal:
+                resumed = batched(runtime=RuntimeConfig(journal=journal))
+        assert resumed == reference
+        assert scan_journal(path).classification == "healthy"
+
+    def test_no_marked_line_is_refused_untouched(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        record_journal(path)
+        lines = _lines(path.read_bytes())
+        path.write_bytes(_join(_remark(lines, set(range(len(lines))))))
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="is a v2 journal"):
+            CheckpointJournal(path)
+        assert path.read_bytes() == before
+        assert not quarantine_path(path).exists()
 
 
 class TestEnospcDegradation:

@@ -33,7 +33,7 @@ class TestManifest:
 
     def test_document_shape(self):
         cells, rows = self._rows()
-        counters = PerfCounters(trials=100, retries=2, engine_fallbacks=1)
+        counters = PerfCounters(trials=100, retries=2, dirty_words_decoded=1)
         events = [SupervisorEvent("retry", 0, 0, "injected")]
         manifest = build_manifest(
             command="campaign",
@@ -47,14 +47,16 @@ class TestManifest:
             resumed=True,
             checkpoint_path="run.jsonl",
         )
-        assert manifest["manifest_version"] == 3
+        assert manifest["manifest_version"] == 4
         assert manifest["scenario"] is None
         assert manifest["fingerprint"]["base_seed"] == 5
         assert manifest["fingerprint"]["cells"][0]["arrangement"] == "simplex"
         assert manifest["resumed"] is True
         assert manifest["checkpoint"] == "run.jsonl"
         assert manifest["counters"]["retries"] == 2
-        assert manifest["counters"]["engine_fallbacks"] == 1
+        assert manifest["counters"]["dirty_words_decoded"] == 1
+        assert "engine_fallbacks" not in manifest["counters"]
+        assert "scalar_fallbacks" not in manifest["counters"]
         assert manifest["resilience_events"] == [
             {"kind": "retry", "chunk": 0, "attempt": 0, "detail": "injected"}
         ]
