@@ -45,6 +45,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+#: ``--chunk-size`` help, shared by ``campaign`` and ``validate``.
+CHUNK_SIZE_HELP = (
+    "trials per seed block (default 512): the unit of seeding, "
+    "journaling and adaptive stopping, and part of the fingerprint, so "
+    "a different size runs a different experiment.  It is not the unit "
+    "of dispatch: consecutive blocks run together in tasks, which "
+    "changes no result"
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     from .runtime.executors import EXECUTOR_NAMES
@@ -100,7 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes for the batch codec-MC path (results are "
         "seed-deterministic regardless of this value)",
     )
-    val.add_argument("--chunk-size", type=int, default=512)
+    val.add_argument(
+        "--chunk-size",
+        type=int,
+        default=512,
+        help=CHUNK_SIZE_HELP,
+    )
 
     report = sub.add_parser(
         "report", help="write the full markdown reproduction report"
@@ -183,7 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes for the batch engine (estimates are "
         "seed-deterministic regardless of this value)",
     )
-    camp.add_argument("--chunk-size", type=int, default=512)
+    camp.add_argument(
+        "--chunk-size",
+        type=int,
+        default=512,
+        help=CHUNK_SIZE_HELP,
+    )
     camp.add_argument(
         "--perf",
         action="store_true",
@@ -207,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-chunk deadline; an overdue worker is presumed hung, "
-        "killed, and its chunk retried (default: no timeout)",
+        help="per-chunk deadline; a task of b chunks gets b x SECONDS. "
+        "An overdue worker is presumed hung, killed, and its task retried "
+        "(default: no timeout)",
     )
     camp.add_argument(
         "--max-retries",

@@ -43,17 +43,21 @@ def _supervised_call(payload: tuple) -> Dict[str, Any]:
 
     Module-level so it pickles; runs in worker processes (pool/fleet
     modes) or the parent (serial mode) — :meth:`ChaosSpec.before_chunk`
-    adapts crash/hang semantics to whichever side it is on.
+    adapts crash/hang semantics to whichever side it is on.  ``blocks``
+    is the range of chunk indices the submission holds.
     """
-    fn, chunk_index, attempt, chaos, args = payload
+    fn, blocks, attempt, chaos, args = payload
     if chaos is not None:
-        chaos.before_chunk(chunk_index, attempt)
+        # A fault aimed at any chunk of a multi-chunk task fires in it.
+        for chunk_index in blocks:
+            chaos.before_chunk(chunk_index, attempt)
     return fn(args)
 
 
 @dataclass
 class ChunkState:
-    """Per-chunk dispatch bookkeeping (one instance per chunk index).
+    """Per-job dispatch bookkeeping (one instance per job: a chunk, or a
+    task of ``span`` consecutive chunks keyed by its first index).
 
     This used to be four parallel structures threaded through a
     300-line dispatch loop (``failures`` dict, queue tuples carrying
@@ -63,13 +67,19 @@ class ChunkState:
     """
 
     index: int
-    args: tuple
+    args: Any
+    #: Consecutive chunk indices the job holds, from ``index`` on.
+    span: int = 1
     #: Failed attempts so far; doubles as the attempt number chaos keys on.
     failures: int = 0
     #: Monotonic timestamp before which this chunk must not redispatch.
     not_before: float = 0.0
     #: Speculative copies ever issued for the current attempt.
     speculations: int = 0
+
+    @property
+    def blocks(self) -> range:
+        return range(self.index, self.index + self.span)
 
 
 @dataclass(frozen=True)

@@ -343,23 +343,24 @@ def _run_leased_task(
     try:
         with open(lease_path, "rb") as fh:
             payload = pickle.load(fh)
-        fn, chunk_index, attempt, chaos, args = payload
+        fn, blocks, attempt, chaos, args = payload
         if isinstance(chaos, ChaosSpec):
             # Fleet chaos fires here, keyed by (chunk, epoch): these
             # kinds manipulate the *worker agent* (death, frozen
             # heartbeats, delayed publication), which before_chunk —
-            # running inside the chunk sandbox — cannot reach.
-            if chaos.worker_kill_fires(chunk_index, epoch):
+            # running inside the chunk sandbox — cannot reach.  A fault
+            # aimed at any chunk of the task fires for the task.
+            if any(chaos.worker_kill_fires(i, epoch) for i in blocks):
                 os._exit(CHAOS_EXIT_CODE)
-            hang_s = chaos.worker_hang_seconds(chunk_index, epoch)
-            partition_s = chaos.partition_seconds(chunk_index, epoch)
-            zombie = chaos.zombie_fires(chunk_index, epoch)
+            hang_s = max(chaos.worker_hang_seconds(i, epoch) for i in blocks)
+            partition_s = max(chaos.partition_seconds(i, epoch) for i in blocks)
+            zombie = any(chaos.zombie_fires(i, epoch) for i in blocks)
             frozen = hang_s > 0 or partition_s > 0 or zombie
             if frozen:
                 hb.pause()  # SIGSTOP-like: alive but invisible
             if hang_s > 0:
                 time.sleep(hang_s)
-        outcome = {"ok": _supervised_call((fn, chunk_index, attempt, chaos, args))}
+        outcome = {"ok": _supervised_call((fn, blocks, attempt, chaos, args))}
     except Exception as exc:  # noqa: BLE001 - chunk isolation boundary
         outcome = {"error": repr(exc)}
     outcome["worker"] = wid

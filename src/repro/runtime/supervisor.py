@@ -38,6 +38,10 @@ owns retry/backoff/timeout/speculation *policy* and speaks the small
   around: the other chunks run to completion (each journaled as it
   lands), then :class:`ChunkFailedError` names the failed chunk and its
   last error.  A deterministic chunk exception is a bug to surface.
+* **tasks** — a job may hold a run of consecutive chunks (a task, keyed
+  by its first index): chaos aimed at any of them fires in it, its
+  deadline is ``chunk_timeout`` per chunk, and a task that fails every
+  attempt is named by its chunk range.
 * **serial degradation** — a backend that keeps dying
   (``max_pool_restarts``) is closed and the remaining work continues on
   a :class:`~repro.runtime.executors.SerialExecutor` through the same
@@ -55,8 +59,19 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace
@@ -89,14 +104,30 @@ CHUNK_FAILED_EXIT_CODE = 70
 
 
 class ChunkFailedError(RuntimeError):
-    """A chunk failed all ``RetryPolicy.max_attempts`` attempts."""
+    """A chunk (or a task of chunks) failed all ``max_attempts`` attempts.
 
-    def __init__(self, index: int, attempts: int, last_error: str):
+    ``index`` is the first chunk of the failed job and ``blocks`` the
+    range of chunks it held; the message names the whole range.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        attempts: int,
+        last_error: str,
+        blocks: Optional[range] = None,
+    ):
+        blocks = range(index, index + 1) if blocks is None else blocks
+        what = (
+            f"chunk {index}"
+            if len(blocks) == 1
+            else f"chunks {blocks.start}-{blocks.stop - 1}"
+        )
         super().__init__(
-            f"chunk {index} failed {attempts} attempt(s); "
-            f"last error: {last_error}"
+            f"{what} failed {attempts} attempt(s); last error: {last_error}"
         )
         self.index = index
+        self.blocks = blocks
         self.attempts = attempts
         self.last_error = last_error
 
@@ -187,40 +218,38 @@ class ChunkSupervisor:
     def _warn(self, message: str) -> None:
         warnings.warn(message, ResilienceWarning, stacklevel=2)
 
-    def _heartbeat(
-        self, index: int, result: Dict[str, Any], latency_s: float
-    ) -> None:
-        """One chunk finished: histogram its latency, emit the heartbeat.
+    def _heartbeat(self, index: int, result: Any, latency_s: float) -> None:
+        """One job finished: histogram its latency, emit the heartbeat.
 
-        Called exactly once per chunk index — duplicate completions from
+        Called exactly once per job — duplicate completions from
         straggler speculation are dropped *before* this point, so the
-        latency histogram counts each chunk once no matter how many
-        copies ran.  The heartbeat is a trace event (``chunk_heartbeat``)
-        carrying the chunk latency plus — when a :class:`ProgressTracker`
-        is attached — the done/total/rate/ETA snapshot, and it also
-        reaches the ``on_progress`` callback (the CLI's ``--progress``
-        renderer).
+        latency histogram counts each job once no matter how many
+        copies ran.  A job's result is one chunk result or a list of
+        them (a task); its trials and kernel seconds are their sums.
+        The heartbeat is a trace event (``chunk_heartbeat``) carrying
+        the job latency plus — when a :class:`ProgressTracker` is
+        attached — the done/total/rate/ETA snapshot, and it also reaches
+        the ``on_progress`` callback (the CLI's ``--progress`` renderer).
         """
         obs_metrics.get_registry().histogram(CHUNK_LATENCY_METRIC).observe(
             latency_s
         )
-        if isinstance(result, dict):
-            counters = result.get("counters")
-            if isinstance(counters, dict):
-                try:
-                    kernel_s = float(counters.get("kernel_seconds", 0.0))
-                except (TypeError, ValueError):
-                    kernel_s = 0.0
-                if kernel_s > 0.0:
-                    obs_metrics.get_registry().histogram(
-                        CHUNK_KERNEL_METRIC
-                    ).observe(kernel_s)
+        kernel_s = 0.0
         trials = 0
-        if isinstance(result, dict):
+        for part in result if isinstance(result, list) else [result]:
+            if not isinstance(part, dict):
+                continue
+            counters = part.get("counters")
             try:
-                trials = int(result.get("trials", 0))
+                if isinstance(counters, dict):
+                    kernel_s += float(counters.get("kernel_seconds", 0.0))
+                trials += int(part.get("trials", 0))
             except (TypeError, ValueError):
-                trials = 0
+                pass
+        if kernel_s > 0.0:
+            obs_metrics.get_registry().histogram(CHUNK_KERNEL_METRIC).observe(
+                kernel_s
+            )
         attrs: Dict[str, Any] = {
             "chunk": index,
             "latency_s": latency_s,
@@ -239,22 +268,25 @@ class ChunkSupervisor:
 
     def run(
         self,
-        jobs: Sequence[Tuple[int, tuple]],
-        primary: Callable[[tuple], Dict[str, Any]],
-        on_complete: Optional[Callable[[int, Dict[str, Any]], None]] = None,
+        jobs: Sequence[Tuple[Union[int, range], Any]],
+        primary: Callable[[Any], Any],
+        on_complete: Optional[Callable[[int, Any], None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
-    ) -> Dict[int, Dict[str, Any]]:
-        """Run ``(chunk_index, args)`` jobs to completion (or early stop).
+    ) -> Dict[int, Any]:
+        """Run ``(chunks, args)`` jobs to completion (or early stop).
 
-        ``primary`` runs one chunk.  ``on_complete(index, result)`` fires
-        the moment each chunk first finishes (in completion order, once
-        per index) — the journal hook.  ``should_stop`` (optional) is
-        consulted after every completion; once true, queued work is
-        abandoned and the results so far are returned.  Returns
-        ``{chunk_index: result}``.
+        ``chunks`` is one chunk index, or a ``range`` of consecutive
+        chunk indices that one job (a task) holds; the job is keyed by
+        its first index.  Chaos aimed at any of its chunks fires in it,
+        and its deadline is ``chunk_timeout`` per chunk.  ``primary``
+        runs one job.  ``on_complete(index, result)`` fires the moment
+        each job first finishes (in completion order, once per job) —
+        the journal hook.  ``should_stop`` (optional) is consulted after
+        every completion; once true, queued work is abandoned and the
+        results so far are returned.  Returns ``{first index: result}``.
 
-        Raises :class:`ChunkFailedError` for the lowest-numbered chunk
-        that failed every attempt, once all other chunks have finished
+        Raises :class:`ChunkFailedError` for the lowest-numbered job
+        that failed every attempt, once all other jobs have finished
         (unless the stopping rule fired first: a stopped estimate never
         reads past its complete prefix).
         """
@@ -294,10 +326,16 @@ class ChunkSupervisor:
     ) -> Dict[int, Dict[str, Any]]:
         retry = self.retry
         results: Dict[int, Dict[str, Any]] = {}
-        states: Dict[int, ChunkState] = {
-            index: ChunkState(index=index, args=args) for index, args in jobs
-        }
-        queue: List[int] = [index for index, _ in jobs]
+        states: Dict[int, ChunkState] = {}
+        for chunks, args in jobs:
+            if not isinstance(chunks, range):
+                chunks = range(chunks, chunks + 1)
+            states[chunks.start] = ChunkState(
+                index=chunks.start, args=args, span=len(chunks)
+            )
+        # Dispatch order: fresh jobs in the given order, retries behind
+        # them once their backoff has passed.
+        queue: Deque[int] = deque(states)
         failed: Dict[int, str] = {}  # exhausted chunk -> last error
         dispatches: Dict[int, _Dispatch] = {}  # token -> live submission
         latencies: List[float] = []
@@ -337,10 +375,10 @@ class ChunkSupervisor:
                 )
 
         def dispatch(state: ChunkState, speculative: bool) -> None:
-            payload = (primary, state.index, state.failures, self.chaos, state.args)
+            payload = (primary, state.blocks, state.failures, self.chaos, state.args)
             token = executor.submit(payload)
             deadline = (
-                time.monotonic() + self.chunk_timeout
+                time.monotonic() + self.chunk_timeout * state.span
                 if self.chunk_timeout is not None
                 else math.inf
             )
@@ -352,12 +390,17 @@ class ChunkSupervisor:
             )
 
         while (queue or dispatches) and not stopping:
+            # Dispatch from the front until the executor is full.  A job
+            # still backing off keeps its place; the ones behind it go.
             now = time.monotonic()
-            for index in [i for i in queue if states[i].not_before <= now]:
-                if len(dispatches) >= executor.capacity:
-                    break
-                queue.remove(index)
-                dispatch(states[index], speculative=False)
+            waiting: List[int] = []
+            while queue and len(dispatches) < executor.capacity:
+                index = queue.popleft()
+                if states[index].not_before <= now:
+                    dispatch(states[index], speculative=False)
+                else:
+                    waiting.append(index)
+            queue.extendleft(reversed(waiting))
 
             self._maybe_speculate(executor, dispatches, states, results,
                                   latencies, live_copies, dispatch)
@@ -430,7 +473,7 @@ class ChunkSupervisor:
                 self.counters.chunk_timeouts += 1
                 self._event(
                     "timeout", index, state.failures,
-                    f"chunk exceeded {self.chunk_timeout:g}s",
+                    f"chunk exceeded {self.chunk_timeout * state.span:g}s",
                 )
                 if live_copies(index) == 0:
                     charge_failure(index, state.failures, "chunk timeout")
@@ -476,7 +519,12 @@ class ChunkSupervisor:
                     )
         if failed and not stopping:
             index = min(failed)
-            raise ChunkFailedError(index, states[index].failures, failed[index])
+            raise ChunkFailedError(
+                index,
+                states[index].failures,
+                failed[index],
+                states[index].blocks,
+            )
         return results
 
     def _maybe_speculate(

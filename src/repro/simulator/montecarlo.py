@@ -12,19 +12,22 @@ Three fault-injection validators:
   effects the chains idealize away (mis-corrections, benign stuck-ats,
   repeated SEUs on one symbol).  One trial at a time, trusted reference.
 * :func:`simulate_fail_probability_batched` — the same physics executed
-  by the batch layer.  Each chunk draws its trials' data, fault events
-  and scrub instants vectorized from its own spawned RNG stream
-  (:func:`draw_chunk`).  Trials without a fault event read back correct
-  by construction; the rest run through one array engine
-  (:func:`replay_batch`) that applies the events between two scrubs at
-  once, runs each scrub as one batch read over every trial that has it
-  (``decode_batch``, plus vectorized erasure recovery and
-  :func:`decide_batch` for duplex pairs), and decodes every final read
-  in one more batch.  An opt-in ``workers=N`` pool distributes chunks
-  across processes.  Because every chunk owns an independent spawned
-  ``SeedSequence`` and the aggregation is a commutative sum over chunks,
-  a fixed ``(seed, trials, chunk_size)`` triple yields an identical
-  :class:`FailureEstimate` for any worker count.
+  by the batch layer.  Trials come in seed blocks of ``chunk_size``;
+  each block draws its trials' data, fault events and scrub instants
+  vectorized from its own spawned RNG stream (:func:`draw_chunk`).
+  Trials without a fault event read back correct by construction; the
+  rest run through one array engine (:func:`replay_batch`) that applies
+  the events between two scrubs at once, runs each scrub as one batch
+  read over every trial that has it (``decode_batch``, plus vectorized
+  erasure recovery and :func:`decide_batch` for duplex pairs), and
+  decodes every final read in one more batch.  Blocks are dispatched in
+  tasks (:class:`TaskSpec`) of consecutive blocks whose fault-bearing
+  trials share one replay; an opt-in ``workers=N`` pool distributes
+  tasks across processes.  Because every block owns an independent
+  spawned ``SeedSequence``, every trial's replay depends on its own
+  events alone, and the aggregation is a commutative sum over blocks, a
+  fixed ``(seed, trials, chunk_size)`` triple yields an identical
+  :class:`FailureEstimate` for any worker count and any task grouping.
 
 The scalar :class:`SimplexSystem`/:class:`DuplexSystem` replay stays the
 oracle of the array engine: the ``reference`` campaign engine runs it,
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -312,6 +315,40 @@ def chunk_sizes(trials: int, chunk_size: int) -> List[int]:
     return [chunk_size] * full + ([rest] if rest else [])
 
 
+#: Most seed blocks one dispatched task holds.
+TASK_BLOCKS = 64
+
+#: Most fault-bearing trials a task gathers into one :func:`replay_batch`
+#: (a block is never split, so a block with more replays alone).  Bounds
+#: the replay's memory, as ``SYNDROME_BLOCK`` bounds the syndrome kernel's.
+REPLAY_TRIALS = 1024
+
+
+def task_spans(pending: List[int], workers: int) -> List[range]:
+    """Group pending block indices into the tasks that dispatch them.
+
+    A task is a run of consecutive pending blocks (a journaled block
+    ends the run) of at most ``clamp(ceil(len(pending) / (4 * workers)),
+    1, TASK_BLOCKS)`` blocks: about four tasks per worker, so a pool
+    stays balanced, and few enough blocks per task that a retry stays
+    cheap.  Grouping moves no result: every block draws from its own
+    seed and returns its own record.
+    """
+    if not pending:
+        return []
+    size = min(TASK_BLOCKS, max(1, math.ceil(len(pending) / (4 * workers))))
+    spans: List[range] = []
+    start = previous = pending[0]
+    for index in pending[1:] + [None]:
+        if index is not None and index == previous + 1 and index - start < size:
+            previous = index
+            continue
+        spans.append(range(start, previous + 1))
+        if index is not None:
+            start = previous = index
+    return spans
+
+
 def _cached_batch_codec(n: int, k: int, m: int, fcr: int) -> BatchRSCodec:
     # One codec per (n, k, m, fcr) per process; worker processes rebuild
     # their own copy on first use (tables come from the lru-cached
@@ -385,10 +422,78 @@ class ChunkDraw:
     scrub_counts: np.ndarray
     scrub_times: np.ndarray
 
+    def rows(self, trials: np.ndarray) -> "ChunkDraw":
+        """The draw of ``trials`` (ascending), which hold all its events."""
+        return ChunkDraw(
+            self.data[trials],
+            self.events._replace(trial=np.searchsorted(trials, self.events.trial)),
+            self.scrub_counts[trials],
+            self.scrub_times[trials],
+        )
+
+    @classmethod
+    def concat(cls, draws: List["ChunkDraw"]) -> "ChunkDraw":
+        """One draw of every trial of ``draws``, in order.
+
+        Scrub tables are padded with ``inf`` to the widest; padding
+        sorts after every event of its row, so no epoch moves.
+        """
+        if len(draws) == 1:
+            return draws[0]
+        starts = np.cumsum([0] + [len(d.data) for d in draws])
+        times = np.full(
+            (starts[-1], max(d.scrub_times.shape[1] for d in draws)), np.inf
+        )
+        for draw, start in zip(draws, starts):
+            times[start : start + len(draw.data), : draw.scrub_times.shape[1]] = (
+                draw.scrub_times
+            )
+        return cls(
+            np.concatenate([d.data for d in draws]),
+            EventTable.concat(
+                [
+                    d.events._replace(trial=d.events.trial + start)
+                    for d, start in zip(draws, starts)
+                ]
+            ),
+            np.concatenate([d.scrub_counts for d in draws]),
+            times,
+        )
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """One dispatched task: a cell's physics and a run of its seed blocks.
+
+    ``blocks`` holds consecutive ``(block index, trials, seed)`` entries.
+    Each block draws from its own seed exactly as a one-block task
+    would, and :func:`_run_injection_chunk` returns one result per block.
+    ``pattern``/``schedule`` are canonical spec strings, so a task
+    pickles for worker processes.
+    """
+
+    arrangement: str
+    n: int
+    k: int
+    m: int
+    fcr: int
+    t_end: float
+    seu_per_bit: float
+    erasure_per_symbol: float
+    scrub_period: Optional[float] = None
+    scrub_exponential: bool = False
+    pattern: Optional[str] = None
+    schedule: Optional[str] = None
+    blocks: Tuple[Tuple[int, int, np.random.SeedSequence], ...] = ()
+
 
 #: Outcome codes of :func:`replay_batch`: code ``i`` means ``OUTCOMES[i]``.
 OUTCOMES = (ReadOutcome.CORRECT, ReadOutcome.CORRUPTED, ReadOutcome.UNREADABLE)
 _CORRECT, _CORRUPTED, _UNREADABLE = range(len(OUTCOMES))
+
+#: :class:`PerfCounters` fields of the columns of :func:`replay_batch`'s
+#: per-trial ``work`` array.
+WORK_FIELDS = ("words_decoded", "clean_fast_path", "decode_failures")
 
 
 def _draw_event_table(
@@ -621,12 +726,14 @@ def _read_batch(
     words: np.ndarray,
     erasures: np.ndarray,
     counters: Optional[PerfCounters],
+    reads: Optional[list] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Decode ``(trials, modules, n)`` reads in one batch.
 
     Returns, per trial, whether the memory gives output and the codeword
     it outputs: the decoded word for simplex, the word the Section 3
-    arbiter (:func:`decide_batch`) picks for duplex.
+    arbiter (:func:`decide_batch`) picks for duplex.  ``reads``, if
+    given, receives the per-word clean and ok masks of the decode.
     """
     trials, modules, n = words.shape
     report = codec.decode_batch(
@@ -634,6 +741,8 @@ def _read_batch(
         erasures.reshape(-1, n) if erasures.any() else None,
         counters,
     )
+    if reads is not None:
+        reads.append((report.clean, report.ok))
     if modules == 1:
         return report.ok, report.codewords
     ok = report.ok.reshape(trials, 2)
@@ -681,6 +790,7 @@ def replay_batch(
     scrub_counts: np.ndarray,
     scrub_times: np.ndarray,
     counters: Optional[PerfCounters] = None,
+    work: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inject events into trials' words, scrub, and read every trial once.
 
@@ -691,6 +801,9 @@ def replay_batch(
     recovery, with the shared erasures on both words), and per-trial
     :data:`OUTCOMES` codes — what :class:`SimplexSystem` /
     :class:`DuplexSystem` give for the same events, trial by trial.
+    ``work``, a ``(trials, len(WORK_FIELDS))`` integer array, receives
+    each trial's share of the decode counters, so the trials of one
+    replay can be accounted to the blocks they came from.
 
     The events between two scrubs are applied at once, then the scrub
     runs as one batch read over every trial that has it, writing the
@@ -732,6 +845,9 @@ def replay_batch(
     step = group - np.maximum.accumulate(np.where(new_trial, group, 0))
     by_step = np.argsort(step, kind="stable")
     bounds = np.searchsorted(step[by_step], np.arange(step.max(initial=-1) + 2))
+    # For ``work``: the trials of each read and its decode's word masks.
+    read_rows: List[np.ndarray] = []
+    reads: Optional[list] = None if work is None else []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         index = by_step[lo:hi]
         memory.apply(events.take(index))
@@ -739,92 +855,130 @@ def replay_batch(
         rows = trial[heads][epoch[heads] < scrub_counts[trial[heads]]]
         if rows.size:
             readable, codewords = _read_batch(
-                codec, *memory.reads(rows), counters
+                codec, *memory.reads(rows), counters, reads
             )
             memory.logical[rows[readable]] = codewords[readable][:, None, :]
+            if reads is not None:
+                read_rows.append(rows)
     words, erasures = memory.reads(slice(None))
-    readable, codewords = _read_batch(codec, words, erasures, counters)
+    readable, codewords = _read_batch(codec, words, erasures, counters, reads)
     right = (codewords[:, codec.nsym :] == data).all(axis=1)
     outcome = np.where(
         readable, np.where(right, _CORRECT, _CORRUPTED), _UNREADABLE
     )
+    if work is not None:
+        read_rows.append(np.arange(len(data)))
+        owner = np.repeat(np.concatenate(read_rows), modules)
+        clean, ok = (np.concatenate(masks) for masks in zip(*reads))
+        work += np.stack(
+            [
+                np.bincount(owner, minlength=len(data)),
+                np.bincount(owner[clean], minlength=len(data)),
+                np.bincount(owner[~ok], minlength=len(data)),
+            ],
+            axis=1,
+        )
     return words, erasures, outcome
 
 
-def _run_injection_chunk(args: tuple) -> Dict[str, object]:
-    """Execute one chunk of trials; picklable, runs in worker processes.
+def _run_injection_chunk(task: TaskSpec) -> List[Dict[str, object]]:
+    """Execute one task; picklable, runs in worker processes.
 
-    Draws the chunk (:func:`draw_chunk`), counts every trial without a
-    fault event as ``CORRECT`` (scrubs are no-ops on fault-free words,
-    so its read is right by construction), and replays the rest in one
-    array engine (:func:`replay_batch`): scrub epochs advance in batch
-    steps and every read goes through ``decode_batch``.
+    Draws each block from its own seed (:func:`draw_chunk`) and counts
+    every trial without a fault event as ``CORRECT`` (scrubs are no-ops
+    on fault-free words, so its read is right by construction).  The
+    other trials of consecutive blocks are gathered, up to
+    :data:`REPLAY_TRIALS`, into one array replay (:func:`replay_batch`):
+    scrub epochs advance in batch steps and every read goes through
+    ``decode_batch``.  Returns one result per block, in block order,
+    each what a one-block task gives: outcome counts, and work counters
+    attributed to the block's own trials.  The task's busy and kernel
+    time go to its first block, so their sums are kept.
     """
-    (
-        arrangement,
-        n,
-        k,
-        m,
-        fcr,
-        t_end,
-        seu_per_bit,
-        erasure_per_symbol,
-        scrub_period,
-        scrub_exponential,
-        n_trials,
-        seed_seq,
-        pattern_spec,
-        schedule_spec,
-    ) = args
-    if arrangement not in ("simplex", "duplex"):
-        raise ValueError(f"unknown arrangement {arrangement!r}")
-    codec = _cached_batch_codec(n, k, m, fcr)
+    if task.arrangement not in ("simplex", "duplex"):
+        raise ValueError(f"unknown arrangement {task.arrangement!r}")
+    codec = _cached_batch_codec(task.n, task.k, task.m, task.fcr)
+    pattern = None if task.pattern is None else parse_pattern(task.pattern)
+    schedule = parse_schedule(task.schedule)
     counters = PerfCounters()
     # Busy time goes to the additive cpu_seconds axis; true wall clock
     # (elapsed_seconds) is owned by the coordinator's Stopwatch.
     t_busy = time.perf_counter()
-    draw = draw_chunk(
-        np.random.default_rng(seed_seq),
-        arrangement,
-        n,
-        k,
-        m,
-        t_end,
-        seu_per_bit,
-        erasure_per_symbol,
-        scrub_period,
-        scrub_exponential,
-        n_trials,
-        None if pattern_spec is None else parse_pattern(pattern_spec),
-        parse_schedule(schedule_spec),
-    )
-    dirty = np.flatnonzero(np.bincount(draw.events.trial, minlength=n_trials))
-    tally = np.zeros(len(OUTCOMES), dtype=np.int64)
-    tally[_CORRECT] = n_trials - dirty.size
-    if dirty.size:
-        events = draw.events._replace(
-            trial=np.searchsorted(dirty, draw.events.trial)
-        )
+    tally = np.zeros((len(task.blocks), len(OUTCOMES)), dtype=np.int64)
+    work = np.zeros((len(task.blocks), len(WORK_FIELDS)), dtype=np.int64)
+    dirty_trials = np.zeros(len(task.blocks), dtype=np.int64)
+    gathered: List[ChunkDraw] = []  # dirty rows of blocks not yet replayed
+    owners: List[int] = []  # the block slot of each gathered draw
+
+    def replay() -> None:
+        slot = np.repeat(owners, dirty_trials[owners])
+        draw = ChunkDraw.concat(gathered)
+        trial_work = np.zeros((slot.size, len(WORK_FIELDS)), dtype=np.int64)
         _words, _erasures, outcome = replay_batch(
             codec,
-            arrangement,
-            draw.data[dirty],
-            events,
-            draw.scrub_counts[dirty],
-            draw.scrub_times[dirty],
+            task.arrangement,
+            draw.data,
+            draw.events,
+            draw.scrub_counts,
+            draw.scrub_times,
             counters,
+            trial_work,
         )
-        tally += np.bincount(outcome, minlength=len(OUTCOMES))
-    counts = {o.value: int(c) for o, c in zip(OUTCOMES, tally)}
-    counters.trials += n_trials
-    counters.chunks += 1
-    counters.cpu_seconds += time.perf_counter() - t_busy
-    return {
-        "failures": n_trials - counts[ReadOutcome.CORRECT.value],
-        "counts": counts,
-        "trials": n_trials,
-        "counters": counters.as_dict(),
-    }
+        np.add.at(tally, (slot, outcome), 1)
+        np.add.at(work, slot, trial_work)
+        gathered.clear()
+        owners.clear()
+
+    for slot, (_index, n_trials, seed) in enumerate(task.blocks):
+        draw = draw_chunk(
+            np.random.default_rng(seed),
+            task.arrangement,
+            task.n,
+            task.k,
+            task.m,
+            task.t_end,
+            task.seu_per_bit,
+            task.erasure_per_symbol,
+            task.scrub_period,
+            task.scrub_exponential,
+            n_trials,
+            pattern,
+            schedule,
+        )
+        dirty = np.flatnonzero(np.bincount(draw.events.trial, minlength=n_trials))
+        tally[slot, _CORRECT] = n_trials - dirty.size
+        if not dirty.size:
+            continue
+        if owners and dirty_trials[owners].sum() + dirty.size > REPLAY_TRIALS:
+            replay()
+        dirty_trials[slot] = dirty.size
+        gathered.append(draw.rows(dirty))
+        owners.append(slot)
+    if owners:
+        replay()
+    busy = time.perf_counter() - t_busy
+    results: List[Dict[str, object]] = []
+    for slot, (_index, n_trials, _seed) in enumerate(task.blocks):
+        block = PerfCounters(
+            words_encoded=int(dirty_trials[slot]),
+            trials=n_trials,
+            chunks=1,
+            **dict(zip(WORK_FIELDS, work[slot].tolist())),
+        )
+        block.dirty_words_decoded = block.words_decoded - block.clean_fast_path
+        if slot == 0:
+            block.cpu_seconds = busy
+            block.kernel_seconds = counters.kernel_seconds
+        counts = {o.value: int(c) for o, c in zip(OUTCOMES, tally[slot])}
+        results.append(
+            {
+                "failures": n_trials - counts[ReadOutcome.CORRECT.value],
+                "counts": counts,
+                "trials": n_trials,
+                "counters": block.as_dict(),
+            }
+        )
+    return results
 
 
 def _publish_ber_snapshot(snapshot: BerSnapshot, cell_key: str) -> None:
@@ -864,23 +1018,26 @@ def simulate_fail_probability_batched(
     """Batched Monte-Carlo failure probability through the batch codec.
 
     Same physics as :func:`simulate_fail_probability`, executed in
-    vectorized chunks (see :func:`_run_injection_chunk`).  The estimate
-    is a deterministic function of ``(seed, trials, chunk_size)`` and all
-    physical parameters — and of nothing else:
+    vectorized seed blocks of ``chunk_size`` trials (the journal calls
+    them chunks).  The estimate is a deterministic function of ``(seed,
+    trials, chunk_size)`` and all physical parameters — and of nothing
+    else:
 
-    * each chunk draws from its own spawned :class:`numpy.random.SeedSequence`
+    * each block draws from its own spawned :class:`numpy.random.SeedSequence`
       (:func:`spawn_chunk_seeds`), so streams never overlap;
-    * chunk results are combined by commutative summation, so scheduling
-      order and ``workers`` cannot change the outcome.
+    * block results are combined by commutative summation, so scheduling
+      order, task grouping and ``workers`` cannot change the outcome.
 
-    ``workers > 1`` distributes chunks over a supervised process pool
+    Pending blocks are dispatched in tasks of consecutive blocks
+    (:func:`task_spans`, :class:`TaskSpec`, :func:`_run_injection_chunk`).
+    ``workers > 1`` distributes tasks over a supervised process pool
     (:class:`~repro.runtime.ChunkSupervisor`): crashed or hung workers
-    are detected and failed chunks retried with bounded backoff; a chunk
+    are detected and failed tasks retried with bounded backoff; a task
     that fails every attempt raises
-    :class:`~repro.runtime.ChunkFailedError` after the other chunks
+    :class:`~repro.runtime.ChunkFailedError` after the other tasks
     finish (and are journaled).  ``counters`` (optional)
     receives the merged work/throughput/resilience counters of all
-    chunks, wherever they ran.
+    blocks, wherever they ran.
 
     ``runtime`` bundles the resilience options (retry policy, per-chunk
     timeout, chaos injection, checkpoint journal); ``cell_key``
@@ -924,25 +1081,20 @@ def simulate_fail_probability_batched(
     )
     sizes = chunk_sizes(trials, chunk_size)
     seeds = spawn_chunk_seeds(seed, len(sizes))
-    job_args = [
-        (
-            arrangement,
-            code.n,
-            code.k,
-            code.m,
-            code.fcr,
-            t_end,
-            seu_per_bit,
-            erasure_per_symbol,
-            scrub_period,
-            scrub_exponential,
-            size,
-            chunk_seed,
-            pattern_spec,
-            schedule_spec,
-        )
-        for size, chunk_seed in zip(sizes, seeds)
-    ]
+    cell = TaskSpec(
+        arrangement,
+        code.n,
+        code.k,
+        code.m,
+        code.fcr,
+        t_end,
+        seu_per_bit,
+        erasure_per_symbol,
+        scrub_period,
+        scrub_exponential,
+        pattern_spec,
+        schedule_spec,
+    )
 
     cfg = runtime if runtime is not None else RuntimeConfig()
     journal = cfg.journal
@@ -970,8 +1122,8 @@ def simulate_fail_probability_batched(
             stopper.offer(index, chunk_failures, chunk_trials)
 
     results: Dict[int, Dict[str, object]] = {}
-    jobs: List[Tuple[int, tuple]] = []
-    for index, args in enumerate(job_args):
+    pending: List[int] = []
+    for index in range(len(sizes)):
         cached = (
             journal.completed(cell_key, index, seed_ids[index])
             if journal is not None
@@ -996,11 +1148,18 @@ def simulate_fail_probability_batched(
                     cfg.on_progress(progress_event)
             trace.event("chunk_heartbeat", **heartbeat_attrs)
         else:
-            jobs.append((index, args))
+            pending.append(index)
     if stopper is not None and stopper.should_stop:
         # Resumed chunks alone satisfied the rule on a complete prefix;
         # everything past the stop index is unnecessary work.
-        jobs = []
+        pending = []
+    jobs = [
+        (
+            span,
+            replace(cell, blocks=tuple((i, sizes[i], seeds[i]) for i in span)),
+        )
+        for span in task_spans(pending, workers)
+    ]
 
     with trace.span(
         "simulate_fail_probability_batched",
@@ -1009,6 +1168,7 @@ def simulate_fail_probability_batched(
         chunk_size=chunk_size,
         workers=workers,
         n_chunks=len(sizes),
+        n_tasks=len(jobs),
         chunks_resumed=len(results),
         cell_key=cell_key,
     ), Stopwatch(own_counters):
@@ -1042,22 +1202,24 @@ def simulate_fail_probability_batched(
                 fleet_spawn=fleet_spawn,
             )
 
-            def record(index: int, result: Dict[str, object]) -> None:
-                if journal is not None:
-                    journal.record_chunk(cell_key, index, seed_ids[index], result)
-                observe(index, result)
+            def record(first: int, task_results: List[Dict[str, object]]) -> None:
+                # A finished task journals and offers its blocks in
+                # index order.
+                for index, result in enumerate(task_results, start=first):
+                    if journal is not None:
+                        journal.record_chunk(
+                            cell_key, index, seed_ids[index], result
+                        )
+                    results[index] = result
+                    observe(index, result)
 
-            results.update(
-                supervisor.run(
-                    jobs,
-                    primary=_run_injection_chunk,
-                    on_complete=record,
-                    should_stop=(
-                        None
-                        if stopper is None
-                        else lambda: stopper.should_stop
-                    ),
-                )
+            supervisor.run(
+                jobs,
+                primary=_run_injection_chunk,
+                on_complete=record,
+                should_stop=(
+                    None if stopper is None else lambda: stopper.should_stop
+                ),
             )
             cfg.events.extend(supervisor.events)
 

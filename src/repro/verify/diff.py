@@ -44,7 +44,8 @@ target                    layers                   compares
 ``mc-replay-scalar``      simulator, rs            batch chunk engine vs trial-by-trial
                                                    SimplexSystem/DuplexSystem replay of the
                                                    same events: final words, erasure sets,
-                                                   outcomes, exactly
+                                                   outcomes, exactly; per-block counts of
+                                                   a multi-block task vs each block's tally
 ``scenario-analytic-parity`` memory, simulator     random i.i.d.-reducible fault-pattern
                                                    mixtures (optionally rate-scheduled) vs
                                                    the campaign's analytic bridge within a
@@ -1281,9 +1282,11 @@ def _check_mc_replay(case: Case, buggy: bool = False) -> Optional[Mismatch]:
     the drawn chunk; each trial's final read words, erasure sets and
     read outcome must equal those of the same events (and scrubs)
     applied one by one to a :class:`SimplexSystem`/:class:`DuplexSystem`
-    in ``event_sort_key`` order.  Without ``snap`` the chunk's outcome
-    counts from ``_run_injection_chunk``, which replays only the trials
-    that have events, must equal the replay's tally too.
+    in ``event_sort_key`` order.  Without ``snap`` the case's block and
+    its ``task_blocks`` also run as one multi-block task through
+    ``_run_injection_chunk``, which replays only the trials that have
+    events, the blocks' together: each block's outcome counts must
+    equal the scalar replay's tally of that block's own draw.
     """
     from ..rs import BatchRSCodec
     from ..simulator import montecarlo as mc
@@ -1319,29 +1322,44 @@ def _check_mc_replay(case: Case, buggy: bool = False) -> Optional[Mismatch]:
             )
     if case["snap"]:
         return None
-    chunk = mc._run_injection_chunk(
-        (
-            case["arrangement"],
-            case["n"],
-            case["k"],
-            case["m"],
-            1,
-            case["t_end_hours"],
-            case["seu_per_bit"],
-            case["erasure_per_symbol"],
-            case["scrub_period"],
-            case["scrub_exponential"],
-            case["trials"],
-            np.random.SeedSequence(case["seed"]),
-            case["pattern"],
-            case["schedule"],
-        )
+    blocks = [[case["seed"], case["trials"]]] + case.get("task_blocks", [])
+    tallies = [tally]
+    for seed, trials in blocks[1:]:
+        block_case = {**case, "seed": seed, "trials": trials}
+        block_draw = _replay_draw(block_case)
+        block_tally = {o.value: 0 for o in mc.OUTCOMES}
+        for trial in range(trials):
+            block_tally[
+                _scalar_replay(block_case, codec.scalar, block_draw, trial, buggy)[2]
+            ] += 1
+        tallies.append(block_tally)
+    task = mc.TaskSpec(
+        case["arrangement"],
+        case["n"],
+        case["k"],
+        case["m"],
+        1,
+        case["t_end_hours"],
+        case["seu_per_bit"],
+        case["erasure_per_symbol"],
+        case["scrub_period"],
+        case["scrub_exponential"],
+        case["pattern"],
+        case["schedule"],
+        blocks=tuple(
+            (index, trials, np.random.SeedSequence(seed))
+            for index, (seed, trials) in enumerate(blocks)
+        ),
     )
-    if chunk["counts"] != tally:
-        return Mismatch(
-            "chunk outcome counts differ from the scalar replay's tally",
-            {"chunk": chunk["counts"], "scalar": tally},
-        )
+    for index, (result, want_tally) in enumerate(
+        zip(mc._run_injection_chunk(task), tallies)
+    ):
+        if result["counts"] != want_tally:
+            return Mismatch(
+                "task block outcome counts differ from the scalar replay's "
+                "tally of the block's own draw",
+                {"block": index, "task": result["counts"], "scalar": want_tally},
+            )
     return None
 
 
@@ -1350,6 +1368,8 @@ def _induced_mc_replay_bug(case: Case) -> Optional[Mismatch]:
 
 
 def _shrink_mc_replay(case: Case) -> Iterator[Case]:
+    if case.get("task_blocks"):
+        yield {**case, "task_blocks": case["task_blocks"][:-1]}
     if case["trials"] > 1:
         yield {**case, "trials": case["trials"] // 2}
         yield {**case, "trials": case["trials"] - 1}
@@ -1511,7 +1531,8 @@ register_target(
             "Batch chunk engine (scrub epochs replayed in array steps) vs "
             "a trial-by-trial SimplexSystem/DuplexSystem replay of the "
             "same events: final read words, erasure sets and outcomes, "
-            "exactly"
+            "exactly; each block of a multi-block task vs the scalar "
+            "tally of its own draw"
         ),
         generate=_gen_mc_replay_case,
         check=_check_mc_replay,

@@ -404,7 +404,9 @@ def gen_mc_replay_case(rng: np.random.Generator) -> Dict[str, Any]:
     trial, so words fail, scrubs find work, and cells get stuck twice.
     ``snap`` moves every other event of a scrubbed trial onto the
     instant of the next scrub, where the order of a fault and a scrub
-    that share an instant decides the outcome.
+    that share an instant decides the outcome.  ``task_blocks`` lists
+    ``[seed, trials]`` of one or two more seed blocks that run after the
+    case's own block in one multi-block task.
     """
     n, k, m = REPLAY_CODES[int(rng.integers(len(REPLAY_CODES)))]
     t_end = float(rng.choice([12.0, 24.0, 48.0]))
@@ -433,4 +435,8 @@ def gen_mc_replay_case(rng: np.random.Generator) -> Dict[str, Any]:
         "snap": scrub != "none" and bool(rng.random() < 0.5),
         "trials": int(rng.integers(20, 61)),
         "seed": int(rng.integers(0, 2**31 - 1)),
+        "task_blocks": [
+            [int(rng.integers(0, 2**31 - 1)), int(rng.integers(1, 21))]
+            for _ in range(int(rng.integers(1, 3)))
+        ],
     }

@@ -183,3 +183,26 @@ class TestPooledResilience:
         assert counters.serial_fallbacks == 1
         assert counters.pool_restarts == 2
         assert any(e.kind == "serial_degrade" for e in runtime.events)
+
+
+def test_dispatch_reads_not_before_linearly(monkeypatch):
+    """20,000 no-op jobs through the serial executor: each dispatch
+    looks at the front of the queue only, so the number of
+    ``not_before`` reads grows linearly with the number of jobs (a scan
+    of the whole queue per dispatch made it quadratic)."""
+    from repro.runtime import supervisor as supervisor_module
+    from repro.runtime.executors import ChunkState
+
+    reads = []
+
+    class CountingState(ChunkState):
+        def __getattribute__(self, name):
+            if name == "not_before":
+                reads.append(1)
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(supervisor_module, "ChunkState", CountingState)
+    jobs = [(i, None) for i in range(20_000)]
+    done = ChunkSupervisor().run(jobs, primary=lambda _args: {"trials": 1})
+    assert len(done) == len(jobs)
+    assert len(reads) <= 2 * len(jobs)
