@@ -665,6 +665,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         render_catalog,
         run_campaign,
     )
+    from .simulator.campaign import check_schedule_legs
     from .simulator.patterns import parse_pattern, parse_schedule
 
     if args.list_scenarios:
@@ -797,6 +798,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         n, k, m, t_end_hours = 18, 16, 8, 48.0
         trials = args.trials if args.trials is not None else 300
         seed = args.seed if args.seed is not None else 2005
+    try:
+        for cell in cells:
+            check_schedule_legs(cell.schedule, t_end_hours)
+    except ValueError as exc:
+        print(f"bad fault-physics spec: {exc}", file=sys.stderr)
+        return 2
     counters = PerfCounters()
     try:
         journal = (

@@ -192,6 +192,34 @@ def cell_model_probability(
     return float(profile.fail_probability([t_end_hours])[0])
 
 
+#: Most legs a cell's rate schedule may span over the campaign horizon.
+#: The analytic bridge solves one uniformization step per leg
+#: (:meth:`~repro.memory.mission.MissionProfile.fail_probability`):
+#: about 0.7 ms for the RS(18,16) SEU-only chains and 2.7 ms for the
+#: duplex chain with permanent faults and hourly scrubs, so a cell at
+#: the bound solves in under 3 s, while a 1e-300 h leg would never
+#: finish (DESIGN.md §11).
+MAX_SCHEDULE_LEGS = 1000
+
+
+def check_schedule_legs(schedule, t_end_hours: float) -> None:
+    """Parse ``schedule``; refuse one spanning over :data:`MAX_SCHEDULE_LEGS` legs.
+
+    Raises ``ValueError`` for a malformed spec, or one naming the leg
+    count over ``[0, t_end_hours]``.
+    """
+    schedule = parse_schedule(schedule)
+    if schedule is None:
+        return
+    legs = schedule.legs(t_end_hours)
+    if legs > MAX_SCHEDULE_LEGS:
+        raise ValueError(
+            f"schedule {schedule.spec()!r} spans {legs:.4g} legs over the "
+            f"{t_end_hours:g} h horizon; at most {MAX_SCHEDULE_LEGS} are "
+            f"supported (the model solve takes one step per leg)"
+        )
+
+
 #: Current fingerprint schema.  3 folded the adaptive-stopping rule in:
 #: ``stop_rel_ci``/``min_trials``/``ci_method`` change the recorded
 #: ``stopped_early`` prefix and hence the final estimate, so two runs
@@ -324,7 +352,7 @@ def run_campaign(
         # journal header is written.
         if cell.pattern is not None:
             parse_pattern(cell.pattern)
-        parse_schedule(cell.schedule)
+        check_schedule_legs(cell.schedule, t_end_hours)
     if runtime is not None and runtime.journal is not None:
         if not batch:
             raise ValueError(

@@ -14,7 +14,10 @@ Three fault-injection validators:
 * :func:`simulate_fail_probability_batched` — the same physics executed
   by the batch layer.  Trials come in seed blocks of ``chunk_size``;
   each block draws its trials' data, fault events and scrub instants
-  vectorized from its own spawned RNG stream (:func:`draw_chunk`).
+  vectorized from its own spawned RNG stream (:func:`draw_chunk`);
+  correlated-pattern arrivals are drawn from the stream's raw PCG64
+  words (:class:`~repro.simulator.patterns.Pcg64Draws`), byte for byte
+  what one ``Generator`` call per draw gives.
   Trials without a fault event read back correct by construction; the
   rest run through one array engine (:func:`replay_batch`) that applies
   the events between two scrubs at once, runs each scrub as one batch
@@ -57,8 +60,8 @@ from .arbiter import decide_batch
 # Re-exported so that benchmarks/e2e/spans.py, which wraps these call
 # sites where it finds them, still finds them bound here.
 from .arbiter import decide_from_decodes, recover_erasures  # noqa: F401
+from .patterns import expand_arrivals  # noqa: F401
 from .faults import (
-    FaultKind,
     merge_event_streams,
     sample_permanent_events,
     sample_seu_events,
@@ -67,8 +70,9 @@ from .faults import (
 from .patterns import (
     IID_1BIT,
     FaultPattern,
+    Pcg64Draws,
     RateSchedule,
-    expand_arrivals,
+    arrival_cells,
     format_pattern,
     format_schedule,
     parse_pattern,
@@ -537,34 +541,31 @@ def _draw_pattern_events(
 ) -> List[EventTable]:
     """One module's compound-Poisson transients for a chunk of trials.
 
-    Arrival counts are drawn vectorized; arrivals are expanded trial by
-    trial, in trial order, so the stream is a pure function of the seed.
+    Arrival counts are drawn vectorized; then, trial by trial, each
+    trial's arrival times and shapes (:func:`arrival_cells`).  Those
+    draws go through one :class:`Pcg64Draws` over ``rng``, so they are
+    the numbers per-trial ``Generator`` calls give, and ``rng`` is left
+    where those calls would have left it.
     """
     if expected <= 0:
         return []
     counts = rng.poisson(expected, size=n_trials)
-    records = []
-    for trial in np.flatnonzero(counts).tolist():
-        arrivals = int(counts[trial])
-        if schedule is not None:
-            times = schedule.sample_times(rng, t_end, arrivals)
-        else:
-            times = np.sort(rng.uniform(0.0, t_end, size=arrivals))
-        records += [
-            (
-                trial,
-                ev.time,
-                ev.kind is FaultKind.PERMANENT,
-                ev.symbol,
-                ev.bit,
-                ev.stuck_value,
-                ev.mask,
-            )
-            for ev in expand_arrivals(rng, pattern, times, n, m, module)
-        ]
-    if not records:
+    struck = np.flatnonzero(counts).tolist()
+    if not struck:
         return []
-    trial, time, permanent, symbol, bit, value, mask = zip(*records)
+    rows = []
+    with Pcg64Draws(rng) as draws:
+        for trial in struck:
+            arrivals = int(counts[trial])
+            if schedule is not None:
+                times = schedule.sample_times(draws, t_end, arrivals)
+            else:
+                times = np.sort(draws.uniform(0.0, t_end, size=arrivals))
+            rows += [
+                (trial, *cell)
+                for cell in arrival_cells(draws, pattern, times.tolist(), n, m)
+            ]
+    trial, time, permanent, symbol, bit, value, mask = zip(*rows)
     return [EventTable.build(trial, time, permanent, module, symbol, bit, value, mask)]
 
 

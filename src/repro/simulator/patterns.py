@@ -22,6 +22,11 @@ for that physics:
   model* (``seu_per_bit * n * m``, optionally schedule-modulated), each
   arrival drawn from the mixture and expanded into concrete
   :class:`~repro.simulator.faults.FaultEvent` records.
+* :class:`Pcg64Draws` — the handful of ``Generator`` calls the sampler
+  makes, answered from the generator's raw PCG64 words with numpy's own
+  algorithms.  The batch engine draws a whole chunk's arrivals through
+  it, byte for byte the numbers the per-call ``Generator`` gives, and
+  without paying numpy's per-call overhead for each of them.
 
 Because a pure ``1BIT`` mixture reproduces the i.i.d. model's law
 exactly, every i.i.d.-reducible pattern can be cross-validated against
@@ -36,6 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -52,6 +58,8 @@ __all__ = [
     "format_pattern",
     "parse_schedule",
     "format_schedule",
+    "Pcg64Draws",
+    "arrival_cells",
     "expand_arrivals",
     "sample_pattern_events",
 ]
@@ -131,6 +139,19 @@ class FaultPattern:
         """Normalized mixture probabilities, term order preserved."""
         weights = np.asarray([t.weight for t in self.terms], dtype=float)
         return weights / weights.sum()
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        return _choice_cdf(self.probabilities)
+
+    def pick(self, rng, count: int) -> np.ndarray:
+        """Term indices of ``count`` arrivals.
+
+        The numbers ``rng.choice(len(terms), count, p=probabilities)``
+        gives: numpy's ``choice`` searches ``rng.random(count)`` in the
+        same CDF, which this pattern builds once.
+        """
+        return self._cdf.searchsorted(rng.random(count), side="right")
 
     @property
     def iid_reducible(self) -> bool:
@@ -289,6 +310,24 @@ class RateSchedule:
             rest -= step
         return area
 
+    def legs(self, t_end: float) -> float:
+        """About how many legs ``[0, t_end]`` spans, counted without listing them.
+
+        :meth:`windows` lists one window per leg and the mission chains
+        solve one step per leg.  A float: a short leg over a long horizon
+        makes more legs than any list could hold.
+        """
+        if t_end <= 0.0:
+            return 0.0
+        full, rest = divmod(t_end, self.cycle_hours)
+        started = 0
+        for duration, _factor in self.segments:
+            if rest <= 0.0:
+                break
+            started += 1
+            rest -= duration
+        return full * len(self.segments) + started
+
     def windows(self, t_end: float) -> List[Tuple[float, float, float]]:
         """Absolute ``(start, end, factor)`` windows covering ``[0, t_end]``."""
         out: List[Tuple[float, float, float]] = []
@@ -302,22 +341,17 @@ class RateSchedule:
                 t = end
         return out
 
-    def sample_times(
-        self, rng: np.random.Generator, t_end: float, count: int
-    ) -> np.ndarray:
-        """``count`` arrival instants on ``[0, t_end]`` with density ∝ factor."""
+    def sample_times(self, rng, t_end: float, count: int) -> np.ndarray:
+        """``count`` arrival instants on ``[0, t_end]`` with density ∝ factor.
+
+        Windows are picked as ``rng.choice(len(windows), count,
+        p=weights / total)`` picks them, from a CDF built once per
+        horizon.
+        """
         if count <= 0:
             return np.zeros(0)
-        windows = self.windows(t_end)
-        weights = np.asarray([(e - s) * f for s, e, f in windows])
-        total = weights.sum()
-        if total <= 0.0:
-            raise ValueError(
-                "cannot sample arrival times from an all-zero schedule"
-            )
-        starts = np.asarray([s for s, _e, _f in windows])
-        spans = np.asarray([e - s for s, e, _f in windows])
-        idx = rng.choice(len(windows), size=count, p=weights / total)
+        starts, spans, cdf = _window_table(self, t_end)
+        idx = cdf.searchsorted(rng.random(count), side="right")
         times = starts[idx] + rng.uniform(0.0, 1.0, size=count) * spans[idx]
         return np.sort(times)
 
@@ -346,6 +380,31 @@ class RateSchedule:
 
     def spec(self) -> str:
         return format_schedule(self)
+
+
+@lru_cache(maxsize=32)
+def _window_table(
+    schedule: RateSchedule, t_end: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start, span and ``choice`` CDF of the windows covering ``[0, t_end]``."""
+    windows = schedule.windows(t_end)
+    weights = np.asarray([(e - s) * f for s, e, f in windows])
+    total = weights.sum()
+    if total <= 0.0:
+        raise ValueError("cannot sample arrival times from an all-zero schedule")
+    starts = np.asarray([s for s, _e, _f in windows])
+    spans = np.asarray([e - s for s, e, _f in windows])
+    table = starts, spans, _choice_cdf(weights / total)
+    for array in table:  # every caller shares the cached arrays
+        array.flags.writeable = False
+    return table
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(..., p=p)`` searches its uniforms in."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 _SEGMENT_RE = re.compile(r"^(?P<dur>[^@]+)h@(?P<factor>.+)$")
@@ -392,38 +451,129 @@ def format_schedule(schedule: RateSchedule) -> str:
 # --------------------------------------------------------------------------
 
 
-def _nonzero_mask(rng: np.random.Generator, m: int) -> int:
+#: ``Generator.random``'s scale: a double is a word's top 53 bits / 2**53.
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
+_UINT32 = 0xFFFFFFFF
+
+
+class Pcg64Draws:
+    """The sampler's ``Generator`` calls, answered from raw PCG64 words.
+
+    ``random(size)``, ``uniform(low, high, size)`` and scalar
+    ``integers(low, high)`` return what the same calls on ``rng`` would,
+    computed with numpy's algorithms from words pulled in bulk with
+    ``random_raw``: a double is a word's top 53 bits over 2**53 (the
+    buffered 32-bit half is left alone), and a bounded integer is
+    Lemire's multiply-and-reject on 32-bit halves — a word's low half,
+    then its high half, buffered in the generator's state between calls.
+    :meth:`close` re-seats ``rng`` where those calls would have left it
+    (the words used, then the buffered half), so the draws that follow
+    on ``rng`` itself see the same stream.  Any other bit generator, or
+    a range wider than 32 bits, raises instead of drawing other bytes.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bit_generator = rng.bit_generator
+        if type(bit_generator) is not np.random.PCG64:
+            raise TypeError(
+                f"Pcg64Draws replays PCG64 words; the generator runs "
+                f"{type(bit_generator).__name__}"
+            )
+        self._bit_generator = bit_generator
+        self._start = bit_generator.state
+        self._has_half = self._start["has_uint32"]
+        self._half = self._start["uinteger"]
+        self._words: List[int] = []
+        self._doubles: List[float] = []
+        self._pos = 0  # next unused entry of _words / _doubles
+        self._used = 0  # words used before _words[0]
+
+    def __enter__(self) -> "Pcg64Draws":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _refill(self, need: int) -> None:
+        fresh = self._bit_generator.random_raw(max(need, 2 * len(self._words), 256))
+        self._used += self._pos
+        self._words = self._words[self._pos :] + fresh.tolist()
+        self._doubles = self._doubles[self._pos :] + (
+            (fresh >> np.uint64(11)) * _DOUBLE_SCALE
+        ).tolist()
+        self._pos = 0
+
+    def random(self, size: int) -> np.ndarray:
+        if self._pos + size > len(self._doubles):
+            self._refill(size)
+        start, self._pos = self._pos, self._pos + size
+        return np.array(self._doubles[start : self._pos])
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        return low + (high - low) * self.random(size)
+
+    def _next32(self) -> int:
+        if self._has_half:
+            self._has_half = 0
+            return self._half
+        if self._pos == len(self._words):
+            self._refill(1)
+        word = self._words[self._pos]
+        self._pos += 1
+        self._has_half, self._half = 1, word >> 32
+        return word & _UINT32
+
+    def integers(self, low: int, high: int) -> int:
+        span = high - low - 1  # numpy's ``rng``: the largest offset
+        if not 0 <= span <= _UINT32:
+            raise ValueError(
+                f"Pcg64Draws draws ranges of 1 to 2**32 values, not "
+                f"[{low}, {high})"
+            )
+        if span == 0:
+            return low
+        if span == _UINT32:
+            return low + self._next32()
+        bound = span + 1
+        product = self._next32() * bound
+        if product & _UINT32 < bound:
+            threshold = (_UINT32 - span) % bound
+            while product & _UINT32 < threshold:
+                product = self._next32() * bound
+        return low + (product >> 32)
+
+    def close(self) -> None:
+        """Leave the generator where the replayed calls would have."""
+        bit_generator = self._bit_generator
+        bit_generator.state = self._start
+        bit_generator.advance(self._used + self._pos)
+        state = bit_generator.state  # advance() clears the buffered half
+        state["has_uint32"], state["uinteger"] = self._has_half, self._half
+        bit_generator.state = state
+
+
+def _nonzero_mask(rng, m: int) -> int:
     """A uniformly random nonzero m-bit corruption mask."""
     return int(rng.integers(1, 1 << m))
 
 
 def _expand_term(
-    rng: np.random.Generator,
-    term: PatternTerm,
-    n: int,
-    m: int,
-    t: float,
-    module: int,
-) -> List[FaultEvent]:
-    """Concrete fault events of one arrival of shape ``term`` at time ``t``.
+    rng, term: PatternTerm, n: int, m: int
+) -> List[Tuple[int, int, int, int]]:
+    """``(symbol, bit, stuck value, mask)`` of each event of one arrival.
 
-    Anchors are uniform over every position whose span can intersect the
-    word (the clipped-cluster geometry of :mod:`repro.simulator.mbu`),
-    so edge symbols see partial clusters exactly as in a physical array.
+    The fields of the :class:`FaultEvent` records an arrival of shape
+    ``term`` makes.  Anchors are uniform over every position whose span
+    can intersect the word (the clipped-cluster geometry of
+    :mod:`repro.simulator.mbu`), so edge symbols see partial clusters
+    exactly as in a physical array.
     """
-    kind = FaultKind.PERMANENT if term.permanent else FaultKind.SEU
-    events: List[FaultEvent] = []
+    cells: List[Tuple[int, int, int, int]] = []
     if term.kind is PatternKind.BIT:
         symbol = int(rng.integers(0, n))
         bit = int(rng.integers(0, m))
-        if term.permanent:
-            events.append(
-                FaultEvent(
-                    t, kind, module, symbol, bit, int(rng.integers(0, 2))
-                )
-            )
-        else:
-            events.append(FaultEvent(t, kind, module, symbol, bit))
+        value = int(rng.integers(0, 2)) if term.permanent else 0
+        cells.append((symbol, bit, value, 0))
     elif term.kind in (PatternKind.SYM, PatternKind.ROW):
         span = term.size if term.size is not None else n
         span = min(span, n)
@@ -436,31 +586,17 @@ def _expand_term(
                 # whole symbol as located (an erasure), the paper's
                 # per-symbol stuck-at abstraction.
                 bit = int(rng.integers(0, m))
-                events.append(
-                    FaultEvent(
-                        t, kind, module, symbol, bit, int(rng.integers(0, 2))
-                    )
-                )
+                cells.append((symbol, bit, int(rng.integers(0, 2)), 0))
             else:
-                events.append(
-                    FaultEvent(
-                        t,
-                        kind,
-                        module,
-                        symbol,
-                        0,
-                        0,
-                        mask=_nonzero_mask(rng, m),
-                    )
-                )
+                cells.append((symbol, 0, 0, _nonzero_mask(rng, m)))
     elif term.kind is PatternKind.MBU:
         width = term.size if term.size is not None else 3
-        cells = n * m
-        width = min(width, cells)
-        anchor = int(rng.integers(-(width - 1), cells)) if width > 1 else int(
-            rng.integers(0, cells)
+        n_cells = n * m
+        width = min(width, n_cells)
+        anchor = int(rng.integers(-(width - 1), n_cells)) if width > 1 else int(
+            rng.integers(0, n_cells)
         )
-        lo, hi = max(anchor, 0), min(anchor + width, cells)
+        lo, hi = max(anchor, 0), min(anchor + width, n_cells)
         # Group the burst's cells per symbol into one mask event each.
         by_symbol: dict = {}
         for cell in range(lo, hi):
@@ -468,17 +604,8 @@ def _expand_term(
             by_symbol[cell // m] |= 1 << (cell % m)
         for symbol in sorted(by_symbol):
             mask = by_symbol[symbol]
-            if term.permanent:
-                values = int(rng.integers(0, 1 << m)) & mask
-                events.append(
-                    FaultEvent(
-                        t, kind, module, symbol, 0, values, mask=mask
-                    )
-                )
-            else:
-                events.append(
-                    FaultEvent(t, kind, module, symbol, 0, 0, mask=mask)
-                )
+            value = int(rng.integers(0, 1 << m)) & mask if term.permanent else 0
+            cells.append((symbol, 0, value, mask))
     elif term.kind is PatternKind.COL:
         span = term.size if term.size is not None else n
         span = min(span, n)
@@ -487,18 +614,39 @@ def _expand_term(
             rng.integers(0, n)
         )
         # A column-driver fault forces the whole plane to one level, so
-        # the stuck value is drawn once for the event.
+        # the stuck value is drawn once for the event (a transient draws
+        # it too, and drops it).
         value = int(rng.integers(0, 2))
         for symbol in range(max(anchor, 0), min(anchor + span, n)):
-            if term.permanent:
-                events.append(
-                    FaultEvent(t, kind, module, symbol, bit, value)
-                )
-            else:
-                events.append(FaultEvent(t, kind, module, symbol, bit))
+            cells.append((symbol, bit, value if term.permanent else 0, 0))
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unhandled pattern kind {term.kind}")
-    return events
+    return cells
+
+
+def arrival_cells(
+    rng,
+    pattern: FaultPattern,
+    times: Sequence[float],
+    n: int,
+    m: int,
+) -> List[Tuple[float, bool, int, int, int, int]]:
+    """``(time, permanent, symbol, bit, stuck value, mask)`` of each event.
+
+    The events of arrivals at ``times``: one shape per arrival from
+    :meth:`FaultPattern.pick`, then each arrival's geometry in time
+    order.  ``rng`` is a ``Generator`` or a :class:`Pcg64Draws` over
+    one; both draw the same numbers.
+    """
+    if len(times) == 0:
+        return []
+    cells: List[Tuple[float, bool, int, int, int, int]] = []
+    for t, index in zip(times, pattern.pick(rng, len(times)).tolist()):
+        term = pattern.terms[index]
+        cells += [
+            (t, term.permanent, *cell) for cell in _expand_term(rng, term, n, m)
+        ]
+    return cells
 
 
 def expand_arrivals(
@@ -515,16 +663,20 @@ def expand_arrivals(
     time order so the generator's rng consumption (and therefore every
     downstream estimate) is a pure function of the seed.
     """
-    if len(times) == 0:
-        return []
-    probs = pattern.probabilities
-    term_idx = rng.choice(len(pattern.terms), size=len(times), p=probs)
-    events: List[FaultEvent] = []
-    for t, idx in zip(times, term_idx):
-        events.extend(
-            _expand_term(rng, pattern.terms[int(idx)], n, m, float(t), module)
+    return [
+        FaultEvent(
+            float(t),
+            FaultKind.PERMANENT if permanent else FaultKind.SEU,
+            module,
+            symbol,
+            bit,
+            value,
+            mask,
         )
-    return events
+        for t, permanent, symbol, bit, value, mask in arrival_cells(
+            rng, pattern, times, n, m
+        )
+    ]
 
 
 def sample_pattern_events(

@@ -46,6 +46,10 @@ target                    layers                   compares
                                                    same events: final words, erasure sets,
                                                    outcomes, exactly; per-block counts of
                                                    a multi-block task vs each block's tally
+``pattern-draw``          simulator                batched pattern draws (PCG64 words
+                                                   replayed) vs the per-trial Generator
+                                                   loop: event tables, data and scrub
+                                                   tables, generator state, exactly
 ``scenario-analytic-parity`` memory, simulator     random i.i.d.-reducible fault-pattern
                                                    mixtures (optionally rate-scheduled) vs
                                                    the campaign's analytic bridge within a
@@ -1376,6 +1380,189 @@ def _shrink_mc_replay(case: Case) -> Iterator[Case]:
 
 
 # --------------------------------------------------------------------------
+# pattern-draw: batched pattern draws vs the per-trial Generator loop
+# --------------------------------------------------------------------------
+
+
+def _gen_pattern_draw_case(rng: np.random.Generator) -> Case:
+    return gen.gen_pattern_draw_case(rng)
+
+
+def _pattern_draw_rng(case: Case) -> np.random.Generator:
+    rng = np.random.default_rng(case["seed"])
+    if case["odd_draw"]:
+        rng.integers(0, 7)
+    return rng
+
+
+def _per_trial_chunk(case: Case, rng: np.random.Generator):
+    """The case's chunk drawn with one ``Generator`` call per draw.
+
+    :func:`~repro.simulator.montecarlo.draw_chunk`'s order — data, each
+    module's transients, each module's permanent faults, scrubs — with
+    the transients drawn on the ``Generator`` itself: Poisson counts,
+    then per trial the sorted arrival times and ``expand_arrivals``.
+    """
+    from ..simulator import montecarlo as mc
+    from ..simulator.faults import FaultKind
+    from ..simulator.patterns import expand_arrivals, parse_pattern, parse_schedule
+
+    n, k, m, t_end, trials = (
+        case[key] for key in ("n", "k", "m", "t_end_hours", "trials")
+    )
+    pattern = parse_pattern(case["pattern"])
+    schedule = parse_schedule(case["schedule"])
+    modules = 2 if case["arrangement"] == "duplex" else 1
+    data = rng.integers(0, 1 << m, size=(trials, k))
+    expected = case["seu_per_bit"] * n * m * (
+        schedule.integral(t_end) if schedule is not None else t_end
+    )
+    tables = []
+    for module in range(modules if expected > 0 else 0):
+        counts = rng.poisson(expected, size=trials)
+        records = []
+        for trial in np.flatnonzero(counts).tolist():
+            arrivals = int(counts[trial])
+            if schedule is not None:
+                times = schedule.sample_times(rng, t_end, arrivals)
+            else:
+                times = np.sort(rng.uniform(0.0, t_end, size=arrivals))
+            records += [
+                (
+                    trial,
+                    ev.time,
+                    ev.kind is FaultKind.PERMANENT,
+                    ev.symbol,
+                    ev.bit,
+                    ev.stuck_value,
+                    ev.mask,
+                )
+                for ev in expand_arrivals(rng, pattern, times, n, m, module)
+            ]
+        if records:
+            trial, time, permanent, symbol, bit, value, mask = zip(*records)
+            tables.append(
+                mc.EventTable.build(
+                    trial, time, permanent, module, symbol, bit, value, mask
+                )
+            )
+    for module in range(modules):
+        tables += mc._draw_event_table(
+            rng, case["erasure_per_symbol"] * n, t_end, trials, n, m, module, True
+        )
+    scrub_counts, scrub_times = mc._draw_scrub_times(
+        rng, t_end, case["scrub_period"], True, trials
+    )
+    return mc.ChunkDraw(data, mc.EventTable.concat(tables), scrub_counts, scrub_times)
+
+
+def _first_difference(a: np.ndarray, b: np.ndarray) -> Dict[str, Any]:
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return {"batched": [str(a.dtype), a.shape], "per_trial": [str(b.dtype), b.shape]}
+    index = int(np.flatnonzero((a != b).reshape(-1))[0])
+    return {
+        "index": index,
+        "batched": a.reshape(-1)[index].item(),
+        "per_trial": b.reshape(-1)[index].item(),
+    }
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def _check_pattern_draw(case: Case) -> Optional[Mismatch]:
+    """Batched pattern draws vs the per-trial ``Generator`` loop.
+
+    :func:`~repro.simulator.montecarlo.draw_chunk` draws each module's
+    arrivals through one :class:`~repro.simulator.patterns.Pcg64Draws`;
+    the per-trial loop of :func:`_per_trial_chunk` calls the generator
+    for each.  Every event column (values and dtype), the data and
+    scrub tables, and the generator state afterwards must be equal.
+    """
+    from ..simulator.montecarlo import draw_chunk
+    from ..simulator.patterns import parse_pattern, parse_schedule
+
+    rng = _pattern_draw_rng(case)
+    got = draw_chunk(
+        rng,
+        case["arrangement"],
+        case["n"],
+        case["k"],
+        case["m"],
+        case["t_end_hours"],
+        case["seu_per_bit"],
+        case["erasure_per_symbol"],
+        case["scrub_period"],
+        True,
+        case["trials"],
+        parse_pattern(case["pattern"]),
+        parse_schedule(case["schedule"]),
+    )
+    reference = _pattern_draw_rng(case)
+    want = _per_trial_chunk(case, reference)
+    pairs = [
+        *(
+            (f"event column {name!r}", a, b)
+            for name, a, b in zip(got.events._fields, got.events, want.events)
+        ),
+        ("data table", got.data, want.data),
+        ("scrub counts", got.scrub_counts, want.scrub_counts),
+        ("scrub table", got.scrub_times, want.scrub_times),
+    ]
+    for what, a, b in pairs:
+        if not _same_array(a, b):
+            return Mismatch(
+                f"batched draw_chunk differs from the per-trial Generator loop: {what}",
+                _first_difference(a, b),
+            )
+    if rng.bit_generator.state != reference.bit_generator.state:
+        return Mismatch(
+            "batched draw_chunk leaves the generator in another state than "
+            "the per-trial Generator loop",
+            {
+                "batched": rng.bit_generator.state,
+                "per_trial": reference.bit_generator.state,
+            },
+        )
+    return None
+
+
+def _induced_pattern_draw_bug(case: Case) -> Optional[Mismatch]:
+    """Run the check with a draw class that does not restore the buffered
+    32-bit half on close (``advance`` leaves it cleared)."""
+    from ..simulator import montecarlo as mc
+
+    class HalfDropped(mc.Pcg64Draws):
+        def close(self) -> None:
+            super().close()
+            state = self._bit_generator.state
+            state["has_uint32"] = state["uinteger"] = 0
+            self._bit_generator.state = state
+
+    draws = mc.Pcg64Draws
+    mc.Pcg64Draws = HalfDropped
+    try:
+        return _check_pattern_draw(case)
+    finally:
+        mc.Pcg64Draws = draws
+
+
+def _shrink_pattern_draw(case: Case) -> Iterator[Case]:
+    from ..simulator.patterns import FaultPattern, format_pattern, parse_pattern
+
+    if case["schedule"] is not None:
+        yield {**case, "schedule": None}
+    terms = parse_pattern(case["pattern"]).terms
+    for i in range(len(terms) if len(terms) > 1 else 0):
+        rest = FaultPattern(terms[:i] + terms[i + 1 :])
+        yield {**case, "pattern": format_pattern(rest)}
+    if case["trials"] > 1:
+        yield {**case, "trials": case["trials"] // 2}
+        yield {**case, "trials": case["trials"] - 1}
+
+
+# --------------------------------------------------------------------------
 # registration
 # --------------------------------------------------------------------------
 
@@ -1538,6 +1725,23 @@ register_target(
         check=_check_mc_replay,
         shrink=_shrink_mc_replay,
         induced_check=_induced_mc_replay_bug,
+    )
+)
+
+register_target(
+    Target(
+        name="pattern-draw",
+        layers=("simulator",),
+        description=(
+            "Batched pattern draws (one Pcg64Draws per chunk and module) "
+            "vs the per-trial Generator loop on the same seed: every "
+            "event column and its dtype, the data and scrub tables, and "
+            "the generator state afterwards, exactly"
+        ),
+        generate=_gen_pattern_draw_case,
+        check=_check_pattern_draw,
+        shrink=_shrink_pattern_draw,
+        induced_check=_induced_pattern_draw_bug,
     )
 )
 

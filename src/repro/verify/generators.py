@@ -440,3 +440,69 @@ def gen_mc_replay_case(rng: np.random.Generator) -> Dict[str, Any]:
             for _ in range(int(rng.integers(1, 3)))
         ],
     }
+
+
+#: Shape tokens of the ``pattern-draw`` target; ``{size}`` is filled
+#: with a size that may run past the word (``None`` keeps the default).
+PATTERN_DRAW_TOKENS = ("1BIT", "{size}SYM", "MBU{size}", "ROW{size}", "COL{size}")
+
+
+def _pattern_draw_token(rng: np.random.Generator, template: str, n: int, m: int) -> str:
+    if template == "1BIT":
+        token = template
+    elif template == "{size}SYM":
+        token = template.format(size=int(rng.integers(1, n + 3)))
+    else:
+        cells = n * m if template.startswith("MBU") else n
+        size = None if rng.random() < 0.3 else int(rng.integers(1, cells + 4))
+        token = template.format(size="" if size is None else f":{size}")
+    return token + ("!" if rng.random() < 0.5 else "")
+
+
+def gen_pattern_draw_case(rng: np.random.Generator) -> Dict[str, Any]:
+    """One chunk draw for the batched-vs-per-trial pattern draw comparison.
+
+    A mixture of one to four random shape tokens (every token, with and
+    without ``!``, default sizes and sizes past the word) at random
+    weights; half the time under a schedule of two to four legs, one of
+    them at factor 0, that repeats two to six times over the horizon.
+    The transient rate gives 0.1 to 5 expected arrivals per module and
+    trial; ``odd_draw`` draws one scalar integer before the chunk, so
+    the chunk starts with a buffered 32-bit half.
+    """
+    n, k, m = REPLAY_CODES[int(rng.integers(len(REPLAY_CODES)))]
+    t_end = float(rng.choice([12.0, 24.0, 48.0]))
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        template = PATTERN_DRAW_TOKENS[int(rng.integers(len(PATTERN_DRAW_TOKENS)))]
+        weight = round(float(rng.uniform(0.05, 3.0)), 3)
+        terms.append(f"{weight!r}*{_pattern_draw_token(rng, template, n, m)}")
+    schedule: Optional[str] = None
+    area = t_end
+    if rng.random() < 0.5:
+        legs = int(rng.integers(2, 5))
+        cycles = int(rng.integers(2, 7))
+        durations = rng.dirichlet(np.ones(legs)) * (t_end / cycles)
+        factors = np.round(rng.uniform(0.5, 8.0, size=legs), 2)
+        factors[int(rng.integers(legs))] = 0.0
+        schedule = ",".join(
+            f"{float(d)!r}h@{float(f)!r}" for d, f in zip(durations, factors)
+        )
+        area = cycles * float(durations @ factors)
+    arrivals = float(rng.uniform(0.1, 5.0))
+    return {
+        "kind": "pattern-draw",
+        "arrangement": "simplex" if rng.random() < 0.5 else "duplex",
+        "n": n,
+        "k": k,
+        "m": m,
+        "t_end_hours": t_end,
+        "pattern": "+".join(terms),
+        "schedule": schedule,
+        "seu_per_bit": arrivals / (n * m * area),
+        "erasure_per_symbol": float(rng.choice([0.0, 0.5, 2.0])) / (n * t_end),
+        "scrub_period": None if rng.random() < 0.5 else t_end / 4,
+        "trials": int(rng.integers(1, 601)),
+        "seed": int(rng.integers(0, 2**31 - 1)),
+        "odd_draw": bool(rng.random() < 0.5),
+    }

@@ -339,6 +339,11 @@ MISUSE = {
         "--fleet-ttl must be positive",
     ),
     "bad-chaos": (["--chaos", "nonsense"], "bad --chaos spec: "),
+    "schedule-legs": (
+        ["--schedule", "1e-300h@1"],
+        "bad fault-physics spec: schedule '1e-300h@1.0' spans 4.8e+301 legs "
+        "over the 48 h horizon; at most 1000 are supported",
+    ),
 }
 
 

@@ -63,3 +63,69 @@ class TestCampaignExecution:
         summary = campaign_summary(rows)
         assert summary["simplex"] == (2, 2)
         assert summary["duplex"] == (1, 1)
+
+
+class TestScheduleLegBound:
+    """A schedule spanning more than MAX_SCHEDULE_LEGS legs over the
+    horizon is refused before any model solve or journal header."""
+
+    def test_bound_is_inclusive_and_names_the_leg_count(self):
+        from repro.simulator.campaign import MAX_SCHEDULE_LEGS, check_schedule_legs
+
+        check_schedule_legs(f"{48.0 / MAX_SCHEDULE_LEGS!r}h@1.0", 48.0)
+        check_schedule_legs("0.024h@1.0,0.024h@0.0", 24.0)  # 1000 legs
+        with pytest.raises(ValueError, match="spans 1200 legs over the 24 h"):
+            check_schedule_legs("0.02h@1.0", 24.0)
+        with pytest.raises(ValueError, match="spans 4.8e\\+301 legs"):
+            check_schedule_legs("1e-300h@1", 48.0)
+        check_schedule_legs(None, 48.0)
+
+    def test_leg_count_does_not_list_the_legs(self):
+        from repro.simulator.patterns import parse_schedule
+
+        schedule = parse_schedule("1.5h@1.0,0.5h@0.0,2h@3.0")
+        assert schedule.legs(48.0) == 36 == len(schedule.windows(48.0))
+        assert schedule.legs(5.0) == 4 == len(schedule.windows(5.0))
+        assert schedule.legs(0.0) == 0
+        assert parse_schedule("1e-310h@1").legs(48.0) == float("inf")
+
+    def test_run_campaign_refuses_before_the_journal_header(self, tmp_path):
+        from repro.runtime import CheckpointJournal, RuntimeConfig
+
+        journal = CheckpointJournal(tmp_path / "run.jsonl")
+        cells = [CampaignCell("simplex", 2e-3, 0.0, pattern="1BIT", schedule="0.01h@1")]
+        with pytest.raises(ValueError, match="spans 4800 legs"):
+            run_campaign(cells, trials=20, runtime=RuntimeConfig(journal=journal))
+        journal.close()
+        assert not (tmp_path / "run.jsonl").exists()
+
+    def test_every_shipped_schedule_is_accepted(self):
+        from repro.simulator.campaign import check_schedule_legs
+        from repro.simulator.scenarios import SCENARIOS
+        from repro.verify import case_rng
+        from repro.verify.generators import (
+            gen_mc_replay_case,
+            gen_pattern_draw_case,
+            gen_scenario_parity_case,
+        )
+
+        checked = 0
+        for scenario in SCENARIOS.values():
+            for cell in scenario.cells:
+                check_schedule_legs(cell.schedule, scenario.t_end_hours)
+                checked += cell.schedule is not None
+        for gen in (gen_mc_replay_case, gen_pattern_draw_case, gen_scenario_parity_case):
+            for trial in range(200):
+                case = gen(case_rng(3, trial))
+                check_schedule_legs(case["schedule"], case["t_end_hours"])
+                checked += case["schedule"] is not None
+        for spec in (
+            "1.36h@1,0.24h@23.3",
+            "1.0h@1.0,1.0h@3.0",
+            "1.5h@0.0,2.5h@3.25",
+            "5.0h@1.0,5.0h@3.0",
+            "10.0h@2.0",
+            "7h@2.5",
+        ):
+            check_schedule_legs(spec, 48.0)
+        assert checked > 200

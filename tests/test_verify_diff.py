@@ -31,6 +31,7 @@ EXPECTED_TARGETS = {
     "journal-roundtrip",
     "mc-streaming-vs-final",
     "mc-replay-scalar",
+    "pattern-draw",
     "scenario-analytic-parity",
 }
 
@@ -48,6 +49,7 @@ TRIALS = {
     "journal-roundtrip": 3,
     "mc-streaming-vs-final": 3,
     "mc-replay-scalar": 12,
+    "pattern-draw": 12,
     "scenario-analytic-parity": 3,
 }
 
@@ -266,3 +268,24 @@ def test_mc_replay_corpus_case_reaches_n_minus_k_located():
         scrubs = draw.scrub_times[trial, : draw.scrub_counts[trial]]
         assert int(erasures[trial, 0].sum()) == case["n"] - case["k"]
         assert int(np.count_nonzero(scrubs > last)) == 2
+
+
+def test_pattern_draw_corpus_case_moves_only_the_permanent_faults():
+    """The committed case still holds what its note says: with the buffered
+    half dropped on close, the 40 transient rows stay and the first
+    permanent-fault row's symbol moves."""
+    from pathlib import Path
+
+    from repro.verify import load_artifact
+    from repro.verify.diff import _induced_pattern_draw_bug
+
+    path = (
+        Path(__file__).parent
+        / "corpus"
+        / "pattern-draw-duplex-buffered-half-into-permanent-faults.json"
+    )
+    case = load_artifact(path)["case"]
+    assert get_target("pattern-draw").check(case) is None
+    mismatch = _induced_pattern_draw_bug(case)
+    assert "event column 'symbol'" in mismatch.description
+    assert mismatch.detail["index"] == 40

@@ -19,7 +19,7 @@ from repro.verify import (
     gen_memory_case,
     gen_mc_case,
 )
-from repro.verify.generators import _pick_mix
+from repro.verify.generators import _pick_mix, gen_pattern_draw_case
 
 
 class TestCaseRng:
@@ -171,3 +171,72 @@ class TestMemoryAndMcCases:
         assert case["trials"] >= 100
         assert case["seu_per_bit_day"] > 0
         assert isinstance(case["mc_seed"], int)
+
+
+class TestPatternDrawCases:
+    CASES = [gen_pattern_draw_case(case_rng(31, trial)) for trial in range(300)]
+
+    def test_deterministic(self):
+        assert gen_pattern_draw_case(case_rng(31, 4)) == self.CASES[4]
+
+    def test_every_token_with_and_without_permanence(self):
+        from repro.simulator.patterns import PatternKind, parse_pattern
+
+        seen = {
+            (term.kind, term.permanent, term.size is None)
+            for case in self.CASES
+            for term in parse_pattern(case["pattern"]).terms
+        }
+        # (kind, permanent, default size): 1BIT has no size, kSYM always
+        # one, and MBU/ROW/COL come both ways.
+        for kind in PatternKind:
+            for permanent in (False, True):
+                assert (kind, permanent, kind is PatternKind.BIT) in seen
+                if kind in (PatternKind.MBU, PatternKind.ROW, PatternKind.COL):
+                    assert (kind, permanent, True) in seen
+
+    def test_sizes_run_past_the_word(self):
+        from repro.simulator.patterns import PatternKind, parse_pattern
+
+        past = set()
+        for case in self.CASES:
+            cells = case["n"] * case["m"]
+            for term in parse_pattern(case["pattern"]).terms:
+                limit = cells if term.kind is PatternKind.MBU else case["n"]
+                if term.size is not None and term.size > limit:
+                    past.add(term.kind)
+        assert past == {
+            PatternKind.SYM,
+            PatternKind.MBU,
+            PatternKind.ROW,
+            PatternKind.COL,
+        }
+
+    def test_schedules_repeat_and_have_a_zero_leg(self):
+        from repro.simulator.patterns import parse_schedule
+
+        scheduled = [c for c in self.CASES if c["schedule"] is not None]
+        assert 0.35 < len(scheduled) / len(self.CASES) < 0.65
+        for case in scheduled:
+            schedule = parse_schedule(case["schedule"])
+            assert 0.0 in [factor for _d, factor in schedule.segments]
+            cycles = case["t_end_hours"] / schedule.cycle_hours
+            assert 1.99 < cycles < 6.01
+
+    def test_trials_arrivals_and_codes(self):
+        from repro.simulator.patterns import parse_schedule
+        from repro.verify.generators import REPLAY_CODES
+
+        for case in self.CASES:
+            assert 1 <= case["trials"] <= 600
+            assert (case["n"], case["k"], case["m"]) in REPLAY_CODES
+            schedule = parse_schedule(case["schedule"])
+            area = (
+                case["t_end_hours"]
+                if schedule is None
+                else schedule.integral(case["t_end_hours"])
+            )
+            arrivals = case["seu_per_bit"] * case["n"] * case["m"] * area
+            assert 0.1 - 1e-9 <= arrivals <= 5.0 + 1e-9
+        assert {c["arrangement"] for c in self.CASES} == {"simplex", "duplex"}
+        assert {c["odd_draw"] for c in self.CASES} == {False, True}
