@@ -21,7 +21,7 @@ REL_CI_TARGETS = (2.0, 1.0, 0.6, 0.4)
 
 
 def _simulate(stop=None):
-    runtime = RuntimeConfig(stop=stop, executor="serial")
+    runtime = RuntimeConfig(stop=stop)  # one worker: serial
     return simulate_fail_probability_batched(
         "simplex",
         CODE,

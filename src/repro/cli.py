@@ -272,14 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
         "heartbeat leases and epoch-fenced re-dispatch (cross-host "
         "capable; spawns local agents unless --board points at an "
         "externally staffed board); 'auto' (default) picks serial for "
-        "--workers 1, else pool — estimates are bit-identical for "
-        "every choice",
+        "--workers 1, else pool.  One executor serves the whole "
+        "campaign; estimates are bit-identical for every choice",
     )
     camp.add_argument(
         "--board",
         metavar="DIR",
         help="shared board directory for --executor fleet "
-        "(default: derived from the checkpoint journal path); with "
+        "(default: <checkpoint>.board, or a private temporary "
+        "directory without --checkpoint); with "
         "--executor fleet an explicit board means external `repro "
         "worker` agents do the computing and none are spawned locally",
     )
@@ -507,6 +508,19 @@ def cmd_complexity(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _bad_count(
+    trials: Optional[int], chunk_size: int, workers: int
+) -> Optional[str]:
+    """The usage error for a count flag below its floor, if any."""
+    if trials is not None and trials <= 0:
+        return "--trials must be positive"
+    if chunk_size <= 0:
+        return "--chunk-size must be positive"
+    if workers < 1:
+        return "--workers must be >= 1"
+    return None
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     from .memory import duplex_model, simplex_model
     from .rs import RSCode
@@ -515,6 +529,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
         simulate_fail_probability_batched,
     )
 
+    bad = _bad_count(args.trials, args.chunk_size, args.workers)
+    if bad is not None:
+        print(bad, file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     lam_day = 2e-3
     code = RSCode(18, 16, m=8)
@@ -652,9 +670,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         RetryPolicy,
         RuntimeConfig,
         StoppingRule,
-        StragglerPolicy,
         build_manifest,
         chaos_from_arg,
+        make_executor,
         write_manifest,
     )
     from .simulator import (
@@ -665,8 +683,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         render_catalog,
         run_campaign,
     )
-    from .simulator.campaign import check_schedule_legs
-    from .simulator.patterns import parse_pattern, parse_schedule
+    from .simulator.patterns import (
+        check_schedule_legs,
+        parse_pattern,
+        parse_schedule,
+    )
 
     if args.list_scenarios:
         print(render_catalog())
@@ -694,14 +715,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bad fault-physics spec: {exc}", file=sys.stderr)
         return 2
-    if args.trials is not None and args.trials <= 0:
-        print("--trials must be positive", file=sys.stderr)
-        return 2
-    if args.chunk_size <= 0:
-        print("--chunk-size must be positive", file=sys.stderr)
-        return 2
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
+    bad = _bad_count(args.trials, args.chunk_size, args.workers)
+    if bad is not None:
+        print(bad, file=sys.stderr)
         return 2
 
     batch = args.engine != "reference"
@@ -817,6 +833,27 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except CheckpointError as exc:
         print(f"checkpoint unusable: {exc}", file=sys.stderr)
         return 2
+    executor = None
+    if batch:
+        # One executor for the whole campaign; every cell shares it.
+        board = args.board
+        if board is None and args.executor == "fleet" and args.checkpoint:
+            board = args.checkpoint + ".board"
+        try:
+            executor = make_executor(
+                args.executor,
+                workers=args.workers,
+                board_dir=board,
+                ttl=args.fleet_ttl,
+                # An explicit board is staffed by external `repro
+                # worker` agents; otherwise the fleet spawns its own.
+                spawn_workers=0 if args.board is not None else None,
+            )
+        except JournalLockedError as exc:
+            if journal is not None:
+                journal.close()
+            print(f"checkpoint locked: {exc}", file=sys.stderr)
+            return LOCK_CONTENTION_EXIT_CODE
     resumed = journal is not None and journal.n_chunks > 0
     if resumed:
         print(
@@ -854,8 +891,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    from pathlib import Path
-
     stop = None
     if args.stop_rel_ci is not None:
         stop = StoppingRule(
@@ -873,13 +908,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         chunk_timeout=args.chunk_timeout,
         chaos=chaos,
         journal=journal,
-        executor=None if args.executor == "auto" else args.executor,
-        board_dir=Path(args.board) if args.board else None,
-        worker_ttl=args.fleet_ttl,
-        # The fleet is the multi-host backend, so it gets straggler
-        # speculation by default; serial/pool chunks share one machine
-        # and a slow chunk there is just a slow machine.
-        straggler=StragglerPolicy() if args.executor == "fleet" else None,
+        executor=executor,
         stop=stop,
         on_snapshot=on_snapshot if args.progress else None,
         progress=tracker,
@@ -928,6 +957,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             )
         return 130
     finally:
+        if executor is not None:
+            executor.close()
         if journal is not None:
             journal.close()
             counters.io_errors += journal.io_errors

@@ -84,10 +84,6 @@ class PerfCounters:
         errors) — the campaign degraded to memory-only state.
     records_quarantined: corrupt journal records moved to the
         ``.quarantine`` sidecar on load (their chunks were recomputed).
-    stragglers_redispatched: speculative second copies issued for
-        chunks whose in-flight age exceeded the straggler threshold.
-    duplicate_results: late completions discarded because another copy
-        of the chunk finished first (first-result-wins dedup).
     """
 
     words_encoded: int = 0
@@ -109,8 +105,6 @@ class PerfCounters:
     chunks_resumed: int = 0
     io_errors: int = 0
     records_quarantined: int = 0
-    stragglers_redispatched: int = 0
-    duplicate_results: int = 0
 
     #: Fields :meth:`merge` must NOT sum: wall clock is measured once by
     #: the coordinator, not accumulated across workers.
@@ -227,8 +221,6 @@ class PerfCounters:
             or self.chunks_resumed
             or self.io_errors
             or self.records_quarantined
-            or self.stragglers_redispatched
-            or self.duplicate_results
         )
 
     def resilience_summary(self) -> str:
@@ -246,8 +238,6 @@ class PerfCounters:
             ("chunks resumed", self.chunks_resumed),
             ("journal io errors", self.io_errors),
             ("quarantined records", self.records_quarantined),
-            ("stragglers re-dispatched", self.stragglers_redispatched),
-            ("duplicate results dropped", self.duplicate_results),
         ]
         for name, value in pairs:
             if value:

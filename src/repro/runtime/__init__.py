@@ -11,13 +11,14 @@ Public surface:
   chunks; resuming replays journaled chunks for bit-identical results.
 * :class:`ChunkSupervisor` / :class:`RetryPolicy` — supervised chunk
   dispatch with per-chunk timeouts, bounded exponential-backoff
-  retries, straggler re-dispatch and serial degradation; a chunk that
-  fails every attempt raises :class:`ChunkFailedError`.
+  retries and serial degradation; a chunk that fails every attempt
+  raises :class:`ChunkFailedError`.
 * :class:`Executor` and friends (:mod:`repro.runtime.executors`) — the
   pluggable execution backends the coordinator drives: serial
   in-process, ``ProcessPoolExecutor`` pool, and the cross-host
   :class:`~repro.runtime.fleet.FleetExecutor` board guarded by the
-  integrity layer's lock.
+  integrity layer's lock.  :func:`make_executor` builds one; its caller
+  owns it for the whole campaign and closes it.
 * :mod:`repro.runtime.fleet` — detachable ``repro worker`` agents with
   heartbeat leases, epoch-fenced re-dispatch, zombie-result rejection,
   and the ``repro doctor`` board audit/repair helpers.
@@ -35,9 +36,9 @@ Public surface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Optional
 
 from ..obs.progress import ProgressEvent, ProgressTracker
 from ..stats import BerSnapshot, StoppingRule
@@ -76,7 +77,6 @@ from .executors import (
     Executor,
     PoolExecutor,
     SerialExecutor,
-    StragglerPolicy,
     make_executor,
 )
 from .fleet import (
@@ -114,18 +114,11 @@ class RuntimeConfig:
     chaos: Optional[ChaosSpec] = None
     journal: Optional[CheckpointJournal] = None
 
-    #: Executor backend name (``serial`` | ``pool`` | ``fleet``);
-    #: ``None`` selects the historical default (serial for one worker,
-    #: else pool).
-    executor: Optional[str] = None
-    #: Shared board directory for the ``fleet`` executor; ``None``
-    #: derives a journal-adjacent (or private temporary) board.
-    board_dir: Optional[Path] = None
-    #: Heartbeat-lease TTL for the ``fleet`` executor, seconds; ``None``
-    #: uses :data:`~repro.runtime.fleet.DEFAULT_WORKER_TTL`.
-    worker_ttl: Optional[float] = None
-    #: Straggler re-dispatch policy (``None`` disables speculation).
-    straggler: Optional[StragglerPolicy] = None
+    #: The executor every cell's tasks go through, built and closed by
+    #: the caller (:func:`make_executor`); ``None`` lets the entry point
+    #: build the ``auto`` default (serial for one worker, else a pool)
+    #: once for its whole run and close it when done.
+    executor: Optional[Executor] = None
     #: Adaptive early-stopping rule (``--stop-rel-ci``); ``None`` runs the
     #: full trial budget.
     stop: Optional[StoppingRule] = None
@@ -142,6 +135,21 @@ class RuntimeConfig:
 
     #: Supervisor events accumulated across cells (filled during runs).
     events: list = field(default_factory=list)
+
+    @contextmanager
+    def with_executor(self, workers: int) -> Iterator["RuntimeConfig"]:
+        """This config with an executor to run on, for one ``with`` block.
+
+        A config that carries one passes through (its owner closes it);
+        otherwise a copy (sharing ``events``) gets the ``auto`` default
+        for ``workers``, shared by every run in the block and closed at
+        its end.
+        """
+        if self.executor is not None:
+            yield self
+            return
+        with make_executor("auto", workers) as executor:
+            yield replace(self, executor=executor)
 
 
 __all__ = [
@@ -176,7 +184,6 @@ __all__ = [
     "Executor",
     "PoolExecutor",
     "SerialExecutor",
-    "StragglerPolicy",
     "make_executor",
     "DEFAULT_WORKER_TTL",
     "FleetExecutor",

@@ -1,38 +1,42 @@
 """Pluggable chunk executors behind the campaign coordinator.
 
-:class:`~repro.runtime.supervisor.ChunkSupervisor` used to *be* the
-process pool; now it is a coordinator that speaks a small asynchronous
-interface — :class:`Executor` — with three implementations:
+:class:`~repro.runtime.supervisor.ChunkSupervisor` is a coordinator
+that speaks a small asynchronous interface — :class:`Executor` — with
+three implementations:
 
 * :class:`SerialExecutor` — synchronous in-process execution.  The
-  executor the coordinator uses for ``workers=1``, and for the rest of
-  a run whose pool keeps dying; faults surface as typed exceptions
-  (chaos crash/hang cannot kill the parent), so retries go through the
-  same coordinator path as on the pooled backends.
-* :class:`PoolExecutor` — the existing ``ProcessPoolExecutor`` path.
-  Worker death breaks the whole pool (``BrokenProcessPool``), so it is
-  *not* self-healing: the coordinator tears it down, requeues the
-  innocent in-flight chunks, and restarts.
+  executor for ``workers=1``, for a run of a single job, and for the
+  rest of a run whose pool keeps dying; faults surface as typed
+  exceptions (chaos crash/hang cannot kill the parent), so retries go
+  through the same coordinator path as on the pooled backends.
+* :class:`PoolExecutor` — the ``ProcessPoolExecutor`` path, started on
+  the first submission.  Worker death breaks the whole pool
+  (``BrokenProcessPool``), so it is *not* self-healing: the coordinator
+  tears it down, requeues the innocent in-flight chunks, and the next
+  submission starts a fresh pool.
 * :class:`~repro.runtime.fleet.FleetExecutor` — detachable ``repro
   worker`` agents pull chunks from an on-disk board guarded by the
   integrity layer's :class:`~repro.runtime.integrity.JournalLock`, with
   heartbeat leases and epoch-fenced re-dispatch (see
   :mod:`repro.runtime.fleet`).
 
+An executor belongs to whoever built it (:func:`make_executor`):
+``repro campaign`` builds one per campaign, so every cell shares one
+pool or one set of fleet agents, and closes it at the end.
+
 Executors move *scheduling* only.  Chunk payloads carry their own
-spawned ``SeedSequence``; results are merged commutatively and
-deduplicated by chunk id upstream, so any executor, any worker count,
-and any completion order yields bit-identical estimates.
+spawned ``SeedSequence`` and results are merged commutatively upstream,
+so any executor, any worker count, and any completion order yields
+bit-identical estimates.
 """
 
 from __future__ import annotations
 
 import concurrent.futures as cf
-import math
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
 #: Executor names accepted by :func:`make_executor` (and ``--executor``).
 EXECUTOR_NAMES = ("serial", "pool", "fleet")
@@ -57,13 +61,8 @@ def _supervised_call(payload: tuple) -> Dict[str, Any]:
 @dataclass
 class ChunkState:
     """Per-job dispatch bookkeeping (one instance per job: a chunk, or a
-    task of ``span`` consecutive chunks keyed by its first index).
-
-    This used to be four parallel structures threaded through a
-    300-line dispatch loop (``failures`` dict, queue tuples carrying
-    ``not_before``, in-flight tuples carrying deadlines and submit
-    times); collecting it per chunk makes retry/backoff/speculation
-    state inspectable in one place.
+    task of ``span`` consecutive chunks keyed by its first index):
+    its retry and backoff state, inspectable in one place.
     """
 
     index: int
@@ -74,8 +73,6 @@ class ChunkState:
     failures: int = 0
     #: Monotonic timestamp before which this chunk must not redispatch.
     not_before: float = 0.0
-    #: Speculative copies ever issued for the current attempt.
-    speculations: int = 0
 
     @property
     def blocks(self) -> range:
@@ -92,32 +89,6 @@ class Completion:
     error: Optional[str] = None
     #: True when the *worker* died (crash-equivalent), not the chunk code.
     broken: bool = False
-
-
-@dataclass(frozen=True)
-class StragglerPolicy:
-    """When to speculatively re-issue an in-flight chunk.
-
-    A chunk is a straggler once its in-flight age exceeds
-    ``max(min_seconds, factor * p95)`` of the completed-chunk latencies
-    observed so far (needing at least ``min_samples`` completions before
-    any speculation).  At most ``max_copies`` copies of a chunk run
-    concurrently; the first result wins and later copies are discarded
-    by chunk id, so speculation can never change a result.
-    """
-
-    factor: float = 3.0
-    min_seconds: float = 1.0
-    min_samples: int = 3
-    max_copies: int = 2
-
-    def threshold(self, latencies: Sequence[float]) -> Optional[float]:
-        """Current straggler age threshold, or ``None`` (too few samples)."""
-        if len(latencies) < max(1, self.min_samples):
-            return None
-        ordered = sorted(latencies)
-        rank = max(0, math.ceil(0.95 * len(ordered)) - 1)
-        return max(self.min_seconds, self.factor * ordered[rank])
 
 
 class Executor:
@@ -155,10 +126,16 @@ class Executor:
     def close(self) -> None:
         """Release every resource (idempotent)."""
 
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 class SerialExecutor(Executor):
-    """Synchronous in-process execution (the ``workers=1`` path, and
-    what the coordinator swaps in for a pool that keeps dying).
+    """Synchronous in-process execution: the ``workers=1`` path, every
+    single-job run, and the rest of a run whose pool keeps dying.
 
     ``submit`` runs the payload immediately and buffers the completion;
     ``poll`` drains the buffer.  Chunk exceptions (including parent-side
@@ -193,11 +170,13 @@ class SerialExecutor(Executor):
 class PoolExecutor(Executor):
     """The classic ``ProcessPoolExecutor`` backend.
 
-    Not self-healing: a dead worker breaks the whole pool, every
-    completion during the break reports ``broken=True``, and the
-    coordinator calls :meth:`restart` (which also surrenders finished-
-    but-unpolled work for recomputation — results are deterministic, so
-    recompute equals replay).
+    The process pool starts on the first submission and lives until
+    :meth:`restart` or :meth:`close`, so one executor serves every run
+    its owner drives through it.  Not self-healing: a dead worker breaks
+    the whole pool, every completion during the break reports
+    ``broken=True``, and the coordinator calls :meth:`restart` (which
+    also surrenders finished-but-unpolled work for recomputation —
+    results are deterministic, so recompute equals replay).
     """
 
     name = "pool"
@@ -290,13 +269,18 @@ def make_executor(
     ttl: Optional[float] = None,
     spawn_workers: Optional[int] = None,
 ) -> Executor:
-    """Build an executor by CLI name (``serial|pool|fleet``).
+    """Build an executor by CLI name (``auto|serial|pool|fleet``).
 
-    ``ttl`` and ``spawn_workers`` apply to the fleet backend only:
-    ``ttl`` is the heartbeat-lease TTL and ``spawn_workers`` the number
-    of local agent subprocesses to start (``None`` = ``workers``; pass
-    ``0`` when external ``repro worker`` agents serve the board).
+    ``auto`` is serial for one worker, else a pool of ``workers``.
+    ``board_dir``, ``ttl`` and ``spawn_workers`` apply to the fleet
+    backend only: the board directory (``None`` = a private temporary
+    one), the heartbeat-lease TTL, and the number of local agent
+    subprocesses to start (``None`` = ``workers``; pass ``0`` when
+    external ``repro worker`` agents serve the board).  The caller owns
+    the executor and closes it (it is also a context manager).
     """
+    if name == "auto":
+        name = "serial" if workers == 1 else "pool"
     if name == "serial":
         return SerialExecutor()
     if name == "pool":
@@ -311,5 +295,5 @@ def make_executor(
             spawn_workers=spawn_workers,
         )
     raise ValueError(
-        f"unknown executor {name!r}: expected one of {EXECUTOR_NAMES}"
+        f"unknown executor {name!r}: expected 'auto' or one of {EXECUTOR_NAMES}"
     )

@@ -17,8 +17,7 @@ mechanisms:
   rejected by filename alone — first-valid-epoch-wins, counted in
   ``repro.fleet.zombie_results_rejected``.  Rejection happens before
   the supervisor's journal hook, so journals stay bit-identical to a
-  serial run (the same dedup-before-journal discipline as straggler
-  speculation).
+  serial run.
 * **failure-domain quarantine** — a worker whose results fail
   ``bench_threshold`` consecutive times is *benched*: the coordinator
   writes ``workers/<id>.bench`` with a bounded-backoff readmission
@@ -34,7 +33,11 @@ Two halves share the board protocol:
   :class:`~repro.runtime.executors.Executor` contract
   (``--executor fleet``).  With no external board it spawns local
   agent subprocesses, so the fleet path is exercised even on one
-  machine.  If no worker heartbeats within a deadline it degrades
+  machine.  Its agents and its board lock live as long as the
+  executor — ``repro campaign`` builds one per campaign, so every cell
+  reuses the same agents and token numbers keep rising across cells
+  (a late result from an earlier cell is rejected like any zombie).
+  If no worker heartbeats within a deadline it degrades
   *loudly* (ResilienceWarning + ``fleet_no_workers`` trace event) and
   drains the remaining chunks in-process, so an empty fleet delays a
   campaign but never hangs or fails it.
@@ -408,8 +411,9 @@ class FleetExecutor(Executor):
     coordinator never holds a process handle or a pid for them — every
     liveness decision reads heartbeat files, so the same code covers
     local subprocesses and agents on other machines.  ``spawn_workers``
-    local agents are started when the board is private (no external
-    fleet); pass ``spawn_workers=0`` to rely purely on externally
+    local agents are started on the first submission and kept until
+    :meth:`close`, however many runs the owner drives through the
+    executor; pass ``spawn_workers=0`` to rely purely on externally
     started ``repro worker`` processes.
     """
 

@@ -29,7 +29,9 @@ from ..ioutil import atomic_write
 # "model_fail_probability" may now be null (out-of-model cells).
 # Version 4 changed the "counters" keys: the dirty-word count is now
 # "dirty_words_decoded", and the always-zero engine-fallback count is gone.
-MANIFEST_VERSION = 4
+# Version 5 dropped two "counters" keys with straggler speculation:
+# "stragglers_redispatched" and "duplicate_results".
+MANIFEST_VERSION = 5
 
 
 def git_describe(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:

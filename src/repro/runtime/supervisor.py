@@ -3,12 +3,15 @@
 ``multiprocessing.Pool.map`` — the original PR-1 dispatch — deadlocks if
 a worker is OOM-killed mid-chunk and aborts the whole campaign on any
 chunk exception.  :class:`ChunkSupervisor` replaces it with a supervised
-dispatch loop, now split from the execution backend: the coordinator
-owns retry/backoff/timeout/speculation *policy* and speaks the small
+dispatch loop, split from the execution backend: the coordinator owns
+retry/backoff/timeout *policy* and speaks the small
 :class:`~repro.runtime.executors.Executor` interface (serial in-process,
 ``ProcessPoolExecutor`` pool, or the heartbeat-leased fleet board) for
 *mechanism*.
 
+* **executor ownership** — the supervisor drives the executor it is
+  given (one per campaign) and never closes it; it hands it back idle,
+  and runs a single job in-process rather than start a pool for it.
 * **crash detection** — an executor reports a dead worker as a
   ``broken`` completion; the coordinator charges a retry to the chunk
   that died and — for non-self-healing backends like the pool — tears
@@ -24,11 +27,6 @@ owns retry/backoff/timeout/speculation *policy* and speaks the small
   ``base_delay * growth**n`` (capped at ``max_delay``).  Backoff is
   per-chunk state (:class:`~repro.runtime.executors.ChunkState`), so
   one flapping chunk never stalls the rest of the queue.
-* **straggler re-dispatch** — with a :class:`StragglerPolicy`, a chunk
-  whose in-flight age exceeds the p95 completion latency is
-  speculatively re-issued; the first result wins, later copies are
-  dropped by chunk id (one journal append, one latency observation —
-  double completion is bit-identical and counted once).
 * **adaptive stopping** — ``run(..., should_stop=...)`` consults the
   callback after every completion and abandons the remaining queue once
   it fires; the stopping *decision* itself lives in
@@ -43,15 +41,16 @@ owns retry/backoff/timeout/speculation *policy* and speaks the small
   deadline is ``chunk_timeout`` per chunk, and a task that fails every
   attempt is named by its chunk range.
 * **serial degradation** — a backend that keeps dying
-  (``max_pool_restarts``) is closed and the remaining work continues on
-  a :class:`~repro.runtime.executors.SerialExecutor` through the same
-  retry path, with a :class:`ResilienceWarning` and a
-  ``serial_fallbacks`` count in :class:`~repro.perf.PerfCounters`.
+  (``max_pool_restarts`` within one run) is set aside and the rest of
+  that run continues on a :class:`~repro.runtime.executors.SerialExecutor`
+  through the same retry path, with a :class:`ResilienceWarning` and a
+  ``serial_fallbacks`` count in :class:`~repro.perf.PerfCounters`.  The
+  next run starts on the given executor again.
 
 Because chunk RNG streams are spawned ``SeedSequence`` children and
-aggregation is commutative, retries, speculation, re-dispatch and serial
-degradation cannot change the estimate: any schedule that completes
-yields bit-identical results.
+aggregation is commutative, retries, re-dispatch and serial degradation
+cannot change the estimate: any schedule that completes yields
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -78,13 +77,7 @@ from ..obs import trace
 from ..obs.progress import ProgressEvent, ProgressTracker
 from ..perf import PerfCounters
 from .chaos import ChaosSpec
-from .executors import (
-    ChunkState,
-    Executor,
-    SerialExecutor,
-    StragglerPolicy,
-    make_executor,
-)
+from .executors import ChunkState, Executor, PoolExecutor, SerialExecutor
 
 #: Metrics-registry name of the per-chunk completion-latency histogram
 #: (coordinator-observed: submit/start to completion, queueing included).
@@ -154,8 +147,7 @@ class SupervisorEvent:
     """One recorded resilience event (for summaries and manifests)."""
 
     kind: str  # retry | timeout | crash | pool_restart | serial_degrade
-    #         | chunk_failed | straggler_redispatch | duplicate_drop
-    #         | copy_failed | early_stop
+    #         | chunk_failed | early_stop
     chunk: int
     attempt: int
     detail: str
@@ -163,12 +155,11 @@ class SupervisorEvent:
 
 @dataclass
 class _Dispatch:
-    """One live submission to an executor (a chunk may have several)."""
+    """One live submission to an executor."""
 
     index: int
     deadline: float
     t_submit: float
-    speculative: bool = False
 
 
 class ChunkSupervisor:
@@ -179,35 +170,24 @@ class ChunkSupervisor:
 
     def __init__(
         self,
-        workers: int = 1,
         retry: Optional[RetryPolicy] = None,
         chunk_timeout: Optional[float] = None,
         chaos: Optional[ChaosSpec] = None,
         counters: Optional[PerfCounters] = None,
         progress: Optional[ProgressTracker] = None,
         on_progress: Optional[Callable[[ProgressEvent], None]] = None,
-        executor: Union[Executor, str, None] = None,
-        straggler: Optional[StragglerPolicy] = None,
-        board_dir=None,
-        worker_ttl: Optional[float] = None,
-        fleet_spawn: Optional[int] = None,
+        executor: Optional[Executor] = None,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         if chunk_timeout is not None and chunk_timeout <= 0:
             raise ValueError("chunk_timeout must be positive")
-        self.workers = workers
         self.retry = retry if retry is not None else RetryPolicy()
         self.chunk_timeout = chunk_timeout
         self.chaos = chaos
         self.counters = counters if counters is not None else PerfCounters()
         self.progress = progress
         self.on_progress = on_progress
+        #: Driven, never closed; ``None`` runs every job in-process.
         self.executor = executor
-        self.straggler = straggler
-        self.board_dir = board_dir
-        self.worker_ttl = worker_ttl
-        self.fleet_spawn = fleet_spawn
         self.events: List[SupervisorEvent] = []
 
     # -- event plumbing ----------------------------------------------------
@@ -221,11 +201,9 @@ class ChunkSupervisor:
     def _heartbeat(self, index: int, result: Any, latency_s: float) -> None:
         """One job finished: histogram its latency, emit the heartbeat.
 
-        Called exactly once per job — duplicate completions from
-        straggler speculation are dropped *before* this point, so the
-        latency histogram counts each job once no matter how many
-        copies ran.  A job's result is one chunk result or a list of
-        them (a task); its trials and kernel seconds are their sums.
+        Called exactly once per job.  A job's result is one chunk result
+        or a list of them (a task); its trials and kernel seconds are
+        their sums.
         The heartbeat is a trace event (``chunk_heartbeat``) carrying
         the job latency plus — when a :class:`ProgressTracker` is
         attached — the done/total/rate/ETA snapshot, and it also reaches
@@ -292,38 +270,13 @@ class ChunkSupervisor:
         """
         if not jobs:
             return {}
-        executor = self._resolve_executor(len(jobs))
-        try:
-            return self._run_coordinated(
-                executor, jobs, primary, on_complete, should_stop
-            )
-        finally:
-            executor.close()
-
-    def _resolve_executor(self, n_jobs: int) -> Executor:
-        spec = self.executor
-        if spec is None:
-            spec = "serial" if (self.workers == 1 or n_jobs == 1) else "pool"
-        if isinstance(spec, str):
-            return make_executor(
-                spec,
-                workers=min(self.workers, n_jobs),
-                board_dir=self.board_dir,
-                ttl=self.worker_ttl,
-                spawn_workers=self.fleet_spawn,
-            )
-        return spec
-
-    # -- coordinator loop --------------------------------------------------
-
-    def _run_coordinated(
-        self,
-        executor: Executor,
-        jobs: Sequence[Tuple[int, tuple]],
-        primary: Callable,
-        on_complete: Optional[Callable],
-        should_stop: Optional[Callable[[], bool]],
-    ) -> Dict[int, Dict[str, Any]]:
+        executor = self.executor
+        if executor is None or (
+            len(jobs) == 1 and isinstance(executor, PoolExecutor)
+        ):
+            # One job cannot use a second worker, and a pool costs more
+            # to start than most jobs take: run it in-process.
+            executor = SerialExecutor()
         retry = self.retry
         results: Dict[int, Dict[str, Any]] = {}
         states: Dict[int, ChunkState] = {}
@@ -338,18 +291,13 @@ class ChunkSupervisor:
         queue: Deque[int] = deque(states)
         failed: Dict[int, str] = {}  # exhausted chunk -> last error
         dispatches: Dict[int, _Dispatch] = {}  # token -> live submission
-        latencies: List[float] = []
         pool_restarts = 0
         stopping = False
-
-        def live_copies(index: int) -> int:
-            return sum(1 for d in dispatches.values() if d.index == index)
 
         def charge_failure(index: int, attempt: int, why: str) -> None:
             """One failed attempt: schedule a retry or give the chunk up."""
             state = states[index]
             state.failures += 1
-            state.speculations = 0  # new attempt wave speculates afresh
             self.counters.chunk_failures += 1
             if state.failures < retry.max_attempts:
                 self.counters.retries += 1
@@ -363,7 +311,6 @@ class ChunkSupervisor:
         def finish(index: int, result: Dict[str, Any], latency_s: float) -> None:
             nonlocal stopping
             results[index] = result
-            latencies.append(latency_s)
             if on_complete is not None:
                 on_complete(index, result)
             self._heartbeat(index, result, latency_s)
@@ -374,7 +321,7 @@ class ChunkSupervisor:
                     "stopping rule satisfied; abandoning queued chunks",
                 )
 
-        def dispatch(state: ChunkState, speculative: bool) -> None:
+        def dispatch(state: ChunkState) -> None:
             payload = (primary, state.blocks, state.failures, self.chaos, state.args)
             token = executor.submit(payload)
             deadline = (
@@ -383,140 +330,115 @@ class ChunkSupervisor:
                 else math.inf
             )
             dispatches[token] = _Dispatch(
-                index=state.index,
-                deadline=deadline,
-                t_submit=time.perf_counter(),
-                speculative=speculative,
+                index=state.index, deadline=deadline, t_submit=time.perf_counter()
             )
 
-        while (queue or dispatches) and not stopping:
-            # Dispatch from the front until the executor is full.  A job
-            # still backing off keeps its place; the ones behind it go.
-            now = time.monotonic()
-            waiting: List[int] = []
-            while queue and len(dispatches) < executor.capacity:
-                index = queue.popleft()
-                if states[index].not_before <= now:
-                    dispatch(states[index], speculative=False)
-                else:
-                    waiting.append(index)
-            queue.extendleft(reversed(waiting))
+        try:
+            while (queue or dispatches) and not stopping:
+                # Dispatch from the front until the executor is full.  A
+                # job still backing off keeps its place; the ones behind
+                # it go.
+                now = time.monotonic()
+                waiting: List[int] = []
+                while queue and len(dispatches) < executor.capacity:
+                    index = queue.popleft()
+                    if states[index].not_before <= now:
+                        dispatch(states[index])
+                    else:
+                        waiting.append(index)
+                queue.extendleft(reversed(waiting))
 
-            self._maybe_speculate(executor, dispatches, states, results,
-                                  latencies, live_copies, dispatch)
-
-            if not dispatches:
-                if queue:
-                    # Everything queued is backing off; sleep to the
-                    # earliest not-before point.
-                    time.sleep(
-                        max(
-                            0.0,
-                            min(states[i].not_before for i in queue)
-                            - time.monotonic(),
+                if not dispatches:
+                    if queue:
+                        # Everything queued is backing off; sleep to the
+                        # earliest not-before point.
+                        time.sleep(
+                            max(
+                                0.0,
+                                min(states[i].not_before for i in queue)
+                                - time.monotonic(),
+                            )
                         )
-                    )
-                continue
-
-            backend_broken = False
-            for comp in executor.poll(self.TICK):
-                disp = dispatches.pop(comp.token, None)
-                if disp is None:
-                    continue  # stale token from a pre-restart submission
-                index = disp.index
-                state = states[index]
-                if index in results:
-                    # First result won already: drop the late copy whole
-                    # (no journal append, no heartbeat, no histogram).
-                    self.counters.duplicate_results += 1
-                    self._event(
-                        "duplicate_drop", index, state.failures,
-                        "late straggler copy discarded (first result wins)",
-                    )
                     continue
-                if comp.broken:
-                    self.counters.worker_crashes += 1
-                    self._event("crash", index, state.failures,
-                                "worker process died")
-                    if not executor.self_healing:
-                        backend_broken = True
-                    if live_copies(index) == 0:
+
+                backend_broken = False
+                for comp in executor.poll(self.TICK):
+                    disp = dispatches.pop(comp.token, None)
+                    if disp is None or stopping:
+                        continue  # stale token, or landed after a stop
+                    index = disp.index
+                    state = states[index]
+                    if comp.broken:
+                        self.counters.worker_crashes += 1
+                        self._event("crash", index, state.failures,
+                                    "worker process died")
+                        if not executor.self_healing:
+                            backend_broken = True
                         charge_failure(index, state.failures, "worker crash")
-                elif comp.error is not None:
-                    if live_copies(index) == 0:
+                    elif comp.error is not None:
                         charge_failure(index, state.failures, comp.error)
                     else:
-                        # A speculative twin is still running; don't
-                        # penalize the chunk while it may yet succeed.
-                        self._event("copy_failed", index, state.failures,
-                                    comp.error)
-                else:
-                    finish(index, comp.result,
-                           time.perf_counter() - disp.t_submit)
-                    if stopping:
-                        break
-            if stopping:
-                break
+                        finish(index, comp.result,
+                               time.perf_counter() - disp.t_submit)
+                if stopping:
+                    break
 
-            # Hang detection: charge expired chunks; evict just the
-            # offending submission where the backend supports it,
-            # otherwise condemn the whole backend.
-            now = time.monotonic()
-            for token in [t for t, d in dispatches.items()
-                          if now >= d.deadline]:
-                disp = dispatches.pop(token)
-                index = disp.index
-                evicted = executor.abandon(token)
-                if index in results:
-                    continue  # timed-out copy of an already-finished chunk
-                state = states[index]
-                self.counters.chunk_timeouts += 1
-                self._event(
-                    "timeout", index, state.failures,
-                    f"chunk exceeded {self.chunk_timeout * state.span:g}s",
-                )
-                if live_copies(index) == 0:
-                    charge_failure(index, state.failures, "chunk timeout")
-                if not evicted:
-                    backend_broken = True
-
-            if backend_broken:
-                # Innocent bystanders go back to the queue unpenalized.
-                for token in executor.restart():
-                    disp = dispatches.pop(token, None)
-                    if disp is None:
-                        continue
-                    if (
-                        disp.index not in results
-                        and live_copies(disp.index) == 0
-                        and disp.index not in queue
-                    ):
-                        states[disp.index].not_before = 0.0
-                        queue.append(disp.index)
-                dispatches.clear()
-                pool_restarts += 1
-                self.counters.pool_restarts += 1
-                self._event(
-                    "pool_restart",
-                    -1,
-                    pool_restarts,
-                    f"restart {pool_restarts}/{retry.max_pool_restarts}",
-                )
-                if pool_restarts >= retry.max_pool_restarts and queue:
-                    executor.close()
-                    executor = SerialExecutor()
-                    self.counters.serial_fallbacks += 1
+                # Hang detection: charge expired chunks; evict just the
+                # offending submission where the backend supports it,
+                # otherwise condemn the whole backend.
+                now = time.monotonic()
+                for token in [t for t, d in dispatches.items()
+                              if now >= d.deadline]:
+                    index = dispatches.pop(token).index
+                    state = states[index]
+                    self.counters.chunk_timeouts += 1
                     self._event(
-                        "serial_degrade",
+                        "timeout", index, state.failures,
+                        f"chunk exceeded {self.chunk_timeout * state.span:g}s",
+                    )
+                    charge_failure(index, state.failures, "chunk timeout")
+                    if not executor.abandon(token):
+                        backend_broken = True
+
+                if backend_broken:
+                    # Innocent bystanders go back to the queue unpenalized.
+                    for token in executor.restart():
+                        disp = dispatches.pop(token, None)
+                        if disp is not None:
+                            states[disp.index].not_before = 0.0
+                            queue.append(disp.index)
+                    dispatches.clear()
+                    pool_restarts += 1
+                    self.counters.pool_restarts += 1
+                    self._event(
+                        "pool_restart",
                         -1,
                         pool_restarts,
-                        "pool keeps dying; finishing serially in-process",
+                        f"restart {pool_restarts}/{retry.max_pool_restarts}",
                     )
-                    self._warn(
-                        f"worker pool died {pool_restarts} times; "
-                        "degrading the remaining chunks to serial "
-                        "in-process execution"
-                    )
+                    if pool_restarts >= retry.max_pool_restarts and queue:
+                        # The caller's executor stays open (restart left
+                        # it idle); only this run finishes in-process.
+                        executor = SerialExecutor()
+                        self.counters.serial_fallbacks += 1
+                        self._event(
+                            "serial_degrade",
+                            -1,
+                            pool_restarts,
+                            "pool keeps dying; finishing serially in-process",
+                        )
+                        self._warn(
+                            f"worker pool died {pool_restarts} times; "
+                            "degrading the remaining chunks to serial "
+                            "in-process execution"
+                        )
+        finally:
+            # Hand the executor back idle: cancel or fence what is still
+            # in flight, and restart it if a running task cannot be.
+            if dispatches and not all(
+                [executor.abandon(token) for token in dispatches]
+            ):
+                executor.restart()
         if failed and not stopping:
             index = min(failed)
             raise ChunkFailedError(
@@ -526,44 +448,3 @@ class ChunkSupervisor:
                 states[index].blocks,
             )
         return results
-
-    def _maybe_speculate(
-        self,
-        executor: Executor,
-        dispatches: Dict[int, _Dispatch],
-        states: Dict[int, ChunkState],
-        results: Dict[int, Dict[str, Any]],
-        latencies: List[float],
-        live_copies: Callable[[int], int],
-        dispatch: Callable[[ChunkState, bool], None],
-    ) -> None:
-        """Re-issue straggling in-flight chunks (first result wins)."""
-        policy = self.straggler
-        if policy is None or executor.capacity <= 1:
-            return
-        threshold = policy.threshold(latencies)
-        if threshold is None:
-            return
-        now_pc = time.perf_counter()
-        for disp in list(dispatches.values()):
-            if len(dispatches) >= executor.capacity:
-                return
-            state = states[disp.index]
-            if (
-                disp.speculative
-                or disp.index in results
-                or now_pc - disp.t_submit < threshold
-                or state.speculations >= policy.max_copies - 1
-                or live_copies(disp.index) >= policy.max_copies
-            ):
-                continue
-            state.speculations += 1
-            self.counters.stragglers_redispatched += 1
-            self._event(
-                "straggler_redispatch",
-                state.index,
-                state.failures,
-                f"in-flight {now_pc - disp.t_submit:.2f}s > "
-                f"p95 threshold {threshold:.2f}s; issuing second copy",
-            )
-            dispatch(state, True)

@@ -29,7 +29,8 @@ from .montecarlo import (
     simulate_fail_probability,
     simulate_fail_probability_batched,
 )
-from .patterns import parse_pattern, parse_schedule
+from .patterns import MAX_SCHEDULE_LEGS  # noqa: F401  (re-exported)
+from .patterns import check_schedule_legs, parse_pattern, parse_schedule
 
 
 #: Engine names accepted by :func:`run_campaign` and ``repro campaign
@@ -192,34 +193,6 @@ def cell_model_probability(
     return float(profile.fail_probability([t_end_hours])[0])
 
 
-#: Most legs a cell's rate schedule may span over the campaign horizon.
-#: The analytic bridge solves one uniformization step per leg
-#: (:meth:`~repro.memory.mission.MissionProfile.fail_probability`):
-#: about 0.7 ms for the RS(18,16) SEU-only chains and 2.7 ms for the
-#: duplex chain with permanent faults and hourly scrubs, so a cell at
-#: the bound solves in under 3 s, while a 1e-300 h leg would never
-#: finish (DESIGN.md §11).
-MAX_SCHEDULE_LEGS = 1000
-
-
-def check_schedule_legs(schedule, t_end_hours: float) -> None:
-    """Parse ``schedule``; refuse one spanning over :data:`MAX_SCHEDULE_LEGS` legs.
-
-    Raises ``ValueError`` for a malformed spec, or one naming the leg
-    count over ``[0, t_end_hours]``.
-    """
-    schedule = parse_schedule(schedule)
-    if schedule is None:
-        return
-    legs = schedule.legs(t_end_hours)
-    if legs > MAX_SCHEDULE_LEGS:
-        raise ValueError(
-            f"schedule {schedule.spec()!r} spans {legs:.4g} legs over the "
-            f"{t_end_hours:g} h horizon; at most {MAX_SCHEDULE_LEGS} are "
-            f"supported (the model solve takes one step per leg)"
-        )
-
-
 #: Current fingerprint schema.  3 folded the adaptive-stopping rule in:
 #: ``stop_rel_ci``/``min_trials``/``ci_method`` change the recorded
 #: ``stopped_early`` prefix and hence the final estimate, so two runs
@@ -334,7 +307,9 @@ def run_campaign(
     :func:`campaign_fingerprint`; resuming with different parameters
     raises :class:`~repro.runtime.CheckpointMismatchError`, and resuming
     with the same ones replays completed chunks for bit-identical
-    results.
+    results.  Every cell dispatches through ``runtime.executor``, which
+    its owner closes; without one, the ``auto`` default for ``workers``
+    is built once for the campaign and closed when it returns.
     """
     if not cells:
         raise ValueError("empty campaign")
@@ -375,55 +350,57 @@ def run_campaign(
         )
     code = RSCode(n, k, m=m)
     rows: List[CampaignRow] = []
-    for idx, cell in enumerate(cells):
-        with trace.span(
-            "campaign_cell",
-            cell=cell.label(),
-            index=idx,
-            engine=engine,
-            trials=trials,
-        ):
-            with trace.span("campaign_model_solve", cell=cell.label()):
-                p_model = cell_model_probability(cell, n, k, m, t_end_hours)
-            scrub_period_hours = (
-                None
-                if cell.scrub_period_seconds is None
-                else cell.scrub_period_seconds / 3600.0
-            )
-            if batch:
-                estimate = simulate_fail_probability_batched(
-                    cell.arrangement,
-                    code,
-                    t_end_hours,
-                    seu_per_bit=cell.seu_per_bit_day / 24.0,
-                    erasure_per_symbol=cell.erasure_per_symbol_day / 24.0,
-                    trials=trials,
-                    seed=base_seed + idx,
-                    scrub_period=scrub_period_hours,
-                    scrub_exponential=True,
-                    chunk_size=chunk_size,
-                    workers=workers,
-                    counters=counters,
-                    runtime=runtime,
-                    cell_key=f"{idx}:{cell.label()}",
-                    pattern=cell.pattern,
-                    schedule=cell.schedule,
+    cfg = runtime if runtime is not None else RuntimeConfig()
+    with cfg.with_executor(workers) as cfg:
+        for idx, cell in enumerate(cells):
+            with trace.span(
+                "campaign_cell",
+                cell=cell.label(),
+                index=idx,
+                engine=engine,
+                trials=trials,
+            ):
+                with trace.span("campaign_model_solve", cell=cell.label()):
+                    p_model = cell_model_probability(cell, n, k, m, t_end_hours)
+                scrub_period_hours = (
+                    None
+                    if cell.scrub_period_seconds is None
+                    else cell.scrub_period_seconds / 3600.0
                 )
-            else:
-                estimate = simulate_fail_probability(
-                    cell.arrangement,
-                    code,
-                    t_end_hours,
-                    seu_per_bit=cell.seu_per_bit_day / 24.0,
-                    erasure_per_symbol=cell.erasure_per_symbol_day / 24.0,
-                    trials=trials,
-                    rng=np.random.default_rng(base_seed + idx),
-                    scrub_period=scrub_period_hours,
-                    scrub_exponential=True,
-                    pattern=cell.pattern,
-                    schedule=cell.schedule,
-                )
-            rows.append(CampaignRow(cell, p_model, estimate))
+                if batch:
+                    estimate = simulate_fail_probability_batched(
+                        cell.arrangement,
+                        code,
+                        t_end_hours,
+                        seu_per_bit=cell.seu_per_bit_day / 24.0,
+                        erasure_per_symbol=cell.erasure_per_symbol_day / 24.0,
+                        trials=trials,
+                        seed=base_seed + idx,
+                        scrub_period=scrub_period_hours,
+                        scrub_exponential=True,
+                        chunk_size=chunk_size,
+                        workers=workers,
+                        counters=counters,
+                        runtime=cfg,
+                        cell_key=f"{idx}:{cell.label()}",
+                        pattern=cell.pattern,
+                        schedule=cell.schedule,
+                    )
+                else:
+                    estimate = simulate_fail_probability(
+                        cell.arrangement,
+                        code,
+                        t_end_hours,
+                        seu_per_bit=cell.seu_per_bit_day / 24.0,
+                        erasure_per_symbol=cell.erasure_per_symbol_day / 24.0,
+                        trials=trials,
+                        rng=np.random.default_rng(base_seed + idx),
+                        scrub_period=scrub_period_hours,
+                        scrub_exponential=True,
+                        pattern=cell.pattern,
+                        schedule=cell.schedule,
+                    )
+                rows.append(CampaignRow(cell, p_model, estimate))
     return rows
 
 

@@ -25,12 +25,13 @@ Three fault-injection validators:
   erasure recovery and :func:`decide_batch` for duplex pairs), and
   decodes every final read in one more batch.  Blocks are dispatched in
   tasks (:class:`TaskSpec`) of consecutive blocks whose fault-bearing
-  trials share one replay; an opt-in ``workers=N`` pool distributes
-  tasks across processes.  Because every block owns an independent
-  spawned ``SeedSequence``, every trial's replay depends on its own
-  events alone, and the aggregation is a commutative sum over blocks, a
-  fixed ``(seed, trials, chunk_size)`` triple yields an identical
-  :class:`FailureEstimate` for any worker count and any task grouping.
+  trials share one replay; the caller's executor (or an opt-in
+  ``workers=N`` pool) distributes tasks across processes.  Because
+  every block owns an independent spawned ``SeedSequence``, every
+  trial's replay depends on its own events alone, and the aggregation
+  is a commutative sum over blocks, a fixed ``(seed, trials,
+  chunk_size)`` triple yields an identical :class:`FailureEstimate` for
+  any executor, worker count and task grouping.
 
 The scalar :class:`SimplexSystem`/:class:`DuplexSystem` replay stays the
 oracle of the array engine: the ``reference`` campaign engine runs it,
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -73,6 +73,7 @@ from .patterns import (
     Pcg64Draws,
     RateSchedule,
     arrival_cells,
+    check_schedule_legs,
     format_pattern,
     format_schedule,
     parse_pattern,
@@ -260,6 +261,7 @@ def simulate_fail_probability(
     # Parse specs once; per-trial calls then skip re-validation.
     pattern = None if pattern is None else parse_pattern(pattern)
     schedule = parse_schedule(schedule)
+    check_schedule_legs(schedule, t_end)
     counts = {outcome.value: 0 for outcome in ReadOutcome}
     failures = 0
     for _ in range(trials):
@@ -1047,17 +1049,18 @@ def simulate_fail_probability_batched(
     commutative-sum property above — makes an interrupted-and-resumed
     run bit-identical to an uninterrupted one.
 
-    ``runtime.executor`` selects the dispatch backend (serial, pool, or
-    fleet) and ``runtime.straggler`` enables
-    speculative re-dispatch — neither can affect the estimate.  Every
-    completion streams an incremental BER±CI snapshot into the obs
-    layer (and ``runtime.on_snapshot``); ``runtime.stop`` adds the
-    adaptive stopping rule: the run ends at the smallest contiguous
-    chunk prefix whose cumulative interval satisfies the rule, and the
-    estimate aggregates exactly that prefix — so early-stopped results
-    are also invariant to executor, worker count, and schedule
-    (``stopped_early`` marks them, with ``trials`` reduced to the
-    prefix).
+    ``runtime.executor`` is the dispatch backend
+    (:mod:`repro.runtime.executors`), owned by the caller; without one,
+    the ``auto`` default for ``workers`` is built for this call and
+    closed at its end.  Tasks are sized by the executor's ``capacity``;
+    neither can affect the estimate.  Every completion streams an
+    incremental BER±CI snapshot into the obs layer (and
+    ``runtime.on_snapshot``); ``runtime.stop`` adds the adaptive
+    stopping rule: the run ends at the smallest contiguous chunk prefix
+    whose cumulative interval satisfies the rule, and the estimate
+    aggregates exactly that prefix — so early-stopped results are also
+    invariant to executor, worker count, and schedule (``stopped_early``
+    marks them, with ``trials`` reduced to the prefix).
     """
     if arrangement not in ("simplex", "duplex"):
         raise ValueError(f"unknown arrangement {arrangement!r}")
@@ -1077,6 +1080,7 @@ def simulate_fail_probability_batched(
         None if pattern is None else format_pattern(parse_pattern(pattern))
     )
     parsed_schedule = parse_schedule(schedule)
+    check_schedule_legs(parsed_schedule, t_end)
     schedule_spec = (
         None if parsed_schedule is None else format_schedule(parsed_schedule)
     )
@@ -1154,75 +1158,59 @@ def simulate_fail_probability_batched(
         # Resumed chunks alone satisfied the rule on a complete prefix;
         # everything past the stop index is unnecessary work.
         pending = []
-    jobs = [
-        (
-            span,
-            replace(cell, blocks=tuple((i, sizes[i], seeds[i]) for i in span)),
-        )
-        for span in task_spans(pending, workers)
-    ]
-
-    with trace.span(
-        "simulate_fail_probability_batched",
-        arrangement=arrangement,
-        trials=trials,
-        chunk_size=chunk_size,
-        workers=workers,
-        n_chunks=len(sizes),
-        n_tasks=len(jobs),
-        chunks_resumed=len(results),
-        cell_key=cell_key,
-    ), Stopwatch(own_counters):
-        if jobs:
-            board_dir = cfg.board_dir
-            if (
-                board_dir is None
-                and journal is not None
-                and cfg.executor == "fleet"
-            ):
-                board_dir = Path(str(journal.path) + ".board")
-            # An explicit board means external `repro worker` agents do
-            # the computing; without one the fleet spawns local agents.
-            fleet_spawn = (
-                0
-                if (cfg.executor == "fleet" and cfg.board_dir is not None)
-                else None
+    with cfg.with_executor(workers) as cfg:
+        jobs = [
+            (
+                span,
+                replace(cell, blocks=tuple((i, sizes[i], seeds[i]) for i in span)),
             )
-            supervisor = ChunkSupervisor(
-                workers=workers,
-                retry=cfg.retry,
-                chunk_timeout=cfg.chunk_timeout,
-                chaos=cfg.chaos,
-                counters=own_counters,
-                progress=cfg.progress,
-                on_progress=cfg.on_progress,
-                executor=cfg.executor,
-                straggler=cfg.straggler,
-                board_dir=board_dir,
-                worker_ttl=cfg.worker_ttl,
-                fleet_spawn=fleet_spawn,
-            )
+            for span in task_spans(pending, cfg.executor.capacity)
+        ]
 
-            def record(first: int, task_results: List[Dict[str, object]]) -> None:
-                # A finished task journals and offers its blocks in
-                # index order.
-                for index, result in enumerate(task_results, start=first):
-                    if journal is not None:
-                        journal.record_chunk(
-                            cell_key, index, seed_ids[index], result
-                        )
-                    results[index] = result
-                    observe(index, result)
+        with trace.span(
+            "simulate_fail_probability_batched",
+            arrangement=arrangement,
+            trials=trials,
+            chunk_size=chunk_size,
+            workers=workers,
+            n_chunks=len(sizes),
+            n_tasks=len(jobs),
+            chunks_resumed=len(results),
+            cell_key=cell_key,
+        ), Stopwatch(own_counters):
+            if jobs:
+                supervisor = ChunkSupervisor(
+                    retry=cfg.retry,
+                    chunk_timeout=cfg.chunk_timeout,
+                    chaos=cfg.chaos,
+                    counters=own_counters,
+                    progress=cfg.progress,
+                    on_progress=cfg.on_progress,
+                    executor=cfg.executor,
+                )
 
-            supervisor.run(
-                jobs,
-                primary=_run_injection_chunk,
-                on_complete=record,
-                should_stop=(
-                    None if stopper is None else lambda: stopper.should_stop
-                ),
-            )
-            cfg.events.extend(supervisor.events)
+                def record(
+                    first: int, task_results: List[Dict[str, object]]
+                ) -> None:
+                    # A finished task journals and offers its blocks in
+                    # index order.
+                    for index, result in enumerate(task_results, start=first):
+                        if journal is not None:
+                            journal.record_chunk(
+                                cell_key, index, seed_ids[index], result
+                            )
+                        results[index] = result
+                        observe(index, result)
+
+                supervisor.run(
+                    jobs,
+                    primary=_run_injection_chunk,
+                    on_complete=record,
+                    should_stop=(
+                        None if stopper is None else lambda: stopper.should_stop
+                    ),
+                )
+                cfg.events.extend(supervisor.events)
 
     stop_index = stopper.stop_index if stopper is not None else None
     if stop_index is not None:

@@ -58,6 +58,8 @@ __all__ = [
     "format_pattern",
     "parse_schedule",
     "format_schedule",
+    "MAX_SCHEDULE_LEGS",
+    "check_schedule_legs",
     "Pcg64Draws",
     "arrival_cells",
     "expand_arrivals",
@@ -329,7 +331,11 @@ class RateSchedule:
         return full * len(self.segments) + started
 
     def windows(self, t_end: float) -> List[Tuple[float, float, float]]:
-        """Absolute ``(start, end, factor)`` windows covering ``[0, t_end]``."""
+        """Absolute ``(start, end, factor)`` windows covering ``[0, t_end]``.
+
+        Raises ``ValueError`` past :data:`MAX_SCHEDULE_LEGS` windows.
+        """
+        check_schedule_legs(self, t_end)
         out: List[Tuple[float, float, float]] = []
         t = 0.0
         while t < t_end:
@@ -444,6 +450,35 @@ def parse_schedule(
 def format_schedule(schedule: RateSchedule) -> str:
     """Canonical text for a schedule; ``parse_schedule`` inverts it."""
     return ",".join(f"{d!r}h@{f!r}" for d, f in schedule.segments)
+
+
+#: Most legs a rate schedule may span over a horizon.  Listing the
+#: windows (:meth:`RateSchedule.windows`) takes one Python step per leg,
+#: and the analytic bridge solves one uniformization step per leg
+#: (:meth:`~repro.memory.mission.MissionProfile.fail_probability`):
+#: about 0.7 ms for the RS(18,16) SEU-only chains and 2.7 ms for the
+#: duplex chain with permanent faults and hourly scrubs, so a cell at
+#: the bound solves in under 3 s, while a 1e-300 h leg would never
+#: finish (DESIGN.md §11).
+MAX_SCHEDULE_LEGS = 1000
+
+
+def check_schedule_legs(schedule, t_end_hours: float) -> None:
+    """Parse ``schedule``; refuse one spanning over :data:`MAX_SCHEDULE_LEGS` legs.
+
+    Raises ``ValueError`` for a malformed spec, or one naming the leg
+    count over ``[0, t_end_hours]``.
+    """
+    schedule = parse_schedule(schedule)
+    if schedule is None:
+        return
+    legs = schedule.legs(t_end_hours)
+    if legs > MAX_SCHEDULE_LEGS:
+        raise ValueError(
+            f"schedule {schedule.spec()!r} spans {legs:.4g} legs over the "
+            f"{t_end_hours:g} h horizon; at most {MAX_SCHEDULE_LEGS} are "
+            f"supported (windows and the model solve take one step per leg)"
+        )
 
 
 # --------------------------------------------------------------------------

@@ -72,9 +72,9 @@ class BerSnapshot:
 class StreamingEstimator:
     """Commutative incremental aggregate of chunk (failures, trials).
 
-    Duplicate chunk indices are dropped (first result wins) so straggler
-    re-dispatch and journal replays can feed the same estimator without
-    double counting — the same dedup rule the coordinator applies.
+    Duplicate chunk indices are dropped (first result wins), so a
+    caller that offers a chunk twice — a journal replay and a fresh
+    result for the same index — cannot double count it.
     """
 
     def __init__(self, method: str = "wilson", confidence: float = 0.95):

@@ -1046,9 +1046,7 @@ def _check_mc_streaming_vs_final(case: Case) -> Optional[Mismatch]:
     lam = case["seu_per_bit_day"] / 24.0
 
     def run(stop=None, on_snapshot=None):
-        runtime = RuntimeConfig(
-            executor="serial", stop=stop, on_snapshot=on_snapshot
-        )
+        runtime = RuntimeConfig(stop=stop, on_snapshot=on_snapshot)
         return simulate_fail_probability_batched(
             case["arrangement"],
             code,

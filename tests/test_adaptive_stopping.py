@@ -16,7 +16,7 @@ import itertools
 import pytest
 
 from repro.rs import RSCode
-from repro.runtime import RuntimeConfig, StoppingRule
+from repro.runtime import RuntimeConfig, StoppingRule, make_executor
 from repro.simulator import simulate_fail_probability_batched
 from repro.stats import AdaptiveStopper
 
@@ -24,20 +24,20 @@ CODE = RSCode(18, 16, m=8)
 LAM = 2e-3 / 24.0
 
 
-def run(trials=600, seed=17, workers=1, stop=None, executor=None, lam=LAM):
-    runtime = RuntimeConfig(stop=stop, executor=executor)
-    return simulate_fail_probability_batched(
-        "simplex",
-        CODE,
-        48.0,
-        lam,
-        0.0,
-        trials,
-        seed=seed,
-        chunk_size=50,
-        workers=workers,
-        runtime=runtime,
-    )
+def run(trials=600, seed=17, workers=1, stop=None, executor="auto", lam=LAM):
+    with make_executor(executor, workers=workers) as built:
+        return simulate_fail_probability_batched(
+            "simplex",
+            CODE,
+            48.0,
+            lam,
+            0.0,
+            trials,
+            seed=seed,
+            chunk_size=50,
+            workers=workers,
+            runtime=RuntimeConfig(stop=stop, executor=built),
+        )
 
 
 RULE = StoppingRule(rel_ci=1.0, min_trials=100)
@@ -81,7 +81,7 @@ def test_early_stop_equals_plain_run_of_the_prefix():
 
 def test_stop_point_invariant_across_worker_counts():
     results = [
-        run(stop=RULE, workers=w, executor=None if w == 1 else "pool")
+        run(stop=RULE, workers=w, executor="serial" if w == 1 else "pool")
         for w in (1, 2, 4)
     ]
     first = results[0]

@@ -237,7 +237,7 @@ class TestCampaignCommand:
         )
         assert code == 0
         manifest = json.loads(path.read_text())
-        assert manifest["manifest_version"] == 4
+        assert manifest["manifest_version"] == 5
         assert manifest["progress"]
         assert manifest["progress"][-1]["done"] == 480
         assert manifest["metrics"]["repro.mc.chunk_seconds"]["count"] == 16
@@ -387,6 +387,31 @@ class TestCampaignMisuse:
             main(argv)
         assert info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+VALIDATE_MISUSE = {
+    "trials-zero": (["--trials", "0"], "--trials must be positive"),
+    "chunk-size-zero": (["--chunk-size", "0"], "--chunk-size must be positive"),
+    "workers-zero": (["--workers", "0"], "--workers must be >= 1"),
+}
+
+
+class TestValidateMisuse:
+    @pytest.mark.parametrize("case", VALIDATE_MISUSE)
+    def test_refused_before_any_work(self, monkeypatch, capsys, case):
+        import repro.memory
+
+        def no_chain(*_args, **_kwargs):
+            raise AssertionError("a chain was built before the check")
+
+        monkeypatch.setattr(repro.memory, "simplex_model", no_chain)
+        monkeypatch.setattr(repro.memory, "duplex_model", no_chain)
+        extra, reason = VALIDATE_MISUSE[case]
+        code = main(["validate", *extra])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(reason)
+        assert out == ""
 
 
 class TestCampaignScenarioFlags:

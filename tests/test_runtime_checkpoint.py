@@ -120,7 +120,12 @@ class TestJournalFormat:
         ]
         names = {f.name for f in fields(PerfCounters)}
         assert "dirty_words_decoded" in names
-        assert not {"engine_fallbacks", "scalar_fallbacks"} & names
+        assert not {
+            "engine_fallbacks",
+            "scalar_fallbacks",
+            "stragglers_redispatched",
+            "duplicate_results",
+        } & names
         chunks = [r for r in records if r["kind"] == "chunk"]
         assert len(chunks) == 4
         for record in chunks:
@@ -172,6 +177,44 @@ class TestResumeDeterminism:
             )
         assert resumed == reference
         assert counters.chunks_resumed == 2
+
+    def test_records_with_dropped_counter_keys_still_resume(self, tmp_path):
+        """Chunk records written while straggler speculation existed carry
+        two more counter keys, always zero.  Every block still replays,
+        to the fresh estimate: unknown counter keys are ignored, so
+        dropping them needed no journal format change."""
+        from repro.runtime import scan_journal
+
+        reference = batched()
+        fresh = tmp_path / "fresh.jsonl"
+        with CheckpointJournal(fresh) as journal:
+            batched(runtime=RuntimeConfig(journal=journal))
+        older = tmp_path / "older.jsonl"
+        with CheckpointJournal(older) as journal:
+            for _line, record in scan_journal(fresh).chunk_records:
+                result = dict(record["result"])
+                result["counters"] = dict(
+                    result["counters"],
+                    stragglers_redispatched=0,
+                    duplicate_results=0,
+                )
+                journal.record_chunk(
+                    record["cell"], record["chunk"], record["seed"], result
+                )
+        written = [r for _line, r in scan_journal(older).chunk_records]
+        assert len(written) == 4
+        assert all(
+            r["result"]["counters"]["duplicate_results"] == 0 for r in written
+        )
+
+        counters = PerfCounters()
+        with CheckpointJournal(older) as journal:
+            resumed = batched(
+                runtime=RuntimeConfig(journal=journal), counters=counters
+            )
+        assert counters.chunks_resumed == 4
+        assert counters.chunks == 4 and counters.trials == 300
+        assert resumed == reference
 
     def test_journal_chunks_are_keyed_by_cell(self, tmp_path):
         path = tmp_path / "run.jsonl"

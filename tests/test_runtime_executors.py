@@ -1,19 +1,15 @@
-"""Executor parity, straggler re-dispatch, and board discipline.
+"""Executor parity and board discipline.
 
 The pluggable-executor contract: serial, pool, and fleet backends move
 *scheduling only*.  For the same seed they must produce bit-identical
 estimates, bit-identical per-chunk journal records (timing fields
-aside), and identical deterministic work counters.  Straggler
-speculation may issue duplicate chunk copies, but first-result-wins
-dedup keeps every derived number — including the chunk-latency
-histogram — exactly what a speculation-free run would report.
+aside), and identical deterministic work counters.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.obs import metrics as obs_metrics
 from repro.perf import PerfCounters
 from repro.rs import RSCode
 from repro.runtime import (
@@ -21,12 +17,9 @@ from repro.runtime import (
     JournalLock,
     JournalLockedError,
     RuntimeConfig,
-    StragglerPolicy,
     make_executor,
-    parse_chaos_spec,
     scan_journal,
 )
-from repro.runtime.supervisor import CHUNK_LATENCY_METRIC
 from repro.simulator import simulate_fail_probability_batched
 
 CODE = RSCode(18, 16, m=8)
@@ -38,23 +31,23 @@ LAM = 2e-3 / 24.0
 _TIMING_FIELDS = {"cpu_seconds", "elapsed_seconds", "kernel_seconds"}
 
 
-def run(executor=None, workers=1, journal=None, chaos=None, straggler=None,
-        trials=300, seed=17):
-    runtime = RuntimeConfig(
-        executor=executor, journal=journal, chaos=chaos, straggler=straggler
-    )
-    return simulate_fail_probability_batched(
-        "simplex",
-        CODE,
-        48.0,
-        LAM,
-        0.0,
-        trials,
-        seed=seed,
-        chunk_size=50,
-        workers=workers,
-        runtime=runtime,
-    )
+def run(executor="auto", workers=1, journal=None, chaos=None, trials=300,
+        seed=17, counters=None):
+    """One cell on the named executor, built for it and closed after."""
+    with make_executor(executor, workers=workers) as built:
+        return simulate_fail_probability_batched(
+            "simplex",
+            CODE,
+            48.0,
+            LAM,
+            0.0,
+            trials,
+            seed=seed,
+            chunk_size=50,
+            workers=workers,
+            counters=counters,
+            runtime=RuntimeConfig(executor=built, journal=journal, chaos=chaos),
+        )
 
 
 def _chunk_fields(journal_path):
@@ -113,13 +106,14 @@ def test_parity_holds_with_adaptive_stopping(tmp_path):
     stop = StoppingRule(rel_ci=1.0, min_trials=100)
     results = []
     for name, workers in (("serial", 1), ("pool", 2), ("fleet", 4)):
-        runtime = RuntimeConfig(executor=name, stop=stop)
-        results.append(
-            simulate_fail_probability_batched(
-                "simplex", CODE, 48.0, LAM, 0.0, 600,
-                seed=17, chunk_size=50, workers=workers, runtime=runtime,
+        with make_executor(name, workers=workers) as executor:
+            runtime = RuntimeConfig(executor=executor, stop=stop)
+            results.append(
+                simulate_fail_probability_batched(
+                    "simplex", CODE, 48.0, LAM, 0.0, 600,
+                    seed=17, chunk_size=50, workers=workers, runtime=runtime,
+                )
             )
-        )
     first = results[0]
     assert first.stopped_early
     for other in results[1:]:
@@ -134,12 +128,7 @@ def test_merged_counters_deterministic_across_executors():
     fields = []
     for name, workers in (("serial", 1), ("pool", 2)):
         counters = PerfCounters()
-        runtime = RuntimeConfig(executor=name)
-        simulate_fail_probability_batched(
-            "simplex", CODE, 48.0, LAM, 0.0, 300,
-            seed=17, chunk_size=50, workers=workers,
-            counters=counters, runtime=runtime,
-        )
+        run(name, workers=workers, counters=counters)
         snap = counters.as_dict()
         fields.append(
             {k: v for k, v in snap.items() if k not in _TIMING_FIELDS}
@@ -150,81 +139,48 @@ def test_merged_counters_deterministic_across_executors():
 
 
 # --------------------------------------------------------------------------
-# straggler re-dispatch
-# --------------------------------------------------------------------------
-
-
-@pytest.mark.chaos
-def test_straggler_redispatched_without_double_counting():
-    """``slow@1`` makes chunk 1 a straggler: a speculative copy must be
-    issued, the estimate must not change, and the chunk-latency
-    histogram must count each chunk exactly once (re-dispatch used to
-    double-observe the winning chunk's latency)."""
-    reference = run()
-    previous = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
-    try:
-        counters = PerfCounters()
-        runtime = RuntimeConfig(
-            executor="pool",
-            chaos=parse_chaos_spec("slow@1:1.0"),
-            straggler=StragglerPolicy(
-                factor=1.0, min_seconds=0.25, min_samples=2, max_copies=2
-            ),
-        )
-        estimate = simulate_fail_probability_batched(
-            "simplex", CODE, 48.0, LAM, 0.0, 300,
-            seed=17, chunk_size=50, workers=2,
-            counters=counters, runtime=runtime,
-        )
-        histogram = (
-            obs_metrics.get_registry()
-            .histogram(CHUNK_LATENCY_METRIC)
-            .snapshot()
-        )
-    finally:
-        obs_metrics.set_registry(previous)
-    assert counters.stragglers_redispatched >= 1
-    assert (estimate.failures, estimate.trials, estimate.probability) == (
-        reference.failures,
-        reference.trials,
-        reference.probability,
-    )
-    assert estimate.outcome_counts == reference.outcome_counts
-    # one latency observation per chunk, no matter how many copies ran
-    assert histogram["count"] == 6
-    # dedup bookkeeping is consistent: every duplicate that landed was
-    # counted, never folded into the estimate
-    assert counters.trials == 300
-
-
-def test_straggler_policy_threshold():
-    policy = StragglerPolicy(
-        factor=2.0, min_seconds=0.5, min_samples=3, max_copies=2
-    )
-    assert policy.threshold([0.1]) is None  # too few samples
-    assert policy.threshold([0.1, 0.1, 0.1]) == 0.5  # floor dominates
-    assert policy.threshold([1.0, 2.0, 3.0]) == 6.0  # 2 x p95
-
-
-# --------------------------------------------------------------------------
 # board single-coordinator discipline
 # --------------------------------------------------------------------------
 
 
 def test_contended_board_surfaces_lock_error(tmp_path):
-    """The campaign path raises JournalLockedError when the fleet board
-    is held — the exact exception ``repro campaign`` maps to exit 75."""
+    """Building a fleet executor on a held board raises
+    JournalLockedError — the exact exception ``repro campaign`` maps to
+    exit 75."""
+    board = tmp_path / "ckpt.jsonl.board"
+    board.mkdir()
+    holder = JournalLock(board / "board")
+    holder.acquire()
+    try:
+        with pytest.raises(JournalLockedError):
+            make_executor("fleet", workers=2, board_dir=board)
+    finally:
+        holder.release()
+
+
+def test_campaign_on_a_held_board_exits_75(tmp_path, capsys):
+    """``repro campaign --executor fleet --checkpoint J`` derives the
+    board ``J.board``; while another coordinator holds it the campaign
+    exits 75 with one line, before any journal header is written."""
+    from repro.cli import main
+
     journal_path = tmp_path / "ckpt.jsonl"
     board = Path(str(journal_path) + ".board")
     board.mkdir()
     holder = JournalLock(board / "board")
     holder.acquire()
     try:
-        with CheckpointJournal(journal_path) as journal:
-            with pytest.raises(JournalLockedError):
-                run(executor="fleet", workers=2, journal=journal)
+        code = main(
+            ["campaign", "--trials", "40", "--chunk-size", "20",
+             "--executor", "fleet", "--workers", "2",
+             "--checkpoint", str(journal_path)]
+        )
     finally:
         holder.release()
+    out, err = capsys.readouterr()
+    assert code == 75
+    assert err.count("\n") == 1 and err.startswith("checkpoint locked: ")
+    assert scan_journal(journal_path).chunk_records == []
 
 
 @pytest.mark.parametrize("name", ["threads", "lease"])

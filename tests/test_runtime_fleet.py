@@ -51,27 +51,32 @@ _TIMING_FIELDS = {"cpu_seconds", "elapsed_seconds", "kernel_seconds"}
 FAST_TTL = 0.75
 
 
-def run(executor=None, workers=1, journal=None, chaos=None, trials=100,
+def run(executor="auto", workers=1, journal=None, chaos=None, trials=100,
         seed=23, board_dir=None, worker_ttl=None):
-    runtime = RuntimeConfig(
-        executor=executor,
-        journal=journal,
-        chaos=chaos,
-        board_dir=board_dir,
-        worker_ttl=worker_ttl,
-    )
-    return simulate_fail_probability_batched(
-        "simplex",
-        CODE,
-        48.0,
-        LAM,
-        0.0,
-        trials,
-        seed=seed,
-        chunk_size=50,
+    """One cell on the named executor, built for it and closed after.
+
+    An explicit ``board_dir`` is staffed by external agents (none are
+    spawned), as with ``repro campaign --board``.
+    """
+    with make_executor(
+        executor,
         workers=workers,
-        runtime=runtime,
-    )
+        board_dir=board_dir,
+        ttl=worker_ttl,
+        spawn_workers=0 if board_dir is not None else None,
+    ) as built:
+        return simulate_fail_probability_batched(
+            "simplex",
+            CODE,
+            48.0,
+            LAM,
+            0.0,
+            trials,
+            seed=seed,
+            chunk_size=50,
+            workers=workers,
+            runtime=RuntimeConfig(executor=built, journal=journal, chaos=chaos),
+        )
 
 
 def _chunk_fields(journal_path):

@@ -89,6 +89,59 @@ class TestScheduleLegBound:
         assert schedule.legs(0.0) == 0
         assert parse_schedule("1e-310h@1").legs(48.0) == float("inf")
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "simulate_fail_probability_batched('simplex', CODE, 48.0, 1e-4,"
+            " 0.0, 20, chunk_size=10, workers=2, schedule=SPEC)",
+            "simulate_fail_probability('simplex', CODE, 48.0, 1e-4, 0.0, 20,"
+            " rng=np.random.default_rng(1), pattern='1BIT', schedule=SPEC)",
+            "sample_pattern_events(np.random.default_rng(1), '1BIT', 1e-2,"
+            " 18, 8, 48.0, schedule=SPEC)",
+        ],
+        ids=["batched", "reference", "sample_pattern_events"],
+    )
+    def test_monte_carlo_entry_points_refuse_instead_of_hanging(self, call):
+        """Below ``run_campaign`` the bound holds too: each entry point
+        raises a ValueError naming the leg count, before any task is
+        dispatched.  A subprocess with a timeout turns a regression
+        (one Python step per leg, forever) into a failure, not a hang."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        script = (
+            "import numpy as np\n"
+            "from repro.rs import RSCode\n"
+            "from repro.simulator.montecarlo import (\n"
+            "    simulate_fail_probability, simulate_fail_probability_batched)\n"
+            "from repro.simulator.patterns import sample_pattern_events\n"
+            "CODE, SPEC = RSCode(18, 16, m=8), '1e-300h@1'\n"
+            "try:\n"
+            f"    {call}\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    raise SystemExit('no ValueError')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "spans 4.8e+301 legs over the 48 h horizon" in done.stdout
+
     def test_run_campaign_refuses_before_the_journal_header(self, tmp_path):
         from repro.runtime import CheckpointJournal, RuntimeConfig
 

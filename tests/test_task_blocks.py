@@ -21,6 +21,7 @@ from repro.runtime import (
     RetryPolicy,
     RuntimeConfig,
     StoppingRule,
+    make_executor,
     parse_chaos_spec,
     scan_journal,
 )
@@ -86,7 +87,9 @@ def _chunk_fields(journal_path):
 
 def run_cell(path, cell, executor="serial", workers=1, counters=None, **runtime):
     """One cell through a fresh journal at ``path``: (estimate, fields)."""
-    with CheckpointJournal(path) as journal:
+    with CheckpointJournal(path) as journal, make_executor(
+        executor, workers=workers
+    ) as built:
         estimate = simulate_fail_probability_batched(
             code=CODE,
             t_end=T_END,
@@ -95,7 +98,7 @@ def run_cell(path, cell, executor="serial", workers=1, counters=None, **runtime)
             chunk_size=CHUNK,
             workers=workers,
             counters=counters,
-            runtime=RuntimeConfig(executor=executor, journal=journal, **runtime),
+            runtime=RuntimeConfig(executor=built, journal=journal, **runtime),
             **CELLS[cell],
         )
     return estimate, _chunk_fields(path)
