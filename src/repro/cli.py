@@ -40,6 +40,7 @@ could not publish a result, 70 when a chunk failed every attempt
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -508,6 +509,26 @@ def cmd_complexity(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _stdout_gone() -> None:
+    """Send the rest of stdout to ``os.devnull``: its reader has closed.
+
+    The Python docs' recipe for a closed pipe: output still buffered, and
+    any printed later, is dropped instead of raising ``BrokenPipeError``
+    again at the next print or at interpreter exit.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _out(text: str = "") -> None:
+    """``print(text)`` to stdout that outlives the reader closing the pipe."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _stdout_gone()
+
+
 def _bad_count(
     trials: Optional[int], chunk_size: int, workers: int
 ) -> Optional[str]:
@@ -856,7 +877,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             return LOCK_CONTENTION_EXIT_CODE
     resumed = journal is not None and journal.n_chunks > 0
     if resumed:
-        print(
+        _out(
             f"resuming from {args.checkpoint}: "
             f"{journal.n_chunks} chunk(s) already journaled"
         )
@@ -974,39 +995,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(f"trace: {trace_path}", file=sys.stderr)
     wall = _time.perf_counter() - t0
 
-    for row in rows:
-        mark = "OK " if row.consistent else "!! "
-        est = row.estimate
-        early = (
-            f" (stopped early: {est.trials}/{trials} trials)"
-            if est.stopped_early
-            else ""
-        )
-        # Out-of-model cells (correlated patterns) have no analytic
-        # prediction: degrade the column gracefully instead of failing.
-        model_text = (
-            "   -- "
-            if row.model_fail_probability is None
-            else f"{row.model_fail_probability:.4f}"
-        )
-        print(
-            f"{mark}{row.cell.label():<40} model={model_text} "
-            f"mc={est.probability:.4f} [{est.ci_low:.4f},{est.ci_high:.4f}] "
-            f"miscorrect={est.silent_miscorrections} "
-            f"unreadable={est.detected_uncorrectable}{early}"
-        )
+    # Write the manifest and settle the exit status before printing, so
+    # a reader that closes stdout early changes neither.
     summary = campaign_summary(rows)
-    print()
-    all_ok = True
-    for arrangement, (ok, total) in summary.items():
-        print(f"{arrangement}: {ok}/{total} cells consistent")
-        all_ok = all_ok and ok == total
-    if counters.had_faults:
-        print("\nresilience:")
-        print(counters.resilience_summary())
-    if args.perf and batch:
-        print(f"\nbatch engine ({args.workers} worker(s)):")
-        print(counters.summary())
+    all_ok = all(ok == total for ok, total in summary.values())
+    manifest_path = None
     if args.manifest:
         manifest = build_manifest(
             command="campaign",
@@ -1032,9 +1025,43 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             progress_events=heartbeats,
             metrics=obs_metrics.get_registry().snapshot(),
         )
-        path = write_manifest(args.manifest, manifest)
-        print(f"manifest: {path}")
-    if journal is not None and journal.degraded:
+        manifest_path = write_manifest(args.manifest, manifest)
+    degraded = journal is not None and journal.degraded
+    status = STATE_LOST_EXIT_CODE if degraded else (0 if all_ok else 1)
+
+    for row in rows:
+        mark = "OK " if row.consistent else "!! "
+        est = row.estimate
+        early = (
+            f" (stopped early: {est.trials}/{trials} trials)"
+            if est.stopped_early
+            else ""
+        )
+        # Out-of-model cells (correlated patterns) have no analytic
+        # prediction: degrade the column gracefully instead of failing.
+        model_text = (
+            "   -- "
+            if row.model_fail_probability is None
+            else f"{row.model_fail_probability:.4f}"
+        )
+        _out(
+            f"{mark}{row.cell.label():<40} model={model_text} "
+            f"mc={est.probability:.4f} [{est.ci_low:.4f},{est.ci_high:.4f}] "
+            f"miscorrect={est.silent_miscorrections} "
+            f"unreadable={est.detected_uncorrectable}{early}"
+        )
+    _out()
+    for arrangement, (ok, total) in summary.items():
+        _out(f"{arrangement}: {ok}/{total} cells consistent")
+    if counters.had_faults:
+        _out("\nresilience:")
+        _out(counters.resilience_summary())
+    if args.perf and batch:
+        _out(f"\nbatch engine ({args.workers} worker(s)):")
+        _out(counters.summary())
+    if manifest_path is not None:
+        _out(f"manifest: {manifest_path}")
+    if degraded:
         print(
             f"\njournal degraded ({journal.degraded_reason}): "
             f"{journal.appends_lost} chunk record(s) were not persisted; "
@@ -1042,8 +1069,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             f"{args.checkpoint}",
             file=sys.stderr,
         )
-        return STATE_LOST_EXIT_CODE
-    return 0 if all_ok else 1
+    return status
 
 
 def cmd_doctor(args: argparse.Namespace) -> int:
@@ -1211,7 +1237,13 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    status = _COMMANDS[args.command](args)
+    try:
+        # a closed pipe surfaces here, not as a traceback at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _stdout_gone()
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -29,8 +29,6 @@ from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from ..obs import metrics, trace
 from .chain import CTMC
@@ -320,6 +318,8 @@ def transient_expm(chain: CTMC, times: np.ndarray) -> np.ndarray:
     and ``cache_hits``; the same counts accumulate in the metrics
     registry under ``repro.solver.expm.*``.
     """
+    from scipy.linalg import expm
+
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
@@ -362,6 +362,8 @@ def transient_ode(
     atol: float = 1e-14,
 ) -> np.ndarray:
     """Transient solution by integrating ``dp/dt = p Q`` with RK45."""
+    from scipy.integrate import solve_ivp
+
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")

@@ -29,7 +29,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc
 
 from .duplex import DuplexMarkovModel
 from .rates import FaultRates
@@ -133,6 +132,8 @@ def _duplex_permanent_pmf(lam_e: float, t: float) -> list[float]:
     ``λe`` at each hop.  Only an ``X`` pair costs capability (weight 1);
     ``Y`` pairs are masked (weight 0).
     """
+    from scipy.special import gammainc
+
     a = lam_e * t
     # P(X) is the Erlang-2 CDF 1 - e^{-a}(1 + a); the naive difference
     # cancels catastrophically for small a, so use the regularized lower

@@ -5,8 +5,15 @@ scrubber's duty cycle translates one-for-one into lost availability.
 This DES checks that assumption with queueing in the picture: read
 requests arrive as a Poisson stream, each occupying the controller for a
 decode latency (:mod:`repro.rs.pipeline`), while a scrubber walks every
-word once per period at lower priority (a scrub word-step yields to
-pending reads but is non-preemptible once started).
+word once per period.  The controller serves reads and scrub word-steps
+in one FIFO queue, in arrival order, and never preempts a step it has
+started; a scrub step takes no priority over a read, nor a read over a
+scrub step.
+
+With one queue, arrival order and a constant service time ``s``, the
+departure of the ``i``-th arrival is Lindley's recursion
+``D_i = max(D_{i-1}, T_i) + s``, which a prefix maximum evaluates for a
+whole array at once: ``D_i = (i+1)·s + max_{j<=i}(T_j - j·s)``.
 
 Outputs: measured utilization split (reads / scrub / idle), read latency
 statistics (mean and tail), and the effective availability — ready to
@@ -15,13 +22,17 @@ compare against the closed-form duty cycle.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..rs.pipeline import decoder_timing
+
+#: Arrivals generated per block of each stream: memory stays bounded
+#: whatever the read rate, scrub step or horizon.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,6 +51,47 @@ class ControllerStats:
     availability: float         # 1 - scrub_duty (analytic comparison)
 
 
+def _arrival_blocks(gaps: Callable[[], np.ndarray]) -> Iterator[np.ndarray]:
+    """Arrival times in sorted blocks: the running sum of ``gaps()`` blocks.
+
+    The first gap of a block is added to the last time of the previous
+    one and ``np.cumsum`` adds the rest in order, so each time equals an
+    event loop's sequential ``t + gap`` bit for bit.
+    """
+    t = 0.0
+    while True:
+        times = gaps()
+        times[0] += t
+        np.cumsum(times, out=times)
+        t = float(times[-1])
+        yield times
+
+
+def _merged_arrivals(
+    reads: Iterator[np.ndarray], scrubs: Iterator[np.ndarray], horizon: float
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``(times, is_read)`` blocks of both streams in time order, before ``horizon``.
+
+    Each block takes every pending arrival up to the earlier of the two
+    streams' pending last times, so no later arrival precedes it.  A read
+    and a scrub step at the same instant are served read first.
+    """
+    r, s = next(reads), next(scrubs)
+    while True:
+        cut = min(r[-1], s[-1])
+        last = cut >= horizon
+        bound, side = (horizon, "left") if last else (cut, "right")
+        nr = int(np.searchsorted(r, bound, side))
+        ns = int(np.searchsorted(s, bound, side))
+        times = np.concatenate((r[:nr], s[:ns]))
+        order = np.argsort(times, kind="stable")
+        yield times[order], order < nr
+        if last:
+            return
+        r = r[nr:] if nr < r.size else next(reads)
+        s = s[ns:] if ns < s.size else next(scrubs)
+
+
 def simulate_controller(
     n: int,
     k: int,
@@ -55,6 +107,14 @@ def simulate_controller(
     The scrubber spreads its pass uniformly over the period (one word
     every ``period / num_words`` seconds), the common "patrol scrub"
     policy; each word-step and each read costs one decode latency.
+    Read gaps are exponential draws from ``rng``.  Work stops at the
+    first arrival whose service would end past ``sim_seconds``: start
+    times never decrease, so no later arrival could finish in time.
+
+    Reads are drawn from ``rng`` in blocks of ``_BLOCK``, including some
+    past the horizon, so ``rng`` ends in a different state than a loop
+    drawing one gap per served read would leave it in; the read times
+    themselves are the same.
     """
     if num_words <= 0:
         raise ValueError("num_words must be positive")
@@ -70,48 +130,38 @@ def simulate_controller(
     service_s = decoder_timing(n, k).latency_cycles / clock_hz
     scrub_step_s = scrub_period_s / num_words
 
-    # event queue: (time, seq, kind) with kind in {"read", "scrub"}
-    events: List[tuple[float, int, str]] = []
-    seq = 0
-
-    def push(t: float, kind: str) -> None:
-        nonlocal seq
-        heapq.heappush(events, (t, seq, kind))
-        seq += 1
-
     if read_rate_per_s > 0:
-        push(float(rng.exponential(1.0 / read_rate_per_s)), "read")
-    push(scrub_step_s, "scrub")
+        scale = 1.0 / read_rate_per_s
+        reads = _arrival_blocks(lambda: rng.exponential(scale, _BLOCK))
+    else:
+        # no reads: a stream whose one pending arrival never comes
+        reads = itertools.repeat(np.full(1, np.inf))
+    scrubs = _arrival_blocks(lambda: np.full(_BLOCK, scrub_step_s))
 
     controller_free_at = 0.0
-    read_busy = 0.0
-    scrub_busy = 0.0
-    latencies: List[float] = []
+    latencies: List[np.ndarray] = []
     reads_served = 0
     scrub_done = 0
-
-    while events:
-        t, _s, kind = heapq.heappop(events)
-        if t >= sim_seconds:
+    for times, is_read in _merged_arrivals(reads, scrubs, sim_seconds):
+        # Lindley's recursion from the previous block's last departure
+        ahead = np.arange(times.size) * service_s
+        departures = np.maximum.accumulate(times - ahead)
+        np.maximum(departures, controller_free_at, out=departures)
+        departures += ahead + service_s
+        late = np.flatnonzero(departures > sim_seconds)
+        served = int(late[0]) if late.size else times.size
+        read = np.flatnonzero(is_read[:served])
+        reads_served += read.size
+        scrub_done += served - read.size
+        latencies.append(departures[read] - times[read])
+        if late.size:
             break
-        start = max(t, controller_free_at)
-        if start + service_s > sim_seconds:
-            # would finish past the horizon; stop scheduling work
-            if kind == "read" and read_rate_per_s > 0:
-                pass
-            continue
-        controller_free_at = start + service_s
-        if kind == "read":
-            reads_served += 1
-            read_busy += service_s
-            latencies.append(controller_free_at - t)
-            push(t + float(rng.exponential(1.0 / read_rate_per_s)), "read")
-        else:
-            scrub_done += 1
-            scrub_busy += service_s
-            push(t + scrub_step_s, "scrub")
+        if served:
+            controller_free_at = float(departures[-1])
 
-    lat = np.asarray(latencies) if latencies else np.asarray([0.0])
+    lat = np.concatenate(latencies) if reads_served else np.asarray([0.0])
+    read_busy = reads_served * service_s
+    scrub_busy = scrub_done * service_s
     utilization = (read_busy + scrub_busy) / sim_seconds
     scrub_duty = scrub_busy / sim_seconds
     return ControllerStats(

@@ -247,6 +247,62 @@ class TestCampaignCommand:
         assert perf["elapsed_seconds"] > 0.0
 
 
+class TestClosedStdout:
+    def test_reader_closing_after_first_line_changes_nothing(self, tmp_path):
+        """``repro campaign ... | head -1``: manifest, results and status hold."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # each print reaches the pipe at once, so a row printed after the
+        # reader has gone fails its write instead of waiting in a buffer
+        env["PYTHONUNBUFFERED"] = "1"
+        cmd = [sys.executable, "-m", "repro", "campaign", "--trials", "200"]
+        cmd += ["--seed", "7", "--chunk-size", "50"]
+
+        def run(*extra):
+            return subprocess.run(
+                cmd + list(extra),
+                cwd=tmp_path,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+
+        uncut = run("--manifest", "uncut.json")
+        # a partial journal, so the cut run prints its first line
+        # ("resuming from ...") before it runs the remaining chunks
+        assert run("--checkpoint", "j.jsonl", "--chaos", "poison@2").returncode == 70
+        with open(tmp_path / "cut.err", "w") as err:
+            proc = subprocess.Popen(
+                cmd + ["--checkpoint", "j.jsonl", "--manifest", "cut.json"],
+                cwd=tmp_path,
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=err,
+                text=True,
+            )
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=300)
+        assert first.startswith("resuming from j.jsonl")
+        assert "Traceback" not in (tmp_path / "cut.err").read_text()
+        assert code == uncut.returncode == 0
+        cut_doc = json.loads((tmp_path / "cut.json").read_text())
+        uncut_doc = json.loads((tmp_path / "uncut.json").read_text())
+        assert cut_doc["resumed"] is True
+        assert cut_doc["results"] == uncut_doc["results"]
+        assert cut_doc["fingerprint"] == uncut_doc["fingerprint"]
+
+
 class TestCampaignExecutorFlags:
     def test_retired_lease_executor_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,17 +1,24 @@
-"""Golden-vector regression: pinned BER values for the paper's key figures.
+"""Golden-vector regression: pinned BER values for the paper's figures.
 
 The Fig. 5 (simplex, SEU sweep) and Fig. 6 (duplex, SEU sweep) horizon
 BERs are the anchor points of the reproduction — every curve the repo
 publishes flows through the same models and solvers.  These values were
 produced by the seed-state solvers and are pinned to a tight relative
 tolerance so that codec, solver or batching refactors cannot silently
-shift the paper curves.  A deliberate modelling change that moves them
-must update the goldens *in the same PR* and say why.
+shift the paper curves.  Beyond those anchors, every grid point of every
+curve of Figs. 5-10 is pinned from ``tests/vectors/ber_golden.json``
+(``tests/vectors/make_ber_golden.py``).  A deliberate modelling change
+that moves them must update the goldens *in the same change* and say
+why.
 """
 
+import json
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from repro.analysis import fig5_simplex_seu, fig6_duplex_seu
+from repro.analysis import ALL_FIGURES, fig5_simplex_seu, fig6_duplex_seu
 
 # Curve labels are the swept SEU rates (errors/bit/day); values are
 # BER(48 h) from the seed-state analytic solvers.
@@ -31,6 +38,11 @@ GOLDEN_FIG6 = {
 #: platforms, far tighter than any physically meaningful curve shift.
 RTOL = 1e-9
 
+#: Every curve of Figs. 5-10 at its default 25-point grid.
+GOLDEN_ARRAYS = json.loads(
+    (Path(__file__).resolve().parent / "vectors" / "ber_golden.json").read_text()
+)["figures"]
+
 
 @pytest.mark.parametrize(
     "build,golden",
@@ -43,7 +55,8 @@ class TestGoldenBER:
         finals = result.final_ber_map()
         assert set(finals) == set(golden), "curve labels changed"
         for label, expected in golden.items():
-            assert finals[label] == pytest.approx(expected, rel=RTOL), (
+            # abs=0: approx's default 1e-12 floor would swamp RTOL here
+            assert finals[label] == pytest.approx(expected, rel=RTOL, abs=0), (
                 f"{result.experiment_id} curve {label}: "
                 f"{finals[label]!r} drifted from golden {expected!r}"
             )
@@ -53,4 +66,26 @@ class TestGoldenBER:
         coarse = build(points=3).final_ber_map()
         fine = build(points=9).final_ber_map()
         for label in golden:
-            assert coarse[label] == pytest.approx(fine[label], rel=1e-6)
+            assert coarse[label] == pytest.approx(fine[label], rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("fig_id", sorted(ALL_FIGURES))
+def test_every_curve_matches_golden_array(fig_id):
+    golden = GOLDEN_ARRAYS[fig_id]
+    result = ALL_FIGURES[fig_id]()
+    assert [c.label for c in result.curves] == list(golden["curves"])
+    for curve in result.curves:
+        np.testing.assert_array_equal(curve.times_hours, golden["times_hours"])
+        np.testing.assert_allclose(
+            curve.ber,
+            golden["curves"][curve.label],
+            rtol=RTOL,
+            atol=0.0,
+            err_msg=f"{fig_id} curve {curve.label}",
+        )
+
+
+def test_golden_arrays_cover_every_figure():
+    assert sorted(GOLDEN_ARRAYS) == sorted(ALL_FIGURES)
+    curves = [ber for fig in GOLDEN_ARRAYS.values() for ber in fig["curves"].values()]
+    assert len(curves) == 31 and all(len(ber) == 25 for ber in curves)
