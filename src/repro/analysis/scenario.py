@@ -36,19 +36,25 @@ import numpy as np
 from ..memory import BERCurve, ber_curve, duplex_model, simplex_model
 
 _REQUIRED_KEYS = ("arrangement", "n", "k", "horizon_hours")
-_ALLOWED_KEYS = {
-    "name",
-    "arrangement",
-    "n",
-    "k",
-    "m",
-    "seu_per_bit_day",
-    "erasure_per_symbol_day",
-    "scrub_period_seconds",
-    "fail_rule",
-    "horizon_hours",
-    "points",
-    "ber_budget",
+_STR = ((str,), "a string")
+_INT = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_NUMBER_OR_NULL = ((int, float, type(None)), "a number")
+#: Every allowed key -> (accepted types, what an error calls them).  A
+#: bool is an int to Python but never a count or a rate here.
+_KEY_TYPES = {
+    "name": _STR,
+    "arrangement": _STR,
+    "n": _INT,
+    "k": _INT,
+    "m": _INT,
+    "seu_per_bit_day": _NUMBER,
+    "erasure_per_symbol_day": _NUMBER,
+    "scrub_period_seconds": _NUMBER_OR_NULL,
+    "fail_rule": _STR,
+    "horizon_hours": _NUMBER,
+    "points": _INT,
+    "ber_budget": _NUMBER_OR_NULL,
 }
 
 
@@ -77,8 +83,15 @@ class ScenarioResult:
 
 
 def validate_scenario(config: Dict[str, Any]) -> Dict[str, Any]:
-    """Check keys/types and fill defaults; returns a normalized copy."""
-    unknown = set(config) - _ALLOWED_KEYS
+    """Check keys/types and fill defaults; returns a normalized copy.
+
+    Every problem, a wrongly typed field included, raises ``ValueError``.
+    """
+    if not isinstance(config, dict):
+        raise ValueError(
+            f"a scenario is a JSON object, got {type(config).__name__}"
+        )
+    unknown = set(config) - set(_KEY_TYPES)
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     missing = [key for key in _REQUIRED_KEYS if key not in config]
@@ -92,6 +105,10 @@ def validate_scenario(config: Dict[str, Any]) -> Dict[str, Any]:
     normalized.setdefault("scrub_period_seconds", None)
     normalized.setdefault("fail_rule", "either")
     normalized.setdefault("points", 13)
+    for key, (types, kind) in _KEY_TYPES.items():
+        value = normalized.get(key)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{key} must be {kind}, got {value!r}")
     if normalized["arrangement"] not in ("simplex", "duplex"):
         raise ValueError(
             f"arrangement must be simplex or duplex, "

@@ -25,16 +25,20 @@ Subcommands:
   and live per-chunk heartbeats with ETA (``--progress``).
 * ``doctor PATH [--repair]`` — audit a checkpoint journal or a whole
   state directory (frame CRCs, hash chain, quarantine sidecars, locks,
-  manifests, fleet boards) and print a machine-readable JSON report;
-  with ``--repair`` truncate torn tails, quarantine corrupt records,
-  and rewrite a clean v3 journal.  A file in an older journal format
-  (or no journal at all) is reported ``unsupported`` and left as it is.
+  manifests) and print a machine-readable JSON report; with
+  ``--repair`` truncate torn tails, quarantine corrupt records, and
+  rewrite a clean v3 journal.  A file in an older journal format (or no
+  journal at all) and a leftover board directory of the deleted fleet
+  executor are reported ``unsupported`` and left as they are.
+
+Every subcommand prints to stdout through :func:`_out`, so a reader
+that closes the pipe early changes what is printed, never the exit
+status or the files a command writes.
 
 Exit codes shared with the runtime: 130 on SIGINT (journal resumable),
 75 when another campaign holds the journal lock, 74 when journal writes
-failed mid-run (campaign completed; resumable state lost) or a worker
-could not publish a result, 70 when a chunk failed every attempt
-(completed chunks stay journaled).
+failed mid-run (campaign completed; resumable state lost), 70 when a
+chunk failed every attempt (completed chunks stay journaled).
 """
 
 from __future__ import annotations
@@ -268,31 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", *EXECUTOR_NAMES),
         default="auto",
         help="chunk dispatch backend (batch engine only): 'serial' runs "
-        "in-process, 'pool' uses the process pool, 'fleet' drives "
-        "detachable `repro worker` agents over a shared board with "
-        "heartbeat leases and epoch-fenced re-dispatch (cross-host "
-        "capable; spawns local agents unless --board points at an "
-        "externally staffed board); 'auto' (default) picks serial for "
-        "--workers 1, else pool.  One executor serves the whole "
-        "campaign; estimates are bit-identical for every choice",
-    )
-    camp.add_argument(
-        "--board",
-        metavar="DIR",
-        help="shared board directory for --executor fleet "
-        "(default: <checkpoint>.board, or a private temporary "
-        "directory without --checkpoint); with "
-        "--executor fleet an explicit board means external `repro "
-        "worker` agents do the computing and none are spawned locally",
-    )
-    camp.add_argument(
-        "--fleet-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="heartbeat-lease TTL for --executor fleet: a worker whose "
-        "heartbeat goes stale past this is declared dead and its chunk "
-        "re-dispatched under a bumped epoch (default 15)",
+        "in-process, 'pool' uses the process pool; 'auto' (default) "
+        "picks serial for --workers 1, else pool.  One executor serves "
+        "the whole campaign; estimates are bit-identical for every "
+        "choice",
     )
     camp.add_argument(
         "--stop-rel-ci",
@@ -403,42 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and a file in any other format is left untouched",
     )
 
-    worker = sub.add_parser(
-        "worker",
-        help="detachable fleet worker agent: claim chunks from a shared "
-        "board, heartbeat a lease, publish results (run one per "
-        "host/core against an NFS or tmpfs board)",
-    )
-    worker.add_argument(
-        "--board",
-        required=True,
-        metavar="DIR",
-        help="shared board directory (same path the coordinator passes "
-        "to `repro campaign --executor fleet --board`)",
-    )
-    worker.add_argument(
-        "--ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="heartbeat-lease TTL this worker advertises; must match "
-        "the coordinator's --fleet-ttl (default 15)",
-    )
-    worker.add_argument(
-        "--worker-id",
-        default=None,
-        metavar="ID",
-        help="stable identity on the board (default: <hostname>-<pid>)",
-    )
-    worker.add_argument(
-        "--max-chunks",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exit after completing N chunks (test/benchmark aid; "
-        "default: run until drained or STOP)",
-    )
-
     design = sub.add_parser(
         "scrub-design", help="slowest scrub meeting a BER budget"
     )
@@ -448,65 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--words", type=int, default=1 << 20)
     design.add_argument("--clock-mhz", type=float, default=50.0)
     return parser
-
-
-def cmd_figure(args: argparse.Namespace) -> int:
-    from .analysis import ALL_FIGURES, render_ber_table
-    from .analysis.export import experiment_to_csv
-    from .memory import HOURS_PER_MONTH
-
-    ids = list(ALL_FIGURES) if "all" in args.ids else args.ids
-    unknown = [i for i in ids if i not in ALL_FIGURES]
-    if unknown:
-        print(f"unknown figure id(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    for fig_id in ids:
-        result = ALL_FIGURES[fig_id](points=args.points)
-        monthly = fig_id in ("fig8", "fig9", "fig10")
-        scale = HOURS_PER_MONTH if monthly else 1.0
-        label = "months" if monthly else "hours"
-        print(f"\n{fig_id}: {result.title}")
-        print(render_ber_table(result.curves, time_label=label, time_scale=scale))
-        failed = result.failed_expectations()
-        print(
-            "expectations: "
-            + ("all hold" if not failed else f"FAILED - {failed}")
-        )
-        if args.csv:
-            path = experiment_to_csv(
-                result, args.csv, time_label=label, time_scale=scale
-            )
-            print(f"csv: {path}")
-        if failed:
-            return 1
-    return 0
-
-
-def cmd_ber(args: argparse.Namespace) -> int:
-    from .analysis import render_ber_table
-    from .memory import ber_curve, duplex_model, simplex_model
-
-    factory = simplex_model if args.arrangement == "simplex" else duplex_model
-    model = factory(
-        args.n,
-        args.k,
-        m=args.m,
-        seu_per_bit_day=args.seu,
-        erasure_per_symbol_day=args.permanent,
-        scrub_period_seconds=args.tsc,
-    )
-    times = np.linspace(0.0, args.hours, args.points)
-    curve = ber_curve(model, times, label=args.arrangement)
-    print(render_ber_table([curve]))
-    print(f"\nBER({args.hours:g} h) = {curve.final:.6e}")
-    return 0
-
-
-def cmd_complexity(_args: argparse.Namespace) -> int:
-    from .analysis import render_cost_table, table_decoder_complexity
-
-    print(render_cost_table(table_decoder_complexity()))
-    return 0
 
 
 def _stdout_gone() -> None:
@@ -527,6 +415,65 @@ def _out(text: str = "") -> None:
         print(text)
     except BrokenPipeError:
         _stdout_gone()
+
+
+def cmd_figure(args: argparse.Namespace) -> int:
+    from .analysis import ALL_FIGURES, render_ber_table
+    from .analysis.export import experiment_to_csv
+    from .memory import HOURS_PER_MONTH
+
+    ids = list(ALL_FIGURES) if "all" in args.ids else args.ids
+    unknown = [i for i in ids if i not in ALL_FIGURES]
+    if unknown:
+        print(f"unknown figure id(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    for fig_id in ids:
+        result = ALL_FIGURES[fig_id](points=args.points)
+        monthly = fig_id in ("fig8", "fig9", "fig10")
+        scale = HOURS_PER_MONTH if monthly else 1.0
+        label = "months" if monthly else "hours"
+        _out(f"\n{fig_id}: {result.title}")
+        _out(render_ber_table(result.curves, time_label=label, time_scale=scale))
+        failed = result.failed_expectations()
+        _out(
+            "expectations: "
+            + ("all hold" if not failed else f"FAILED - {failed}")
+        )
+        if args.csv:
+            path = experiment_to_csv(
+                result, args.csv, time_label=label, time_scale=scale
+            )
+            _out(f"csv: {path}")
+        if failed:
+            return 1
+    return 0
+
+
+def cmd_ber(args: argparse.Namespace) -> int:
+    from .analysis import render_ber_table
+    from .memory import ber_curve, duplex_model, simplex_model
+
+    factory = simplex_model if args.arrangement == "simplex" else duplex_model
+    model = factory(
+        args.n,
+        args.k,
+        m=args.m,
+        seu_per_bit_day=args.seu,
+        erasure_per_symbol_day=args.permanent,
+        scrub_period_seconds=args.tsc,
+    )
+    times = np.linspace(0.0, args.hours, args.points)
+    curve = ber_curve(model, times, label=args.arrangement)
+    _out(render_ber_table([curve]))
+    _out(f"\nBER({args.hours:g} h) = {curve.final:.6e}")
+    return 0
+
+
+def cmd_complexity(_args: argparse.Namespace) -> int:
+    from .analysis import render_cost_table, table_decoder_complexity
+
+    _out(render_cost_table(table_decoder_complexity()))
+    return 0
 
 
 def _bad_count(
@@ -577,12 +524,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
         )
         agree = ssa.consistent_with(p)
         ok = ok and agree
-        print(
+        _out(
             f"{name:8s} chain={p:.4f}  SSA={ssa.probability:.4f} "
             f"[{ssa.ci_low:.4f},{ssa.ci_high:.4f}] "
             f"{'OK' if agree else 'DISAGREES'}  codec-MC={mc.probability:.4f}"
         )
-    print(
+    _out(
         "note: the duplex codec-MC sits below its chain by design - the "
         "paper's either-word fail rule is conservative (see EXPERIMENTS.md)."
     )
@@ -608,14 +555,14 @@ def cmd_scrub_design(args: argparse.Namespace) -> int:
         clock_hz=args.clock_mhz * 1e6,
         num_decoders=2,
     )
-    print(
+    _out(
         f"budget {args.budget:g} over {args.hours:g} h at "
         f"lambda={args.seu:g}/bit/day:"
     )
-    print(f"  slowest admissible Tsc : {period:.0f} s ({period / 60:.0f} min)")
-    print(f"  scrub pass duration    : {overhead.pass_seconds:.3f} s")
-    print(f"  availability           : {overhead.availability:.6f}")
-    print(
+    _out(f"  slowest admissible Tsc : {period:.0f} s ({period / 60:.0f} min)")
+    _out(f"  scrub pass duration    : {overhead.pass_seconds:.3f} s")
+    _out(f"  availability           : {overhead.availability:.6f}")
+    _out(
         f"  scrub bandwidth        : "
         f"{overhead.scrub_bandwidth_bits_per_s / 8e3:.1f} kB/s"
     )
@@ -626,7 +573,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .analysis import write_report
 
     path = write_report(args.output, points=args.points)
-    print(f"wrote {path}")
+    _out(f"wrote {path}")
     return 0
 
 
@@ -643,14 +590,14 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         scrub_period_seconds=args.tsc,
     )
     if not results:
-        print("no active parameters to differentiate")
+        _out("no active parameters to differentiate")
         return 1
-    print(
+    _out(
         f"{args.arrangement} RS({args.n},{args.k}), "
         f"BER({args.hours:g} h) = {results[0].base_ber:.3e}"
     )
     for s in results:
-        print(
+        _out(
             f"  {s.parameter:<24} base={s.base_value:<12g} "
             f"elasticity={s.elasticity:+.3f}"
         )
@@ -661,12 +608,16 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     from .analysis import render_ber_table
     from .analysis.scenario import run_scenario_suite
 
-    results = run_scenario_suite(args.path)
+    try:
+        results = run_scenario_suite(args.path)
+    except (OSError, ValueError) as exc:
+        print(f"bad scenario file: {exc}", file=sys.stderr)
+        return 2
     failed_budget = False
     for result in results:
-        print(result.summary())
-        print(render_ber_table([result.curve]))
-        print()
+        _out(result.summary())
+        _out(render_ber_table([result.curve]))
+        _out()
         if result.meets_budget is False:
             failed_budget = True
     return 1 if failed_budget else 0
@@ -711,7 +662,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
 
     if args.list_scenarios:
-        print(render_catalog())
+        _out(render_catalog())
         return 0
     if args.scenario is not None and (
         args.pattern is not None or args.schedule is not None
@@ -792,23 +743,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.max_retries < 1:
         print("--max-retries must be >= 1", file=sys.stderr)
         return 2
-    if args.board is not None and args.executor != "fleet":
-        print(
-            "--board requires --executor fleet (other executors have "
-            "no on-disk board)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.fleet_ttl is not None and args.executor != "fleet":
-        print(
-            "--fleet-ttl requires --executor fleet (heartbeat leases "
-            "exist only on the fleet board)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.fleet_ttl is not None and args.fleet_ttl <= 0:
-        print("--fleet-ttl must be positive", file=sys.stderr)
-        return 2
     try:
         chaos = chaos_from_arg(args.chaos)
     except ValueError as exc:
@@ -854,27 +788,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except CheckpointError as exc:
         print(f"checkpoint unusable: {exc}", file=sys.stderr)
         return 2
-    executor = None
-    if batch:
-        # One executor for the whole campaign; every cell shares it.
-        board = args.board
-        if board is None and args.executor == "fleet" and args.checkpoint:
-            board = args.checkpoint + ".board"
-        try:
-            executor = make_executor(
-                args.executor,
-                workers=args.workers,
-                board_dir=board,
-                ttl=args.fleet_ttl,
-                # An explicit board is staffed by external `repro
-                # worker` agents; otherwise the fleet spawns its own.
-                spawn_workers=0 if args.board is not None else None,
-            )
-        except JournalLockedError as exc:
-            if journal is not None:
-                journal.close()
-            print(f"checkpoint locked: {exc}", file=sys.stderr)
-            return LOCK_CONTENTION_EXIT_CODE
+    # One executor for the whole campaign; every cell shares it.
+    executor = make_executor(args.executor, args.workers) if batch else None
     resumed = journal is not None and journal.n_chunks > 0
     if resumed:
         _out(
@@ -1084,55 +999,18 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         return 2
     report = audit_path(target)
     if args.repair:
-        from .runtime import repair_board
-
         repairs = []
         for journal in report["journals"]:
             # repair_journal logs an unsupported file as skipped.
             repairable = ("corrupt", "torn-tail", "unsupported")
             if journal["classification"] in repairable:
                 repairs.append(repair_journal(journal["path"]))
-        for board in report.get("boards", []):
-            if not board["healthy"]:
-                repairs.append(repair_board(board["path"]))
         # Re-audit so the report reflects the healed state, and keep the
         # action log alongside it.
         report = audit_path(target)
         report["repairs"] = repairs
-    print(_json.dumps(report, indent=2, sort_keys=True))
+    _out(_json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["healthy"] else 1
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .runtime import STATE_LOST_EXIT_CODE
-    from .runtime.fleet import DEFAULT_WORKER_TTL, worker_main
-
-    board = Path(args.board)
-    if not board.is_dir():
-        print(f"worker: {board}: no such board directory", file=sys.stderr)
-        return 2
-    if args.ttl is not None and args.ttl <= 0:
-        print("--ttl must be positive", file=sys.stderr)
-        return 2
-    if args.max_chunks is not None and args.max_chunks < 0:
-        print("--max-chunks must be >= 0", file=sys.stderr)
-        return 2
-    try:
-        done = worker_main(
-            board,
-            worker_id=args.worker_id,
-            ttl=DEFAULT_WORKER_TTL if args.ttl is None else args.ttl,
-            max_chunks=args.max_chunks,
-        )
-    except OSError as exc:
-        # The held lease stays on the board; the coordinator expires it
-        # and re-dispatches the chunk.
-        print(f"worker: board I/O failed: {exc}", file=sys.stderr)
-        return STATE_LOST_EXIT_CODE
-    print(f"worker: drained after {done} chunk(s)", file=sys.stderr)
-    return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -1148,7 +1026,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         width = max(len(t.name) for t in targets)
         for t in targets:
             layers = ",".join(t.layers)
-            print(f"{t.name:<{width}}  [{layers}]  {t.description}")
+            _out(f"{t.name:<{width}}  [{layers}]  {t.description}")
         return 0
 
     if args.verify_command == "replay":
@@ -1160,9 +1038,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 print(f"{path}: {exc}", file=sys.stderr)
                 all_ok = False
                 continue
-            print(result.summary())
+            _out(result.summary())
             if result.mismatch is not None:
-                print(f"  detail: {result.mismatch.detail}")
+                _out(f"  detail: {result.mismatch.detail}")
             all_ok = all_ok and result.as_recorded
         return 0 if all_ok else 1
 
@@ -1207,12 +1085,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             artifact_dir=args.artifact_dir,
             induce_bug=args.induce_bug,
         )
-        print(report.summary())
+        _out(report.summary())
         if report.failed:
             failed = True
-            print(f"  mismatch: {report.mismatch.detail}")
-            print(f"  artifact: {report.artifact_path}")
-            print(
+            _out(f"  mismatch: {report.mismatch.detail}")
+            _out(f"  artifact: {report.artifact_path}")
+            _out(
                 f"  replay:   python -m repro verify replay "
                 f"{report.artifact_path}"
             )
@@ -1230,7 +1108,6 @@ _COMMANDS = {
     "validate": cmd_validate,
     "verify": cmd_verify,
     "doctor": cmd_doctor,
-    "worker": cmd_worker,
     "scrub-design": cmd_scrub_design,
 }
 

@@ -14,14 +14,9 @@ Public surface:
   retries and serial degradation; a chunk that fails every attempt
   raises :class:`ChunkFailedError`.
 * :class:`Executor` and friends (:mod:`repro.runtime.executors`) — the
-  pluggable execution backends the coordinator drives: serial
-  in-process, ``ProcessPoolExecutor`` pool, and the cross-host
-  :class:`~repro.runtime.fleet.FleetExecutor` board guarded by the
-  integrity layer's lock.  :func:`make_executor` builds one; its caller
-  owns it for the whole campaign and closes it.
-* :mod:`repro.runtime.fleet` — detachable ``repro worker`` agents with
-  heartbeat leases, epoch-fenced re-dispatch, zombie-result rejection,
-  and the ``repro doctor`` board audit/repair helpers.
+  two execution backends the coordinator drives: serial in-process and
+  a ``ProcessPoolExecutor`` pool.  :func:`make_executor` builds one;
+  its caller owns it for the whole campaign and closes it.
 * :class:`ChaosSpec` / :func:`parse_chaos_spec` — deterministic
   crash/hang/poison/slow injection to prove the above under test
   (``poison`` exercises the fail-loud path).
@@ -78,14 +73,6 @@ from .executors import (
     PoolExecutor,
     SerialExecutor,
     make_executor,
-)
-from .fleet import (
-    DEFAULT_WORKER_TTL,
-    FleetExecutor,
-    audit_board,
-    default_worker_id,
-    repair_board,
-    worker_main,
 )
 from .manifest import build_manifest, git_describe, write_manifest
 from .supervisor import (
@@ -185,12 +172,6 @@ __all__ = [
     "PoolExecutor",
     "SerialExecutor",
     "make_executor",
-    "DEFAULT_WORKER_TTL",
-    "FleetExecutor",
-    "audit_board",
-    "default_worker_id",
-    "repair_board",
-    "worker_main",
     "BerSnapshot",
     "StoppingRule",
     "CHUNK_FAILED_EXIT_CODE",

@@ -48,29 +48,6 @@ count journal chunk-appends, in append order across cells):
   The campaign must degrade to memory-only and exit with the
   resumable-state-lost code.
 
-Four kinds target the *fleet worker agent* (:mod:`repro.runtime.fleet`;
-consumed by the agent around chunk execution, keyed by chunk index and
-board *epoch* rather than attempt — epoch re-dispatch happens inside
-the :class:`~repro.runtime.fleet.FleetExecutor`, invisible to the
-supervisor's attempt counter):
-
-* ``worker-kill@i[:e]`` — the agent holding chunk ``i`` dies with
-  ``os._exit`` while ``epoch < e`` (default 1: the first holder dies,
-  the post-expiry re-dispatch succeeds).  Detection is heartbeat
-  staleness, never pids.
-* ``worker-hang@i[:s]`` — the agent freezes (heartbeat paused, sleeps
-  ``s`` seconds, default 3600) on chunk ``i``'s first epoch: a
-  SIGSTOP-like livelock.  The coordinator must expire the lease and
-  re-dispatch under a bumped epoch.
-* ``partition@i[:s]``   — board visibility freezes for ``s`` seconds
-  (default 5): the agent pauses heartbeats, computes chunk ``i``, and
-  withholds the result until the window closes.  If ``s`` exceeds the
-  TTL the late result is a stale-epoch zombie and must be rejected.
-* ``zombie@i[:e]``      — deterministic zombie: the agent computes
-  chunk ``i`` with heartbeats paused, *waits until the coordinator has
-  provably re-dispatched under a higher epoch*, then lets the stale
-  result land.  Counted in ``repro.fleet.zombie_results_rejected``.
-
 ``*`` targets every chunk.  Chaos only perturbs *scheduling, worker
 health, and journal durability*, never the RNG streams, so any run that
 completes under chaos (via retries or recomputed chunks) is
@@ -126,15 +103,6 @@ class ChaosSpec:
     bitrot: Dict[int, int] = field(default_factory=dict)
     torn: Dict[int, float] = field(default_factory=dict)
     enospc: Dict[int, int] = field(default_factory=dict)
-    # Fleet-fault tables (chunk index -> parameter); consumed by the
-    # fleet worker agent, not by before_chunk.  ``worker_kill``/``zombie``
-    # parameters are *epoch budgets* (fire while epoch < budget, -1 =
-    # every epoch); ``worker_hang``/``partition`` are seconds (first
-    # epoch only, so the re-dispatch can succeed).
-    worker_kill: Dict[int, int] = field(default_factory=dict)
-    worker_hang: Dict[int, float] = field(default_factory=dict)
-    partition: Dict[int, float] = field(default_factory=dict)
-    zombie: Dict[int, int] = field(default_factory=dict)
 
     def _lookup(self, table, chunk_index):
         if chunk_index in table:
@@ -185,36 +153,6 @@ class ChaosSpec:
             ):
                 return True
         return False
-
-    # -- fleet faults (consumed by the fleet worker agent) -----------------
-
-    def worker_kill_fires(self, chunk_index: int, epoch: int) -> bool:
-        """True when the agent holding this (chunk, epoch) must die."""
-        budget = self._lookup(self.worker_kill, chunk_index)
-        if budget is None or budget == 0:
-            return False
-        return budget < 0 or epoch < budget
-
-    def worker_hang_seconds(self, chunk_index: int, epoch: int) -> float:
-        """Freeze duration for this chunk (first epoch only)."""
-        if epoch > 0:
-            return 0.0
-        seconds = self._lookup(self.worker_hang, chunk_index)
-        return 0.0 if seconds is None else seconds
-
-    def partition_seconds(self, chunk_index: int, epoch: int) -> float:
-        """Board-visibility freeze window for this chunk (first epoch)."""
-        if epoch > 0:
-            return 0.0
-        seconds = self._lookup(self.partition, chunk_index)
-        return 0.0 if seconds is None else seconds
-
-    def zombie_fires(self, chunk_index: int, epoch: int) -> bool:
-        """True when this (chunk, epoch) must land as a stale result."""
-        budget = self._lookup(self.zombie, chunk_index)
-        if budget is None or budget == 0:
-            return False
-        return budget < 0 or epoch < budget
 
     # -- injection ---------------------------------------------------------
 
@@ -269,10 +207,6 @@ class ChaosSpec:
             or self.bitrot
             or self.torn
             or self.enospc
-            or self.worker_kill
-            or self.worker_hang
-            or self.partition
-            or self.zombie
         )
 
 
@@ -284,17 +218,11 @@ _DEFAULT_PARAMS = {
     "bitrot": 1,
     "torn": 0.5,
     "enospc": -1,
-    "worker_kill": 1,
-    "worker_hang": 3600.0,
-    "partition": 5.0,
-    "zombie": 1,
 }
 
 #: Spelling aliases accepted by the ``--chaos`` grammar.
 _KIND_ALIASES = {
     "torn-write": "torn",
-    "worker-kill": "worker_kill",
-    "worker-hang": "worker_hang",
 }
 
 
@@ -313,10 +241,6 @@ def parse_chaos_spec(text: str) -> ChaosSpec:
         "bitrot": {},
         "torn": {},
         "enospc": {},
-        "worker_kill": {},
-        "worker_hang": {},
-        "partition": {},
-        "zombie": {},
     }
     for raw in text.split(";"):
         clause = raw.strip()
@@ -331,8 +255,7 @@ def parse_chaos_spec(text: str) -> ChaosSpec:
         if kind not in tables:
             raise ValueError(
                 f"unknown chaos kind {kind!r}: expected crash, hang, "
-                "poison, slow, bitrot, torn(-write), enospc, worker-kill, "
-                "worker-hang, partition, or zombie"
+                "poison, slow, bitrot, torn(-write), or enospc"
             )
         targets, sep, param_text = rest.partition(":")
         if sep:
@@ -344,7 +267,7 @@ def parse_chaos_spec(text: str) -> ChaosSpec:
                 ) from None
         else:
             param = _DEFAULT_PARAMS[kind]
-        if kind in ("crash", "poison", "bitrot", "enospc", "worker_kill", "zombie"):
+        if kind in ("crash", "poison", "bitrot", "enospc"):
             param = int(param)
         for target in targets.split(","):
             target = target.strip()
@@ -370,10 +293,6 @@ def parse_chaos_spec(text: str) -> ChaosSpec:
         bitrot={k: int(v) for k, v in tables["bitrot"].items()},
         torn=dict(tables["torn"]),
         enospc={k: int(v) for k, v in tables["enospc"].items()},
-        worker_kill={k: int(v) for k, v in tables["worker_kill"].items()},
-        worker_hang=dict(tables["worker_hang"]),
-        partition=dict(tables["partition"]),
-        zombie={k: int(v) for k, v in tables["zombie"].items()},
     )
 
 

@@ -2,27 +2,22 @@
 
 :class:`~repro.runtime.supervisor.ChunkSupervisor` is a coordinator
 that speaks a small asynchronous interface — :class:`Executor` — with
-three implementations:
+two implementations:
 
 * :class:`SerialExecutor` — synchronous in-process execution.  The
   executor for ``workers=1``, for a run of a single job, and for the
   rest of a run whose pool keeps dying; faults surface as typed
   exceptions (chaos crash/hang cannot kill the parent), so retries go
-  through the same coordinator path as on the pooled backends.
+  through the same coordinator path as on the pool.
 * :class:`PoolExecutor` — the ``ProcessPoolExecutor`` path, started on
   the first submission.  Worker death breaks the whole pool
-  (``BrokenProcessPool``), so it is *not* self-healing: the coordinator
-  tears it down, requeues the innocent in-flight chunks, and the next
-  submission starts a fresh pool.
-* :class:`~repro.runtime.fleet.FleetExecutor` — detachable ``repro
-  worker`` agents pull chunks from an on-disk board guarded by the
-  integrity layer's :class:`~repro.runtime.integrity.JournalLock`, with
-  heartbeat leases and epoch-fenced re-dispatch (see
-  :mod:`repro.runtime.fleet`).
+  (``BrokenProcessPool``): the coordinator tears it down, requeues the
+  innocent in-flight chunks, and the next submission starts a fresh
+  pool.
 
 An executor belongs to whoever built it (:func:`make_executor`):
 ``repro campaign`` builds one per campaign, so every cell shares one
-pool or one set of fleet agents, and closes it at the end.
+pool, and closes it at the end.
 
 Executors move *scheduling* only.  Chunk payloads carry their own
 spawned ``SeedSequence`` and results are merged commutatively upstream,
@@ -35,18 +30,17 @@ from __future__ import annotations
 import concurrent.futures as cf
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 #: Executor names accepted by :func:`make_executor` (and ``--executor``).
-EXECUTOR_NAMES = ("serial", "pool", "fleet")
+EXECUTOR_NAMES = ("serial", "pool")
 
 
 def _supervised_call(payload: tuple) -> Dict[str, Any]:
     """Worker entry point: apply chaos injection, then run the executor.
 
-    Module-level so it pickles; runs in worker processes (pool/fleet
-    modes) or the parent (serial mode) — :meth:`ChaosSpec.before_chunk`
+    Module-level so it pickles; runs in worker processes (pool mode)
+    or the parent (serial mode) — :meth:`ChaosSpec.before_chunk`
     adapts crash/hang semantics to whichever side it is on.  ``blocks``
     is the range of chunk indices the submission holds.
     """
@@ -87,7 +81,8 @@ class Completion:
     result: Optional[Dict[str, Any]] = None
     #: ``repr()`` of the in-chunk exception, if the attempt failed.
     error: Optional[str] = None
-    #: True when the *worker* died (crash-equivalent), not the chunk code.
+    #: True when the *worker* died (crash-equivalent), not the chunk code;
+    #: the coordinator then restarts the executor.
     broken: bool = False
 
 
@@ -101,13 +96,8 @@ class Executor:
     tokens were lost so the coordinator can requeue them unpenalized.
     """
 
-    #: Human name (used in events and the CLI).
-    name: str = "?"
     #: Maximum concurrently useful submissions.
     capacity: int = 1
-    #: True when one worker's death leaves the others running (the
-    #: coordinator then skips the restart-and-requeue path).
-    self_healing: bool = False
 
     def submit(self, payload: tuple) -> int:
         raise NotImplementedError
@@ -143,9 +133,7 @@ class SerialExecutor(Executor):
     machinery is identical to the pooled paths.
     """
 
-    name = "serial"
     capacity = 1
-    self_healing = True  # nothing to heal: there is no worker to lose
 
     def __init__(self) -> None:
         self._next_token = 0
@@ -172,15 +160,12 @@ class PoolExecutor(Executor):
 
     The process pool starts on the first submission and lives until
     :meth:`restart` or :meth:`close`, so one executor serves every run
-    its owner drives through it.  Not self-healing: a dead worker breaks
-    the whole pool, every completion during the break reports
-    ``broken=True``, and the coordinator calls :meth:`restart` (which
-    also surrenders finished-but-unpolled work for recomputation —
-    results are deterministic, so recompute equals replay).
+    its owner drives through it.  A dead worker breaks the whole pool,
+    every completion during the break reports ``broken=True``, and the
+    coordinator calls :meth:`restart` (which also surrenders
+    finished-but-unpolled work for recomputation — results are
+    deterministic, so recompute equals replay).
     """
-
-    name = "pool"
-    self_healing = False
 
     def __init__(self, workers: int):
         if workers < 1:
@@ -262,22 +247,12 @@ class PoolExecutor(Executor):
         self._kill_pool()
 
 
-def make_executor(
-    name: str,
-    workers: int = 1,
-    board_dir: Union[str, Path, None] = None,
-    ttl: Optional[float] = None,
-    spawn_workers: Optional[int] = None,
-) -> Executor:
-    """Build an executor by CLI name (``auto|serial|pool|fleet``).
+def make_executor(name: str, workers: int = 1) -> Executor:
+    """Build an executor by CLI name (``auto|serial|pool``).
 
-    ``auto`` is serial for one worker, else a pool of ``workers``.
-    ``board_dir``, ``ttl`` and ``spawn_workers`` apply to the fleet
-    backend only: the board directory (``None`` = a private temporary
-    one), the heartbeat-lease TTL, and the number of local agent
-    subprocesses to start (``None`` = ``workers``; pass ``0`` when
-    external ``repro worker`` agents serve the board).  The caller owns
-    the executor and closes it (it is also a context manager).
+    ``auto`` is serial for one worker, else a pool of ``workers``.  The
+    caller owns the executor and closes it (it is also a context
+    manager).
     """
     if name == "auto":
         name = "serial" if workers == 1 else "pool"
@@ -285,15 +260,6 @@ def make_executor(
         return SerialExecutor()
     if name == "pool":
         return PoolExecutor(workers)
-    if name == "fleet":
-        from .fleet import DEFAULT_WORKER_TTL, FleetExecutor
-
-        return FleetExecutor(
-            workers,
-            board_dir=board_dir,
-            ttl=DEFAULT_WORKER_TTL if ttl is None else ttl,
-            spawn_workers=spawn_workers,
-        )
     raise ValueError(
         f"unknown executor {name!r}: expected 'auto' or one of {EXECUTOR_NAMES}"
     )

@@ -30,7 +30,9 @@ journal line the same defenses the paper demands of memories:
   ``repro doctor`` subcommand: audit a journal or a whole state
   directory (journals, manifests, quarantine sidecars, locks) into a
   machine-readable report, and with ``--repair`` truncate torn tails,
-  quarantine bad records, and rewrite a clean v3 journal.
+  quarantine bad records, and rewrite a clean v3 journal.  A leftover
+  board directory of the deleted fleet and lease executors is reported
+  *unsupported*, like an old journal, and never read or modified.
 
 Every mutation here goes through :func:`repro.ioutil.atomic_write`, so
 a crash during *repair* is itself recoverable.
@@ -549,8 +551,14 @@ def probe_lock(journal: Union[str, Path]) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 #: Audit/repair report schema version.  2: journals carry
-#: ``unsupported``, repairs lost ``upgraded_from_v1``.
-DOCTOR_SCHEMA = 2
+#: ``unsupported``, repairs lost ``upgraded_from_v1``.  3: a board entry
+#: is a leftover-board refusal (``classification: "unsupported"``).
+DOCTOR_SCHEMA = 3
+
+#: Subdirectories that make a directory a board, the on-disk work queue
+#: of the deleted fleet executor (and of the lease executor before it,
+#: whose boards had no ``workers/``).
+_BOARD_SUBDIRS = ("todo", "leases", "done")
 
 
 def audit_journal(path: Union[str, Path]) -> Dict[str, Any]:
@@ -642,19 +650,33 @@ def repair_journal(path: Union[str, Path]) -> Dict[str, Any]:
     return actions
 
 
+def _is_board(path: Path) -> bool:
+    return all((path / sub).is_dir() for sub in _BOARD_SUBDIRS)
+
+
+def _leftover_board(path: Path) -> Dict[str, Any]:
+    """The refusal entry for a board directory: reported, never read."""
+    return {
+        "path": str(path),
+        "kind": "board",
+        "classification": "unsupported",
+        "unsupported": (
+            "a board of the deleted fleet/lease executors; nothing reads "
+            "it and doctor leaves it untouched: delete it"
+        ),
+    }
+
+
 def audit_path(path: Union[str, Path]) -> Dict[str, Any]:
-    """Audit a journal file, a board directory, or a state directory.
+    """Audit a journal file or a state directory.
 
-    Directories are searched (non-recursively) for ``*.jsonl`` journals,
-    run-manifest ``*.json`` files, and fleet *board* directories
-    (``todo/leases/done/workers`` layout — the directory itself if
-    board-shaped, else any board-shaped subdirectory); sidecars
-    (``.quarantine``, ``.lock``) are reported with their journal,
-    boards under a ``boards`` key.
+    Directories are searched (non-recursively) for ``*.jsonl`` journals
+    and run-manifest ``*.json`` files; sidecars (``.quarantine``,
+    ``.lock``) are reported with their journal.  A board directory (the
+    path itself, or a subdirectory with ``todo/``, ``leases/`` and
+    ``done/``) is listed under ``boards`` as ``unsupported`` and makes
+    the report unhealthy; nothing under it is read.
     """
-    # Deferred: fleet imports executors which imports this module.
-    from .fleet import _looks_like_board, audit_board
-
     path = Path(path)
     report: Dict[str, Any] = {
         "schema": DOCTOR_SCHEMA,
@@ -664,16 +686,16 @@ def audit_path(path: Union[str, Path]) -> Dict[str, Any]:
         "boards": [],
     }
     if path.is_dir():
-        if _looks_like_board(path):
-            report["boards"].append(audit_board(path))
+        if _is_board(path):
+            report["boards"].append(_leftover_board(path))
         else:
             for candidate in sorted(path.iterdir()):
                 if candidate.suffix == ".jsonl":
                     report["journals"].append(audit_journal(candidate))
                 elif _looks_like_manifest(candidate):
                     report["manifests"].append(audit_manifest(candidate))
-                elif candidate.is_dir() and _looks_like_board(candidate):
-                    report["boards"].append(audit_board(candidate))
+                elif candidate.is_dir() and _is_board(candidate):
+                    report["boards"].append(_leftover_board(candidate))
     else:
         report["journals"].append(audit_journal(path))
     report["healthy"] = (
@@ -682,7 +704,7 @@ def audit_path(path: Union[str, Path]) -> Dict[str, Any]:
             for j in report["journals"]
         )
         and all(m.get("ok", False) for m in report["manifests"])
-        and all(b["healthy"] for b in report["boards"])
+        and not report["boards"]
     )
     return report
 

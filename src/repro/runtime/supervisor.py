@@ -5,23 +5,21 @@ a worker is OOM-killed mid-chunk and aborts the whole campaign on any
 chunk exception.  :class:`ChunkSupervisor` replaces it with a supervised
 dispatch loop, split from the execution backend: the coordinator owns
 retry/backoff/timeout *policy* and speaks the small
-:class:`~repro.runtime.executors.Executor` interface (serial in-process,
-``ProcessPoolExecutor`` pool, or the heartbeat-leased fleet board) for
-*mechanism*.
+:class:`~repro.runtime.executors.Executor` interface (serial in-process
+or ``ProcessPoolExecutor`` pool) for *mechanism*.
 
 * **executor ownership** — the supervisor drives the executor it is
   given (one per campaign) and never closes it; it hands it back idle,
   and runs a single job in-process rather than start a pool for it.
 * **crash detection** — an executor reports a dead worker as a
   ``broken`` completion; the coordinator charges a retry to the chunk
-  that died and — for non-self-healing backends like the pool — tears
-  the backend down, requeueing in-flight chunks unpenalized.
+  that died and tears the backend down, requeueing in-flight chunks
+  unpenalized.
 * **hang detection** — each in-flight chunk carries a deadline
   (``chunk_timeout``); an expired deadline charges the chunk and asks
   the executor to :meth:`~repro.runtime.executors.Executor.abandon`
-  just that submission (fleet: fence its epoch), falling back to a full
-  backend restart when it cannot (pool: workers are not individually
-  evictable).
+  just that submission, falling back to a full backend restart when it
+  cannot (pool: a running worker is not individually evictable).
 * **bounded retries with exponential backoff** — each chunk gets
   ``RetryPolicy.max_attempts`` tries, separated by
   ``base_delay * growth**n`` (capped at ``max_delay``).  Backoff is
@@ -89,7 +87,7 @@ CHUNK_KERNEL_METRIC = "repro.mc.chunk_kernel_seconds"
 
 
 class ResilienceWarning(UserWarning):
-    """Structured warning for degraded execution (serial, empty fleet)."""
+    """Structured warning for degraded execution (serial fallback)."""
 
 
 #: CLI exit code when a chunk failed every attempt (EX_SOFTWARE).
@@ -372,8 +370,7 @@ class ChunkSupervisor:
                         self.counters.worker_crashes += 1
                         self._event("crash", index, state.failures,
                                     "worker process died")
-                        if not executor.self_healing:
-                            backend_broken = True
+                        backend_broken = True
                         charge_failure(index, state.failures, "worker crash")
                     elif comp.error is not None:
                         charge_failure(index, state.failures, comp.error)
@@ -433,8 +430,8 @@ class ChunkSupervisor:
                             "in-process execution"
                         )
         finally:
-            # Hand the executor back idle: cancel or fence what is still
-            # in flight, and restart it if a running task cannot be.
+            # Hand the executor back idle: cancel what is still in
+            # flight, and restart it if a running task cannot be.
             if dispatches and not all(
                 [executor.abandon(token) for token in dispatches]
             ):

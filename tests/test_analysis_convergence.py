@@ -31,7 +31,7 @@ class TestToleranceSweep:
         reference = values[-1]  # tightest tolerance
         assert reference > 0
         for value in values:
-            assert value == pytest.approx(reference, rel=1e-5)
+            assert value == pytest.approx(reference, rel=1e-5, abs=0)
 
 
 class TestTrialPlanning:
@@ -42,7 +42,7 @@ class TestTrialPlanning:
     def test_one_over_p_scaling(self):
         n_small = trials_for_relative_width(1e-2, 0.1)
         n_tiny = trials_for_relative_width(1e-4, 0.1)
-        assert n_tiny / n_small == pytest.approx(100.0, rel=0.02)
+        assert n_tiny / n_small == pytest.approx(100.0, rel=0.02, abs=0)
 
     def test_rare_event_needs_astronomical_trials(self):
         """Why the package solves chains: the paper's 1e-6 BER scale
@@ -62,4 +62,4 @@ class TestScrubGridRefinement:
         results = scrub_grid_refinement(model, 10.0, 1.0)
         values = list(results.values())
         for value in values[1:]:
-            assert value == pytest.approx(values[0], rel=1e-9)
+            assert value == pytest.approx(values[0], rel=1e-9, abs=0)

@@ -48,6 +48,30 @@ class TestValidation:
         with pytest.raises(ValueError, match="horizon"):
             validate_scenario(dict(BASE, horizon_hours=0.0))
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("n", "a", "an integer"),
+            ("k", 16.0, "an integer"),
+            ("m", True, "an integer"),
+            ("points", None, "an integer"),
+            ("seu_per_bit_day", "1e-5", "a number"),
+            ("horizon_hours", False, "a number"),
+            ("scrub_period_seconds", [3600], "a number"),
+            ("ber_budget", "tight", "a number"),
+            ("name", 7, "a string"),
+            ("fail_rule", None, "a string"),
+        ],
+    )
+    def test_wrong_type_is_a_value_error(self, key, value, kind):
+        with pytest.raises(ValueError, match=f"{key} must be {kind}"):
+            validate_scenario(dict(BASE, **{key: value}))
+
+    @pytest.mark.parametrize("config", [[BASE], "duplex", 18])
+    def test_non_object_is_a_value_error(self, config):
+        with pytest.raises(ValueError, match="a scenario is a JSON object"):
+            validate_scenario(config)
+
     def test_original_config_untouched(self):
         config = dict(BASE)
         validate_scenario(config)
@@ -58,7 +82,7 @@ class TestRunScenario:
     def test_fig7_point_meets_budget(self):
         result = run_scenario(dict(BASE, ber_budget=1e-6, name="fig7"))
         assert result.name == "fig7"
-        assert result.final_ber == pytest.approx(9.23e-7, rel=0.01)
+        assert result.final_ber == pytest.approx(9.23e-7, rel=0.01, abs=0)
         assert result.meets_budget is True
 
     def test_budget_miss(self):

@@ -247,23 +247,38 @@ class TestCampaignCommand:
         assert perf["elapsed_seconds"] > 0.0
 
 
+def _unbuffered_cli_env():
+    """Environment for ``python -m repro`` subprocesses on this source tree."""
+    import os
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    # each print reaches the pipe at once, so a line printed after the
+    # reader has gone fails its write instead of waiting in a buffer
+    env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _files(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
 class TestClosedStdout:
     def test_reader_closing_after_first_line_changes_nothing(self, tmp_path):
         """``repro campaign ... | head -1``: manifest, results and status hold."""
         import json
-        import os
         import subprocess
         import sys
-        from pathlib import Path
 
-        import repro
-
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        # each print reaches the pipe at once, so a row printed after the
-        # reader has gone fails its write instead of waiting in a buffer
-        env["PYTHONUNBUFFERED"] = "1"
+        env = _unbuffered_cli_env()
         cmd = [sys.executable, "-m", "repro", "campaign", "--trials", "200"]
         cmd += ["--seed", "7", "--chunk-size", "50"]
 
@@ -302,20 +317,79 @@ class TestClosedStdout:
         assert cut_doc["results"] == uncut_doc["results"]
         assert cut_doc["fingerprint"] == uncut_doc["fingerprint"]
 
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            (["figure", "all", "--points", "5"], 1),
+            (["figure", "all", "--points", "5", "--csv", "csv"], 1),
+            (["complexity"], 1),
+            (["ber", "--points", "5"], 1),
+            (["doctor", "."], 0),
+            (["sensitivity"], 0),
+            (["scrub-design"], 0),
+            (["report", "--points", "5", "-o", "r.md"], 0),
+            (["verify", "list-targets"], 0),
+        ],
+        ids=[
+            "figure", "figure-csv", "complexity", "ber", "doctor",
+            "sensitivity", "scrub-design", "report", "verify",
+        ],
+    )
+    def test_every_subcommand_outlives_its_reader(self, tmp_path, argv, lines):
+        """``repro <command> | head -1``: the cut run prints no traceback,
+        exits with the uncut run's status and writes the same files."""
+        import subprocess
+        import sys
+
+        env = _unbuffered_cli_env()
+        cmd = [sys.executable, "-m", "repro", *argv]
+        uncut_dir, cut_dir = tmp_path / "uncut", tmp_path / "cut"
+        uncut_dir.mkdir()
+        cut_dir.mkdir()
+        uncut = subprocess.run(
+            cmd, cwd=uncut_dir, env=env, capture_output=True, timeout=300
+        )
+        err_path = tmp_path / "cut.err"
+        with open(err_path, "w") as err:
+            proc = subprocess.Popen(
+                cmd, cwd=cut_dir, env=env, stdout=subprocess.PIPE, stderr=err
+            )
+            for _ in range(lines):
+                proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=300)
+        assert "Traceback" not in err_path.read_text()
+        assert code == uncut.returncode == 0
+        assert _files(cut_dir) == _files(uncut_dir)
+        if "--csv" in argv:
+            assert len(_files(cut_dir)) == 6  # fig5..fig10
+
 
 class TestCampaignExecutorFlags:
-    def test_retired_lease_executor_exits_2(self, capsys):
+    @pytest.mark.parametrize("name", ["lease", "fleet"])
+    def test_retired_lease_executor_exits_2(self, capsys, name):
         with pytest.raises(SystemExit) as info:
-            main(["campaign", "--executor", "lease"])
+            main(["campaign", "--executor", name])
         assert info.value.code == 2
-        assert "'serial', 'pool', 'fleet'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and name in err
+        assert "'serial', 'pool')" in err
 
-    def test_board_requires_fleet_executor(self, tmp_path, capsys):
-        code = main(
-            ["campaign", "--executor", "pool", "--board", str(tmp_path)]
-        )
-        assert code == 2
-        assert "requires --executor fleet" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--board", "{tmp}"), ("--fleet-ttl", "5")],
+        ids=["board", "fleet-ttl"],
+    )
+    def test_deleted_fleet_flags_are_usage_errors(
+        self, tmp_path, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(["campaign", flag, value.replace("{tmp}", str(tmp_path))])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert f"unrecognized arguments: {flag}" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_poisoned_chunk_exits_70_then_resumes(
         self, tmp_path, capsys, fresh_metrics
@@ -386,15 +460,11 @@ MISUSE = {
         "--ci-method selects the --stop-rel-ci interval family; pass both",
     ),
     "max-retries-zero": (["--max-retries", "0"], "--max-retries must be >= 1"),
-    "fleet-ttl-without-fleet": (
-        ["--fleet-ttl", "5"],
-        "--fleet-ttl requires --executor fleet",
-    ),
-    "fleet-ttl-zero": (
-        ["--executor", "fleet", "--fleet-ttl", "0"],
-        "--fleet-ttl must be positive",
-    ),
     "bad-chaos": (["--chaos", "nonsense"], "bad --chaos spec: "),
+    "deleted-chaos-kind": (
+        ["--chaos", "worker-kill@0"],
+        "bad --chaos spec: unknown chaos kind 'worker-kill'",
+    ),
     "schedule-legs": (
         ["--schedule", "1e-300h@1"],
         "bad fault-physics spec: schedule '1e-300h@1.0' spans 4.8e+301 legs "
@@ -435,8 +505,9 @@ class TestCampaignMisuse:
             ["campaign", "--executor", "quantum"],
             ["campaign", "--ci-method", "exact", "--stop-rel-ci", "0.5"],
             ["serve", "--state-dir", "state"],
+            ["worker", "--board", "board"],
         ],
-        ids=["executor", "ci-method", "serve"],
+        ids=["executor", "ci-method", "serve", "worker"],
     )
     def test_unknown_choice_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -597,3 +668,35 @@ class TestScenarioCommand:
             )
         )
         assert main(["scenario", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file or directory"),
+            ("DIR", "Is a directory"),
+            ('{"arrangement": "simplex", "n": 18,', "Expecting"),
+            (
+                '{"arrangement": "simplex", "k": 16, "horizon_hours": 48.0}',
+                "scenario missing required keys: ['n']",
+            ),
+            (
+                '{"arrangement": "simplex", "n": "a", "k": 16, '
+                '"horizon_hours": 48.0}',
+                "n must be an integer, got 'a'",
+            ),
+        ],
+        ids=["missing", "directory", "malformed-json", "missing-n", "n-string"],
+    )
+    def test_bad_input_exits_2_with_one_line(
+        self, tmp_path, capsys, content, reason
+    ):
+        path = tmp_path / "s.json"
+        if content == "DIR":
+            path.mkdir()
+        elif content is not None:
+            path.write_text(content)
+        assert main(["scenario", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("bad scenario file: ") and reason in err

@@ -1,4 +1,4 @@
-"""One executor per campaign: pools and fleet agents start once.
+"""One executor per campaign: a pool starts once.
 
 Every cell of a campaign dispatches through the same executor: a
 ``run_campaign`` without one builds the ``auto`` default once, and
@@ -23,7 +23,6 @@ from repro.runtime import (
     RuntimeConfig,
     StoppingRule,
 )
-from repro.runtime.fleet import FleetExecutor
 from repro.simulator import (
     default_validation_campaign,
     run_campaign,
@@ -92,9 +91,7 @@ def test_caller_executor_outlives_the_cells(pools_started):
 class _TwoSlots(Executor):
     """Holds two submissions; ``poll`` finishes the first one only."""
 
-    name = "two-slots"
     capacity = 2
-    self_healing = True
 
     def __init__(self):
         self.submitted = []
@@ -152,6 +149,7 @@ def test_stopped_pooled_cell_leaves_the_pool_usable(pools_started):
     assert got[0].stopped_early and not got[1].stopped_early
 
 
+
 def _manifest_rows(path):
     return [
         (r["cell"], r["probability"], r["failures"], r["trials"],
@@ -160,25 +158,16 @@ def _manifest_rows(path):
     ]
 
 
-def test_fleet_campaign_spawns_its_agents_once(tmp_path, monkeypatch):
-    """A two-cell fleet campaign on two workers starts two local agents
-    for the whole campaign (two per cell before), with the serial
-    manifest's results."""
-    spawned = []
-    spawn_one = FleetExecutor._spawn_one
-
-    def counting_spawn(self):
-        spawned.append(self.board)
-        return spawn_one(self)
-
-    monkeypatch.setattr(FleetExecutor, "_spawn_one", counting_spawn)
+def test_cli_campaign_starts_one_pool(tmp_path, pools_started):
+    """``repro campaign --workers 2`` on a two-cell preset starts one
+    pool for the whole campaign, with the serial manifest's results."""
     argv = ["campaign", "--scenario", "iid-baseline", "--trials", "200",
             "--chunk-size", "50", "--seed", "7"]
     assert main([*argv, "--manifest", str(tmp_path / "ref.json")]) == 0
-    assert spawned == []
-    assert main([*argv, "--executor", "fleet", "--workers", "2",
-                 "--manifest", str(tmp_path / "fleet.json")]) == 0
-    assert len(spawned) == 2 and len(set(spawned)) == 1
-    assert _manifest_rows(tmp_path / "fleet.json") == _manifest_rows(
+    assert pools_started == []
+    assert main([*argv, "--executor", "pool", "--workers", "2",
+                 "--manifest", str(tmp_path / "pool.json")]) == 0
+    assert pools_started == [2]
+    assert _manifest_rows(tmp_path / "pool.json") == _manifest_rows(
         tmp_path / "ref.json"
     )

@@ -50,8 +50,8 @@ class TestAbsorptionProbabilities:
     def test_matches_long_run_transient(self, fork):
         probs = absorption_probabilities(fork)
         limit = fork.transient([1000.0])[0]
-        assert probs["B"] == pytest.approx(limit[fork.index["B"]], rel=1e-9)
-        assert probs["C"] == pytest.approx(limit[fork.index["C"]], rel=1e-9)
+        assert probs["B"] == pytest.approx(limit[fork.index["B"]], rel=1e-9, abs=0)
+        assert probs["C"] == pytest.approx(limit[fork.index["C"]], rel=1e-9, abs=0)
 
     def test_duplex_model_failure_mass(self):
         """End-to-end: the duplex chain eventually always fails without

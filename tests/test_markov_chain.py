@@ -94,8 +94,8 @@ class TestTransient:
         times = [0.0, 0.1, 0.5, 1.0, 3.0]
         probs = two_state.transient(times)
         for t, row in zip(times, probs):
-            assert row[0] == pytest.approx(math.exp(-2.0 * t), rel=1e-10)
-            assert row[1] == pytest.approx(-math.expm1(-2.0 * t), rel=1e-10)
+            assert row[0] == pytest.approx(math.exp(-2.0 * t), rel=1e-10, abs=0)
+            assert row[1] == pytest.approx(-math.expm1(-2.0 * t), rel=1e-10, abs=0)
 
     def test_t_zero_returns_initial(self, cyclic):
         probs = cyclic.transient([0.0])
@@ -104,8 +104,8 @@ class TestTransient:
     def test_two_state_equilibrium(self, cyclic):
         probs = cyclic.transient([100.0])[0]
         # stationary distribution of A<->B with rates 1, 3 is (3/4, 1/4)
-        assert probs[0] == pytest.approx(0.75, rel=1e-9)
-        assert probs[1] == pytest.approx(0.25, rel=1e-9)
+        assert probs[0] == pytest.approx(0.75, rel=1e-9, abs=0)
+        assert probs[1] == pytest.approx(0.25, rel=1e-9, abs=0)
 
     def test_probability_conserved(self, cyclic):
         probs = cyclic.transient(np.linspace(0, 10, 11))
@@ -115,7 +115,7 @@ class TestTransient:
         shuffled = [3.0, 0.5, 1.0, 0.0]
         probs = two_state.transient(shuffled)
         for t, row in zip(shuffled, probs):
-            assert row[0] == pytest.approx(math.exp(-2.0 * t), rel=1e-9)
+            assert row[0] == pytest.approx(math.exp(-2.0 * t), rel=1e-9, abs=0)
 
     def test_negative_time_rejected(self, two_state):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -127,7 +127,7 @@ class TestTransient:
 
     def test_state_probability(self, two_state):
         p = two_state.state_probability("B", [1.0])
-        assert p[0] == pytest.approx(-math.expm1(-2.0), rel=1e-10)
+        assert p[0] == pytest.approx(-math.expm1(-2.0), rel=1e-10, abs=0)
 
     def test_no_transitions_is_static(self):
         chain = CTMC(["A", "B"], [], "A")

@@ -51,7 +51,7 @@ class TestQuasiStationary:
         s1 = 1.0 - probs[0, f_idx]
         s2 = 1.0 - probs[1, f_idx]
         measured = -(math.log(s2) - math.log(s1)) / (t2 - t1)
-        assert measured == pytest.approx(qs.decay_rate, rel=1e-6)
+        assert measured == pytest.approx(qs.decay_rate, rel=1e-6, abs=0)
 
     def test_conditional_distribution_converges_to_qsd(self):
         chain = CTMC(
@@ -67,7 +67,7 @@ class TestQuasiStationary:
             "B": probs[chain.index["B"]] / surv,
         }
         for state, value in conditional.items():
-            assert value == pytest.approx(qs.distribution[state], rel=1e-6)
+            assert value == pytest.approx(qs.distribution[state], rel=1e-6, abs=0)
 
     def test_memory_model_qsd(self):
         """On the simplex paper chain, late survivors carry damage: the

@@ -68,7 +68,7 @@ class TestAgainstClosedForms:
         probs = transient_uniformization(chain, np.array([t]))
         expected = erlang.cdf(t, stages, scale=1.0 / rate)
         assert expected < 1e-30  # confirm we are genuinely deep in the tail
-        assert probs[0, stages] == pytest.approx(expected, rel=1e-10)
+        assert probs[0, stages] == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 class TestSolverCrossAgreement:
@@ -114,8 +114,8 @@ class TestUniformizationInternals:
         chain = CTMC(["A", "B"], [("A", "B", 1.0), ("B", "A", 1.0)], "A")
         probs = transient_uniformization(chain, np.array([800.0]))
         # equilibrium of the symmetric chain is (1/2, 1/2)
-        assert probs[0, 0] == pytest.approx(0.5, rel=1e-6)
-        assert probs[0].sum() == pytest.approx(1.0, rel=1e-9)
+        assert probs[0, 0] == pytest.approx(0.5, rel=1e-6, abs=0)
+        assert probs[0].sum() == pytest.approx(1.0, rel=1e-9, abs=0)
 
     def test_large_lt_fallback_matches_expm_off_equilibrium(self):
         """Pin the windowed fallback against the independent Padé solver
@@ -390,4 +390,4 @@ class TestExpmStepCache:
         chain = erlang_chain(2, 2.0)
         probs = chain.transient([1.0])
         assert probs.shape == (1, 3)
-        assert probs[0, 0] == pytest.approx(math.exp(-2.0), rel=1e-10)
+        assert probs[0, 0] == pytest.approx(math.exp(-2.0), rel=1e-10, abs=0)

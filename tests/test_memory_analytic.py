@@ -28,12 +28,12 @@ class TestBinomialTail:
         direct = sum(
             math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(k + 1, n + 1)
         )
-        assert _binomial_tail(n, p, k) == pytest.approx(direct, rel=1e-12)
+        assert _binomial_tail(n, p, k) == pytest.approx(direct, rel=1e-12, abs=0)
 
     def test_deep_tail_positive(self):
         value = _binomial_tail(18, 1e-12, 2)
         # ~ C(18,3) * 1e-36
-        assert value == pytest.approx(math.comb(18, 3) * 1e-36, rel=1e-6)
+        assert value == pytest.approx(math.comb(18, 3) * 1e-36, rel=1e-6, abs=0)
 
 
 class TestScope:
@@ -89,7 +89,7 @@ class TestSimplexClosedForm:
         an = simplex_fail_probability(m, t)[0]
         uni = m.fail_probability(t)[0]
         assert an < 1e-100  # genuinely deep
-        assert uni == pytest.approx(an, rel=1e-10)
+        assert uni == pytest.approx(an, rel=1e-10, abs=0)
 
     def test_ber_uses_eq1_factor(self):
         m = simplex_model(36, 16, erasure_per_symbol_day=1e-5)

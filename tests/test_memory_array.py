@@ -45,7 +45,7 @@ class TestDataIntegrity:
         p_word = model.fail_probability(t)[0]
         # union bound regime: loss ~ W * p_word
         assert mem.loss_probability(t)[0] == pytest.approx(
-            1000 * p_word, rel=1e-5
+            1000 * p_word, rel=1e-5, abs=0
         )
 
     def test_expected_unreadable_words(self, word_model):

@@ -33,7 +33,7 @@ class TestMethodDispatch:
         model = duplex_model(18, 16, seu_per_bit_day=1e-4)
         uni = ber_curve(model, [48.0], method="uniformization")
         exp = ber_curve(model, [48.0], method="expm")
-        assert uni.ber[0] == pytest.approx(exp.ber[0], rel=1e-9)
+        assert uni.ber[0] == pytest.approx(exp.ber[0], rel=1e-9, abs=0)
 
     def test_default_label_is_model_repr(self):
         model = simplex_model(18, 16, seu_per_bit_day=1e-4)

@@ -26,7 +26,7 @@ class TestEmbeddedAnalysis:
         pf = deterministic_scrub_fail_probability(model, [100.0, 200.0], 1.0)
         slope = (pf[1] - pf[0]) / 100.0
         assert result.equivalent_rate_per_hour == pytest.approx(
-            slope, rel=1e-4
+            slope, rel=1e-4, abs=0
         )
 
     def test_shorter_period_lower_loss_rate(self):
@@ -54,5 +54,5 @@ class TestEmbeddedAnalysis:
         result = embedded_scrub_analysis(model, 1.0)
         pf = deterministic_scrub_fail_probability(model, [500.0], 1.0)[0]
         assert pf == pytest.approx(
-            result.equivalent_rate_per_hour * 500.0, rel=0.05
+            result.equivalent_rate_per_hour * 500.0, rel=0.05, abs=0
         )

@@ -169,7 +169,7 @@ class TestSimplexMBUModel:
         paper = simplex_model(18, 16, erasure_per_symbol_day=1e-3)
         t = [730.0]
         assert model.fail_probability(t)[0] == pytest.approx(
-            paper.fail_probability(t)[0], rel=1e-10
+            paper.fail_probability(t)[0], rel=1e-10, abs=0
         )
 
 
@@ -199,4 +199,4 @@ class TestLayoutComparison:
             clusters=ClusterDistribution.single_bit(),
         )
         values = list(v[0] for v in comp.values())
-        assert max(values) / min(values) == pytest.approx(1.0, rel=1e-9)
+        assert max(values) / min(values) == pytest.approx(1.0, rel=1e-9, abs=0)

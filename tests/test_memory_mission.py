@@ -148,7 +148,7 @@ class TestSchedule:
         ordered = profile.fail_probability(sorted(times))
         lookup = dict(zip(sorted(times), ordered))
         for t, v in zip(times, pf):
-            assert v == pytest.approx(lookup[t], rel=1e-9)
+            assert v == pytest.approx(lookup[t], rel=1e-9, abs=0)
 
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):

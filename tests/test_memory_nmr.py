@@ -56,7 +56,7 @@ class TestDamagePmf:
         pmf = symbol_damage_pmf(3, 8, r, 10.0)
         # error needs >= 2 errored replicas: leading term 3 pe^2 pc
         assert pmf[2] == pytest.approx(
-            3 * p_e**2 * p_c + p_e**3, rel=1e-9
+            3 * p_e**2 * p_c + p_e**3, rel=1e-9, abs=0
         )
 
     def test_erasure_needs_all_replicas(self):

@@ -45,7 +45,7 @@ class TestDeterministicScrub:
         scrubless = simplex_model(18, 16, seu_per_bit_day=1e-3)
         pf_det = deterministic_scrub_fail_probability(scrubless, [0.5], 1.0)
         pf_free = scrubless.fail_probability([0.5])
-        assert pf_det[0] == pytest.approx(pf_free[0], rel=1e-10)
+        assert pf_det[0] == pytest.approx(pf_free[0], rel=1e-10, abs=0)
 
     def test_scrubbing_reduces_failure_probability(self):
         m = simplex_model(18, 16, seu_per_bit_day=1e-3)
@@ -82,7 +82,7 @@ class TestDeterministicScrub:
         t = [10.0]
         a = deterministic_scrub_fail_probability(with_rate, t, 1.0)
         b = deterministic_scrub_fail_probability(without, t, 1.0)
-        assert a[0] == pytest.approx(b[0], rel=1e-10)
+        assert a[0] == pytest.approx(b[0], rel=1e-10, abs=0)
 
     def test_unsorted_time_grid(self):
         m = simplex_model(18, 16, seu_per_bit_day=1e-3)
@@ -91,7 +91,7 @@ class TestDeterministicScrub:
         resorted = deterministic_scrub_fail_probability(m, sorted(times), 1.0)
         lookup = dict(zip(sorted(times), resorted))
         for t, v in zip(times, pf):
-            assert v == pytest.approx(lookup[t], rel=1e-10)
+            assert v == pytest.approx(lookup[t], rel=1e-10, abs=0)
 
     def test_ber_applies_eq1_factor(self):
         m = simplex_model(36, 16, seu_per_bit_day=1e-3)

@@ -39,7 +39,7 @@ class TestExpectedFailedReads:
         pf_end = model.fail_probability([t])[0]
         expected = 1000.0 * pf_end * t / 3.0
         assert expected_failed_reads(model, 1000.0, t) == pytest.approx(
-            expected, rel=0.02
+            expected, rel=0.02, abs=0
         )
 
     def test_no_faults_no_failures(self):
@@ -56,7 +56,7 @@ class TestWorkloadAveragedBer:
     def test_quadratic_regime_ratio_is_one_third(self, model):
         avg = workload_averaged_ber(model, 48.0)
         final = model.ber([48.0])[0]
-        assert avg / final == pytest.approx(1 / 3, rel=0.02)
+        assert avg / final == pytest.approx(1 / 3, rel=0.02, abs=0)
 
     def test_validation(self, model):
         with pytest.raises(ValueError):
@@ -68,7 +68,7 @@ class TestFirstExpectedFailure:
         rate = 1000.0
         t_star = time_of_first_expected_failure(model, rate)
         assert expected_failed_reads(model, rate, t_star) == pytest.approx(
-            1.0, rel=1e-3
+            1.0, rel=1e-3, abs=0
         )
 
     def test_monotone_in_read_rate(self, model):

@@ -43,7 +43,7 @@ class TestExponential:
     def test_unreliability_stable_for_tiny_rates(self):
         life = ExponentialLifetime(1e-15)
         # naive 1 - exp(-x) would lose precision here
-        assert life.unreliability(1.0) == pytest.approx(1e-15, rel=1e-10)
+        assert life.unreliability(1.0) == pytest.approx(1e-15, rel=1e-10, abs=0)
 
     def test_mttf(self):
         assert ExponentialLifetime(0.5).mttf_hours() == 2.0

@@ -76,7 +76,7 @@ class TestAvailability:
         r = lam / mu
         p0 = 1.0 / (1 + r + r * r)
         expected = p0 * (1 + r)
-        assert sparing_availability(config) == pytest.approx(expected, rel=1e-9)
+        assert sparing_availability(config) == pytest.approx(expected, rel=1e-9, abs=0)
 
 
 class TestSparesForMission:

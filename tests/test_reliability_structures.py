@@ -79,14 +79,14 @@ class TestWholeMemory:
 
     def test_many_words_compound(self):
         assert whole_memory_data_integrity(1e-6, 10**6) == pytest.approx(
-            math.exp(-1.0), rel=1e-5
+            math.exp(-1.0), rel=1e-5, abs=0
         )
 
     def test_stable_for_tiny_word_probability(self):
         # (1 - 1e-18)^1e6: naive power would round to 1.0 - this should too,
         # but via a numerically meaningful path
         r = whole_memory_data_integrity(1e-18, 10**6)
-        assert r == pytest.approx(1.0 - 1e-12, rel=1e-6)
+        assert r == pytest.approx(1.0 - 1e-12, rel=1e-6, abs=0)
 
     def test_certain_word_failure(self):
         assert whole_memory_data_integrity(1.0, 5) == 0.0

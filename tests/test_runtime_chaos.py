@@ -53,6 +53,11 @@ class TestParsing:
             "crash@x",
             "crash@-2",
             "hang@1:soon",
+            # kinds of the deleted fleet worker agent
+            "worker-kill@0",
+            "worker-hang@0",
+            "partition@0",
+            "zombie@0",
         ],
     )
     def test_bad_specs_rejected(self, bad):
@@ -101,47 +106,6 @@ class TestJournalFaultParsing:
     def test_journal_kinds_do_not_touch_chunk_execution(self):
         spec = parse_chaos_spec("bitrot@0;torn@0;enospc@0")
         spec.before_chunk(0, attempt=0)  # must not raise or sleep
-
-
-class TestFleetFaultParsing:
-    def test_defaults_per_kind(self):
-        spec = parse_chaos_spec(
-            "worker-kill@0;worker-hang@1;partition@2;zombie@3"
-        )
-        assert spec.worker_kill == {0: 1}
-        assert spec.worker_hang == {1: 3600.0}
-        assert spec.partition == {2: 5.0}
-        assert spec.zombie == {3: 1}
-        assert not spec.is_empty
-
-    def test_kill_budget_is_per_epoch(self):
-        spec = parse_chaos_spec("worker-kill@4:2")
-        assert spec.worker_kill_fires(4, epoch=0)
-        assert spec.worker_kill_fires(4, epoch=1)
-        assert not spec.worker_kill_fires(4, epoch=2)  # budget exhausted
-        assert not spec.worker_kill_fires(5, epoch=0)  # untargeted
-
-    def test_hang_and_partition_fire_on_first_epoch_only(self):
-        spec = parse_chaos_spec("worker-hang@1:9;partition@2:1.5")
-        assert spec.worker_hang_seconds(1, epoch=0) == 9
-        assert spec.worker_hang_seconds(1, epoch=1) == 0.0
-        assert spec.partition_seconds(2, epoch=0) == 1.5
-        assert spec.partition_seconds(2, epoch=1) == 0.0
-
-    def test_zombie_budget(self):
-        spec = parse_chaos_spec("zombie@0")
-        assert spec.zombie_fires(0, epoch=0)
-        assert not spec.zombie_fires(0, epoch=1)
-        assert not spec.zombie_fires(1, epoch=0)
-
-    def test_fleet_kinds_do_not_touch_chunk_execution(self):
-        spec = parse_chaos_spec("worker-kill@0;partition@0;zombie@0")
-        spec.before_chunk(0, attempt=0)  # must not raise or sleep
-
-    def test_wildcard_kill(self):
-        spec = parse_chaos_spec("worker-kill@*:1")
-        assert spec.worker_kill_fires(9, epoch=0)
-        assert not spec.worker_kill_fires(9, epoch=1)
 
 
 class TestSerialInjection:

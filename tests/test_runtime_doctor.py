@@ -114,53 +114,94 @@ class TestAudit:
         assert report["healthy"] is False
 
 
-def _make_board(tmp_path, name="run.board"):
-    board = tmp_path / name
-    for sub in ("todo", "leases", "done", "workers"):
+#: Board layouts of the deleted executors: the fleet's, and the lease
+#: executor's before it (no ``workers/``, pid-suffixed leases).
+BOARDS = {
+    "fleet": {
+        "todo/00000002.e0000.task": b"payload",
+        "leases/00000001.e0000.task.deadhost": b"x",
+        "done/00000000.e0000.tmp.w1": b"torn",
+        "workers/deadhost.hb": b"{}",
+        "STOP": b"",
+    },
+    "lease": {
+        "todo/00000002": b"payload",
+        "leases/00000001.4242": b"x",
+        "done/00000000.tmp.4242": b"torn",
+    },
+}
+
+
+def _make_board(root, kind, name="run.board"):
+    board = root / name
+    for sub in ("todo", "leases", "done"):
         (board / sub).mkdir(parents=True)
+    for rel, blob in BOARDS[kind].items():
+        (board / rel).parent.mkdir(parents=True, exist_ok=True)
+        (board / rel).write_bytes(blob)
     return board
 
 
-class TestBoardAudit:
-    def test_damaged_board_exits_one_then_repairs_clean(
-        self, tmp_path, capsys
+def _tree(root):
+    """Every path under ``root`` with its bytes (``None`` for a directory)."""
+    return {
+        str(path.relative_to(root)): None if path.is_dir() else path.read_bytes()
+        for path in sorted(root.rglob("*"))
+    }
+
+
+class TestLeftoverBoard:
+    """A board of the deleted fleet/lease executors: reported, never read."""
+
+    @pytest.mark.parametrize("kind", BOARDS)
+    def test_board_is_unsupported_and_repair_leaves_it(
+        self, tmp_path, capsys, kind
     ):
-        import os
-        import time
-
-        board = _make_board(tmp_path)
-        hb = board / "workers" / "deadhost.hb"
-        hb.write_text("{}")
-        old = time.time() - 3600.0
-        os.utime(hb, (old, old))
-        (board / "leases" / "00000001.e0000.task.deadhost").write_bytes(b"x")
-        (board / "done" / "00000000.e0000.tmp.w1").write_bytes(b"torn")
-        (board / "STOP").write_text("")
-
+        board = _make_board(tmp_path, kind)
+        before = _tree(tmp_path)
         code, report = doctor(capsys, str(board))
         assert code == 1
-        audit = report["boards"][0]
-        assert audit["healthy"] is False
-        assert audit["orphaned_leases"] and audit["torn_tmp"]
-        assert audit["stop_flag"] is True
+        assert report["schema"] == 3 and report["healthy"] is False
+        assert report["journals"] == [] and report["manifests"] == []
+        (entry,) = report["boards"]
+        assert entry["path"] == str(board) and entry["kind"] == "board"
+        assert entry["classification"] == "unsupported"
+        assert entry["unsupported"].startswith("a board of the deleted")
+        assert "untouched" in entry["unsupported"]
 
         code, report = doctor(capsys, str(board), "--repair")
-        assert code == 0
-        assert report["boards"][0]["healthy"] is True
-        assert report["repairs"][0]["actions"]
-        # the orphaned chunk is re-enqueued under a bumped (fencing)
-        # epoch, never double-counted
-        assert (board / "todo" / "00000001.e0001.task").exists()
-        assert not (board / "STOP").exists()
+        assert code == 1
+        assert report["repairs"] == []
+        assert report["boards"][0]["classification"] == "unsupported"
+        assert _tree(tmp_path) == before
 
-    def test_state_directory_audit_includes_boards(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", BOARDS)
+    def test_board_beside_a_journal_is_unsupported(
+        self, tmp_path, capsys, kind
+    ):
         record_journal(tmp_path / "ckpt.jsonl")
-        _make_board(tmp_path, name="ckpt.jsonl.board")
+        board = _make_board(tmp_path, kind, name="ckpt.jsonl.board")
+        before = _tree(board)
+        code, report = doctor(capsys, str(tmp_path))
+        assert code == 1 and report["healthy"] is False
+        assert [j["classification"] for j in report["journals"]] == ["healthy"]
+        assert [(b["path"], b["classification"]) for b in report["boards"]] == [
+            (str(board), "unsupported")
+        ]
+
+        code, report = doctor(capsys, str(tmp_path), "--repair")
+        assert code == 1
+        assert report["repairs"] == []
+        assert [j["classification"] for j in report["journals"]] == ["healthy"]
+        assert _tree(board) == before
+
+    def test_directory_without_leases_is_not_a_board(self, tmp_path, capsys):
+        record_journal(tmp_path / "ckpt.jsonl")
+        for sub in ("todo", "done", "workers"):
+            (tmp_path / "queue" / sub).mkdir(parents=True)
         code, report = doctor(capsys, str(tmp_path))
         assert code == 0
-        assert len(report["journals"]) == 1
-        assert [b["kind"] for b in report["boards"]] == ["board"]
-        assert report["boards"][0]["healthy"] is True
+        assert report["boards"] == []
 
 
 class TestRepair:
@@ -313,7 +354,7 @@ class TestUnsupportedFiles:
         make_file(path, kind)
         code, report = doctor(capsys, str(path))
         assert code == 1
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         journal = report["journals"][0]
         assert journal["classification"] == "unsupported"
         assert journal["version"] == KINDS[kind][0]

@@ -1,12 +1,10 @@
-"""Executor parity and board discipline.
+"""Executor parity.
 
-The pluggable-executor contract: serial, pool, and fleet backends move
+The pluggable-executor contract: the serial and pool backends move
 *scheduling only*.  For the same seed they must produce bit-identical
 estimates, bit-identical per-chunk journal records (timing fields
 aside), and identical deterministic work counters.
 """
-
-from pathlib import Path
 
 import pytest
 
@@ -14,8 +12,6 @@ from repro.perf import PerfCounters
 from repro.rs import RSCode
 from repro.runtime import (
     CheckpointJournal,
-    JournalLock,
-    JournalLockedError,
     RuntimeConfig,
     make_executor,
     scan_journal,
@@ -71,31 +67,29 @@ def _chunk_fields(journal_path):
 
 
 # --------------------------------------------------------------------------
-# three-way parity
+# serial/pool parity
 # --------------------------------------------------------------------------
 
 
 @pytest.mark.chaos
-def test_serial_pool_fleet_journals_bit_identical(tmp_path):
+def test_serial_pool_journals_bit_identical(tmp_path):
     estimates, journals = {}, {}
-    for name, workers in (("serial", 1), ("pool", 2), ("fleet", 2)):
+    for name, workers in (("serial", 1), ("pool", 2)):
         path = tmp_path / f"{name}.jsonl"
         with CheckpointJournal(path) as journal:
             estimates[name] = run(
                 executor=name, workers=workers, journal=journal
             )
         journals[name] = _chunk_fields(path)
-    ref = estimates["serial"]
-    for name in ("pool", "fleet"):
-        est = estimates[name]
-        assert (est.failures, est.trials, est.probability) == (
-            ref.failures,
-            ref.trials,
-            ref.probability,
-        ), name
-        assert est.outcome_counts == ref.outcome_counts, name
-        assert (est.ci_low, est.ci_high) == (ref.ci_low, ref.ci_high), name
-    assert journals["serial"] == journals["pool"] == journals["fleet"]
+    ref, est = estimates["serial"], estimates["pool"]
+    assert (est.failures, est.trials, est.probability) == (
+        ref.failures,
+        ref.trials,
+        ref.probability,
+    )
+    assert est.outcome_counts == ref.outcome_counts
+    assert (est.ci_low, est.ci_high) == (ref.ci_low, ref.ci_high)
+    assert journals["serial"] == journals["pool"]
     assert len(journals["serial"]) == 6  # 300 trials / 50
 
 
@@ -105,7 +99,7 @@ def test_parity_holds_with_adaptive_stopping(tmp_path):
 
     stop = StoppingRule(rel_ci=1.0, min_trials=100)
     results = []
-    for name, workers in (("serial", 1), ("pool", 2), ("fleet", 4)):
+    for name, workers in (("serial", 1), ("pool", 2)):
         with make_executor(name, workers=workers) as executor:
             runtime = RuntimeConfig(executor=executor, stop=stop)
             results.append(
@@ -138,53 +132,8 @@ def test_merged_counters_deterministic_across_executors():
     assert fields[0]["chunks"] == 6
 
 
-# --------------------------------------------------------------------------
-# board single-coordinator discipline
-# --------------------------------------------------------------------------
-
-
-def test_contended_board_surfaces_lock_error(tmp_path):
-    """Building a fleet executor on a held board raises
-    JournalLockedError — the exact exception ``repro campaign`` maps to
-    exit 75."""
-    board = tmp_path / "ckpt.jsonl.board"
-    board.mkdir()
-    holder = JournalLock(board / "board")
-    holder.acquire()
-    try:
-        with pytest.raises(JournalLockedError):
-            make_executor("fleet", workers=2, board_dir=board)
-    finally:
-        holder.release()
-
-
-def test_campaign_on_a_held_board_exits_75(tmp_path, capsys):
-    """``repro campaign --executor fleet --checkpoint J`` derives the
-    board ``J.board``; while another coordinator holds it the campaign
-    exits 75 with one line, before any journal header is written."""
-    from repro.cli import main
-
-    journal_path = tmp_path / "ckpt.jsonl"
-    board = Path(str(journal_path) + ".board")
-    board.mkdir()
-    holder = JournalLock(board / "board")
-    holder.acquire()
-    try:
-        code = main(
-            ["campaign", "--trials", "40", "--chunk-size", "20",
-             "--executor", "fleet", "--workers", "2",
-             "--checkpoint", str(journal_path)]
-        )
-    finally:
-        holder.release()
-    out, err = capsys.readouterr()
-    assert code == 75
-    assert err.count("\n") == 1 and err.startswith("checkpoint locked: ")
-    assert scan_journal(journal_path).chunk_records == []
-
-
-@pytest.mark.parametrize("name", ["threads", "lease"])
+@pytest.mark.parametrize("name", ["threads", "lease", "fleet"])
 def test_make_executor_rejects_unknown_name(name):
     with pytest.raises(ValueError, match="unknown executor") as info:
         make_executor(name)
-    assert "('serial', 'pool', 'fleet')" in str(info.value)
+    assert "('serial', 'pool')" in str(info.value)

@@ -125,7 +125,7 @@ class TestScrubProgress:
     def test_scrub_walks_the_whole_memory_each_period(self):
         stats = run(read_rate=0.0, words=10_000, period=30.0, sim_s=90.0)
         # three periods -> about 30k word steps
-        assert stats.scrub_words_done == pytest.approx(30_000, rel=0.02)
+        assert stats.scrub_words_done == pytest.approx(30_000, rel=0.02, abs=0)
 
     def test_measured_duty_matches_analytic_overhead(self):
         words, period, clock = 50_000, 60.0, 50e6
@@ -138,7 +138,7 @@ class TestScrubProgress:
             clock_hz=clock,
             writeback_cycles=0,  # the DES charges decode latency only
         )
-        assert stats.scrub_duty == pytest.approx(analytic.duty_cycle, rel=0.02)
+        assert stats.scrub_duty == pytest.approx(analytic.duty_cycle, rel=0.02, abs=0)
 
     def test_availability_complements_duty(self):
         stats = run()
@@ -148,7 +148,7 @@ class TestScrubProgress:
 class TestReadService:
     def test_read_throughput_matches_arrival_rate(self):
         stats = run(read_rate=2000.0, sim_s=60.0)
-        assert stats.reads_served == pytest.approx(2000.0 * 60.0, rel=0.05)
+        assert stats.reads_served == pytest.approx(2000.0 * 60.0, rel=0.05, abs=0)
 
     def test_latency_at_least_service_time(self):
         stats = run()
@@ -159,7 +159,7 @@ class TestReadService:
     def test_light_load_latency_close_to_service_time(self):
         stats = run(read_rate=10.0, words=1000, period=600.0)
         service = decoder_timing(18, 16).latency_cycles / 50e6
-        assert stats.mean_read_latency_s == pytest.approx(service, rel=0.05)
+        assert stats.mean_read_latency_s == pytest.approx(service, rel=0.05, abs=0)
 
     def test_heavy_load_increases_latency(self):
         light = run(read_rate=100.0, sim_s=60.0)

@@ -40,7 +40,7 @@ class TestSEUSampling:
         rate, n, m, t = 0.01, 18, 8, 10.0
         counts = [len(sample_seu_events(rng, rate, n, m, t)) for _ in range(300)]
         expected = rate * n * m * t  # 14.4
-        assert np.mean(counts) == pytest.approx(expected, rel=0.1)
+        assert np.mean(counts) == pytest.approx(expected, rel=0.1, abs=0)
 
     def test_deterministic_with_seed(self):
         e1 = sample_seu_events(np.random.default_rng(9), 0.05, 18, 8, 10.0)
@@ -64,7 +64,7 @@ class TestPermanentSampling:
             len(sample_permanent_events(rng, 0.05, 18, 8, 10.0))
             for _ in range(300)
         ]
-        assert np.mean(counts) == pytest.approx(0.05 * 18 * 10.0, rel=0.1)
+        assert np.mean(counts) == pytest.approx(0.05 * 18 * 10.0, rel=0.1, abs=0)
 
 
 class TestScrubSchedule:
@@ -81,7 +81,7 @@ class TestScrubSchedule:
         events = scrub_schedule(10_000.0, 10.0, rng=rng, exponential=True)
         times = [e.time for e in events]
         gaps = np.diff([0.0] + times)
-        assert np.mean(gaps) == pytest.approx(10.0, rel=0.1)
+        assert np.mean(gaps) == pytest.approx(10.0, rel=0.1, abs=0)
 
     def test_exponential_requires_rng(self):
         with pytest.raises(ValueError, match="rng"):

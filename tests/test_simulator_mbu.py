@@ -118,7 +118,7 @@ class TestStrikeSampling:
             )
             for _ in range(200)
         ]
-        assert np.mean(counts) == pytest.approx(rate * 144 * t, rel=0.1)
+        assert np.mean(counts) == pytest.approx(rate * 144 * t, rel=0.1, abs=0)
 
 
 class TestModelAgreement:

@@ -210,7 +210,7 @@ class TestEventSampling:
             len(sample_pattern_events(rng, "1BIT", rate, n, m, t))
             for _ in range(300)
         ]
-        assert np.mean(counts) == pytest.approx(rate * n * m * t, rel=0.1)
+        assert np.mean(counts) == pytest.approx(rate * n * m * t, rel=0.1, abs=0)
 
     def test_1bit_events_are_plain_seu_flips(self):
         rng = np.random.default_rng(4)
@@ -288,7 +288,7 @@ class TestEventSampling:
             )
             for _ in range(300)
         ]
-        assert np.mean(counts) == pytest.approx(rate * n * m * 20.0, rel=0.1)
+        assert np.mean(counts) == pytest.approx(rate * n * m * 20.0, rel=0.1, abs=0)
 
 
 class TestSeededDeterminism:

@@ -331,9 +331,6 @@ def test_task_deadline_is_per_block():
     class Silent(Executor):
         """Takes every submission and never finishes one."""
 
-        name = "silent"
-        self_healing = True
-
         def submit(self, payload):
             self.blocks = payload[1]
             self.submitted = time.monotonic()
