@@ -40,7 +40,7 @@ def test_deep_tail_solver_fidelity(benchmark, save_table):
     uni = model.fail_probability(t, method="uniformization")[0]
     exp = model.fail_probability(t, method="expm")[0]
     assert exact < 1e-15  # deep below expm's absolute floor
-    assert uni == pytest.approx(exact, rel=1e-9)
+    assert uni == pytest.approx(exact, rel=1e-9, abs=0)
     rows = [
         ["closed form (reference)", format_ber(exact), "-"],
         ["uniformization", format_ber(uni), f"{abs(uni - exact) / exact:.1e}"],

@@ -141,21 +141,25 @@ def _build_frontier(
         src = first + live[parent[keep]]
         target, rate = target[keep], rate[keep]
 
-        at = np.searchsorted(seen_keys, target)
-        known = at < seen_keys.size
-        known[known] = seen_keys[at[known]] == target[known]
-        dst = np.empty(target.size, dtype=np.int64)
-        dst[known] = seen_index[at[known]]
-        fresh, first_at, inverse = np.unique(
-            target[~known], return_index=True, return_inverse=True
+        # many moves share a target: look each distinct one up once
+        unique, first_at, inverse = np.unique(
+            target, return_index=True, return_inverse=True
         )
+        at = np.searchsorted(seen_keys, unique)
+        known = at < seen_keys.size
+        known[known] = seen_keys[at[known]] == unique[known]
+        new = ~known
+        fresh = unique[new]
+        # new states are numbered by their first move
         rank = np.empty(fresh.size, dtype=np.int64)
-        rank[np.argsort(first_at)] = np.arange(fresh.size)
-        dst[~known] = count + rank[inverse]
+        rank[np.argsort(first_at[new])] = np.arange(fresh.size)
+        ids = np.empty(unique.size, dtype=np.int64)
+        ids[known] = seen_index[at[known]]
+        ids[new] = count + rank
+        dst = ids[inverse]
 
-        slots = np.searchsorted(seen_keys, fresh)
-        seen_keys = np.insert(seen_keys, slots, fresh)
-        seen_index = np.insert(seen_index, slots, count + rank)
+        seen_keys = np.insert(seen_keys, at[new], fresh)
+        seen_index = np.insert(seen_index, at[new], count + rank)
         frontier = np.empty_like(fresh)
         frontier[rank] = fresh
         first, count = count, count + fresh.size

@@ -166,7 +166,9 @@ class CTMC:
         ``method`` is one of ``"uniformization"`` (positive-term series,
         excellent *relative* accuracy even for deep-tail probabilities),
         ``"expm"`` (scipy matrix exponential stepping) or ``"ode"``
-        (RK45 integration of the Kolmogorov forward equations).
+        (RK45 integration of the Kolmogorov forward equations).  Keyword
+        arguments go to the solver; ``columns=[i, ...]`` keeps only those
+        states' columns.
         """
         from . import solvers
 
@@ -186,9 +188,13 @@ class CTMC:
         method: str = "uniformization",
         **kwargs,
     ) -> np.ndarray:
-        """Probability of occupying ``state`` at each time point."""
-        probs = self.transient(times, method=method, **kwargs)
-        return probs[:, self.index[state]]
+        """Probability of occupying ``state`` at each time point.
+
+        Only that state's column is asked of the solver (its ``columns``
+        argument), with the same bits as the full solution's column.
+        """
+        column = [self.index[state]]
+        return self.transient(times, method=method, columns=column, **kwargs)[:, 0]
 
     def stationary_distribution(self) -> np.ndarray:
         """Stationary distribution ``pi`` with ``pi Q = 0``, ``sum pi = 1``.

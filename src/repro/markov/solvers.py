@@ -28,6 +28,7 @@ import sys
 from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy import sparse
 
 from ..obs import metrics, trace
@@ -41,6 +42,7 @@ def uniformization_propagate(
     rtol: float = 1e-14,
     max_terms: int = 2_000_000,
     min_terms: int | None = None,
+    columns: ArrayLike | None = None,
 ) -> np.ndarray:
     """Advance a distribution ``p0`` by time ``t`` via uniformization.
 
@@ -74,6 +76,14 @@ def uniformization_propagate(
     ``fallback`` (whether the log-domain large-``L·t`` path ran) —
     scalars for a scalar ``t``, lists aligned with the grid otherwise —
     and ``products``, the sparse kernel products the call performed.
+
+    ``columns`` (a 1-D sequence of state indices) restricts the result to
+    those states, in that order: the same bits as the full call's
+    ``[..., columns]``.  A series whose length is known before it starts
+    (every time's weight underflows by term ``min_terms``, before the
+    stopping test first reads a sum) then adds up only those columns; any
+    other series sums every state, because the stopping test reads the
+    smallest positive entry of the whole distribution.
     """
     grid = np.ndim(t) != 0
     times = np.atleast_1d(np.asarray(t, dtype=float))
@@ -90,7 +100,12 @@ def uniformization_propagate(
     ) as sp:
         registry.counter("repro.solver.uniformization.calls").inc()
         v = np.asarray(p0, dtype=float)
-        result = np.tile(v, (times.size, 1))  # a zero time keeps p0
+        if columns is not None:
+            columns = np.asarray(columns, dtype=np.intp)
+            if columns.ndim != 1:
+                raise ValueError("columns must be a 1-D sequence of state indices")
+        read = slice(None) if columns is None else columns
+        result = np.tile(v[read], (times.size, 1))  # a zero time keeps p0
         info = [
             {"lt": 0.0, "terms_used": 0, "tail_bound": 0.0, "fallback": False}
             for _ in range(times.size)
@@ -122,12 +137,21 @@ def uniformization_propagate(
                 # fallback, whose relative weights never leave the normal
                 # range.
                 registry.counter("repro.solver.uniformization.fallbacks").inc()
-                result[i], window = _uniformization_large_lt(v, kernel, lt, rtol)
+                full, window = _uniformization_large_lt(v, kernel, lt, rtol)
+                result[i] = full[read]
                 products += window.pop("products")
                 info[i].update(window, fallback=True)
             if summing:
                 products += _poisson_series(
-                    kernel, v, summing, info, result, rtol, max_terms, min_terms
+                    kernel,
+                    v,
+                    columns,
+                    summing,
+                    info,
+                    result,
+                    rtol,
+                    max_terms,
+                    min_terms,
                 )
         if grid:
             keys = dict.fromkeys(key for entry in info for key in entry)
@@ -141,6 +165,7 @@ def uniformization_propagate(
 def _poisson_series(
     kernel: sparse.spmatrix,
     v: np.ndarray,
+    columns: np.ndarray | None,
     summing: list,
     info: list,
     result: np.ndarray,
@@ -154,25 +179,36 @@ def _poisson_series(
     array operation below acts on each row as the scalar recursion would
     on that time alone, so each time's weights, sum and stopping test are
     bit-identical to a separate call.  A time that stops leaves the
-    arrays, its row copied into ``result`` and its truncation into
-    ``info``.  Returns the number of kernel products.
+    arrays, its row (restricted to ``columns``, when given) copied into
+    ``result`` and its truncation into ``info``.  Returns the number of
+    kernel products.
     """
-    # scipy computes ``v @ kernel`` as ``kernel.transpose() @ v``; build
-    # that transpose once instead of once per product
-    kernel_t = kernel.transpose()
+    # ``v @ kernel`` is ``kernel.T @ v``.  The CSR form of the transpose
+    # (sorted indices) gathers each entry's sum in increasing source
+    # order, as the CSC form scatters it, so each term has the same bits;
+    # the gather is the faster of the two.
+    kernel_t = kernel.transpose().tocsr()
     live = np.array(summing)
     lt = np.array([info[i]["lt"] for i in summing])
     # math.exp, not np.exp: the two can differ by an ulp, and the golden
     # BER vectors were computed from math.exp start weights
     weight = np.array([math.exp(-x) for x in lt.tolist()])
-    acc = weight[:, None] * v
+    # ``acc`` sums the states ``summed``; ``read`` picks the columns that
+    # are read out of it
+    summed = read = slice(None)
+    if columns is not None:
+        if _ends_by_underflow(weight, lt, min_terms):
+            summed = columns
+        else:
+            read = columns
+    acc = weight[:, None] * v[summed]
     tail = np.full(live.size, np.inf)
     j = 0
     while live.size and j < max_terms:
         j += 1
         v = kernel_t @ v
         weight *= lt / j
-        acc += weight[:, None] * v
+        acc += weight[:, None] * v[summed]
         stop = weight == 0.0
         tail[stop] = 0.0
         if j >= min_terms:
@@ -189,12 +225,29 @@ def _poisson_series(
                 floor[floor == np.inf] = 1.0
                 stop[test] = bound < np.maximum(rtol * floor, 1e-305)
         if stop.any():
-            _finish(stop, j, live, acc, tail, info, result)
+            _finish(stop, j, live, acc[:, read], tail, info, result)
             keep = ~stop
             live, lt, weight = live[keep], lt[keep], weight[keep]
             acc, tail = acc[keep], tail[keep]
-    _finish(np.ones(live.size, dtype=bool), j, live, acc, tail, info, result)
+    _finish(np.ones(live.size, dtype=bool), j, live, acc[:, read], tail, info, result)
     return j
+
+
+def _ends_by_underflow(weight: np.ndarray, lt: np.ndarray, min_terms: int) -> bool:
+    """Whether every time's Poisson weight underflows to 0 by term
+    ``min_terms``.
+
+    Runs :func:`_poisson_series`' own ``weight *= lt / j`` recursion on
+    the weights alone, so the answer is exact.  When it holds, each series
+    ends at its underflow term and the stopping test never reads a sum: it
+    first runs at ``j = min_terms`` and skips a time whose weight is 0.
+    """
+    weight = weight.copy()
+    for j in range(1, min_terms + 1):
+        weight *= lt / j
+        if not weight.any():
+            return True
+    return False
 
 
 def _finish(stop, j, live, acc, tail, info, result) -> None:
@@ -212,6 +265,7 @@ def transient_uniformization(
     times: np.ndarray,
     rtol: float = 1e-14,
     max_terms: int = 2_000_000,
+    columns: ArrayLike | None = None,
 ) -> np.ndarray:
     """Transient solution by uniformization (Jensen's method).
 
@@ -227,6 +281,7 @@ def transient_uniformization(
     from ``e^{-Lt}``; for the paper's rates and horizons ``L t`` stays far
     from the underflow regime (a log-domain fallback covers the rest).
     The whole grid is one :func:`uniformization_propagate` pass.
+    ``columns`` keeps only those states' columns, as in that function.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
@@ -237,7 +292,12 @@ def transient_uniformization(
         n_times=len(times),
     ):
         return uniformization_propagate(
-            chain.rate_matrix, chain.p0, times, rtol=rtol, max_terms=max_terms
+            chain.rate_matrix,
+            chain.p0,
+            times,
+            rtol=rtol,
+            max_terms=max_terms,
+            columns=columns,
         )
 
 
@@ -302,7 +362,9 @@ def _uniformization_large_lt(
     return acc / total, window
 
 
-def transient_expm(chain: CTMC, times: np.ndarray) -> np.ndarray:
+def transient_expm(
+    chain: CTMC, times: np.ndarray, columns: ArrayLike | None = None
+) -> np.ndarray:
     """Transient solution by stepping with scipy's matrix exponential.
 
     Sorts the time grid and propagates ``p`` across each interval with
@@ -316,7 +378,8 @@ def transient_expm(chain: CTMC, times: np.ndarray) -> np.ndarray:
 
     The span ``"transient_expm"`` reports ``pade_evals`` (cache misses)
     and ``cache_hits``; the same counts accumulate in the metrics
-    registry under ``repro.solver.expm.*``.
+    registry under ``repro.solver.expm.*``.  ``columns`` keeps only
+    those states' columns of the result.
     """
     from scipy.linalg import expm
 
@@ -352,7 +415,7 @@ def transient_expm(chain: CTMC, times: np.ndarray) -> np.ndarray:
         sp.set_attrs(pade_evals=pade_evals, cache_hits=cache_hits)
         registry.counter("repro.solver.expm.pade_evals").inc(pade_evals)
         registry.counter("repro.solver.expm.cache_hits").inc(cache_hits)
-        return result
+        return result if columns is None else result[:, columns]
 
 
 def transient_ode(
@@ -360,8 +423,12 @@ def transient_ode(
     times: np.ndarray,
     rtol: float = 1e-10,
     atol: float = 1e-14,
+    columns: ArrayLike | None = None,
 ) -> np.ndarray:
-    """Transient solution by integrating ``dp/dt = p Q`` with RK45."""
+    """Transient solution by integrating ``dp/dt = p Q`` with RK45.
+
+    ``columns`` keeps only those states' columns of the result.
+    """
     from scipy.integrate import solve_ivp
 
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -372,9 +439,10 @@ def transient_ode(
     def rhs(_t: float, p: np.ndarray) -> np.ndarray:
         return qt @ p
 
+    read = slice(None) if columns is None else columns
     t_max = float(times.max())
     if t_max == 0.0:
-        return np.tile(chain.p0, (len(times), 1))
+        return np.tile(chain.p0[read], (len(times), 1))
     with trace.span(
         "transient_ode", n_states=chain.num_states, n_times=len(times)
     ) as sp:
@@ -390,7 +458,7 @@ def transient_ode(
         if not sol.success:
             raise RuntimeError(f"ODE transient solve failed: {sol.message}")
         sp.set_attrs(rhs_evaluations=int(sol.nfev))
-        lookup = {t: sol.y[:, i] for i, t in enumerate(sol.t)}
+        lookup = {t: sol.y[read, i] for i, t in enumerate(sol.t)}
         return np.array([lookup[t] for t in times])
 
 

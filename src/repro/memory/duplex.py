@@ -213,7 +213,8 @@ class DuplexFrontier:
 
     def decode(self, keys: np.ndarray) -> List[object]:
         keys = np.asarray(keys, dtype=np.int64)
-        labels = list(map(tuple, self._unpack(keys).tolist()))
+        # one list per component, zipped into tuples: no list per state
+        labels = list(zip(*self._unpack(keys).T.tolist()))
         for i in np.flatnonzero(keys == self.SINK).tolist():
             labels[i] = FAIL
         return labels

@@ -27,7 +27,8 @@ target                    layers                   compares
 ``rs-batch-scalar``       gf, rs                   batch codec vs scalar codec, word for word
 ``markov-transient``      markov                   uniformization vs expm vs Taylor oracle,
                                                    and the uniformization grid pass vs
-                                                   per-time calls, exactly
+                                                   per-time calls and a column subset vs
+                                                   the full solution's columns, exactly
 ``memory-analytic``       memory, markov           closed-form fail probability vs CTMC,
                                                    and (duplex) the frontier-built chain
                                                    vs the per-state build, exactly
@@ -60,6 +61,8 @@ target                    layers                   compares
 
 from __future__ import annotations
 
+import json
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -545,12 +548,33 @@ def _induced_batch_bug(case: Case) -> Optional[Mismatch]:
 #: is relatively accurate, so the absolute gap is bounded by the same.
 _TRANSIENT_ATOL = 1e-9
 
+#: A ``min_terms`` past the Poisson-weight underflow term of every time
+#: that does not take the large-``L·t`` fallback (the series runs for
+#: ``L·t`` below ~708, whose weights underflow within ~2,000 terms), so
+#: the series length is fixed in advance and the column path sums only
+#: the columns it returns.
+_FIXED_LENGTH_MIN_TERMS = 10_000
+
+
+def _case_columns(case: Case, num_states: int) -> np.ndarray:
+    """A random nonempty set of distinct state indices in random order,
+    drawn from a generator seeded by the case's own JSON, so a replayed
+    or shrunk case needs no extra field."""
+    seed = zlib.crc32(json.dumps(case, sort_keys=True).encode())
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, num_states + 1))
+    return rng.choice(num_states, size=size, replace=False)
+
 
 def _check_markov_transient(case: Case) -> Optional[Mismatch]:
     """Uniformization vs scipy expm vs truncated-Taylor oracle.
 
     The uniformization grid pass must also equal one scalar propagation
     per time exactly: each time keeps its own weights and stopping test.
+    Asked for a set of columns, it must return the full solution's
+    columns exactly, on the default series (which sums every state when
+    the stopping test can fire) and on a fixed-length one (which sums
+    only those columns).
     """
     from ..markov.solvers import (
         transient_expm,
@@ -581,6 +605,30 @@ def _check_markov_transient(case: Case) -> Optional[Mismatch]:
                 ),
             },
         )
+    columns = _case_columns(case, chain.num_states)
+    fixed = {"min_terms": _FIXED_LENGTH_MIN_TERMS}
+    rates, p0 = chain.rate_matrix, chain.p0
+    column_pairs = {
+        "default": (
+            transient_uniformization(chain, times, columns=columns),
+            solutions["uniformization"][:, columns],
+        ),
+        "fixed-length": (
+            uniformization_propagate(rates, p0, times, columns=columns, **fixed),
+            uniformization_propagate(rates, p0, times, **fixed)[:, columns],
+        ),
+    }
+    for series, (got, want) in column_pairs.items():
+        if not np.array_equal(got, want):
+            return Mismatch(
+                "uniformization columns differ from the full solution's",
+                {
+                    "series": series,
+                    "columns": columns.tolist(),
+                    "times": times,
+                    "max_abs_diff": float(np.abs(got - want).max()),
+                },
+            )
     for name, sol in solutions.items():
         row_sums = sol.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > 1e-8):
@@ -1633,7 +1681,8 @@ register_target(
         description=(
             "Uniformization vs scipy expm vs a truncated-Taylor oracle "
             "on random well-formed CTMCs (absorbing rows, frozen chains, "
-            "stiff rate spreads); the grid pass vs per-time calls exactly"
+            "stiff rate spreads); the grid pass vs per-time calls and the "
+            "column path vs the full solution's columns exactly"
         ),
         generate=gen.gen_ctmc_case,
         check=_check_markov_transient,

@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 from scipy.stats import erlang
 
-from repro.markov import CTMC
+from repro.markov import CTMC, solvers
 from repro.markov.solvers import (
     TRANSIENT_SOLVERS,
     transient_expm,
@@ -15,7 +15,9 @@ from repro.markov.solvers import (
     transient_uniformization,
     uniformization_propagate,
 )
-from repro.obs import trace
+from repro.memory import FAIL, duplex_model
+from repro.obs import metrics, trace
+from repro.verify.generators import build_ctmc_from_case, case_rng, gen_ctmc_case
 
 
 def erlang_chain(stages: int, rate: float) -> CTMC:
@@ -391,3 +393,242 @@ class TestExpmStepCache:
         probs = chain.transient([1.0])
         assert probs.shape == (1, 3)
         assert probs[0, 0] == pytest.approx(math.exp(-2.0), rel=1e-10, abs=0)
+
+
+def _reference_series(
+    kernel, v, columns, summing, info, result, rtol, max_terms, min_terms
+):
+    """The Poisson series before the column path: the CSC transpose
+    product and every state summed.  It stands in for
+    ``solvers._poisson_series`` on a full call (``columns`` None), as the
+    reference the column path must reproduce bit for bit."""
+    assert columns is None
+    kernel_t = kernel.transpose()
+    live = np.array(summing)
+    lt = np.array([info[i]["lt"] for i in summing])
+    weight = np.array([math.exp(-x) for x in lt.tolist()])
+    acc = weight[:, None] * v
+    tail = np.full(live.size, np.inf)
+    j = 0
+    while live.size and j < max_terms:
+        j += 1
+        v = kernel_t @ v
+        weight *= lt / j
+        acc += weight[:, None] * v
+        stop = weight == 0.0
+        tail[stop] = 0.0
+        if j >= min_terms:
+            ratio = lt / (j + 2)
+            test = ~stop & (ratio < 1.0)
+            if test.any():
+                r = ratio[test]
+                tail[test] = bound = weight[test] * r / (1.0 - r)
+                rows = acc[test]
+                floor = np.where(rows > 0.0, rows, np.inf).min(axis=1)
+                floor[floor == np.inf] = 1.0
+                stop[test] = bound < np.maximum(rtol * floor, 1e-305)
+        if stop.any():
+            _reference_finish(stop, j, live, acc, tail, info, result)
+            keep = ~stop
+            live, lt, weight = live[keep], lt[keep], weight[keep]
+            acc, tail = acc[keep], tail[keep]
+    _reference_finish(np.ones(live.size, dtype=bool), j, live, acc, tail, info, result)
+    return j
+
+
+def _reference_finish(stop, j, live, acc, tail, info, result):
+    terms = metrics.get_registry().counter("repro.solver.uniformization.terms")
+    for r in np.flatnonzero(stop).tolist():
+        i = int(live[r])
+        result[i] = acc[r]
+        info[i].update(terms_used=j, tail_bound=float(tail[r]))
+        terms.inc(j)
+
+
+def _propagate(rates, p0, times, series=None, underflow=None, **kwargs):
+    """One traced ``uniformization_propagate`` call in a fresh metrics
+    registry: ``(result, span attributes, terms counter)``.  ``series``
+    and ``underflow`` stand in for ``_poisson_series`` and
+    ``_ends_by_underflow`` when given."""
+    registry = metrics.MetricsRegistry()
+    previous = metrics.set_registry(registry)
+    collector = trace.TraceCollector()
+    try:
+        with pytest.MonkeyPatch.context() as patch, trace.use_collector(collector):
+            if series is not None:
+                patch.setattr(solvers, "_poisson_series", series)
+            if underflow is not None:
+                patch.setattr(solvers, "_ends_by_underflow", underflow)
+            out = uniformization_propagate(rates, p0, times, **kwargs)
+    finally:
+        metrics.set_registry(previous)
+    [span] = collector.spans("uniformization_propagate")
+    terms = registry.counter("repro.solver.uniformization.terms").value
+    return out, span["attrs"], terms
+
+
+def _branches(monkeypatch):
+    """Record each ``_ends_by_underflow`` answer: True is the column sum."""
+    answers = []
+    ends_by_underflow = solvers._ends_by_underflow
+
+    def spy(*args):
+        answers.append(ends_by_underflow(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(solvers, "_ends_by_underflow", spy)
+    return answers
+
+
+def _assert_columns_match_reference(rates, p0, times, columns, **kwargs):
+    """The column path against the reference's full solution, sliced."""
+    got, attrs, terms = _propagate(rates, p0, times, columns=columns, **kwargs)
+    full, ref_attrs, ref_terms = _propagate(
+        rates, p0, times, series=_reference_series, **kwargs
+    )
+    want = full if columns is None else full[..., columns]
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    for key in ("terms_used", "tail_bound", "products", "fallback"):
+        assert attrs[key] == ref_attrs[key], key
+    assert terms == ref_terms
+    return attrs
+
+
+def _duplex_chain(n, scrub):
+    return duplex_model(
+        n,
+        16,
+        seu_per_bit_day=1e-3,
+        erasure_per_symbol_day=1e-4,
+        scrub_period_seconds=scrub,
+    ).chain
+
+
+class TestColumnPath:
+    """``columns`` returns the full solution's columns bit for bit: a
+    series whose length is known in advance sums only those columns,
+    any other sums every state and slices; both use the gather product."""
+
+    GRID = np.array([48.0, 0.0, 12.0, 48.0, 6.0])
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_random_generator_chains(self, trial):
+        chain = build_ctmc_from_case(gen_ctmc_case(case_rng(2005, trial)))
+        rng = np.random.default_rng(trial)
+        times = np.concatenate([[0.0], rng.uniform(0.0, 5.0, 3)])
+        rates, p0 = chain.rate_matrix, chain.p0
+        subset = rng.choice(chain.num_states, size=2, replace=False)
+        for columns in (None, [0], subset, np.arange(chain.num_states)[::-1]):
+            _assert_columns_match_reference(rates, p0, times, columns)
+            # a min_terms past every underflow term: the column sum runs
+            _assert_columns_match_reference(
+                rates, p0, times, columns, min_terms=10_000
+            )
+
+    @pytest.mark.parametrize("n", [18, 24], ids=["RS(18,16)", "RS(24,16)"])
+    @pytest.mark.parametrize("scrub", [None, 3600.0], ids=["no-scrub", "scrub"])
+    def test_duplex_chains(self, monkeypatch, n, scrub):
+        chain = _duplex_chain(n, scrub)
+        answers = _branches(monkeypatch)
+        fail = chain.index[FAIL]
+        for columns in (None, [fail], [fail, 0, 3]):
+            _assert_columns_match_reference(
+                chain.rate_matrix, chain.p0, self.GRID, columns
+            )
+        # RS(24,16)'s 5,293 states make min_terms 5,294, past the weight
+        # underflow; RS(18,16)'s 144 states leave the stopping test to fire
+        assert answers == [n == 24] * 2
+
+    def test_fail_probability_is_the_full_column(self):
+        for n, scrub in [(18, None), (24, 3600.0)]:
+            model = duplex_model(
+                n, 16, seu_per_bit_day=1e-3, scrub_period_seconds=scrub
+            )
+            full = model.chain.transient(self.GRID)
+            column = full[:, model.chain.index[FAIL]]
+            assert np.array_equal(model.fail_probability(self.GRID), column)
+
+    def test_min_terms_below_at_and_above_the_underflow_term(self, monkeypatch):
+        chain = _duplex_chain(18, 3600.0)
+        rates, p0 = chain.rate_matrix, chain.p0
+        # with the stopping test out of reach, each time ends at the term
+        # where its weight underflows
+        _, attrs, _ = _propagate(rates, p0, self.GRID, min_terms=10**6)
+        assert attrs["tail_bound"] == [0.0] * len(self.GRID)
+        last = max(attrs["terms_used"])
+        answers = _branches(monkeypatch)
+        for min_terms, column_sum in [
+            (1, False),
+            (last - 1, False),
+            (last, True),
+            (last + 1, True),
+        ]:
+            answers.clear()
+            _assert_columns_match_reference(
+                rates, p0, self.GRID, [chain.index[FAIL], 0], min_terms=min_terms
+            )
+            assert answers == [column_sum], min_terms
+
+    def test_forcing_the_column_sum_where_the_stopping_test_fires_differs(self):
+        """Why the full-sum branch exists: the stopping test reads the
+        smallest positive entry of the whole sum, so summing only the read
+        column stops the series early and changes the bits."""
+        chain = _duplex_chain(18, 3600.0)
+        rates, p0 = chain.rate_matrix, chain.p0
+        kwargs = {"columns": [0], "min_terms": 1}
+        honest, honest_attrs, _ = _propagate(rates, p0, self.GRID, **kwargs)
+        forced, forced_attrs, _ = _propagate(
+            rates, p0, self.GRID, underflow=lambda *args: True, **kwargs
+        )
+        assert not np.array_equal(forced, honest)
+        assert max(forced_attrs["terms_used"]) < max(honest_attrs["terms_used"])
+        _assert_columns_match_reference(rates, p0, self.GRID, **kwargs)
+
+    @pytest.mark.parametrize("min_terms", [None, 10_000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unsorted_duplicate_and_zero_times(self, seed, min_terms):
+        chain = random_chain(np.random.default_rng(seed), 6)
+        times = np.array([1.3, 0.0, 0.4, 1.3, 2.9, 0.0, 0.05])
+        for columns in ([5, 0], [2]):
+            _assert_columns_match_reference(
+                chain.rate_matrix, chain.p0, times, columns, min_terms=min_terms
+            )
+
+    @pytest.mark.parametrize("min_terms", [None, 10_000])
+    def test_grid_with_a_large_lt_fallback_time(self, monkeypatch, min_terms):
+        chain = CTMC(
+            ["A", "B", "C"],
+            [("A", "B", 1000.0), ("B", "A", 1000.0), ("A", "C", 1e-3)],
+            "A",
+        )
+        times = np.array([0.01, 0.8, 0.0, 0.3, 0.8])  # L*0.8 ~ 800: fallback
+        answers = _branches(monkeypatch)
+        attrs = _assert_columns_match_reference(
+            chain.rate_matrix, chain.p0, times, [2, 0], min_terms=min_terms
+        )
+        assert attrs["fallback"] == [False, True, False, False, True]
+        assert answers == [min_terms is not None]
+
+    def test_scalar_time_keeps_a_1d_result(self):
+        chain = random_chain(np.random.default_rng(8), 5)
+        rates, p0 = chain.rate_matrix, chain.p0
+        out = uniformization_propagate(rates, p0, 1.0, columns=[4, 1])
+        assert out.shape == (2,)
+        assert np.array_equal(out, uniformization_propagate(rates, p0, 1.0)[[4, 1]])
+
+    def test_columns_must_be_1d(self):
+        chain = random_chain(np.random.default_rng(9), 3)
+        with pytest.raises(ValueError, match="1-D"):
+            uniformization_propagate(chain.rate_matrix, chain.p0, 1.0, columns=1)
+
+    @pytest.mark.parametrize("method", sorted(TRANSIENT_SOLVERS))
+    def test_every_solver_honours_columns(self, method):
+        chain = random_chain(np.random.default_rng(10), 5)
+        times = np.array([0.0, 0.7, 2.0])
+        full = chain.transient(times, method=method)
+        columns = chain.transient(times, method=method, columns=[3, 0])
+        assert np.array_equal(columns, full[:, [3, 0]])
+        assert np.array_equal(
+            chain.state_probability(3, times, method=method), full[:, 3]
+        )

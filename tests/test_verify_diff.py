@@ -157,6 +157,31 @@ def test_markov_transient_flags_grid_pass_drift(monkeypatch):
     assert "grid pass" in mismatch.description
 
 
+@pytest.mark.parametrize("series", ["default", "fixed-length"])
+def test_markov_transient_flags_column_path_drift(monkeypatch, series):
+    """Columns one ulp off the full solution's are a mismatch, on the
+    default series and on the fixed-length one (an explicit min_terms)."""
+    import numpy as np
+
+    from repro.markov import solvers
+
+    propagate = solvers.uniformization_propagate
+
+    def drifted(*args, columns=None, min_terms=None, **kwargs):
+        out = propagate(*args, columns=columns, min_terms=min_terms, **kwargs)
+        fixed = min_terms is not None
+        if columns is None or fixed != (series == "fixed-length"):
+            return out
+        return np.nextafter(out, np.inf)
+
+    monkeypatch.setattr(solvers, "uniformization_propagate", drifted)
+    target = get_target("markov-transient")
+    mismatch = target.check(target.generate(case_rng(1234, 0)))
+    assert isinstance(mismatch, Mismatch)
+    assert "columns differ" in mismatch.description
+    assert mismatch.detail["series"] == series
+
+
 def test_memory_analytic_flags_frontier_build_drift(monkeypatch):
     """A frontier-built duplex chain one ulp off the per-state build is a
     mismatch, although the closed form still agrees to 1e-6."""
