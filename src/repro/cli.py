@@ -44,6 +44,7 @@ chunk failed every attempt (completed chunks stay journaled).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -61,7 +62,6 @@ CHUNK_SIZE_HELP = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .runtime.executors import EXECUTOR_NAMES
     from .simulator.campaign import ENGINES
 
     parser = argparse.ArgumentParser(
@@ -199,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="processes for the batch engine (estimates are "
-        "seed-deterministic regardless of this value)",
+        help="processes for the batch engine; 1 runs in-process "
+        "(estimates are seed-deterministic regardless of this value)",
     )
     camp.add_argument(
         "--chunk-size",
@@ -268,16 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(batch engine only)",
     )
     camp.add_argument(
-        "--executor",
-        choices=("auto", *EXECUTOR_NAMES),
-        default="auto",
-        help="chunk dispatch backend (batch engine only): 'serial' runs "
-        "in-process, 'pool' uses the process pool; 'auto' (default) "
-        "picks serial for --workers 1, else pool.  One executor serves "
-        "the whole campaign; estimates are bit-identical for every "
-        "choice",
-    )
-    camp.add_argument(
         "--stop-rel-ci",
         type=float,
         default=None,
@@ -286,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "halfwidth ((hi-lo)/2 divided by the estimate) of the contiguous "
         "chunk prefix reaches WIDTH (e.g. 0.1 = ±10%%); the stopping "
         "point is a deterministic function of the seed, identical for "
-        "any --workers or --executor (batch engine only)",
+        "any --workers (batch engine only)",
     )
     camp.add_argument(
         "--min-trials",
@@ -417,11 +407,22 @@ def _out(text: str = "") -> None:
         _stdout_gone()
 
 
+def _too_few_points(points: int) -> bool:
+    """Print the usage error for a time grid without t = 0 and the
+    horizon, if ``points`` gives one."""
+    if points < 2:
+        print("--points must be >= 2 (t = 0 and the horizon)", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_figure(args: argparse.Namespace) -> int:
     from .analysis import ALL_FIGURES, render_ber_table
     from .analysis.export import experiment_to_csv
     from .memory import HOURS_PER_MONTH
 
+    if _too_few_points(args.points):
+        return 2
     ids = list(ALL_FIGURES) if "all" in args.ids else args.ids
     unknown = [i for i in ids if i not in ALL_FIGURES]
     if unknown:
@@ -453,6 +454,11 @@ def cmd_ber(args: argparse.Namespace) -> int:
     from .analysis import render_ber_table
     from .memory import ber_curve, duplex_model, simplex_model
 
+    if _too_few_points(args.points):
+        return 2
+    if not 0 <= args.hours < math.inf:
+        print("--hours must be finite and >= 0", file=sys.stderr)
+        return 2
     factory = simplex_model if args.arrangement == "simplex" else duplex_model
     model = factory(
         args.n,
@@ -572,6 +578,8 @@ def cmd_scrub_design(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from .analysis import write_report
 
+    if _too_few_points(args.points):
+        return 2
     path = write_report(args.output, points=args.points)
     _out(f"wrote {path}")
     return 0
@@ -707,13 +715,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.executor != "auto" and not batch:
-        print(
-            "--executor requires the batch engine (the reference "
-            "loop has no chunks to dispatch)",
-            file=sys.stderr,
-        )
-        return 2
     if args.stop_rel_ci is not None and not batch:
         print(
             "--stop-rel-ci requires the batch engine (adaptive "
@@ -742,6 +743,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     if args.max_retries < 1:
         print("--max-retries must be >= 1", file=sys.stderr)
+        return 2
+    if args.chunk_timeout is not None and not 0 < args.chunk_timeout < math.inf:
+        print("--chunk-timeout must be finite and > 0", file=sys.stderr)
         return 2
     try:
         chaos = chaos_from_arg(args.chaos)
@@ -789,7 +793,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print(f"checkpoint unusable: {exc}", file=sys.stderr)
         return 2
     # One executor for the whole campaign; every cell shares it.
-    executor = make_executor(args.executor, args.workers) if batch else None
+    executor = make_executor(args.workers) if batch else None
     resumed = journal is not None and journal.n_chunks > 0
     if resumed:
         _out(
@@ -894,7 +898,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 130
     finally:
         if executor is not None:
-            executor.close()
+            executor.shutdown()
         if journal is not None:
             journal.close()
             counters.io_errors += journal.io_errors

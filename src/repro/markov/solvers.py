@@ -330,9 +330,12 @@ def _uniformization_large_lt(
     j_hi = centre + half
     v = p0.copy()
     products = 0
-    if j_lo > 4096:
+    n = kernel.shape[0]
+    if j_lo > 4096 and n**3 * math.log2(j_lo) < kernel.nnz * j_lo:
         # jump to the window with dense repeated squaring instead of j_lo
-        # individual matvecs (j_lo can be 1e7+ when L*t is extreme)
+        # individual matvecs (j_lo can be 1e7+ when L*t is extreme), where
+        # its ~log2(j_lo) dense n x n products cost less than j_lo sparse
+        # ones
         v = v @ np.linalg.matrix_power(kernel.toarray(), j_lo)
     else:
         for _ in range(j_lo):

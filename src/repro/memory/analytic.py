@@ -52,6 +52,15 @@ def _check_scope(rates: FaultRates) -> None:
         )
 
 
+def _times(times: Sequence[float]) -> np.ndarray:
+    """The time grid as a 1-D float array; negative times are refused,
+    as the chain solvers refuse them."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0):
+        raise ValueError("times must be nonnegative")
+    return times
+
+
 def _binomial_tail(n: int, p: float, threshold: int) -> float:
     """``P(Binomial(n, p) > threshold)`` summed in the log domain.
 
@@ -99,7 +108,7 @@ def simplex_fail_probability(
     ``t_code = (n - k) // 2`` (i.e. ``2 re > n - k``).
     """
     _check_scope(model.rates)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _times(times)
     out = np.zeros(len(times))
     if model.rates.erasure_per_symbol > 0:
         rate = model.rates.erasure_per_symbol
@@ -150,7 +159,7 @@ def duplex_permanent_fail_probability(
     Both per-word conditions degenerate to ``X <= n - k``, so FAIL iff the
     count of doubly-erased pairs exceeds ``n - k``.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _times(times)
     out = np.zeros(len(times))
     lam_e = model.rates.erasure_per_symbol
     if lam_e == 0.0:
@@ -189,7 +198,7 @@ def duplex_transient_fail_probability(
     the per-pair damage vector (w1, w2) in {(0,0), (1,0), (0,1), (1,1)}
     (e1, e2 and ec contributions), with positive accumulations throughout.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _times(times)
     out = np.zeros(len(times))
     flip = model.m * model.rates.seu_per_bit
     if flip == 0.0:

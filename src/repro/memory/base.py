@@ -95,7 +95,10 @@ class MemoryMarkovModel(ABC):
         chain = self.chain
         if FAIL not in chain.index:
             # fault rates of zero: Fail is unreachable
-            return np.zeros(len(np.atleast_1d(np.asarray(times))))
+            times = np.atleast_1d(np.asarray(times, dtype=float))
+            if np.any(times < 0):
+                raise ValueError("times must be nonnegative")
+            return np.zeros(len(times))
         return chain.state_probability(FAIL, times, method=method, **kwargs)
 
     def ber(

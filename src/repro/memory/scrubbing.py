@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from ..markov import CTMC
 from ..markov.solvers import uniformization_propagate
@@ -176,14 +177,11 @@ def _unit_vector(n: int, i: int) -> np.ndarray:
     return v
 
 
-def _scrub_matrix(model: MemoryMarkovModel, chain: CTMC) -> np.ndarray:
-    """Stochastic matrix applying one scrub to every state's mass."""
+def _scrub_matrix(model: MemoryMarkovModel, chain: CTMC) -> sparse.csr_matrix:
+    """Stochastic matrix applying one scrub to every state's mass: row
+    ``i`` holds a single 1, in the column of state ``i``'s scrub image."""
     n = chain.num_states
-    mat = np.zeros((n, n))
-    images: Dict[int, int] = {}
-    for idx, state in enumerate(chain.states):
-        image = scrub_image(model, state)
-        images[idx] = chain.index[image]
-    for src, dst in images.items():
-        mat[src, dst] = 1.0
-    return mat
+    images = [chain.index[scrub_image(model, state)] for state in chain.states]
+    return sparse.csr_matrix(
+        (np.ones(n), images, np.arange(n + 1)), shape=(n, n)
+    )

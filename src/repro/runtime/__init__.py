@@ -13,10 +13,12 @@ Public surface:
   dispatch with per-chunk timeouts, bounded exponential-backoff
   retries and serial degradation; a chunk that fails every attempt
   raises :class:`ChunkFailedError`.
-* :class:`Executor` and friends (:mod:`repro.runtime.executors`) — the
-  two execution backends the coordinator drives: serial in-process and
-  a ``ProcessPoolExecutor`` pool.  :func:`make_executor` builds one;
-  its caller owns it for the whole campaign and closes it.
+* :class:`SerialExecutor` / :class:`PoolExecutor`
+  (:mod:`repro.runtime.executors`) — the two ``concurrent.futures``
+  executors the coordinator drives: serial in-process and a restartable
+  ``ProcessPoolExecutor`` pool.  :func:`make_executor` builds the one
+  for a worker count; its caller owns it for the whole campaign and
+  shuts it down.
 * :class:`ChaosSpec` / :func:`parse_chaos_spec` — deterministic
   crash/hang/poison/slow injection to prove the above under test
   (``poison`` exercises the fail-loud path).
@@ -31,6 +33,7 @@ Public surface:
 
 from __future__ import annotations
 
+import concurrent.futures as cf
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
@@ -65,15 +68,7 @@ from .integrity import (
     repair_journal,
     scan_journal,
 )
-from .executors import (
-    EXECUTOR_NAMES,
-    ChunkState,
-    Completion,
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from .executors import PoolExecutor, SerialExecutor, make_executor
 from .manifest import build_manifest, git_describe, write_manifest
 from .supervisor import (
     CHUNK_FAILED_EXIT_CODE,
@@ -101,11 +96,11 @@ class RuntimeConfig:
     chaos: Optional[ChaosSpec] = None
     journal: Optional[CheckpointJournal] = None
 
-    #: The executor every cell's tasks go through, built and closed by
-    #: the caller (:func:`make_executor`); ``None`` lets the entry point
-    #: build the ``auto`` default (serial for one worker, else a pool)
-    #: once for its whole run and close it when done.
-    executor: Optional[Executor] = None
+    #: The executor every cell's tasks go through, built and shut down
+    #: by the caller (:func:`make_executor`); ``None`` lets the entry
+    #: point build one (serial for one worker, else a pool) once for its
+    #: whole run and shut it down when done.
+    executor: Optional[cf.Executor] = None
     #: Adaptive early-stopping rule (``--stop-rel-ci``); ``None`` runs the
     #: full trial budget.
     stop: Optional[StoppingRule] = None
@@ -127,15 +122,15 @@ class RuntimeConfig:
     def with_executor(self, workers: int) -> Iterator["RuntimeConfig"]:
         """This config with an executor to run on, for one ``with`` block.
 
-        A config that carries one passes through (its owner closes it);
-        otherwise a copy (sharing ``events``) gets the ``auto`` default
-        for ``workers``, shared by every run in the block and closed at
-        its end.
+        A config that carries one passes through (its owner shuts it
+        down); otherwise a copy (sharing ``events``) gets
+        :func:`make_executor` for ``workers``, shared by every run in the
+        block and shut down at its end.
         """
         if self.executor is not None:
             yield self
             return
-        with make_executor("auto", workers) as executor:
+        with make_executor(workers) as executor:
             yield replace(self, executor=executor)
 
 
@@ -165,10 +160,6 @@ __all__ = [
     "build_manifest",
     "git_describe",
     "write_manifest",
-    "EXECUTOR_NAMES",
-    "ChunkState",
-    "Completion",
-    "Executor",
     "PoolExecutor",
     "SerialExecutor",
     "make_executor",

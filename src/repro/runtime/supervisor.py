@@ -1,32 +1,34 @@
-"""Coordinator for supervised chunk execution over pluggable executors.
+"""Coordinator for supervised chunk execution over ``concurrent.futures``.
 
 ``multiprocessing.Pool.map`` — the original PR-1 dispatch — deadlocks if
 a worker is OOM-killed mid-chunk and aborts the whole campaign on any
 chunk exception.  :class:`ChunkSupervisor` replaces it with a supervised
 dispatch loop, split from the execution backend: the coordinator owns
-retry/backoff/timeout *policy* and speaks the small
-:class:`~repro.runtime.executors.Executor` interface (serial in-process
-or ``ProcessPoolExecutor`` pool) for *mechanism*.
+retry/backoff/timeout *policy*, submits jobs to a
+``concurrent.futures.Executor`` (:mod:`repro.runtime.executors`: serial
+in-process or a ``ProcessPoolExecutor`` pool) and reads their
+``Future`` objects back.
 
 * **executor ownership** — the supervisor drives the executor it is
-  given (one per campaign) and never closes it; it hands it back idle,
-  and runs a single job in-process rather than start a pool for it.
-* **crash detection** — an executor reports a dead worker as a
-  ``broken`` completion; the coordinator charges a retry to the chunk
-  that died and tears the backend down, requeueing in-flight chunks
-  unpenalized.
+  given (one per campaign) and never shuts it down; it hands it back
+  idle, and runs a single job in-process rather than start a pool for
+  it.
+* **crash detection** — ``future.result()`` raising
+  ``BrokenProcessPool`` means a worker died; the coordinator charges a
+  retry to the chunk that died, restarts the pool
+  (:meth:`~repro.runtime.executors.PoolExecutor.restart`) and requeues
+  the other in-flight chunks unpenalized.
 * **hang detection** — each in-flight chunk carries a deadline
-  (``chunk_timeout``); an expired deadline charges the chunk and asks
-  the executor to :meth:`~repro.runtime.executors.Executor.abandon`
-  just that submission, falling back to a full backend restart when it
-  cannot (pool: a running worker is not individually evictable).
+  (``chunk_timeout``); an expired deadline charges the chunk and
+  cancels just that future, falling back to a pool restart when it
+  cannot (a running worker is not individually evictable).
 * **bounded retries with exponential backoff** — each chunk gets
   ``RetryPolicy.max_attempts`` tries, separated by
   ``base_delay * growth**n`` (capped at ``max_delay``).  Backoff is
-  per-chunk state (:class:`~repro.runtime.executors.ChunkState`), so
-  one flapping chunk never stalls the rest of the queue.
+  per-chunk state (:class:`ChunkState`), so one flapping chunk never
+  stalls the rest of the queue.
 * **adaptive stopping** — ``run(..., should_stop=...)`` consults the
-  callback after every completion and abandons the remaining queue once
+  callback after every completion and drops the remaining queue once
   it fires; the stopping *decision* itself lives in
   :mod:`repro.stats.streaming`, where it is defined on the contiguous
   chunk prefix so it cannot depend on scheduling.
@@ -38,7 +40,7 @@ or ``ProcessPoolExecutor`` pool) for *mechanism*.
   by its first index): chaos aimed at any of them fires in it, its
   deadline is ``chunk_timeout`` per chunk, and a task that fails every
   attempt is named by its chunk range.
-* **serial degradation** — a backend that keeps dying
+* **serial degradation** — a pool that keeps dying
   (``max_pool_restarts`` within one run) is set aside and the rest of
   that run continues on a :class:`~repro.runtime.executors.SerialExecutor`
   through the same retry path, with a :class:`ResilienceWarning` and a
@@ -53,10 +55,12 @@ bit-identical results.
 
 from __future__ import annotations
 
+import concurrent.futures as cf
 import math
 import time
 import warnings
 from collections import deque
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -75,7 +79,7 @@ from ..obs import trace
 from ..obs.progress import ProgressEvent, ProgressTracker
 from ..perf import PerfCounters
 from .chaos import ChaosSpec
-from .executors import ChunkState, Executor, PoolExecutor, SerialExecutor
+from .executors import PoolExecutor, SerialExecutor, _supervised_call
 
 #: Metrics-registry name of the per-chunk completion-latency histogram
 #: (coordinator-observed: submit/start to completion, queueing included).
@@ -152,6 +156,27 @@ class SupervisorEvent:
 
 
 @dataclass
+class ChunkState:
+    """Per-job dispatch bookkeeping (one instance per job: a chunk, or a
+    task of ``span`` consecutive chunks keyed by its first index):
+    its retry and backoff state, inspectable in one place.
+    """
+
+    index: int
+    args: Any
+    #: Consecutive chunk indices the job holds, from ``index`` on.
+    span: int = 1
+    #: Failed attempts so far; doubles as the attempt number chaos keys on.
+    failures: int = 0
+    #: Monotonic timestamp before which this chunk must not redispatch.
+    not_before: float = 0.0
+
+    @property
+    def blocks(self) -> range:
+        return range(self.index, self.index + self.span)
+
+
+@dataclass
 class _Dispatch:
     """One live submission to an executor."""
 
@@ -161,9 +186,10 @@ class _Dispatch:
 
 
 class ChunkSupervisor:
-    """Supervised dispatch of Monte-Carlo chunks over a pluggable executor."""
+    """Supervised dispatch of Monte-Carlo chunks over a
+    ``concurrent.futures`` executor with a ``capacity``."""
 
-    #: Poll granularity of the dispatch loop, seconds.
+    #: Longest wait for a completion in the dispatch loop, seconds.
     TICK = 0.2
 
     def __init__(
@@ -174,17 +200,17 @@ class ChunkSupervisor:
         counters: Optional[PerfCounters] = None,
         progress: Optional[ProgressTracker] = None,
         on_progress: Optional[Callable[[ProgressEvent], None]] = None,
-        executor: Optional[Executor] = None,
+        executor: Optional[cf.Executor] = None,
     ):
-        if chunk_timeout is not None and chunk_timeout <= 0:
-            raise ValueError("chunk_timeout must be positive")
+        if chunk_timeout is not None and not 0 < chunk_timeout < math.inf:
+            raise ValueError("chunk_timeout must be finite and positive")
         self.retry = retry if retry is not None else RetryPolicy()
         self.chunk_timeout = chunk_timeout
         self.chaos = chaos
         self.counters = counters if counters is not None else PerfCounters()
         self.progress = progress
         self.on_progress = on_progress
-        #: Driven, never closed; ``None`` runs every job in-process.
+        #: Driven, never shut down; ``None`` runs every job in-process.
         self.executor = executor
         self.events: List[SupervisorEvent] = []
 
@@ -258,7 +284,7 @@ class ChunkSupervisor:
         runs one job.  ``on_complete(index, result)`` fires the moment
         each job first finishes (in completion order, once per job) —
         the journal hook.  ``should_stop`` (optional) is consulted after
-        every completion; once true, queued work is abandoned and the
+        every completion; once true, queued work is dropped and the
         results so far are returned.  Returns ``{first index: result}``.
 
         Raises :class:`ChunkFailedError` for the lowest-numbered job
@@ -288,7 +314,7 @@ class ChunkSupervisor:
         # them once their backoff has passed.
         queue: Deque[int] = deque(states)
         failed: Dict[int, str] = {}  # exhausted chunk -> last error
-        dispatches: Dict[int, _Dispatch] = {}  # token -> live submission
+        dispatches: Dict[cf.Future, _Dispatch] = {}  # live submissions
         pool_restarts = 0
         stopping = False
 
@@ -321,13 +347,13 @@ class ChunkSupervisor:
 
         def dispatch(state: ChunkState) -> None:
             payload = (primary, state.blocks, state.failures, self.chaos, state.args)
-            token = executor.submit(payload)
+            future = executor.submit(_supervised_call, payload)
             deadline = (
                 time.monotonic() + self.chunk_timeout * state.span
                 if self.chunk_timeout is not None
                 else math.inf
             )
-            dispatches[token] = _Dispatch(
+            dispatches[future] = _Dispatch(
                 index=state.index, deadline=deadline, t_submit=time.perf_counter()
             )
 
@@ -359,34 +385,39 @@ class ChunkSupervisor:
                         )
                     continue
 
-                backend_broken = False
-                for comp in executor.poll(self.TICK):
-                    disp = dispatches.pop(comp.token, None)
-                    if disp is None or stopping:
-                        continue  # stale token, or landed after a stop
+                pool_broken = False
+                done, _ = cf.wait(
+                    dispatches, timeout=self.TICK, return_when=cf.FIRST_COMPLETED
+                )
+                for future in done:
+                    disp = dispatches.pop(future)
+                    if stopping:
+                        continue  # landed after a stop
                     index = disp.index
                     state = states[index]
-                    if comp.broken:
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
                         self.counters.worker_crashes += 1
                         self._event("crash", index, state.failures,
                                     "worker process died")
-                        backend_broken = True
+                        pool_broken = True
                         charge_failure(index, state.failures, "worker crash")
-                    elif comp.error is not None:
-                        charge_failure(index, state.failures, comp.error)
+                    except Exception as exc:  # noqa: BLE001 - chunk boundary
+                        charge_failure(index, state.failures, repr(exc))
                     else:
-                        finish(index, comp.result,
+                        finish(index, result,
                                time.perf_counter() - disp.t_submit)
                 if stopping:
                     break
 
-                # Hang detection: charge expired chunks; evict just the
-                # offending submission where the backend supports it,
-                # otherwise condemn the whole backend.
+                # Hang detection: charge expired chunks; cancel just the
+                # offending future where it has not started, otherwise
+                # condemn the whole pool.
                 now = time.monotonic()
-                for token in [t for t, d in dispatches.items()
-                              if now >= d.deadline]:
-                    index = dispatches.pop(token).index
+                for future in [f for f, d in dispatches.items()
+                               if now >= d.deadline]:
+                    index = dispatches.pop(future).index
                     state = states[index]
                     self.counters.chunk_timeouts += 1
                     self._event(
@@ -394,16 +425,15 @@ class ChunkSupervisor:
                         f"chunk exceeded {self.chunk_timeout * state.span:g}s",
                     )
                     charge_failure(index, state.failures, "chunk timeout")
-                    if not executor.abandon(token):
-                        backend_broken = True
+                    if not future.cancel():
+                        pool_broken = True
 
-                if backend_broken:
+                if pool_broken:
                     # Innocent bystanders go back to the queue unpenalized.
-                    for token in executor.restart():
-                        disp = dispatches.pop(token, None)
-                        if disp is not None:
-                            states[disp.index].not_before = 0.0
-                            queue.append(disp.index)
+                    executor.restart()
+                    for disp in dispatches.values():
+                        states[disp.index].not_before = 0.0
+                        queue.append(disp.index)
                     dispatches.clear()
                     pool_restarts += 1
                     self.counters.pool_restarts += 1
@@ -432,9 +462,7 @@ class ChunkSupervisor:
         finally:
             # Hand the executor back idle: cancel what is still in
             # flight, and restart it if a running task cannot be.
-            if dispatches and not all(
-                [executor.abandon(token) for token in dispatches]
-            ):
+            if not all([future.cancel() for future in dispatches]):
                 executor.restart()
         if failed and not stopping:
             index = min(failed)

@@ -308,8 +308,8 @@ def run_campaign(
     raises :class:`~repro.runtime.CheckpointMismatchError`, and resuming
     with the same ones replays completed chunks for bit-identical
     results.  Every cell dispatches through ``runtime.executor``, which
-    its owner closes; without one, the ``auto`` default for ``workers``
-    is built once for the campaign and closed when it returns.
+    its owner shuts down; without one, the executor for ``workers`` is
+    built once for the campaign and shut down when it returns.
     """
     if not cells:
         raise ValueError("empty campaign")

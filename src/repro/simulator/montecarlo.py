@@ -1051,8 +1051,8 @@ def simulate_fail_probability_batched(
 
     ``runtime.executor`` is the dispatch backend
     (:mod:`repro.runtime.executors`), owned by the caller; without one,
-    the ``auto`` default for ``workers`` is built for this call and
-    closed at its end.  Tasks are sized by the executor's ``capacity``;
+    the executor for ``workers`` is built for this call and shut down
+    at its end.  Tasks are sized by the executor's ``capacity``;
     neither can affect the estimate.  Every completion streams an
     incremental BER±CI snapshot into the obs layer (and
     ``runtime.on_snapshot``); ``runtime.stop`` adds the adaptive

@@ -24,8 +24,8 @@ CODE = RSCode(18, 16, m=8)
 LAM = 2e-3 / 24.0
 
 
-def run(trials=600, seed=17, workers=1, stop=None, executor="auto", lam=LAM):
-    with make_executor(executor, workers=workers) as built:
+def run(trials=600, seed=17, workers=1, stop=None, lam=LAM):
+    with make_executor(workers) as built:
         return simulate_fail_probability_batched(
             "simplex",
             CODE,
@@ -80,10 +80,7 @@ def test_early_stop_equals_plain_run_of_the_prefix():
 
 
 def test_stop_point_invariant_across_worker_counts():
-    results = [
-        run(stop=RULE, workers=w, executor="serial" if w == 1 else "pool")
-        for w in (1, 2, 4)
-    ]
+    results = [run(stop=RULE, workers=w) for w in (1, 2, 4)]
     first = results[0]
     assert first.stopped_early
     for other in results[1:]:

@@ -366,14 +366,16 @@ class TestClosedStdout:
 
 
 class TestCampaignExecutorFlags:
-    @pytest.mark.parametrize("name", ["lease", "fleet"])
-    def test_retired_lease_executor_exits_2(self, capsys, name):
+    @pytest.mark.parametrize("name", ["auto", "serial", "pool", "fleet"])
+    def test_deleted_executor_flag_is_a_usage_error(self, capsys, name):
+        """``--workers`` alone picks in-process or pool: ``--executor``
+        is gone, whatever it names."""
         with pytest.raises(SystemExit) as info:
-            main(["campaign", "--executor", name])
+            main(["campaign", "--trials", "20", "--executor", name])
         assert info.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice" in err and name in err
-        assert "'serial', 'pool')" in err
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert "unrecognized arguments: --executor" in err
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -434,10 +436,6 @@ MISUSE = {
         ["--engine", "reference", "--checkpoint", "{tmp}/run.jsonl"],
         "--checkpoint requires the batch engine",
     ),
-    "reference-executor": (
-        ["--engine", "reference", "--executor", "serial"],
-        "--executor requires the batch engine",
-    ),
     "reference-stop-rel-ci": (
         ["--engine", "reference", "--stop-rel-ci", "0.5"],
         "--stop-rel-ci requires the batch engine",
@@ -460,6 +458,15 @@ MISUSE = {
         "--ci-method selects the --stop-rel-ci interval family; pass both",
     ),
     "max-retries-zero": (["--max-retries", "0"], "--max-retries must be >= 1"),
+    **{
+        f"chunk-timeout-{value}": (
+            ["--chunk-timeout", value],
+            "--chunk-timeout must be finite and > 0",
+        )
+        # nan compares false with every deadline: accepted, it would
+        # switch hang detection off
+        for value in ("0", "-1", "nan", "inf")
+    },
     "bad-chaos": (["--chaos", "nonsense"], "bad --chaos spec: "),
     "deleted-chaos-kind": (
         ["--chaos", "worker-kill@0"],
@@ -502,18 +509,59 @@ class TestCampaignMisuse:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["campaign", "--executor", "quantum"],
             ["campaign", "--ci-method", "exact", "--stop-rel-ci", "0.5"],
             ["serve", "--state-dir", "state"],
             ["worker", "--board", "board"],
         ],
-        ids=["executor", "ci-method", "serve", "worker"],
+        ids=["ci-method", "serve", "worker"],
     )
     def test_unknown_choice_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+#: Time-grid arguments refused before any chain is solved, with the one
+#: stderr line that says why.
+GRID_MISUSE = {
+    **{
+        f"{command[0]}-points-{points}": (
+            [*command, "--points", points],
+            "--points must be >= 2 (t = 0 and the horizon)",
+        )
+        for command in (["figure", "fig5"], ["ber"], ["report"])
+        for points in ("0", "1")
+    },
+    **{
+        f"ber-hours-{hours}": (
+            ["ber", "--arrangement", "duplex", "--seu", "1e-3", "--hours", hours],
+            "--hours must be finite and >= 0",
+        )
+        for hours in ("-5", "nan", "inf")
+    },
+}
+
+
+class TestGridMisuse:
+    @pytest.mark.parametrize("case", GRID_MISUSE)
+    def test_refused_before_any_work(self, tmp_path, monkeypatch, capsys, case):
+        import repro.memory
+
+        def no_chain(*_args, **_kwargs):
+            raise AssertionError("a model was built before the check")
+
+        monkeypatch.setattr(repro.memory, "simplex_model", no_chain)
+        monkeypatch.setattr(repro.memory, "duplex_model", no_chain)
+        monkeypatch.chdir(tmp_path)
+        argv, reason = GRID_MISUSE[case]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(reason)
+        assert "Traceback" not in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []  # no report written
 
 
 VALIDATE_MISUSE = {

@@ -1,11 +1,11 @@
 """One executor per campaign: a pool starts once.
 
 Every cell of a campaign dispatches through the same executor: a
-``run_campaign`` without one builds the ``auto`` default once, and
-``repro campaign`` builds the chosen backend once and closes it at the
-end.  The supervisor drives the executor it is given and hands it back
-idle; a run of a single task never starts a pool.  None of this may move
-an estimate.
+``run_campaign`` without one builds the one for its worker count once,
+and ``repro campaign`` does the same and shuts it down at the end.  The
+supervisor drives the executor it is given and hands it back idle; a
+run of a single task never starts a pool.  None of this may move an
+estimate.
 """
 
 import concurrent.futures as cf
@@ -17,8 +17,6 @@ from repro.cli import main
 from repro.rs import RSCode
 from repro.runtime import (
     ChunkSupervisor,
-    Completion,
-    Executor,
     PoolExecutor,
     RuntimeConfig,
     StoppingRule,
@@ -73,9 +71,9 @@ def test_single_task_cells_start_no_pool(pools_started):
 
 
 def test_caller_executor_outlives_the_cells(pools_started):
-    """An executor passed in ``RuntimeConfig`` is driven, never closed:
-    its pool is still up after two cells, and it is the caller's to
-    close."""
+    """An executor passed in ``RuntimeConfig`` is driven, never shut
+    down: its pool is still up after two cells, and it is the caller's
+    to shut down."""
     with PoolExecutor(2) as executor:
         runtime = RuntimeConfig(executor=executor)
         for seed in (1, 2):
@@ -88,36 +86,33 @@ def test_caller_executor_outlives_the_cells(pools_started):
     assert pools_started == [2]
 
 
-class _TwoSlots(Executor):
-    """Holds two submissions; ``poll`` finishes the first one only."""
+class _TwoSlots(cf.Executor):
+    """Holds two submissions; the second one finishes the first."""
 
     capacity = 2
 
     def __init__(self):
-        self.submitted = []
-        self.abandoned = []
-        self.closed = False
+        self.futures = []
+        self.restarts = 0
+        self.shut_down = False
 
-    def submit(self, payload):
-        self.submitted.append(payload)
-        return len(self.submitted) - 1
+    def submit(self, fn, /, *args, **kwargs):
+        self.futures.append(cf.Future())
+        if len(self.futures) == 2:
+            self.futures[0].set_result({"trials": 1})
+        return self.futures[-1]
 
-    def poll(self, timeout):
-        if len(self.submitted) == 2 and not self.abandoned:
-            return [Completion(token=0, result={"trials": 1})]
-        return []
+    def restart(self):
+        self.restarts += 1
 
-    def abandon(self, token):
-        self.abandoned.append(token)
-        return True
-
-    def close(self):
-        self.closed = True
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shut_down = True
 
 
 def test_stopped_run_hands_the_executor_back_idle():
     """An early stop leaves the second task in flight: the supervisor
-    abandons it (no restart needed) and never closes the executor."""
+    cancels its future (no restart needed) and never shuts the executor
+    down."""
     executor = _TwoSlots()
     supervisor = ChunkSupervisor(executor=executor)
     done = supervisor.run(
@@ -126,8 +121,9 @@ def test_stopped_run_hands_the_executor_back_idle():
         should_stop=lambda: True,
     )
     assert list(done) == [0]
-    assert executor.abandoned == [1]
-    assert not executor.closed
+    assert executor.futures[1].cancelled()
+    assert executor.restarts == 0
+    assert not executor.shut_down
     assert [e.kind for e in supervisor.events] == ["early_stop"]
 
 
@@ -165,7 +161,7 @@ def test_cli_campaign_starts_one_pool(tmp_path, pools_started):
             "--chunk-size", "50", "--seed", "7"]
     assert main([*argv, "--manifest", str(tmp_path / "ref.json")]) == 0
     assert pools_started == []
-    assert main([*argv, "--executor", "pool", "--workers", "2",
+    assert main([*argv, "--workers", "2",
                  "--manifest", str(tmp_path / "pool.json")]) == 0
     assert pools_started == [2]
     assert _manifest_rows(tmp_path / "pool.json") == _manifest_rows(

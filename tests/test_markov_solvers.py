@@ -154,6 +154,42 @@ class TestUniformizationInternals:
             assert attrs["tail_bound"] < 1e-21
         assert windows[1e-40] > windows[1e-14]
 
+    @pytest.mark.parametrize(
+        "n, t, dense",
+        [(400, 6000.0, False), (2, 10_000.0, True)],
+        ids=["400-state-sparse-jump", "2-state-dense-jump"],
+    )
+    def test_large_lt_jump_to_the_window(self, monkeypatch, n, t, dense):
+        """Past 4,096 terms the fallback jumps to its window by dense
+        repeated squaring only where that is cheaper than one sparse
+        product per term: not on a 400-state birth-death chain, whose
+        ~13 dense 400 x 400 products cost more than 5,000 products of its
+        800-entry kernel, but on a 2-state chain.  Either way the window
+        equals a dense reference.  The slow drift keeps the 400-state
+        chain mid-transient, so a window off by one term would show."""
+        births = sparse.diags(np.full(n - 1, 0.51), 1)
+        deaths = sparse.diags(np.full(n - 1, 0.49), -1)
+        rates = sparse.csr_matrix(births + deaths)
+        p0 = np.zeros(n)
+        p0[0] = 1.0
+        powers = []
+        real_power = np.linalg.matrix_power
+
+        def spy(matrix, exponent):
+            powers.append(exponent)
+            return real_power(matrix, exponent)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", spy)
+        collector = trace.TraceCollector()
+        with trace.use_collector(collector):
+            got = uniformization_propagate(rates, p0, t)
+        [span] = collector.spans("uniformization_propagate")
+        lo, hi = span["attrs"]["window_lo"], span["attrs"]["window_hi"]
+        assert lo > 4096
+        assert powers == ([lo] if dense else [])
+        want = _dense_window_reference(rates, p0, t, lo, hi)
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+
     def test_composition_property(self):
         """Propagating t1 then t2 equals propagating t1 + t2."""
         rng = np.random.default_rng(5)
@@ -164,6 +200,28 @@ class TestUniformizationInternals:
             rates, uniformization_propagate(rates, chain.p0, 0.9), 0.4
         )
         assert np.allclose(direct, stepped, atol=1e-12)
+
+
+def _dense_window_reference(rates, p0, t, lo, hi):
+    """Test-only dense path of the large-``L·t`` fallback: jump to term
+    ``lo`` with a dense matrix power of the uniformized kernel, then sum
+    terms ``lo..hi`` under Poisson weights taken from log-pmfs and
+    normalized over the window."""
+    dense = rates.toarray()
+    out = dense.sum(axis=1)
+    lam = out.max()
+    kernel = (dense + np.diag(lam - out)) / lam
+    lt = lam * t
+    log_w = np.array(
+        [j * math.log(lt) - math.lgamma(j + 1) for j in range(lo, hi + 1)]
+    )
+    weights = np.exp(log_w - log_w.max())
+    v = p0 @ np.linalg.matrix_power(kernel, lo)
+    acc = np.zeros_like(p0)
+    for w in weights:
+        acc += w * v
+        v = v @ kernel
+    return acc / weights.sum()
 
 
 def _loop_propagate(rates, p0, t, rtol=1e-14):

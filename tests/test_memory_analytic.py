@@ -11,6 +11,8 @@ from repro.memory.analytic import (
     _binomial_tail,
     duplex_ber,
     duplex_fail_probability,
+    duplex_permanent_fail_probability,
+    duplex_transient_fail_probability,
     simplex_ber,
     simplex_fail_probability,
 )
@@ -55,6 +57,50 @@ class TestScope:
         )
         with pytest.raises(AnalyticScopeError):
             duplex_fail_probability(m, [1.0])
+
+
+class TestNegativeTimes:
+    """A negative time is refused with the chain solvers' ValueError,
+    whatever the rates (it used to give a negative probability)."""
+
+    @pytest.mark.parametrize(
+        "closed_form, model",
+        [
+            (simplex_fail_probability, simplex_model(18, 16, seu_per_bit_day=1e-3)),
+            (
+                simplex_fail_probability,
+                simplex_model(18, 16, erasure_per_symbol_day=1e-3),
+            ),
+            (simplex_fail_probability, simplex_model(18, 16)),
+            (
+                duplex_transient_fail_probability,
+                duplex_model(18, 16, seu_per_bit_day=1e-3),
+            ),
+            (duplex_transient_fail_probability, duplex_model(18, 16)),
+            (
+                duplex_permanent_fail_probability,
+                duplex_model(18, 16, erasure_per_symbol_day=1e-3),
+            ),
+            (duplex_permanent_fail_probability, duplex_model(18, 16)),
+        ],
+        ids=[
+            "simplex-seu",
+            "simplex-permanent",
+            "simplex-no-faults",
+            "duplex-seu",
+            "duplex-seu-no-faults",
+            "duplex-permanent",
+            "duplex-permanent-no-faults",
+        ],
+    )
+    def test_same_error_as_the_chain(self, closed_form, model):
+        times = [1.0, -5.0]
+        with pytest.raises(ValueError) as chain_error:
+            model.fail_probability(times)
+        with pytest.raises(ValueError) as closed_error:
+            closed_form(model, times)
+        assert str(closed_error.value) == str(chain_error.value)
+        assert str(closed_error.value) == "times must be nonnegative"
 
 
 class TestSimplexClosedForm:

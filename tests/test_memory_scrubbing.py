@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.memory import duplex_model, simplex_model
+from repro.memory import duplex_model, scrubbing, simplex_model
 from repro.memory.scrubbing import (
     deterministic_scrub_ber,
     deterministic_scrub_fail_probability,
+    embedded_scrub_analysis,
     scrub_image,
 )
 
@@ -107,3 +108,32 @@ class TestDeterministicScrub:
         times = np.linspace(0.0, 6.0, 25)
         pf = deterministic_scrub_fail_probability(m, times, 1.0)
         assert np.all(np.diff(pf) >= -1e-15)
+
+
+def _dense_scrub_matrix(model, chain):
+    """Test-only: the scrub map as a dense n x n matrix."""
+    mat = np.zeros((chain.num_states, chain.num_states))
+    for src, state in enumerate(chain.states):
+        mat[src, chain.index[scrub_image(model, state)]] = 1.0
+    return mat
+
+
+def test_sparse_scrub_map_matches_a_dense_one(monkeypatch):
+    """The scrub map holds one 1 per row, stored sparse: the transient
+    and the embedded-chain loss equal a dense map's up to summation
+    order."""
+    m = duplex_model(
+        18, 16, seu_per_bit_day=1e-3, erasure_per_symbol_day=1e-4
+    )
+    free = scrubbing._scrub_free_clone(m)
+    sparse_map = scrubbing._scrub_matrix(free, free.chain)
+    assert sparse_map.nnz == free.chain.num_states
+    times = [0.1, 12.0, 48.0]
+    got = deterministic_scrub_fail_probability(m, times, 0.25)
+    loss = embedded_scrub_analysis(m, 0.25).per_period_loss
+    monkeypatch.setattr(scrubbing, "_scrub_matrix", _dense_scrub_matrix)
+    want = deterministic_scrub_fail_probability(m, times, 0.25)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert loss == pytest.approx(
+        embedded_scrub_analysis(m, 0.25).per_period_loss, rel=1e-12, abs=0
+    )

@@ -1,9 +1,10 @@
-"""Executor parity.
+"""Executor parity across worker counts.
 
-The pluggable-executor contract: the serial and pool backends move
-*scheduling only*.  For the same seed they must produce bit-identical
-estimates, bit-identical per-chunk journal records (timing fields
-aside), and identical deterministic work counters.
+Executors move *scheduling only*: one worker runs in-process, two and
+three dispatch to a process pool in tasks sized for it.  For the same
+seed every worker count must produce bit-identical estimates,
+bit-identical per-chunk journal records (timing fields aside), and
+identical deterministic work counters.
 """
 
 import pytest
@@ -21,16 +22,20 @@ from repro.simulator import simulate_fail_probability_batched
 CODE = RSCode(18, 16, m=8)
 LAM = 2e-3 / 24.0
 
+#: Worker counts of the parity table; one is the in-process reference.
+WORKERS = (1, 2, 3)
+
 #: Result-dict fields that must be identical across executors; the
 #: "counters" entry carries cpu_seconds and is compared separately with
 #: its timing fields masked.
 _TIMING_FIELDS = {"cpu_seconds", "elapsed_seconds", "kernel_seconds"}
 
 
-def run(executor="auto", workers=1, journal=None, chaos=None, trials=300,
-        seed=17, counters=None):
-    """One cell on the named executor, built for it and closed after."""
-    with make_executor(executor, workers=workers) as built:
+def run(workers=1, journal=None, chaos=None, trials=300, seed=17,
+        counters=None):
+    """One cell on the executor for ``workers``, built for it and shut
+    down after."""
+    with make_executor(workers) as built:
         return simulate_fail_probability_batched(
             "simplex",
             CODE,
@@ -67,30 +72,30 @@ def _chunk_fields(journal_path):
 
 
 # --------------------------------------------------------------------------
-# serial/pool parity
+# parity over worker counts
 # --------------------------------------------------------------------------
 
 
 @pytest.mark.chaos
 def test_serial_pool_journals_bit_identical(tmp_path):
     estimates, journals = {}, {}
-    for name, workers in (("serial", 1), ("pool", 2)):
-        path = tmp_path / f"{name}.jsonl"
+    for workers in WORKERS:
+        path = tmp_path / f"w{workers}.jsonl"
         with CheckpointJournal(path) as journal:
-            estimates[name] = run(
-                executor=name, workers=workers, journal=journal
-            )
-        journals[name] = _chunk_fields(path)
-    ref, est = estimates["serial"], estimates["pool"]
-    assert (est.failures, est.trials, est.probability) == (
-        ref.failures,
-        ref.trials,
-        ref.probability,
-    )
-    assert est.outcome_counts == ref.outcome_counts
-    assert (est.ci_low, est.ci_high) == (ref.ci_low, ref.ci_high)
-    assert journals["serial"] == journals["pool"]
-    assert len(journals["serial"]) == 6  # 300 trials / 50
+            estimates[workers] = run(workers=workers, journal=journal)
+        journals[workers] = _chunk_fields(path)
+    ref = estimates[1]
+    for workers in WORKERS[1:]:
+        est = estimates[workers]
+        assert (est.failures, est.trials, est.probability) == (
+            ref.failures,
+            ref.trials,
+            ref.probability,
+        ), workers
+        assert est.outcome_counts == ref.outcome_counts, workers
+        assert (est.ci_low, est.ci_high) == (ref.ci_low, ref.ci_high), workers
+        assert journals[workers] == journals[1], workers
+    assert len(journals[1]) == 6  # 300 trials / 50
 
 
 @pytest.mark.chaos
@@ -99,8 +104,8 @@ def test_parity_holds_with_adaptive_stopping(tmp_path):
 
     stop = StoppingRule(rel_ci=1.0, min_trials=100)
     results = []
-    for name, workers in (("serial", 1), ("pool", 2)):
-        with make_executor(name, workers=workers) as executor:
+    for workers in WORKERS:
+        with make_executor(workers) as executor:
             runtime = RuntimeConfig(executor=executor, stop=stop)
             results.append(
                 simulate_fail_probability_batched(
@@ -120,20 +125,13 @@ def test_parity_holds_with_adaptive_stopping(tmp_path):
 
 def test_merged_counters_deterministic_across_executors():
     fields = []
-    for name, workers in (("serial", 1), ("pool", 2)):
+    for workers in WORKERS:
         counters = PerfCounters()
-        run(name, workers=workers, counters=counters)
+        run(workers=workers, counters=counters)
         snap = counters.as_dict()
         fields.append(
             {k: v for k, v in snap.items() if k not in _TIMING_FIELDS}
         )
-    assert fields[0] == fields[1]
+    assert fields[1:] == [fields[0]] * (len(WORKERS) - 1)
     assert fields[0]["trials"] == 300
     assert fields[0]["chunks"] == 6
-
-
-@pytest.mark.parametrize("name", ["threads", "lease", "fleet"])
-def test_make_executor_rejects_unknown_name(name):
-    with pytest.raises(ValueError, match="unknown executor") as info:
-        make_executor(name)
-    assert "('serial', 'pool')" in str(info.value)

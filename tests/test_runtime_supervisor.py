@@ -8,6 +8,10 @@ every attempt never yields an estimate: the run raises
 journaled so a rerun resumes.
 """
 
+import concurrent.futures as cf
+import math
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.perf import PerfCounters
@@ -191,7 +195,7 @@ def test_dispatch_reads_not_before_linearly(monkeypatch):
     ``not_before`` reads grows linearly with the number of jobs (a scan
     of the whole queue per dispatch made it quadratic)."""
     from repro.runtime import supervisor as supervisor_module
-    from repro.runtime.executors import ChunkState
+    from repro.runtime.supervisor import ChunkState
 
     reads = []
 
@@ -206,3 +210,56 @@ def test_dispatch_reads_not_before_linearly(monkeypatch):
     done = ChunkSupervisor().run(jobs, primary=lambda _args: {"trials": 1})
     assert len(done) == len(jobs)
     assert len(reads) <= 2 * len(jobs)
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
+def test_chunk_timeout_must_be_finite_and_positive(timeout):
+    """A NaN deadline compares false with every clock reading, so it
+    would switch hang detection off without a word; inf does so openly."""
+    with pytest.raises(ValueError, match="finite and positive"):
+        ChunkSupervisor(chunk_timeout=timeout)
+
+
+class _BreaksOnce(cf.Executor):
+    """Two slots: the first submission comes back broken (its worker
+    died) once the second is in flight; every later one succeeds."""
+
+    capacity = 2
+
+    def __init__(self):
+        self.submitted = []  # (first chunk, attempt) per submission
+        self.restarts = 0
+
+    def submit(self, fn, payload):
+        _primary, blocks, attempt, _chaos, _args = payload
+        self.submitted.append((blocks.start, attempt))
+        future = cf.Future()
+        if len(self.submitted) == 1:
+            self._first = future
+        elif len(self.submitted) == 2:
+            self._first.set_exception(BrokenProcessPool("worker died"))
+        else:
+            future.set_result({"trials": 1})
+        return future
+
+    def restart(self):
+        self.restarts += 1
+
+
+def test_broken_pool_requeues_the_bystander_unpenalized():
+    """A dead worker charges the job it ran; the pool restarts and the
+    job still in flight goes back to the queue on the same attempt."""
+    executor = _BreaksOnce()
+    counters = PerfCounters()
+    supervisor = ChunkSupervisor(
+        retry=FAST_RETRY, counters=counters, executor=executor
+    )
+    done = supervisor.run([(0, None), (1, None)], primary=lambda _args: None)
+    assert sorted(done) == [0, 1]
+    assert executor.restarts == 1
+    assert executor.submitted[:2] == [(0, 0), (1, 0)]
+    assert sorted(executor.submitted[2:]) == [(0, 1), (1, 0)]
+    assert [(e.kind, e.chunk) for e in supervisor.events] == [
+        ("crash", 0), ("retry", 0), ("pool_restart", -1)
+    ]
+    assert (counters.worker_crashes, counters.retries) == (1, 1)

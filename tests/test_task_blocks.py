@@ -4,10 +4,11 @@
 adaptive stopping.  The supervisor dispatches tasks, runs of consecutive
 blocks whose fault-bearing trials share one replay.  Every row of the
 parity table below groups the same blocks differently (task caps of 1,
-3 and 64 blocks, one or two workers, serial or pool) and must journal
-the same per-block records and return the same estimate.
+3 and 64 blocks; one worker in-process, or a pool of two or three) and
+must journal the same per-block records and return the same estimate.
 """
 
+import concurrent.futures as cf
 import time
 
 import numpy as np
@@ -36,7 +37,8 @@ from repro.simulator.montecarlo import (
 CODE = RSCode(18, 16, m=8)
 T_END = 48.0
 CHUNK = 4
-#: 260 blocks: one worker groups them in 64-block tasks, two in 33.
+#: 260 blocks: one worker groups them in 64-block tasks, two in 33,
+#: three in 22.
 TRIALS = 1040
 
 #: name -> keyword arguments of simulate_fail_probability_batched
@@ -85,11 +87,9 @@ def _chunk_fields(journal_path):
     return out
 
 
-def run_cell(path, cell, executor="serial", workers=1, counters=None, **runtime):
+def run_cell(path, cell, workers=1, counters=None, **runtime):
     """One cell through a fresh journal at ``path``: (estimate, fields)."""
-    with CheckpointJournal(path) as journal, make_executor(
-        executor, workers=workers
-    ) as built:
+    with CheckpointJournal(path) as journal, make_executor(workers) as built:
         estimate = simulate_fail_probability_batched(
             code=CODE,
             t_end=T_END,
@@ -125,24 +125,21 @@ def reference(tmp_path_factory):
 #: drawn trial by trial, joins it in the cheaper single-run tests below.
 TABLE_CELLS = ("simplex-iid", "duplex-exp-scrub")
 
-#: (task cap, workers, executor) rows; the reference is (1, 1, serial).
+#: (task cap, workers) rows; the reference is (1, 1).
 ROWS = [
-    (cap, workers, executor)
+    (cap, workers)
     for cap in (1, 3, 64)
-    for workers in (1, 2)
-    for executor in ("serial", "pool")
-    if (cap, workers, executor) != (1, 1, "serial")
+    for workers in (1, 2, 3)
+    if (cap, workers) != (1, 1)
 ]
 
 
-@pytest.mark.parametrize("cap, workers, executor", ROWS)
-def test_grouping_moves_no_record(
-    tmp_path, monkeypatch, reference, cap, workers, executor
-):
+@pytest.mark.parametrize("cap, workers", ROWS)
+def test_grouping_moves_no_record(tmp_path, monkeypatch, reference, cap, workers):
     monkeypatch.setattr(montecarlo, "TASK_BLOCKS", cap)
     for cell in TABLE_CELLS:
         estimate, fields = run_cell(
-            tmp_path / f"{cell}.jsonl", cell, executor=executor, workers=workers
+            tmp_path / f"{cell}.jsonl", cell, workers=workers
         )
         want_estimate, want_fields = reference[cell]
         assert estimate == want_estimate, cell
@@ -326,22 +323,21 @@ def test_poisoned_block_fails_its_task_after_the_others_journal(
 def test_task_deadline_is_per_block():
     """A job of three blocks gets three chunk timeouts."""
     from repro.runtime import ChunkSupervisor
-    from repro.runtime.executors import Executor
 
-    class Silent(Executor):
-        """Takes every submission and never finishes one."""
+    class Silent(cf.Executor):
+        """Takes every submission and never finishes one; notes when the
+        supervisor cancels it."""
 
-        def submit(self, payload):
+        capacity = 1
+
+        def submit(self, fn, payload):
             self.blocks = payload[1]
             self.submitted = time.monotonic()
-            return 0
-
-        def poll(self, timeout):
-            return []
-
-        def abandon(self, token):
-            self.abandoned = time.monotonic()
-            return True
+            self.future = cf.Future()
+            self.future.add_done_callback(
+                lambda _f: setattr(self, "abandoned", time.monotonic())
+            )
+            return self.future
 
     executor = Silent()
     supervisor = ChunkSupervisor(
@@ -351,6 +347,7 @@ def test_task_deadline_is_per_block():
     with pytest.raises(ChunkFailedError, match="chunks 4-6 failed"):
         supervisor.run([(range(4, 7), None)], primary=lambda _: None)
     assert executor.blocks == range(4, 7)
+    assert executor.future.cancelled()
     assert executor.abandoned - executor.submitted >= 0.003 - 1e-9
     (timeout,) = [e for e in supervisor.events if e.kind == "timeout"]
     assert timeout.chunk == 4
