@@ -47,7 +47,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -407,6 +407,46 @@ def _out(text: str = "") -> None:
         _stdout_gone()
 
 
+def _bad_hours(hours: float) -> Optional[str]:
+    """The usage error for a ``--hours`` horizon, if it is not one."""
+    if not 0 <= hours < math.inf:
+        return "--hours must be finite and >= 0"
+    return None
+
+
+def _bad_physics(
+    seu: float,
+    permanent: float = 0.0,
+    tsc: Optional[float] = None,
+    code: Optional[Tuple[int, int, int]] = None,
+) -> Optional[str]:
+    """The usage error for a rate, scrub period or ``(n, k, m)`` code the
+    models refuse, if any: rates must be finite and >= 0, ``--tsc``
+    finite and > 0, and the code one :func:`check_code` takes."""
+    from .memory.base import check_code
+
+    for flag, rate in (("--seu", seu), ("--permanent", permanent)):
+        if not 0 <= rate < math.inf:
+            return f"{flag} must be finite and >= 0"
+    if tsc is not None and not 0 < tsc < math.inf:
+        return "--tsc must be finite and > 0"
+    if code is not None:
+        try:
+            check_code(*code)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+def _refuse(*problems: Optional[str]) -> bool:
+    """Print the first usage error of ``problems`` on stderr, if any."""
+    for problem in problems:
+        if problem is not None:
+            print(problem, file=sys.stderr)
+            return True
+    return False
+
+
 def _too_few_points(points: int) -> bool:
     """Print the usage error for a time grid without t = 0 and the
     horizon, if ``points`` gives one."""
@@ -454,10 +494,12 @@ def cmd_ber(args: argparse.Namespace) -> int:
     from .analysis import render_ber_table
     from .memory import ber_curve, duplex_model, simplex_model
 
-    if _too_few_points(args.points):
-        return 2
-    if not 0 <= args.hours < math.inf:
-        print("--hours must be finite and >= 0", file=sys.stderr)
+    if _too_few_points(args.points) or _refuse(
+        _bad_hours(args.hours),
+        _bad_physics(
+            args.seu, args.permanent, args.tsc, (args.n, args.k, args.m)
+        ),
+    ):
         return 2
     factory = simplex_model if args.arrangement == "simplex" else duplex_model
     model = factory(
@@ -483,7 +525,10 @@ def cmd_complexity(_args: argparse.Namespace) -> int:
 
 
 def _bad_count(
-    trials: Optional[int], chunk_size: int, workers: int
+    trials: Optional[int],
+    chunk_size: int,
+    workers: int,
+    seed: Optional[int] = None,
 ) -> Optional[str]:
     """The usage error for a count flag below its floor, if any."""
     if trials is not None and trials <= 0:
@@ -492,6 +537,8 @@ def _bad_count(
         return "--chunk-size must be positive"
     if workers < 1:
         return "--workers must be >= 1"
+    if seed is not None and seed < 0:
+        return "--seed must be >= 0"
     return None
 
 
@@ -503,9 +550,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         simulate_fail_probability_batched,
     )
 
-    bad = _bad_count(args.trials, args.chunk_size, args.workers)
-    if bad is not None:
-        print(bad, file=sys.stderr)
+    if _refuse(_bad_count(args.trials, args.chunk_size, args.workers, args.seed)):
         return 2
     rng = np.random.default_rng(args.seed)
     lam_day = 2e-3
@@ -546,6 +591,11 @@ def cmd_scrub_design(args: argparse.Namespace) -> int:
     from .analysis import max_scrub_period_for_budget
     from .memory import scrub_overhead
 
+    if not 0 < args.budget < math.inf:
+        print("--budget must be finite and > 0", file=sys.stderr)
+        return 2
+    if _refuse(_bad_hours(args.hours), _bad_physics(args.seu)):
+        return 2
     period = max_scrub_period_for_budget(
         18,
         16,
@@ -588,6 +638,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     from .analysis import memory_system_sensitivities
 
+    if _refuse(
+        _bad_hours(args.hours),
+        _bad_physics(args.seu, args.permanent, args.tsc, (args.n, args.k, 8)),
+    ):
+        return 2
     results = memory_system_sensitivities(
         args.arrangement,
         args.n,
@@ -695,9 +750,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bad fault-physics spec: {exc}", file=sys.stderr)
         return 2
-    bad = _bad_count(args.trials, args.chunk_size, args.workers)
-    if bad is not None:
-        print(bad, file=sys.stderr)
+    if _refuse(_bad_count(args.trials, args.chunk_size, args.workers, args.seed)):
         return 2
 
     batch = args.engine != "reference"

@@ -27,6 +27,15 @@ FAIL = "FAIL"
 State = Hashable
 
 
+def check_code(n: int, k: int, m: int) -> None:
+    """Raise ``ValueError`` unless RS(n, k) over GF(2^m) is a code the
+    models take: ``0 < k < n <= 2^m - 1``."""
+    if not 0 < k < n:
+        raise ValueError(f"need 0 < k < n, got n={n}, k={k}")
+    if m < 1 or n > (1 << m) - 1:
+        raise ValueError(f"codeword length n={n} exceeds 2^m - 1 for m={m}")
+
+
 class MemoryMarkovModel(ABC):
     """Base class: an RS(n, k)-coded memory word under a fault environment.
 
@@ -36,10 +45,7 @@ class MemoryMarkovModel(ABC):
     """
 
     def __init__(self, n: int, k: int, m: int, rates: FaultRates):
-        if not 0 < k < n:
-            raise ValueError(f"need 0 < k < n, got n={n}, k={k}")
-        if n > (1 << m) - 1:
-            raise ValueError(f"codeword length n={n} exceeds 2^m - 1 for m={m}")
+        check_code(n, k, m)
         self.n = n
         self.k = k
         self.m = m

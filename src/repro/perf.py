@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .obs.metrics import MetricsRegistry
@@ -120,21 +120,18 @@ class PerfCounters:
         them would report N× the true duration.  The coordinator owns
         ``elapsed_seconds`` via its own :class:`Stopwatch`.
         """
-        for f in fields(self):
-            if f.name in self.NON_ADDITIVE:
-                continue
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _ADDITIVE_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict snapshot (picklable, for worker processes)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELDS}
 
     @classmethod
     def from_dict(cls, d: Dict[str, float]) -> "PerfCounters":
         # Unknown keys are dropped; missing fields default to zero.
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        return cls(**{k: v for k, v in d.items() if k in _FIELD_SET})
 
     def publish(
         self, registry: "MetricsRegistry", prefix: str = "repro.perf."
@@ -144,8 +141,8 @@ class PerfCounters:
         Monotonic work counts become gauges too (a snapshot, not a
         stream): the registry reflects this counter set's current state.
         """
-        for f in fields(self):
-            registry.gauge(prefix + f.name).set(getattr(self, f.name))
+        for name in _FIELDS:
+            registry.gauge(prefix + name).set(getattr(self, name))
 
     # -- derived metrics ---------------------------------------------------
 
@@ -245,6 +242,15 @@ class PerfCounters:
         return "\n".join(lines)
 
 
+#: Field names of :class:`PerfCounters`, in declaration order, and the
+#: ones :meth:`PerfCounters.merge` sums.
+_FIELDS = tuple(f.name for f in fields(PerfCounters))
+_FIELD_SET = frozenset(_FIELDS)
+_ADDITIVE_FIELDS = tuple(
+    name for name in _FIELDS if name not in PerfCounters.NON_ADDITIVE
+)
+
+
 class Stopwatch:
     """Context manager accumulating elapsed time into a counter field.
 
@@ -264,7 +270,7 @@ class Stopwatch:
         counters: Optional[PerfCounters] = None,
         attr: str = "elapsed_seconds",
     ):
-        if attr not in {f.name for f in fields(PerfCounters)}:
+        if attr not in _FIELD_SET:
             raise ValueError(f"unknown PerfCounters field {attr!r}")
         self.counters = counters
         self.attr = attr
@@ -301,9 +307,17 @@ def timed(fn, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
-def merge_counter_dicts(dicts: Iterator[Dict[str, float]]) -> PerfCounters:
-    """Fold picklable chunk-counter dicts into one :class:`PerfCounters`."""
-    total = PerfCounters()
+def merge_counter_dicts(dicts: Iterable[Dict[str, float]]) -> PerfCounters:
+    """Fold picklable chunk-counter dicts into one :class:`PerfCounters`.
+
+    The sums of :meth:`PerfCounters.merge` over each dict's
+    :meth:`PerfCounters.from_dict`, in the same order, taken on the dicts
+    themselves: unknown keys are dropped, a missing field adds zero, and
+    ``elapsed_seconds`` is not summed.
+    """
+    zero = PerfCounters()
+    totals = {name: getattr(zero, name) for name in _ADDITIVE_FIELDS}
     for d in dicts:
-        total.merge(PerfCounters.from_dict(d))
-    return total
+        for name in _ADDITIVE_FIELDS:
+            totals[name] += d.get(name, 0)
+    return PerfCounters(**totals)

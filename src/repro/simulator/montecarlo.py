@@ -18,8 +18,12 @@ Three fault-injection validators:
   correlated-pattern arrivals are drawn from the stream's raw PCG64
   words (:class:`~repro.simulator.patterns.Pcg64Draws`), byte for byte
   what one ``Generator`` call per draw gives.
-  Trials without a fault event read back correct by construction; the
-  rest run through one array engine (:func:`replay_batch`) that applies
+  Trials without a fault event read back correct by construction, and
+  the data draw is skipped, not made: only a trial with a stuck cell
+  reads its symbols back from the stream, and a flip-only trial
+  replays on the all-zero word, which RS linearity makes equivalent.
+  The fault-bearing trials run through one array engine
+  (:func:`replay_batch`) that applies
   the events between two scrubs at once, runs each scrub as one batch
   read over every trial that has it (``decode_batch``, plus vectorized
   erasure recovery and :func:`decide_batch` for duplex pairs), and
@@ -44,6 +48,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -51,7 +56,7 @@ import numpy as np
 from ..memory.base import FAIL, MemoryMarkovModel
 from ..obs import metrics as obs_metrics
 from ..obs import trace
-from ..perf import PerfCounters, Stopwatch
+from ..perf import PerfCounters, Stopwatch, merge_counter_dicts
 from ..rs import BatchRSCodec, RSCode
 from ..runtime import ChunkSupervisor, RuntimeConfig, seed_key
 from ..stats import AdaptiveStopper, BerSnapshot, StreamingEstimator
@@ -72,6 +77,7 @@ from .patterns import (
     FaultPattern,
     Pcg64Draws,
     RateSchedule,
+    SkippedIntegers,
     arrival_cells,
     check_schedule_legs,
     format_pattern,
@@ -419,20 +425,56 @@ class EventTable(NamedTuple):
 class ChunkDraw:
     """Everything a chunk draws from its RNG stream.
 
-    ``scrub_times`` row ``i`` holds trial ``i``'s ``scrub_counts[i]``
-    scrub instants in ascending order, padded with ``inf``.
+    ``symbols`` holds every trial's ``k`` data symbols: an array, or the
+    :class:`~repro.simulator.patterns.SkippedIntegers` that
+    :func:`draw_chunk` leaves in the stream in their place; :attr:`data`
+    is the array either way.  ``scrub_times`` row ``i`` holds trial
+    ``i``'s ``scrub_counts[i]`` scrub instants in ascending order,
+    padded with ``inf``.
     """
 
-    data: np.ndarray
+    symbols: Union[np.ndarray, SkippedIntegers]
     events: EventTable
     scrub_counts: np.ndarray
     scrub_times: np.ndarray
 
-    def rows(self, trials: np.ndarray) -> "ChunkDraw":
-        """The draw of ``trials`` (ascending), which hold all its events."""
+    @cached_property
+    def data(self) -> np.ndarray:
+        """Every trial's data symbols, read back once if the draw skipped
+        them."""
+        if isinstance(self.symbols, SkippedIntegers):
+            return self.symbols.table()
+        return self.symbols
+
+    def replay_rows(
+        self, trials: np.ndarray, bit_generator: np.random.PCG64
+    ) -> "ChunkDraw":
+        """The draw of ``trials`` (ascending, holding all its events),
+        with data symbols only where a stuck cell can read them.
+
+        A trial with a permanent event gets its drawn symbols (read back
+        from the stream through ``bit_generator`` if the draw skipped
+        them); every other trial gets the all-zero word, on which
+        :func:`replay_batch` gives it the same outcome and ``work``.
+        Its events are flips, which add to the stored word, and RS is
+        linear, so each of its reads is the written codeword plus a
+        pattern that does not depend on the data; every decoder and
+        arbiter decision depends on that pattern alone (erasures come
+        only from permanent events).
+        """
+        events = self.events
+        k = self.symbols.shape[1]
+        data = np.zeros((trials.size, k), dtype=np.int64)
+        if events.permanent.any():
+            stuck = np.unique(events.trial[events.permanent])
+            data[np.searchsorted(trials, stuck)] = (
+                self.symbols.take(stuck, bit_generator)
+                if isinstance(self.symbols, SkippedIntegers)
+                else self.symbols[stuck]
+            )
         return ChunkDraw(
-            self.data[trials],
-            self.events._replace(trial=np.searchsorted(trials, self.events.trial)),
+            data,
+            events._replace(trial=np.searchsorted(trials, events.trial)),
             self.scrub_counts[trials],
             self.scrub_times[trials],
         )
@@ -446,14 +488,12 @@ class ChunkDraw:
         """
         if len(draws) == 1:
             return draws[0]
-        starts = np.cumsum([0] + [len(d.data) for d in draws])
+        starts = np.cumsum([0] + [len(d.scrub_counts) for d in draws])
         times = np.full(
             (starts[-1], max(d.scrub_times.shape[1] for d in draws)), np.inf
         )
-        for draw, start in zip(draws, starts):
-            times[start : start + len(draw.data), : draw.scrub_times.shape[1]] = (
-                draw.scrub_times
-            )
+        for draw, start, end in zip(draws, starts, starts[1:]):
+            times[start:end, : draw.scrub_times.shape[1]] = draw.scrub_times
         return cls(
             np.concatenate([d.data for d in draws]),
             EventTable.concat(
@@ -497,9 +537,15 @@ class TaskSpec:
 OUTCOMES = (ReadOutcome.CORRECT, ReadOutcome.CORRUPTED, ReadOutcome.UNREADABLE)
 _CORRECT, _CORRUPTED, _UNREADABLE = range(len(OUTCOMES))
 
+_OUTCOME_NAMES = tuple(outcome.value for outcome in OUTCOMES)
+
 #: :class:`PerfCounters` fields of the columns of :func:`replay_batch`'s
 #: per-trial ``work`` array.
 WORK_FIELDS = ("words_decoded", "clean_fast_path", "decode_failures")
+
+#: A block record's ``counters`` before its own counts go in: every
+#: :class:`PerfCounters` field at zero, in ``as_dict`` order.
+_BLOCK_COUNTERS = PerfCounters().as_dict()
 
 
 def _draw_event_table(
@@ -525,9 +571,23 @@ def _draw_event_table(
     times = rng.uniform(0.0, t_end, size=total)
     symbols = rng.integers(0, n_symbols, size=total)
     bits = rng.integers(0, m, size=total)
-    values = rng.integers(0, 2, size=total) if permanent else 0
-    trial = np.repeat(np.arange(n_trials), counts)
-    return [EventTable.build(trial, times, permanent, module, symbols, bits, values)]
+    values = (
+        rng.integers(0, 2, size=total)
+        if permanent
+        else np.zeros(total, dtype=np.int64)
+    )
+    return [
+        EventTable(
+            np.repeat(np.arange(n_trials, dtype=np.int64), counts),
+            times,
+            np.full(total, permanent),
+            np.full(total, module, dtype=np.int64),
+            symbols,
+            bits,
+            values,
+            np.zeros(total, dtype=np.int64),
+        )
+    ]
 
 
 def _draw_pattern_events(
@@ -620,12 +680,17 @@ def draw_chunk(
 
     The draw order is fixed — data, every module's transients, every
     module's permanent faults, scrubs — so a chunk is a pure function of
-    its RNG stream.  ``pattern``/``schedule`` switch the transients to
-    the compound-Poisson mixture of :mod:`repro.simulator.patterns`
-    (a schedule alone means i.i.d. ``1BIT`` arrivals).
+    its RNG stream.  The data draw, ``rng.integers(0, 1 << m,
+    size=(n_trials, k))``, is skipped rather than made
+    (:class:`~repro.simulator.patterns.SkippedIntegers`): the draws
+    after it see the same stream, and the draw's symbols are read back
+    only where they are asked for.  ``pattern``/``schedule`` switch the
+    transients to the compound-Poisson mixture of
+    :mod:`repro.simulator.patterns` (a schedule alone means i.i.d.
+    ``1BIT`` arrivals).
     """
     modules = 2 if arrangement == "duplex" else 1
-    data = rng.integers(0, 1 << m, size=(n_trials, k))
+    data = SkippedIntegers(rng, n_trials, k, m)
     tables: List[EventTable] = []
     if pattern is not None or schedule is not None:
         expected = seu_per_bit * n * m * (
@@ -893,10 +958,13 @@ def _run_injection_chunk(task: TaskSpec) -> List[Dict[str, object]]:
     other trials of consecutive blocks are gathered, up to
     :data:`REPLAY_TRIALS`, into one array replay (:func:`replay_batch`):
     scrub epochs advance in batch steps and every read goes through
-    ``decode_batch``.  Returns one result per block, in block order,
-    each what a one-block task gives: outcome counts, and work counters
-    attributed to the block's own trials.  The task's busy and kernel
-    time go to its first block, so their sums are kept.
+    ``decode_batch``.  Only the trials with a permanent event replay on
+    their drawn data, read back through the block's own generator once
+    the draw is done with it; the others replay on the all-zero word
+    (:meth:`ChunkDraw.replay_rows`).  Returns one result per block, in
+    block order, each what a one-block task gives: outcome counts, and
+    work counters attributed to the block's own trials.  The task's
+    busy and kernel time go to its first block, so their sums are kept.
     """
     if task.arrangement not in ("simplex", "duplex"):
         raise ValueError(f"unknown arrangement {task.arrangement!r}")
@@ -933,8 +1001,9 @@ def _run_injection_chunk(task: TaskSpec) -> List[Dict[str, object]]:
         owners.clear()
 
     for slot, (_index, n_trials, seed) in enumerate(task.blocks):
+        rng = np.random.default_rng(seed)
         draw = draw_chunk(
-            np.random.default_rng(seed),
+            rng,
             task.arrangement,
             task.n,
             task.k,
@@ -955,49 +1024,65 @@ def _run_injection_chunk(task: TaskSpec) -> List[Dict[str, object]]:
         if owners and dirty_trials[owners].sum() + dirty.size > REPLAY_TRIALS:
             replay()
         dirty_trials[slot] = dirty.size
-        gathered.append(draw.rows(dirty))
+        gathered.append(draw.replay_rows(dirty, rng.bit_generator))
         owners.append(slot)
     if owners:
         replay()
     busy = time.perf_counter() - t_busy
     results: List[Dict[str, object]] = []
+    encoded, works, tallies = dirty_trials.tolist(), work.tolist(), tally.tolist()
     for slot, (_index, n_trials, _seed) in enumerate(task.blocks):
-        block = PerfCounters(
-            words_encoded=int(dirty_trials[slot]),
-            trials=n_trials,
-            chunks=1,
-            **dict(zip(WORK_FIELDS, work[slot].tolist())),
-        )
-        block.dirty_words_decoded = block.words_decoded - block.clean_fast_path
+        decoded, clean, failed = works[slot]
+        block = {
+            **_BLOCK_COUNTERS,
+            "words_encoded": encoded[slot],
+            "words_decoded": decoded,
+            "clean_fast_path": clean,
+            "dirty_words_decoded": decoded - clean,
+            "decode_failures": failed,
+            "trials": n_trials,
+            "chunks": 1,
+        }
         if slot == 0:
-            block.cpu_seconds = busy
-            block.kernel_seconds = counters.kernel_seconds
-        counts = {o.value: int(c) for o, c in zip(OUTCOMES, tally[slot])}
+            block["cpu_seconds"] = busy
+            block["kernel_seconds"] = counters.kernel_seconds
         results.append(
             {
-                "failures": n_trials - counts[ReadOutcome.CORRECT.value],
-                "counts": counts,
+                "failures": n_trials - tallies[slot][_CORRECT],
+                "counts": dict(zip(_OUTCOME_NAMES, tallies[slot])),
                 "trials": n_trials,
-                "counters": block.as_dict(),
+                "counters": block,
             }
         )
     return results
 
 
-def _publish_ber_snapshot(snapshot: BerSnapshot, cell_key: str) -> None:
-    """Mirror an incremental BER±CI snapshot into the obs layer.
+def _ber_snapshot_publisher(cell_key: str) -> Callable[[BerSnapshot], None]:
+    """Mirror a cell's incremental BER±CI snapshots into the obs layer.
 
     Gauges carry the latest aggregate (last-value semantics match a
-    streaming estimate); the trace event stream keeps the full history
-    for post-hoc convergence plots.
+    streaming estimate); under a trace collector the event stream keeps
+    the full history for post-hoc convergence plots.  Each gauge is
+    looked up once per cell, on its first set.
     """
-    registry = obs_metrics.get_registry()
-    registry.gauge("repro.mc.ber").set(snapshot.probability)
-    registry.gauge("repro.mc.ber_ci_low").set(snapshot.ci_low)
-    registry.gauge("repro.mc.ber_ci_high").set(snapshot.ci_high)
-    if not math.isinf(snapshot.rel_halfwidth):
-        registry.gauge("repro.mc.ber_rel_halfwidth").set(snapshot.rel_halfwidth)
-    trace.event("ber_snapshot", cell=cell_key, **snapshot.as_dict())
+    gauges: Dict[str, obs_metrics.Gauge] = {}
+
+    def gauge(name: str) -> obs_metrics.Gauge:
+        found = gauges.get(name)
+        if found is None:
+            found = gauges[name] = obs_metrics.get_registry().gauge(name)
+        return found
+
+    def publish(snapshot: BerSnapshot) -> None:
+        gauge("repro.mc.ber").set(snapshot.probability)
+        gauge("repro.mc.ber_ci_low").set(snapshot.ci_low)
+        gauge("repro.mc.ber_ci_high").set(snapshot.ci_high)
+        if not math.isinf(snapshot.rel_halfwidth):
+            gauge("repro.mc.ber_rel_halfwidth").set(snapshot.rel_halfwidth)
+        if trace.current_collector() is not None:
+            trace.event("ber_snapshot", cell=cell_key, **snapshot.as_dict())
+
+    return publish
 
 
 def simulate_fail_probability_batched(
@@ -1104,7 +1189,7 @@ def simulate_fail_probability_batched(
     cfg = runtime if runtime is not None else RuntimeConfig()
     journal = cfg.journal
     own_counters = counters if counters is not None else PerfCounters()
-    seed_ids = [seed_key(s) for s in seeds]
+    seed_ids = None if journal is None else [seed_key(s) for s in seeds]
 
     # Streaming aggregation: every completion (journal replays included)
     # folds into an incremental BER±CI snapshot for the obs layer, and —
@@ -1114,13 +1199,14 @@ def simulate_fail_probability_batched(
     ci_confidence = cfg.stop.confidence if cfg.stop is not None else 0.95
     streamer = StreamingEstimator(method=ci_method, confidence=ci_confidence)
     stopper = AdaptiveStopper(cfg.stop) if cfg.stop is not None else None
+    publish = _ber_snapshot_publisher(cell_key)
 
     def observe(index: int, result: Dict[str, object]) -> None:
         chunk_failures = int(result["failures"])  # type: ignore[arg-type]
         chunk_trials = int(result["trials"])  # type: ignore[arg-type]
         snapshot = streamer.offer(index, chunk_failures, chunk_trials)
         if snapshot is not None:
-            _publish_ber_snapshot(snapshot, cell_key)
+            publish(snapshot)
             if cfg.on_snapshot is not None:
                 cfg.on_snapshot(snapshot)
         if stopper is not None:
@@ -1236,9 +1322,12 @@ def simulate_fail_probability_batched(
         failures += res["failures"]
         for key, value in res["counts"].items():
             counts[key] += value
-        own_counters.merge(
-            PerfCounters.from_dict(res["counters"])  # type: ignore[arg-type]
+    own_counters.merge(
+        merge_counter_dicts(
+            results[index]["counters"]  # type: ignore[misc]
+            for index in used_indices
         )
+    )
     low, high = wilson_interval(failures, trials_used)
     # Robustness accounting: split the failure mass into *detected*
     # (decoder/arbiter refused output) vs *silent* (wrong data served) —

@@ -27,6 +27,9 @@ for that physics:
   algorithms.  The batch engine draws a whole chunk's arrivals through
   it, byte for byte the numbers the per-call ``Generator`` gives, and
   without paying numpy's per-call overhead for each of them.
+* :class:`SkippedIntegers` — a chunk's data draw moved past with one
+  ``advance`` instead of made, its rows read back from the same words
+  only where a replay needs them.
 
 Because a pure ``1BIT`` mixture reproduces the i.i.d. model's law
 exactly, every i.i.d.-reducible pattern can be cross-validated against
@@ -61,6 +64,7 @@ __all__ = [
     "MAX_SCHEDULE_LEGS",
     "check_schedule_legs",
     "Pcg64Draws",
+    "SkippedIntegers",
     "arrival_cells",
     "expand_arrivals",
     "sample_pattern_events",
@@ -585,6 +589,87 @@ class Pcg64Draws:
         state = bit_generator.state  # advance() clears the buffered half
         state["has_uint32"], state["uinteger"] = self._has_half, self._half
         bit_generator.state = state
+
+
+class SkippedIntegers:
+    """``rng.integers(0, 1 << m, size=(rows, k))``, skipped instead of drawn.
+
+    For a power-of-two range numpy's Lemire method never rejects, so the
+    draw takes exactly one 32-bit half per value, in :class:`Pcg64Draws`'
+    order (a half carried in first, then a word's low half and its high
+    half), and keeps the half's top ``m`` bits.  Construction moves
+    ``rng`` past the draw with one ``advance`` and re-seats the half the
+    draw leaves buffered, stale ``uinteger`` included, so
+    ``rng.bit_generator.state`` equals what the draw leaves.  The values
+    stay in the stream: :meth:`take` reads rows back from the words they
+    come from, :meth:`table` reads every row.  Any other bit generator,
+    or a range wider than 32 bits, raises instead of skipping other
+    bytes.
+    """
+
+    def __init__(self, rng: np.random.Generator, rows: int, k: int, m: int):
+        bit_generator = rng.bit_generator
+        if type(bit_generator) is not np.random.PCG64:
+            raise TypeError(
+                f"SkippedIntegers skips PCG64 words; the generator runs "
+                f"{type(bit_generator).__name__}"
+            )
+        if not 0 <= m <= 32:
+            raise ValueError(
+                f"SkippedIntegers skips ranges of 1 to 2**32 values, not "
+                f"[0, 2**{m})"
+            )
+        self.shape = (rows, k)
+        self.m = m
+        self._start = bit_generator.state
+        if not rows * k * m:  # no value, or a one-value range: no draw
+            return
+        fresh = rows * k - self._start["has_uint32"]  # halves of new words
+        if fresh:
+            bit_generator.advance((fresh - 1) // 2)
+            last = int(bit_generator.random_raw())
+            state = bit_generator.state
+            state["has_uint32"], state["uinteger"] = fresh % 2, last >> 32
+        else:  # the carried half was the whole draw
+            state = bit_generator.state
+            state["has_uint32"] = 0
+        bit_generator.state = state
+
+    def take(
+        self, rows: np.ndarray, bit_generator: Optional[np.random.PCG64] = None
+    ) -> np.ndarray:
+        """The values of ``rows``, as the draw gives them (``int64``).
+
+        One ``random_raw`` reads the words from the first row's to the
+        last one's, through ``bit_generator`` re-seated at the draw's
+        start (so one generator serves many reads) or a new ``PCG64``.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        n_rows, k = self.shape
+        if not rows.size or not k * self.m:
+            return np.zeros((rows.size, k), dtype=np.int64)
+        low, high = int(rows.min()), int(rows.max())
+        if low < 0 or high >= n_rows:
+            raise IndexError(f"rows {low}..{high} outside a {n_rows}-row draw")
+        carried = self._start["has_uint32"]
+        # Value v is half v - carried of the new words; half -1 is the
+        # carried one.
+        first = max(low * k - carried, 0) // 2
+        end = ((high + 1) * k - carried + 1) // 2
+        if bit_generator is None:
+            bit_generator = np.random.PCG64()
+        bit_generator.state = self._start
+        bit_generator.advance(first)
+        words = bit_generator.random_raw(end - first).astype("<u8", copy=False)
+        halves = np.empty(2 * words.size + 1, dtype="<u4")
+        halves[0] = self._start["uinteger"]
+        halves[1:] = words.view("<u4")  # each word's low half, then its high
+        index = rows[:, None] * k + np.arange(k) + (1 - carried - 2 * first)
+        return (halves[index] >> (32 - self.m)).astype(np.int64)
+
+    def table(self) -> np.ndarray:
+        """Every row of the draw."""
+        return self.take(np.arange(self.shape[0]))
 
 
 def _nonzero_mask(rng, m: int) -> int:

@@ -432,6 +432,7 @@ MISUSE = {
     "trials-negative": (["--trials", "-3"], "--trials must be positive"),
     "chunk-size-zero": (["--chunk-size", "0"], "--chunk-size must be positive"),
     "workers-zero": (["--workers", "0"], "--workers must be >= 1"),
+    "seed-negative": (["--seed", "-1"], "--seed must be >= 0"),
     "reference-checkpoint": (
         ["--engine", "reference", "--checkpoint", "{tmp}/run.jsonl"],
         "--checkpoint requires the batch engine",
@@ -492,6 +493,7 @@ class TestCampaignMisuse:
         out, err = capsys.readouterr()
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(reason)
+        assert "Traceback" not in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []  # no journal, no manifest
 
@@ -522,8 +524,8 @@ class TestCampaignMisuse:
         assert "invalid choice" in capsys.readouterr().err
 
 
-#: Time-grid arguments refused before any chain is solved, with the one
-#: stderr line that says why.
+#: Time-grid, rate, code and budget arguments refused before any chain
+#: is solved, with the one stderr line that says why.
 GRID_MISUSE = {
     **{
         f"{command[0]}-points-{points}": (
@@ -540,6 +542,56 @@ GRID_MISUSE = {
         )
         for hours in ("-5", "nan", "inf")
     },
+    **{
+        f"ber-{flag}-{value}": (
+            ["ber", f"--{flag}", value],
+            f"--{flag} must be finite and >= 0",
+        )
+        for flag in ("seu", "permanent")
+        for value in ("-1", "nan", "inf")
+    },
+    **{
+        f"ber-tsc-{value}": (
+            ["ber", "--seu", "1e-3", "--tsc", value],
+            "--tsc must be finite and > 0",
+        )
+        for value in ("0", "-5", "nan", "inf")
+    },
+    "ber-k-above-n": (
+        ["ber", "--n", "10", "--k", "16"],
+        "need 0 < k < n, got n=10, k=16",
+    ),
+    "ber-m-zero": (
+        ["ber", "--m", "0"],
+        "codeword length n=18 exceeds 2^m - 1 for m=0",
+    ),
+    **{
+        f"{command}-hours-{hours}": (
+            [command, "--hours", hours],
+            "--hours must be finite and >= 0",
+        )
+        for command in ("sensitivity", "scrub-design")
+        for hours in ("-5", "nan", "inf")
+    },
+    "sensitivity-tsc-zero": (
+        ["sensitivity", "--tsc", "0"],
+        "--tsc must be finite and > 0",
+    ),
+    "sensitivity-k-above-n": (
+        ["sensitivity", "--n", "10", "--k", "16"],
+        "need 0 < k < n, got n=10, k=16",
+    ),
+    **{
+        f"scrub-design-budget-{budget}": (
+            ["scrub-design", "--budget", budget],
+            "--budget must be finite and > 0",
+        )
+        for budget in ("0", "-1", "nan", "inf")
+    },
+    "scrub-design-seu-nan": (
+        ["scrub-design", "--seu", "nan"],
+        "--seu must be finite and >= 0",
+    ),
 }
 
 
@@ -568,6 +620,7 @@ VALIDATE_MISUSE = {
     "trials-zero": (["--trials", "0"], "--trials must be positive"),
     "chunk-size-zero": (["--chunk-size", "0"], "--chunk-size must be positive"),
     "workers-zero": (["--workers", "0"], "--workers must be >= 1"),
+    "seed-negative": (["--seed", "-1"], "--seed must be >= 0"),
 }
 
 
@@ -586,6 +639,7 @@ class TestValidateMisuse:
         out, err = capsys.readouterr()
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(reason)
+        assert "Traceback" not in err
         assert out == ""
 
 

@@ -1,4 +1,4 @@
-"""Pcg64Draws answers the pattern sampler's ``Generator`` calls byte for byte.
+"""Pcg64Draws and SkippedIntegers give the ``Generator``'s bytes.
 
 The batch engine draws pattern arrivals through
 :class:`~repro.simulator.patterns.Pcg64Draws`, which recomputes numpy's
@@ -7,7 +7,9 @@ words.  NumPy keeps raw bit-generator streams stable across releases
 but not the streams of ``Generator`` methods, so these tests pin the
 replay to the ``Generator`` installed: equal values, an equal
 ``bit_generator.state`` after :meth:`~Pcg64Draws.close` (buffered
-32-bit half included), and equal draws after it.
+32-bit half included), and equal draws after it.  The same holds for
+:class:`~repro.simulator.patterns.SkippedIntegers`, the chunk's data
+draw moved past with one ``advance`` and read back row by row.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 from repro.simulator.patterns import (
     Pcg64Draws,
+    SkippedIntegers,
     arrival_cells,
     parse_pattern,
     parse_schedule,
@@ -215,3 +218,83 @@ def test_arrival_geometry_is_the_same_through_the_replay(spec):
         with Pcg64Draws(got) as draws:
             assert arrival_cells(draws, pattern, times, 18, 8) == expected
         assert got.bit_generator.state == want.bit_generator.state
+
+
+# --------------------------------------------------------------------------
+# SkippedIntegers: the data draw, skipped and read back
+# --------------------------------------------------------------------------
+
+
+def _row_subsets(rows, k, seed):
+    """Random ascending row subsets, plus consecutive rows that share a
+    word when ``k`` is odd."""
+    pick = np.random.default_rng([0x534B, seed])
+    subsets = [np.sort(pick.choice(rows, size=size, replace=False))
+               for size in {1, min(rows, 3), rows}]
+    if rows > 1:
+        start = int(pick.integers(0, rows - 1))
+        subsets.append(np.arange(start, start + 2))
+    subsets.append(np.arange(rows - 1, rows))  # the last row: a buffered half
+    return subsets
+
+
+@pytest.mark.parametrize("carry_in", [False, True])
+@pytest.mark.parametrize("m", [1, 8, 16])
+@pytest.mark.parametrize("k", [1, 5, 16])
+@pytest.mark.parametrize("rows", [0, 1, 7, 512])
+def test_skip_leaves_the_generator_where_the_draw_does(rows, k, m, carry_in):
+    seed = rows * 1000 + k * 10 + m
+    want = np.random.default_rng(seed)
+    got = np.random.default_rng(seed)
+    if carry_in:
+        assert want.integers(0, 7) == got.integers(0, 7)
+    table = want.integers(0, 1 << m, size=(rows, k))
+    skipped = SkippedIntegers(got, rows, k, m)
+    assert got.bit_generator.state == want.bit_generator.state
+    reader = np.random.PCG64(1)
+    for subset in _row_subsets(rows, k, seed) if rows else []:
+        assert _same(skipped.take(subset, reader), table[subset]), subset
+    assert _same(skipped.table(), table)
+    assert skipped.take(np.arange(0), reader).shape == (0, k)
+    # Reading back moves nothing on the generator the draw was skipped on.
+    assert got.bit_generator.state == want.bit_generator.state
+    for _ in range(5):
+        assert _same(got.integers(0, 18, size=3), want.integers(0, 18, size=3))
+        assert _same(got.random(2), want.random(2))
+
+
+def test_skip_of_one_value_with_a_carried_half_uses_only_that_half():
+    want = np.random.default_rng(16)
+    got = np.random.default_rng(16)
+    assert want.integers(0, 9) == got.integers(0, 9)
+    table = want.integers(0, 256, size=(1, 1))
+    skipped = SkippedIntegers(got, 1, 1, 8)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.bit_generator.state["has_uint32"] == 0  # the stale half stays
+    assert _same(skipped.table(), table)
+
+
+@pytest.mark.parametrize(
+    "bit_generator",
+    [np.random.Philox, np.random.MT19937, np.random.SFC64, np.random.PCG64DXSM],
+)
+def test_skip_on_other_bit_generators_raises(bit_generator):
+    rng = np.random.Generator(bit_generator(1))
+    with pytest.raises(TypeError, match=bit_generator.__name__):
+        SkippedIntegers(rng, 4, 4, 8)
+
+
+@pytest.mark.parametrize("m", [33, 40, -1])
+def test_skip_of_a_range_it_cannot_draw_raises(m):
+    rng = np.random.default_rng(17)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="ranges of 1 to 2\\*\\*32"):
+        SkippedIntegers(rng, 4, 4, m)
+    assert rng.bit_generator.state == before
+
+
+def test_rows_outside_the_draw_raise():
+    skipped = SkippedIntegers(np.random.default_rng(18), 4, 3, 8)
+    for rows in ([4], [-1], [0, 7]):
+        with pytest.raises(IndexError):
+            skipped.take(np.asarray(rows))
