@@ -19,12 +19,13 @@ Two fault environments bracket the regimes the paper cares about:
 import numpy as np
 
 from repro.analysis.tables import _render  # reuse the aligner
-from repro.perf import timed
 from repro.rs import RSCode
 from repro.simulator import (
     simulate_fail_probability,
     simulate_fail_probability_batched,
 )
+
+from timing import timed
 
 CODE = RSCode(18, 16, m=8)
 T_END = 48.0

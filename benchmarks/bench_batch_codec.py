@@ -14,8 +14,9 @@ time is the per-call fixed cost.  The numbers land in
 import numpy as np
 
 from repro.analysis.tables import _render  # reuse the aligner
-from repro.perf import timed
 from repro.rs import BatchRSCodec, RSCode
+
+from timing import timed
 
 N, K, M = 18, 16, 8
 BATCH = 4096

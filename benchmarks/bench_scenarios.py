@@ -10,9 +10,10 @@ and checks the robustness accounting that rides along.  Results land in
 """
 
 from repro.analysis.tables import _render  # reuse the aligner
-from repro.perf import timed
 from repro.rs import RSCode
 from repro.simulator import simulate_fail_probability_batched
+
+from timing import timed
 
 N, K, M = 18, 16, 8
 TRIALS = 2000

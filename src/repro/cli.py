@@ -596,13 +596,23 @@ def cmd_scrub_design(args: argparse.Namespace) -> int:
         return 2
     if _refuse(_bad_hours(args.hours), _bad_physics(args.seu)):
         return 2
-    period = max_scrub_period_for_budget(
-        18,
-        16,
-        seu_per_bit_day=args.seu,
-        budget=args.budget,
-        horizon_hours=args.hours,
-    )
+    if args.words < 1:
+        print("--words must be >= 1", file=sys.stderr)
+        return 2
+    if not 0 < args.clock_mhz < math.inf:
+        print("--clock-mhz must be finite and > 0", file=sys.stderr)
+        return 2
+    try:
+        period = max_scrub_period_for_budget(
+            18,
+            16,
+            seu_per_bit_day=args.seu,
+            budget=args.budget,
+            horizon_hours=args.hours,
+        )
+    except ValueError as exc:  # no swept period meets the budget
+        print(str(exc), file=sys.stderr)
+        return 1
     overhead = scrub_overhead(
         18,
         16,
@@ -638,20 +648,29 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     from .analysis import memory_system_sensitivities
 
+    if not 0 < args.hours < math.inf:
+        # BER(0) is 0 for every configuration: no elasticity exists there.
+        print("--hours must be finite and > 0", file=sys.stderr)
+        return 2
     if _refuse(
-        _bad_hours(args.hours),
-        _bad_physics(args.seu, args.permanent, args.tsc, (args.n, args.k, 8)),
+        _bad_physics(args.seu, args.permanent, args.tsc, (args.n, args.k, 8))
     ):
         return 2
-    results = memory_system_sensitivities(
-        args.arrangement,
-        args.n,
-        args.k,
-        args.hours,
-        seu_per_bit_day=args.seu,
-        erasure_per_symbol_day=args.permanent,
-        scrub_period_seconds=args.tsc,
-    )
+    try:
+        results = memory_system_sensitivities(
+            args.arrangement,
+            args.n,
+            args.k,
+            args.hours,
+            seu_per_bit_day=args.seu,
+            erasure_per_symbol_day=args.permanent,
+            scrub_period_seconds=args.tsc,
+        )
+    except ValueError as exc:
+        # A BER that underflows to 0 at this horizon (a tiny --seu) has
+        # no log-derivative.
+        print(str(exc), file=sys.stderr)
+        return 1
     if not results:
         _out("no active parameters to differentiate")
         return 1
@@ -775,8 +794,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.stop_rel_ci is not None and args.stop_rel_ci <= 0:
-        print("--stop-rel-ci must be > 0", file=sys.stderr)
+    if args.stop_rel_ci is not None and not 0 < args.stop_rel_ci < math.inf:
+        print("--stop-rel-ci must be finite and > 0", file=sys.stderr)
         return 2
     if args.min_trials < 0:
         print("--min-trials must be >= 0", file=sys.stderr)
@@ -907,6 +926,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         progress=tracker,
         on_progress=on_progress if tracker is not None else None,
     )
+    # A registry of this run's own: the manifest and the trace count
+    # this campaign alone, not earlier runs in the same process.
+    previous_registry = obs_metrics.set_registry(obs_metrics.MetricsRegistry())
     t0 = _time.perf_counter()
     try:
         rows = run_campaign(
@@ -950,20 +972,16 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             )
         return 130
     finally:
+        metrics = obs_metrics.set_registry(previous_registry).snapshot()
         if executor is not None:
             executor.shutdown()
         if journal is not None:
             journal.close()
             counters.io_errors += journal.io_errors
             counters.records_quarantined += journal.records_quarantined
-        # Mirror the counters into the metrics registry so both the
-        # trace export and the manifest carry one coherent snapshot.
-        counters.publish(obs_metrics.get_registry())
         if collector is not None:
             obs_trace.install_collector(None)
-            trace_path = collector.export_jsonl(
-                args.trace, metrics=obs_metrics.get_registry().snapshot()
-            )
+            trace_path = collector.export_jsonl(args.trace, metrics=metrics)
             print(f"trace: {trace_path}", file=sys.stderr)
     wall = _time.perf_counter() - t0
 
@@ -995,7 +1013,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             resumed=resumed,
             checkpoint_path=args.checkpoint,
             progress_events=heartbeats,
-            metrics=obs_metrics.get_registry().snapshot(),
+            metrics=metrics,
         )
         manifest_path = write_manifest(args.manifest, manifest)
     degraded = journal is not None and journal.degraded

@@ -10,13 +10,15 @@ complementary primitives, all in-process and dependency-free:
   truncation decisions (terms used, ``L·t``, tail bound at exit,
   fallback taken, expm cache hits) as span attributes, so differential
   tests can assert on *why* two solvers agree.
-* :mod:`repro.obs.metrics` — a registry of counters, gauges, and
-  histograms with fixed log-spaced buckets (chunk latency).  It absorbs
-  the quantitative telemetry of :class:`repro.perf.PerfCounters`, which
-  stays as the thin picklable carrier worker processes return.
+* :mod:`repro.obs.metrics` — a registry of counters and histograms
+  with fixed log-spaced buckets, for what no other record holds: solver
+  and verify work counts, and the per-task latency histogram.  Counts
+  that merge across worker processes stay in
+  :class:`repro.perf.PerfCounters`.
 * :mod:`repro.obs.progress` — per-chunk heartbeats with a
-  rolling-throughput ETA, emitted through the chunk supervisor, rendered
-  by ``repro campaign --progress``, and appended to run manifests.
+  rolling-throughput ETA, emitted by the Monte-Carlo coordinator,
+  rendered by ``repro campaign --progress``, and appended to run
+  manifests.
 
 Everything here degrades to near-zero cost when not enabled: no
 collector installed means spans/events retain nothing, and the default
@@ -29,7 +31,6 @@ from . import metrics, trace
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
@@ -60,7 +61,6 @@ __all__ = [
     "span",
     "use_collector",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",

@@ -1,16 +1,14 @@
-"""Zero-dependency metrics: counters, gauges, log-bucketed histograms.
+"""Zero-dependency metrics: counters and log-bucketed histograms.
 
-This registry absorbs the quantitative run telemetry that previously
-lived only in the ad-hoc :class:`repro.perf.PerfCounters` fields and
-adds the two shapes that plain additive counters cannot express: *gauges* (last-value, e.g. true wall clock) and
-*histograms* (distributions, e.g. per-chunk latency).  The registry is
-in-process and thread-safe; snapshots are plain dicts suitable for run
-manifests and the JSONL trace export.
-
-:class:`repro.perf.PerfCounters` remains the picklable merge-friendly
-carrier that worker processes return — it publishes into a registry via
-:meth:`~repro.perf.PerfCounters.publish` rather than being replaced, so
-its worker merge/pickle semantics are untouched.
+The registry keeps the run telemetry that has no other record: the
+solver's work counters (``repro.solver.*``), the verify harness's
+(``repro.verify.*``) and the coordinator's per-task completion latency
+(``repro.mc.chunk_seconds``), a distribution that plain additive
+counters cannot express.  Counts that merge across worker processes
+live in :class:`repro.perf.PerfCounters`, per-cell outcomes in the
+campaign rows, and events in the trace; none is mirrored here.  The
+registry is in-process and thread-safe; snapshots are plain dicts
+suitable for run manifests and the JSONL trace export.
 
 Histogram buckets are *fixed log-spaced boundaries* chosen at creation
 (default: 100 µs to 1000 s, four buckets per decade), so observations
@@ -58,7 +56,7 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
-            raise ValueError("counters only increase; use a gauge")
+            raise ValueError("counters only increase")
         with self._lock:
             self._value += amount
 
@@ -68,28 +66,6 @@ class Counter:
 
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "counter", "value": self._value}
-
-
-class Gauge:
-    """A last-value metric (set-to, not accumulate)."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value: Optional[float] = None
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    @property
-    def value(self) -> Optional[float]:
-        return self._value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": "gauge", "value": self._value}
 
 
 class Histogram:
@@ -147,7 +123,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Name-indexed counters/gauges/histograms with get-or-create access."""
+    """Name-indexed counters and histograms with get-or-create access."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -167,9 +143,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
 
     def histogram(
         self, name: str, bounds: Optional[Sequence[float]] = None

@@ -4,9 +4,8 @@ The batch codec and the chunked Monte-Carlo engine are performance
 features, so they carry their own meters: :class:`PerfCounters` counts
 the work actually done (words encoded/decoded, how many words took the
 vectorized clean fast path vs. the errors-and-erasures decoder, trials
-completed) and :class:`Stopwatch` accumulates time so throughput
-(trials/sec, words/sec) can be reported by benchmarks and the CLI
-without any external profiler.
+completed) and the time it took, so throughput (trials/sec, words/sec)
+can be reported by benchmarks and the CLI without any external profiler.
 
 Time is accounted on two separate axes, because they mean different
 things under multiprocessing:
@@ -15,7 +14,7 @@ things under multiprocessing:
   wherever it ran.  Additive: merging per-worker counters sums it, and
   with ``workers=N`` it can legitimately exceed wall clock N-fold.
 * ``elapsed_seconds`` — true wall-clock time, measured once by the
-  coordinator's :class:`Stopwatch`.  **Not** additive: :meth:`PerfCounters.merge`
+  coordinator.  **Not** additive: :meth:`PerfCounters.merge`
   deliberately leaves it alone, because summing per-worker elapsed time
   reports N× the true wall time and understates ``trials_per_second``
   by the worker count (the original single-field accounting bug).
@@ -25,20 +24,16 @@ counters returned by worker processes reproduces exactly the counters a
 single-process run would have produced, which keeps the ``workers=N``
 path observable without breaking its determinism contract.
 
-:class:`PerfCounters` is intentionally a plain picklable dataclass — the
-carrier worker processes return — while :mod:`repro.obs.metrics` is the
-richer registry (gauges, histograms).  :meth:`PerfCounters.publish`
-bridges the two by mirroring every field into a registry.
+:class:`PerfCounters` is the one record of a run's counts: a plain
+picklable dataclass that worker processes return, that run manifests
+carry as ``counters`` and that ``repro campaign --perf`` prints.  The
+:mod:`repro.obs.metrics` registry holds only what has no home here.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, Iterable, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .obs.metrics import MetricsRegistry
+from typing import Dict, Iterable
 
 
 @dataclass
@@ -63,7 +58,7 @@ class PerfCounters:
     trials: Monte-Carlo trials completed.
     chunks: Monte-Carlo chunks processed.
     elapsed_seconds: true wall-clock time, measured by the
-        *coordinator's* :class:`Stopwatch`.  Excluded from :meth:`merge`
+        *coordinator*.  Excluded from :meth:`merge`
         (wall time is not additive across workers).
     cpu_seconds: busy time accumulated *inside* chunk executors;
         additive across workers and can exceed ``elapsed_seconds``
@@ -118,7 +113,7 @@ class PerfCounters:
         Every field is summed except ``elapsed_seconds``: per-chunk /
         per-worker wall times overlap under multiprocessing, so summing
         them would report N× the true duration.  The coordinator owns
-        ``elapsed_seconds`` via its own :class:`Stopwatch`.
+        ``elapsed_seconds`` and measures it once.
         """
         for name in _ADDITIVE_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
@@ -127,22 +122,6 @@ class PerfCounters:
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict snapshot (picklable, for worker processes)."""
         return {name: getattr(self, name) for name in _FIELDS}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, float]) -> "PerfCounters":
-        # Unknown keys are dropped; missing fields default to zero.
-        return cls(**{k: v for k, v in d.items() if k in _FIELD_SET})
-
-    def publish(
-        self, registry: "MetricsRegistry", prefix: str = "repro.perf."
-    ) -> None:
-        """Mirror every field into an :mod:`repro.obs.metrics` registry.
-
-        Monotonic work counts become gauges too (a snapshot, not a
-        stream): the registry reflects this counter set's current state.
-        """
-        for name in _FIELDS:
-            registry.gauge(prefix + name).set(getattr(self, name))
 
     # -- derived metrics ---------------------------------------------------
 
@@ -245,74 +224,18 @@ class PerfCounters:
 #: Field names of :class:`PerfCounters`, in declaration order, and the
 #: ones :meth:`PerfCounters.merge` sums.
 _FIELDS = tuple(f.name for f in fields(PerfCounters))
-_FIELD_SET = frozenset(_FIELDS)
 _ADDITIVE_FIELDS = tuple(
     name for name in _FIELDS if name not in PerfCounters.NON_ADDITIVE
 )
 
 
-class Stopwatch:
-    """Context manager accumulating elapsed time into a counter field.
-
-    ``attr`` selects the destination: the coordinator times true wall
-    clock into ``elapsed_seconds`` (the default), while chunk executors
-    time their own busy interval into the additive ``cpu_seconds``.
-
-    >>> counters = PerfCounters()
-    >>> with Stopwatch(counters):
-    ...     pass
-    >>> counters.elapsed_seconds >= 0.0
-    True
-    """
-
-    def __init__(
-        self,
-        counters: Optional[PerfCounters] = None,
-        attr: str = "elapsed_seconds",
-    ):
-        if attr not in _FIELD_SET:
-            raise ValueError(f"unknown PerfCounters field {attr!r}")
-        self.counters = counters
-        self.attr = attr
-        self.elapsed = 0.0
-        self._t0: Optional[float] = None
-
-    def __enter__(self) -> "Stopwatch":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._t0 is None:
-            # A bare assert here would vanish under ``python -O`` and
-            # resurface as a baffling TypeError on ``perf_counter() - None``.
-            raise RuntimeError(
-                "Stopwatch.__exit__ called without __enter__ — use it as "
-                "a context manager ('with Stopwatch(...)') or call "
-                "__enter__ first"
-            )
-        self.elapsed = time.perf_counter() - self._t0
-        self._t0 = None
-        if self.counters is not None:
-            setattr(
-                self.counters,
-                self.attr,
-                getattr(self.counters, self.attr) + self.elapsed,
-            )
-
-
-def timed(fn, *args, **kwargs):
-    """Run ``fn(*args, **kwargs)``; return ``(result, elapsed_seconds)``."""
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - t0
-
-
 def merge_counter_dicts(dicts: Iterable[Dict[str, float]]) -> PerfCounters:
     """Fold picklable chunk-counter dicts into one :class:`PerfCounters`.
 
-    The sums of :meth:`PerfCounters.merge` over each dict's
-    :meth:`PerfCounters.from_dict`, in the same order, taken on the dicts
-    themselves: unknown keys are dropped, a missing field adds zero, and
+    The sums :meth:`PerfCounters.merge` would take over counter sets
+    built from the dicts, in the same order, taken on the dicts
+    themselves: unknown keys are dropped, a missing field adds zero (so
+    records written before a field existed still fold), and
     ``elapsed_seconds`` is not summed.
     """
     zero = PerfCounters()

@@ -72,7 +72,6 @@ from .executors import PoolExecutor, SerialExecutor, make_executor
 from .manifest import build_manifest, git_describe, write_manifest
 from .supervisor import (
     CHUNK_FAILED_EXIT_CODE,
-    CHUNK_KERNEL_METRIC,
     CHUNK_LATENCY_METRIC,
     ChunkFailedError,
     ChunkSupervisor,
@@ -166,7 +165,6 @@ __all__ = [
     "BerSnapshot",
     "StoppingRule",
     "CHUNK_FAILED_EXIT_CODE",
-    "CHUNK_KERNEL_METRIC",
     "CHUNK_LATENCY_METRIC",
     "ChunkFailedError",
     "ChunkSupervisor",

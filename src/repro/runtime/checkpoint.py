@@ -81,13 +81,9 @@ def seed_key(seed_seq) -> str:
 
 
 def _observe_quarantine(count: int, path: Path) -> None:
-    """Make a quarantine loud: metrics counter, trace event, warning."""
-    from ..obs import metrics as obs_metrics
+    """Make a quarantine loud: trace event and warning."""
     from ..obs import trace
 
-    obs_metrics.get_registry().counter(
-        "repro.runtime.records_quarantined"
-    ).inc(count)
     trace.event(
         "journal_quarantine", journal=str(path), records=count
     )
@@ -360,7 +356,6 @@ class CheckpointJournal:
             self._degrade(exc)
 
     def _degrade(self, exc: OSError) -> None:
-        from ..obs import metrics as obs_metrics
         from ..obs import trace
 
         self.io_errors += 1
@@ -377,7 +372,6 @@ class CheckpointJournal:
             except OSError:
                 pass
             self._fh = None
-        obs_metrics.get_registry().counter("repro.runtime.io_errors").inc()
         trace.event(
             "journal_io_error",
             journal=str(self.path),

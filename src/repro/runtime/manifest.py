@@ -6,9 +6,9 @@ writes one JSON document per campaign with the full reproducibility key
 (seed, engine, chunking, code geometry, cell matrix), the resilience
 record (retries, timeouts, crashes, fallbacks, resumed chunks), the
 per-cell results, the observability record (chunk heartbeat/progress
-events with ETA, a metrics-registry snapshot including the chunk-latency
-histogram), and environment provenance (git describe, Python and numpy
-versions, wall clock).
+events with ETA, and a snapshot of the run's own metrics registry: the
+chunk-latency histogram and the solver counters), and environment
+provenance (git describe, Python and numpy versions, wall clock).
 """
 
 from __future__ import annotations
@@ -31,7 +31,16 @@ from ..ioutil import atomic_write
 # "dirty_words_decoded", and the always-zero engine-fallback count is gone.
 # Version 5 dropped two "counters" keys with straggler speculation:
 # "stragglers_redispatched" and "duplicate_results".
-MANIFEST_VERSION = 5
+# Version 6 keeps in "metrics" only what no other member holds (the
+# "repro.mc.chunk_seconds" latency histogram and the "repro.solver.*"
+# counters) and counts this run alone; gone are the "repro.perf.*"
+# gauges (see "counters"), "repro.mc.ber", "repro.mc.ber_ci_low",
+# "repro.mc.ber_ci_high", "repro.mc.ber_rel_halfwidth",
+# "repro.mc.silent_miscorrections" and "repro.mc.detected_uncorrectable"
+# (see "results"), "repro.mc.chunk_kernel_seconds" (see
+# "counters.kernel_seconds"), and "repro.runtime.records_quarantined" and
+# "repro.runtime.io_errors" (see "counters").
+MANIFEST_VERSION = 6
 
 
 def git_describe(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:

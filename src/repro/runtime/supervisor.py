@@ -75,19 +75,13 @@ from typing import (
 )
 
 from ..obs import metrics as obs_metrics
-from ..obs import trace
-from ..obs.progress import ProgressEvent, ProgressTracker
 from ..perf import PerfCounters
 from .chaos import ChaosSpec
 from .executors import PoolExecutor, SerialExecutor, _supervised_call
 
-#: Metrics-registry name of the per-chunk completion-latency histogram
-#: (coordinator-observed: submit/start to completion, queueing included).
+#: Metrics-registry name of the per-job completion-latency histogram
+#: (coordinator-observed: submit to completion, queueing included).
 CHUNK_LATENCY_METRIC = "repro.mc.chunk_seconds"
-
-#: Per-chunk decode-kernel CPU time (from each chunk's merged perf
-#: counters), exported with the rest of the registry by ``--trace``.
-CHUNK_KERNEL_METRIC = "repro.mc.chunk_kernel_seconds"
 
 
 class ResilienceWarning(UserWarning):
@@ -198,8 +192,6 @@ class ChunkSupervisor:
         chunk_timeout: Optional[float] = None,
         chaos: Optional[ChaosSpec] = None,
         counters: Optional[PerfCounters] = None,
-        progress: Optional[ProgressTracker] = None,
-        on_progress: Optional[Callable[[ProgressEvent], None]] = None,
         executor: Optional[cf.Executor] = None,
     ):
         if chunk_timeout is not None and not 0 < chunk_timeout < math.inf:
@@ -208,8 +200,6 @@ class ChunkSupervisor:
         self.chunk_timeout = chunk_timeout
         self.chaos = chaos
         self.counters = counters if counters is not None else PerfCounters()
-        self.progress = progress
-        self.on_progress = on_progress
         #: Driven, never shut down; ``None`` runs every job in-process.
         self.executor = executor
         self.events: List[SupervisorEvent] = []
@@ -222,57 +212,13 @@ class ChunkSupervisor:
     def _warn(self, message: str) -> None:
         warnings.warn(message, ResilienceWarning, stacklevel=2)
 
-    def _heartbeat(self, index: int, result: Any, latency_s: float) -> None:
-        """One job finished: histogram its latency, emit the heartbeat.
-
-        Called exactly once per job.  A job's result is one chunk result
-        or a list of them (a task); its trials and kernel seconds are
-        their sums.
-        The heartbeat is a trace event (``chunk_heartbeat``) carrying
-        the job latency plus — when a :class:`ProgressTracker` is
-        attached — the done/total/rate/ETA snapshot, and it also reaches
-        the ``on_progress`` callback (the CLI's ``--progress`` renderer).
-        """
-        obs_metrics.get_registry().histogram(CHUNK_LATENCY_METRIC).observe(
-            latency_s
-        )
-        kernel_s = 0.0
-        trials = 0
-        for part in result if isinstance(result, list) else [result]:
-            if not isinstance(part, dict):
-                continue
-            counters = part.get("counters")
-            try:
-                if isinstance(counters, dict):
-                    kernel_s += float(counters.get("kernel_seconds", 0.0))
-                trials += int(part.get("trials", 0))
-            except (TypeError, ValueError):
-                pass
-        if kernel_s > 0.0:
-            obs_metrics.get_registry().histogram(CHUNK_KERNEL_METRIC).observe(
-                kernel_s
-            )
-        attrs: Dict[str, Any] = {
-            "chunk": index,
-            "latency_s": latency_s,
-            "trials": trials,
-        }
-        if self.progress is not None:
-            progress_event = self.progress.advance(max(trials, 1))
-            attrs.update(progress_event.as_dict())
-            trace.event("chunk_heartbeat", **attrs)
-            if self.on_progress is not None:
-                self.on_progress(progress_event)
-        else:
-            trace.event("chunk_heartbeat", **attrs)
-
     # -- public API --------------------------------------------------------
 
     def run(
         self,
         jobs: Sequence[Tuple[Union[int, range], Any]],
         primary: Callable[[Any], Any],
-        on_complete: Optional[Callable[[int, Any], None]] = None,
+        on_complete: Optional[Callable[[int, Any, float], None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> Dict[int, Any]:
         """Run ``(chunks, args)`` jobs to completion (or early stop).
@@ -281,9 +227,12 @@ class ChunkSupervisor:
         chunk indices that one job (a task) holds; the job is keyed by
         its first index.  Chaos aimed at any of its chunks fires in it,
         and its deadline is ``chunk_timeout`` per chunk.  ``primary``
-        runs one job.  ``on_complete(index, result)`` fires the moment
-        each job first finishes (in completion order, once per job) —
-        the journal hook.  ``should_stop`` (optional) is consulted after
+        runs one job; the supervisor never reads what it returns.
+        ``on_complete(index, result, latency_s)`` fires the moment each
+        job first finishes (in completion order, once per job) with the
+        seconds from its submission, which the
+        :data:`CHUNK_LATENCY_METRIC` histogram also records — the journal
+        and heartbeat hook.  ``should_stop`` (optional) is consulted after
         every completion; once true, queued work is dropped and the
         results so far are returned.  Returns ``{first index: result}``.
 
@@ -302,7 +251,7 @@ class ChunkSupervisor:
             # to start than most jobs take: run it in-process.
             executor = SerialExecutor()
         retry = self.retry
-        results: Dict[int, Dict[str, Any]] = {}
+        results: Dict[int, Any] = {}
         states: Dict[int, ChunkState] = {}
         for chunks, args in jobs:
             if not isinstance(chunks, range):
@@ -332,12 +281,14 @@ class ChunkSupervisor:
                 self._event("chunk_failed", index, attempt, why)
                 failed[index] = why
 
-        def finish(index: int, result: Dict[str, Any], latency_s: float) -> None:
+        def finish(index: int, result: Any, latency_s: float) -> None:
             nonlocal stopping
             results[index] = result
+            obs_metrics.get_registry().histogram(CHUNK_LATENCY_METRIC).observe(
+                latency_s
+            )
             if on_complete is not None:
-                on_complete(index, result)
-            self._heartbeat(index, result, latency_s)
+                on_complete(index, result, latency_s)
             if should_stop is not None and should_stop():
                 stopping = True
                 self._event(

@@ -54,12 +54,11 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from ..memory.base import FAIL, MemoryMarkovModel
-from ..obs import metrics as obs_metrics
 from ..obs import trace
-from ..perf import PerfCounters, Stopwatch, merge_counter_dicts
+from ..perf import PerfCounters, merge_counter_dicts
 from ..rs import BatchRSCodec, RSCode
 from ..runtime import ChunkSupervisor, RuntimeConfig, seed_key
-from ..stats import AdaptiveStopper, BerSnapshot, StreamingEstimator
+from ..stats import AdaptiveStopper, StreamingEstimator
 from ..stats.intervals import wilson_interval  # noqa: F401  (moved; re-exported)
 from .arbiter import decide_batch
 # Re-exported so that benchmarks/e2e/spans.py, which wraps these call
@@ -973,7 +972,7 @@ def _run_injection_chunk(task: TaskSpec) -> List[Dict[str, object]]:
     schedule = parse_schedule(task.schedule)
     counters = PerfCounters()
     # Busy time goes to the additive cpu_seconds axis; true wall clock
-    # (elapsed_seconds) is owned by the coordinator's Stopwatch.
+    # (elapsed_seconds) is measured by the coordinator.
     t_busy = time.perf_counter()
     tally = np.zeros((len(task.blocks), len(OUTCOMES)), dtype=np.int64)
     work = np.zeros((len(task.blocks), len(WORK_FIELDS)), dtype=np.int64)
@@ -1057,34 +1056,6 @@ def _run_injection_chunk(task: TaskSpec) -> List[Dict[str, object]]:
     return results
 
 
-def _ber_snapshot_publisher(cell_key: str) -> Callable[[BerSnapshot], None]:
-    """Mirror a cell's incremental BER±CI snapshots into the obs layer.
-
-    Gauges carry the latest aggregate (last-value semantics match a
-    streaming estimate); under a trace collector the event stream keeps
-    the full history for post-hoc convergence plots.  Each gauge is
-    looked up once per cell, on its first set.
-    """
-    gauges: Dict[str, obs_metrics.Gauge] = {}
-
-    def gauge(name: str) -> obs_metrics.Gauge:
-        found = gauges.get(name)
-        if found is None:
-            found = gauges[name] = obs_metrics.get_registry().gauge(name)
-        return found
-
-    def publish(snapshot: BerSnapshot) -> None:
-        gauge("repro.mc.ber").set(snapshot.probability)
-        gauge("repro.mc.ber_ci_low").set(snapshot.ci_low)
-        gauge("repro.mc.ber_ci_high").set(snapshot.ci_high)
-        if not math.isinf(snapshot.rel_halfwidth):
-            gauge("repro.mc.ber_rel_halfwidth").set(snapshot.rel_halfwidth)
-        if trace.current_collector() is not None:
-            trace.event("ber_snapshot", cell=cell_key, **snapshot.as_dict())
-
-    return publish
-
-
 def simulate_fail_probability_batched(
     arrangement: str,
     code: RSCode,
@@ -1139,8 +1110,10 @@ def simulate_fail_probability_batched(
     the executor for ``workers`` is built for this call and shut down
     at its end.  Tasks are sized by the executor's ``capacity``;
     neither can affect the estimate.  Every completion streams an
-    incremental BER±CI snapshot into the obs layer (and
-    ``runtime.on_snapshot``); ``runtime.stop`` adds the adaptive
+    incremental BER±CI snapshot into the trace (a ``ber_snapshot``
+    event) and ``runtime.on_snapshot``, and every task that ran or block
+    replayed from the journal leaves a ``chunk_heartbeat`` event and
+    advances ``runtime.progress``; ``runtime.stop`` adds the adaptive
     stopping rule: the run ends at the smallest contiguous chunk prefix
     whose cumulative interval satisfies the rule, and the estimate
     aggregates exactly that prefix — so early-stopped results are also
@@ -1192,27 +1165,59 @@ def simulate_fail_probability_batched(
     seed_ids = None if journal is None else [seed_key(s) for s in seeds]
 
     # Streaming aggregation: every completion (journal replays included)
-    # folds into an incremental BER±CI snapshot for the obs layer, and —
-    # when a stopping rule is configured — into the contiguous-prefix
-    # stopper whose decision is invariant to scheduling.
+    # folds into an incremental BER±CI snapshot for the trace and
+    # ``on_snapshot``, and — when a stopping rule is configured — into
+    # the contiguous-prefix stopper whose decision is invariant to
+    # scheduling.
     ci_method = cfg.stop.method if cfg.stop is not None else "wilson"
     ci_confidence = cfg.stop.confidence if cfg.stop is not None else 0.95
     streamer = StreamingEstimator(method=ci_method, confidence=ci_confidence)
     stopper = AdaptiveStopper(cfg.stop) if cfg.stop is not None else None
-    publish = _ber_snapshot_publisher(cell_key)
 
     def observe(index: int, result: Dict[str, object]) -> None:
         chunk_failures = int(result["failures"])  # type: ignore[arg-type]
         chunk_trials = int(result["trials"])  # type: ignore[arg-type]
         snapshot = streamer.offer(index, chunk_failures, chunk_trials)
         if snapshot is not None:
-            publish(snapshot)
+            if trace.current_collector() is not None:
+                trace.event("ber_snapshot", cell=cell_key, **snapshot.as_dict())
             if cfg.on_snapshot is not None:
                 cfg.on_snapshot(snapshot)
         if stopper is not None:
             stopper.offer(index, chunk_failures, chunk_trials)
 
+    def heartbeat(attrs: Dict[str, object]) -> None:
+        """Finished work — a task that ran, or a block replayed from the
+        journal — advances the progress estimate and leaves a
+        ``chunk_heartbeat`` in the trace; ``attrs`` name it and count
+        its ``trials``."""
+        if cfg.progress is not None:
+            progress_event = cfg.progress.advance(max(attrs["trials"], 1))
+            attrs.update(progress_event.as_dict())
+            if cfg.on_progress is not None:
+                cfg.on_progress(progress_event)
+        trace.event("chunk_heartbeat", **attrs)
+
     results: Dict[int, Dict[str, object]] = {}
+
+    def record(
+        first: int, task_results: List[Dict[str, object]], latency_s: float
+    ) -> None:
+        # A finished task journals and offers its blocks in index order,
+        # then leaves one heartbeat.
+        for index, result in enumerate(task_results, start=first):
+            if journal is not None:
+                journal.record_chunk(cell_key, index, seed_ids[index], result)
+            results[index] = result
+            observe(index, result)
+        heartbeat(
+            {
+                "chunk": first,
+                "latency_s": latency_s,
+                "trials": sum(int(result["trials"]) for result in task_results),
+            }
+        )
+
     pending: List[int] = []
     for index in range(len(sizes)):
         cached = (
@@ -1224,20 +1229,9 @@ def simulate_fail_probability_batched(
             results[index] = cached
             own_counters.chunks_resumed += 1
             observe(index, cached)
-            # Replayed chunks are finished work too: advance the
-            # progress estimate and leave a heartbeat in the trace.
-            resumed_trials = int(cached.get("trials", 0))  # type: ignore[union-attr]
-            heartbeat_attrs = {
-                "chunk": index,
-                "trials": resumed_trials,
-                "resumed": True,
-            }
-            if cfg.progress is not None:
-                progress_event = cfg.progress.advance(max(resumed_trials, 1))
-                heartbeat_attrs.update(progress_event.as_dict())
-                if cfg.on_progress is not None:
-                    cfg.on_progress(progress_event)
-            trace.event("chunk_heartbeat", **heartbeat_attrs)
+            heartbeat(
+                {"chunk": index, "trials": int(cached["trials"]), "resumed": True}
+            )
         else:
             pending.append(index)
     if stopper is not None and stopper.should_stop:
@@ -1263,40 +1257,28 @@ def simulate_fail_probability_batched(
             n_tasks=len(jobs),
             chunks_resumed=len(results),
             cell_key=cell_key,
-        ), Stopwatch(own_counters):
-            if jobs:
-                supervisor = ChunkSupervisor(
-                    retry=cfg.retry,
-                    chunk_timeout=cfg.chunk_timeout,
-                    chaos=cfg.chaos,
-                    counters=own_counters,
-                    progress=cfg.progress,
-                    on_progress=cfg.on_progress,
-                    executor=cfg.executor,
-                )
-
-                def record(
-                    first: int, task_results: List[Dict[str, object]]
-                ) -> None:
-                    # A finished task journals and offers its blocks in
-                    # index order.
-                    for index, result in enumerate(task_results, start=first):
-                        if journal is not None:
-                            journal.record_chunk(
-                                cell_key, index, seed_ids[index], result
-                            )
-                        results[index] = result
-                        observe(index, result)
-
-                supervisor.run(
-                    jobs,
-                    primary=_run_injection_chunk,
-                    on_complete=record,
-                    should_stop=(
-                        None if stopper is None else lambda: stopper.should_stop
-                    ),
-                )
-                cfg.events.extend(supervisor.events)
+        ):
+            t_wall = time.perf_counter()
+            try:
+                if jobs:
+                    supervisor = ChunkSupervisor(
+                        retry=cfg.retry,
+                        chunk_timeout=cfg.chunk_timeout,
+                        chaos=cfg.chaos,
+                        counters=own_counters,
+                        executor=cfg.executor,
+                    )
+                    supervisor.run(
+                        jobs,
+                        primary=_run_injection_chunk,
+                        on_complete=record,
+                        should_stop=(
+                            None if stopper is None else lambda: stopper.should_stop
+                        ),
+                    )
+                    cfg.events.extend(supervisor.events)
+            finally:
+                own_counters.elapsed_seconds += time.perf_counter() - t_wall
 
     stop_index = stopper.stop_index if stopper is not None else None
     if stop_index is not None:
@@ -1333,16 +1315,11 @@ def simulate_fail_probability_batched(
     # (decoder/arbiter refused output) vs *silent* (wrong data served) —
     # the axis on which out-of-model correlated faults differ from the
     # i.i.d. analytic picture.
-    corrupted = counts[ReadOutcome.CORRUPTED.value]
-    unreadable = counts[ReadOutcome.UNREADABLE.value]
-    registry = obs_metrics.get_registry()
-    registry.counter("repro.mc.silent_miscorrections").inc(corrupted)
-    registry.counter("repro.mc.detected_uncorrectable").inc(unreadable)
     trace.event(
         "robustness_counts",
         cell=cell_key,
-        silent_miscorrections=corrupted,
-        detected_uncorrectable=unreadable,
+        silent_miscorrections=counts[ReadOutcome.CORRUPTED.value],
+        detected_uncorrectable=counts[ReadOutcome.UNREADABLE.value],
         trials=trials_used,
     )
     return FailureEstimate(

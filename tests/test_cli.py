@@ -100,6 +100,12 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "Tsc" in out and "availability" in out
 
+    def test_scrub_design_unmet_budget_is_one_line(self, capsys):
+        assert main(["scrub-design", "--budget", "1e-30"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "no swept scrubbing period meets BER budget 1e-30 at 48.0 h\n"
+
 
 class TestReportCommand:
     def test_writes_markdown(self, tmp_path, capsys):
@@ -120,6 +126,14 @@ class TestSensitivityCommand:
 
     def test_no_active_parameters(self, capsys):
         assert main(["sensitivity", "--seu", "0"]) == 1
+
+    def test_ber_underflow_is_one_line_not_a_traceback(self, capsys):
+        """At --seu 1e-300 the BER underflows to 0 at a positive horizon,
+        where no log-derivative exists."""
+        assert main(["sensitivity", "--seu", "1e-300"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "BER is zero at the evaluation point; elasticity undefined\n"
 
 
 @pytest.fixture
@@ -177,10 +191,11 @@ class TestCampaignCommand:
         assert beats
         assert beats[-1]["attrs"]["done"] == beats[-1]["attrs"]["total"]
         assert any(b["attrs"]["eta_seconds"] is not None for b in beats)
-        # the metrics snapshot includes the chunk-latency histogram
+        # the metrics snapshot includes the chunk-latency histogram, and
+        # no mirror of the counters
         metric_names = {m["name"] for m in by_kind["metric"]}
         assert "repro.mc.chunk_seconds" in metric_names
-        assert "repro.perf.trials" in metric_names
+        assert not any(name.startswith("repro.perf.") for name in metric_names)
 
     def test_progress_prints_heartbeats(self, tmp_path, capsys):
         code = main(
@@ -237,7 +252,7 @@ class TestCampaignCommand:
         )
         assert code == 0
         manifest = json.loads(path.read_text())
-        assert manifest["manifest_version"] == 5
+        assert manifest["manifest_version"] == 6
         assert manifest["progress"]
         assert manifest["progress"][-1]["done"] == 480
         assert manifest["metrics"]["repro.mc.chunk_seconds"]["count"] == 16
@@ -245,6 +260,29 @@ class TestCampaignCommand:
         perf = manifest["counters"]
         assert perf["cpu_seconds"] > 0.0
         assert perf["elapsed_seconds"] > 0.0
+
+    def test_manifest_metrics_count_their_own_run(self, tmp_path, capsys):
+        """Two campaigns in one process write the same metrics: each run
+        counts into a registry of its own, not the process-wide one."""
+        import json
+
+        docs = []
+        for name in ("first.json", "second.json"):
+            path = tmp_path / name
+            argv = ["campaign", "--trials", "60", "--chunk-size", "30",
+                    "--seed", "3", "--manifest", str(path)]
+            assert main(argv) == 0
+            docs.append(json.loads(path.read_text()))
+        first, second = (doc["metrics"] for doc in docs)
+        solver = {name for name in first if name.startswith("repro.solver.")}
+        assert solver
+        assert set(first) == set(second) == {"repro.mc.chunk_seconds", *solver}
+        for doc in docs:
+            assert doc["metrics"]["repro.mc.chunk_seconds"]["count"] == 16
+            assert doc["counters"]["chunks"] == 16
+        assert {name: first[name] for name in solver} == {
+            name: second[name] for name in solver
+        }
 
 
 def _unbuffered_cli_env():
@@ -441,11 +479,17 @@ MISUSE = {
         ["--engine", "reference", "--stop-rel-ci", "0.5"],
         "--stop-rel-ci requires the batch engine",
     ),
-    "stop-rel-ci-zero": (["--stop-rel-ci", "0"], "--stop-rel-ci must be > 0"),
-    "stop-rel-ci-negative": (
-        ["--stop-rel-ci", "-0.2"],
-        "--stop-rel-ci must be > 0",
-    ),
+    **{
+        f"stop-rel-ci-{name}": (
+            ["--stop-rel-ci", value],
+            "--stop-rel-ci must be finite and > 0",
+        )
+        # nan compares false with "<= 0" and reached StoppingRule's
+        # traceback; inf set a rule that any one failure meets
+        for name, value in (
+            ("zero", "0"), ("negative", "-0.2"), ("nan", "nan"), ("inf", "inf")
+        )
+    },
     "min-trials-negative": (
         ["--stop-rel-ci", "0.5", "--min-trials", "-1"],
         "--min-trials must be >= 0",
@@ -566,12 +610,19 @@ GRID_MISUSE = {
         "codeword length n=18 exceeds 2^m - 1 for m=0",
     ),
     **{
-        f"{command}-hours-{hours}": (
-            [command, "--hours", hours],
+        f"scrub-design-hours-{hours}": (
+            ["scrub-design", "--hours", hours],
             "--hours must be finite and >= 0",
         )
-        for command in ("sensitivity", "scrub-design")
         for hours in ("-5", "nan", "inf")
+    },
+    **{
+        f"sensitivity-hours-{hours}": (
+            ["sensitivity", "--hours", hours],
+            "--hours must be finite and > 0",
+        )
+        # BER(0) is 0 for every configuration: no elasticity there
+        for hours in ("0", "-5", "nan", "inf")
     },
     "sensitivity-tsc-zero": (
         ["sensitivity", "--tsc", "0"],
@@ -592,6 +643,20 @@ GRID_MISUSE = {
         ["scrub-design", "--seu", "nan"],
         "--seu must be finite and >= 0",
     ),
+    **{
+        f"scrub-design-words-{words}": (
+            ["scrub-design", "--words", words],
+            "--words must be >= 1",
+        )
+        for words in ("0", "-5")
+    },
+    **{
+        f"scrub-design-clock-mhz-{clock}": (
+            ["scrub-design", "--clock-mhz", clock],
+            "--clock-mhz must be finite and > 0",
+        )
+        for clock in ("0", "-1", "nan", "inf")
+    },
 }
 
 

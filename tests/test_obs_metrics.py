@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, log-bucketed histograms."""
+"""Metrics registry: counters, log-bucketed histograms."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
@@ -46,15 +45,6 @@ class TestCounter:
             Counter("n").inc(-1)
 
 
-class TestGauge:
-    def test_last_value_wins(self):
-        g = Gauge("wall")
-        assert g.value is None
-        g.set(1.0)
-        g.set(2.0)
-        assert g.value == 2.0
-
-
 class TestHistogram:
     def test_observations_land_in_fixed_buckets(self):
         h = Histogram("lat", bounds=[1.0, 10.0, 100.0])
@@ -87,16 +77,14 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(TypeError):
-            registry.gauge("x")
+            registry.histogram("x")
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(2)
-        registry.gauge("g").set(1.5)
         registry.histogram("h", bounds=[1.0]).observe(0.5)
         snap = registry.snapshot()
         assert snap["c"] == {"type": "counter", "value": 2.0}
-        assert snap["g"] == {"type": "gauge", "value": 1.5}
         assert snap["h"]["type"] == "histogram"
         json.dumps(snap)
 

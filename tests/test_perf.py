@@ -1,12 +1,11 @@
-"""Perf-counter accounting: wall vs CPU time, merge, Stopwatch guards."""
+"""Perf-counter accounting: wall vs CPU time, merge."""
 
 import pickle
 import time
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.perf import PerfCounters, Stopwatch, merge_counter_dicts, timed
+from repro.perf import PerfCounters, merge_counter_dicts
 
 
 class TestMergeAccounting:
@@ -45,7 +44,7 @@ class TestMergeAccounting:
         # Journals written before the cpu_seconds split must still load.
         old = PerfCounters(trials=7).as_dict()
         del old["cpu_seconds"]
-        restored = PerfCounters.from_dict(old)
+        restored = merge_counter_dicts([old])
         assert restored.trials == 7
         assert restored.cpu_seconds == 0.0
 
@@ -77,63 +76,6 @@ class TestDerived:
         assert "cpu (all workers)" in text
         assert "4.00x" in text
         assert "dirty words decoded: 2 (25.0%)" in text
-
-    def test_publish_mirrors_fields_into_registry(self):
-        registry = MetricsRegistry()
-        PerfCounters(trials=42, cpu_seconds=1.5).publish(registry)
-        assert registry.gauge("repro.perf.trials").value == 42
-        assert registry.gauge("repro.perf.cpu_seconds").value == 1.5
-
-    def test_published_gauges_name_the_dirty_words(self):
-        registry = MetricsRegistry()
-        PerfCounters(words_decoded=8, dirty_words_decoded=3).publish(registry)
-        names = set(registry.snapshot())
-        assert registry.gauge("repro.perf.dirty_words_decoded").value == 3
-        assert not {
-            "repro.perf.engine_fallbacks",
-            "repro.perf.scalar_fallbacks",
-        } & names
-
-
-class TestStopwatch:
-    def test_accumulates_wall_by_default(self):
-        c = PerfCounters()
-        with Stopwatch(c):
-            time.sleep(0.01)
-        assert c.elapsed_seconds > 0.0
-        assert c.cpu_seconds == 0.0
-
-    def test_attr_selects_cpu_axis(self):
-        c = PerfCounters()
-        with Stopwatch(c, attr="cpu_seconds"):
-            time.sleep(0.01)
-        assert c.cpu_seconds > 0.0
-        assert c.elapsed_seconds == 0.0
-
-    def test_unknown_attr_rejected(self):
-        with pytest.raises(ValueError):
-            Stopwatch(PerfCounters(), attr="nonexistent")
-
-    def test_exit_without_enter_raises_runtime_error(self):
-        """Must be a real exception, not a bare assert that ``python -O``
-        strips (leaving a baffling TypeError on perf_counter() - None)."""
-        sw = Stopwatch(PerfCounters())
-        with pytest.raises(RuntimeError, match="without __enter__"):
-            sw.__exit__(None, None, None)
-
-    def test_reentry_accumulates(self):
-        c = PerfCounters()
-        sw = Stopwatch(c)
-        with sw:
-            pass
-        with sw:
-            pass
-        assert c.elapsed_seconds >= 0.0
-
-    def test_timed_returns_result_and_elapsed(self):
-        result, elapsed = timed(lambda x: x * 2, 21)
-        assert result == 42
-        assert elapsed >= 0.0
 
 
 class TestPooledWallAccounting:

@@ -178,6 +178,46 @@ class TestResumeDeterminism:
         assert resumed == reference
         assert counters.chunks_resumed == 2
 
+    def test_half_resumed_run_beats_once_per_block_and_task(self, tmp_path):
+        """Each journal-resumed block and each task that ran leaves one
+        ``chunk_heartbeat`` and advances the progress tracker once."""
+        from repro.obs import trace
+        from repro.obs.progress import ProgressTracker
+
+        path = tmp_path / "run.jsonl"
+        with CheckpointJournal(path) as journal:
+            # blocks 0-19 of the 2,000-trial run below: the same seeds
+            batched(
+                runtime=RuntimeConfig(journal=journal), trials=1000, chunk_size=50
+            )
+        progress = []
+        collector = trace.TraceCollector()
+        with CheckpointJournal(path) as journal, trace.use_collector(collector):
+            batched(
+                runtime=RuntimeConfig(
+                    journal=journal,
+                    progress=ProgressTracker(total=2000),
+                    on_progress=progress.append,
+                ),
+                trials=2000,
+                chunk_size=50,
+            )
+        beats = [event["attrs"] for event in collector.events("chunk_heartbeat")]
+        tracked = {"done", "total", "fraction", "elapsed_seconds",
+                   "rate_per_second", "eta_seconds", "unit"}
+        resumed, ran = beats[:20], beats[20:]
+        assert [beat["chunk"] for beat in resumed] == list(range(20))
+        for beat in resumed:
+            assert set(beat) == {"chunk", "trials", "resumed", *tracked}
+            assert beat["resumed"] is True and beat["trials"] == 50
+        # 20 pending blocks on one worker: four tasks of five blocks
+        assert [beat["chunk"] for beat in ran] == [20, 25, 30, 35]
+        for beat in ran:
+            assert set(beat) == {"chunk", "latency_s", "trials", *tracked}
+            assert beat["trials"] == 250 and beat["latency_s"] > 0.0
+        assert [event.done for event in progress] == [b["done"] for b in beats]
+        assert beats[-1]["done"] == beats[-1]["total"] == 2000
+
     def test_records_with_dropped_counter_keys_still_resume(self, tmp_path):
         """Chunk records written while straggler speculation existed carry
         two more counter keys, always zero.  Every block still replays,

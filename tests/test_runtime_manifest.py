@@ -47,7 +47,7 @@ class TestManifest:
             resumed=True,
             checkpoint_path="run.jsonl",
         )
-        assert manifest["manifest_version"] == 5
+        assert manifest["manifest_version"] == 6
         assert manifest["scenario"] is None
         assert manifest["fingerprint"]["base_seed"] == 5
         assert manifest["fingerprint"]["cells"][0]["arrangement"] == "simplex"

@@ -72,6 +72,15 @@ class TestSerialResilience:
         assert info.value.index == 0
         assert info.value.attempts == FAST_RETRY.max_attempts
 
+    def test_failed_run_still_counts_its_wall_time(self):
+        counters = PerfCounters()
+        runtime = RuntimeConfig(
+            retry=FAST_RETRY, chaos=parse_chaos_spec("poison@*")
+        )
+        with pytest.raises(ChunkFailedError):
+            batched(runtime=runtime, counters=counters)
+        assert counters.elapsed_seconds > 0.0
+
     def test_exhausted_chunk_raises_chunk_failed(self):
         supervisor = ChunkSupervisor(retry=FAST_RETRY)
         with pytest.raises(
@@ -210,6 +219,34 @@ def test_dispatch_reads_not_before_linearly(monkeypatch):
     done = ChunkSupervisor().run(jobs, primary=lambda _args: {"trials": 1})
     assert len(done) == len(jobs)
     assert len(reads) <= 2 * len(jobs)
+
+
+@pytest.mark.parametrize(
+    "result", [None, [1, "two", None]], ids=["none", "non-dicts"]
+)
+def test_supervisor_reads_no_field_of_a_result(result):
+    """Whatever a job returns passes through untouched: each job's
+    latency is recorded once and handed to ``on_complete`` with it."""
+    from repro.obs.metrics import MetricsRegistry, set_registry
+    from repro.runtime import CHUNK_LATENCY_METRIC
+
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    completed = []
+    try:
+        done = ChunkSupervisor().run(
+            [(0, None), (range(1, 3), None), (3, None)],
+            primary=lambda _args: result,
+            on_complete=lambda *call: completed.append(call),
+        )
+    finally:
+        set_registry(previous)
+    assert done == {0: result, 1: result, 3: result}
+    assert sorted(index for index, _result, _latency in completed) == [0, 1, 3]
+    assert all(got is result for _index, got, _latency in completed)
+    latency = registry.get(CHUNK_LATENCY_METRIC).snapshot()
+    assert latency["count"] == 3
+    assert latency["sum"] == sum(seconds for _index, _result, seconds in completed)
 
 
 @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])

@@ -214,7 +214,7 @@ def test_block_counters_sum_to_the_codec_totals(
     codec_counters = {id(c): c for c, _ in seen}
     assert len(codec_counters) == 1  # every replay of a task shares them
     (totals,) = codec_counters.values()
-    blocks = [PerfCounters.from_dict(r["counters"]) for r in results]
+    blocks = [PerfCounters(**r["counters"]) for r in results]
     for name in _WORK:
         assert sum(getattr(b, name) for b in blocks) == getattr(totals, name)
     assert sum(b.words_encoded for b in blocks) == sum(n for _, n in seen)
