@@ -45,6 +45,13 @@ def time_to_ber_budget(curve: BERCurve, budget: float) -> float:
     return float(curve.times_hours[over[0]])
 
 
+#: The scrubbing periods :func:`max_scrub_period_for_budget` sweeps by
+#: default: 5 to 240 minutes, in seconds.
+SCRUB_PERIODS_SECONDS = tuple(
+    60.0 * step for step in (5, 10, 15, 20, 30, 45, 60, 90, 120, 180, 240)
+)
+
+
 def max_scrub_period_for_budget(
     n: int,
     k: int,
@@ -52,16 +59,16 @@ def max_scrub_period_for_budget(
     budget: float,
     horizon_hours: float,
     m: int = 8,
-    periods_seconds: Sequence[float] = tuple(
-        60.0 * step for step in (5, 10, 15, 20, 30, 45, 60, 90, 120, 180, 240)
-    ),
+    periods_seconds: Sequence[float] = SCRUB_PERIODS_SECONDS,
     fail_rule: str = "either",
 ) -> float:
     """Largest swept scrubbing period keeping duplex BER within budget.
 
     Scans the candidate periods from longest to shortest and returns the
     first that meets the budget at the horizon; raises if none does.
-    This answers the paper's Fig. 7 design question quantitatively.
+    This answers the paper's Fig. 7 design question quantitatively.  An
+    answer equal to the longest candidate is a lower bound: a longer
+    period, had it been swept, might meet the budget too.
     """
     for period in sorted(periods_seconds, reverse=True):
         model = duplex_model(

@@ -62,8 +62,6 @@ CHUNK_SIZE_HELP = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .simulator.campaign import ENGINES
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -187,19 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
         "'42.0h@1.0,6.0h@8.0' (exclusive with --scenario)",
     )
     camp.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="batch",
-        help="trial engine: 'batch' (default) runs trials in vectorized "
-        "chunks through the batch codec ('numpy' is another name for "
-        "it); 'reference' runs one trial at a time through the scalar "
-        "codec, the oracle the batch engine is checked against",
-    )
-    camp.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="processes for the batch engine; 1 runs in-process "
+        help="worker processes; 1 runs in-process "
         "(estimates are seed-deterministic regardless of this value)",
     )
     camp.add_argument(
@@ -211,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument(
         "--perf",
         action="store_true",
-        help="print batch-engine work/throughput counters",
+        help="print work/throughput counters",
     )
     camp.add_argument(
         "--checkpoint",
         metavar="PATH",
         help="append-only JSONL journal of completed chunks; rerunning "
         "the same command against an existing journal resumes it with "
-        "bit-identical results (batch engine only)",
+        "bit-identical results",
     )
     camp.add_argument(
         "--manifest",
@@ -264,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         action="store_true",
         help="print per-chunk heartbeats (done/total, rate, ETA) and "
-        "streaming BER±CI snapshots to stderr as the campaign runs "
-        "(batch engine only)",
+        "streaming BER±CI snapshots to stderr as the campaign runs",
     )
     camp.add_argument(
         "--stop-rel-ci",
@@ -276,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         "halfwidth ((hi-lo)/2 divided by the estimate) of the contiguous "
         "chunk prefix reaches WIDTH (e.g. 0.1 = ±10%%); the stopping "
         "point is a deterministic function of the seed, identical for "
-        "any --workers (batch engine only)",
+        "any --workers",
     )
     camp.add_argument(
         "--min-trials",
@@ -447,6 +435,14 @@ def _refuse(*problems: Optional[str]) -> bool:
     return False
 
 
+def _bad_output(flag: str, path: Optional[str]) -> Optional[str]:
+    """The usage error for an output file ``path`` that is a directory,
+    if it is one: refused before any work, not after it."""
+    if path is not None and os.path.isdir(path):
+        return f"{flag}: {path} is a directory"
+    return None
+
+
 def _too_few_points(points: int) -> bool:
     """Print the usage error for a time grid without t = 0 and the
     horizon, if ``points`` gives one."""
@@ -589,6 +585,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_scrub_design(args: argparse.Namespace) -> int:
     from .analysis import max_scrub_period_for_budget
+    from .analysis.sweep import SCRUB_PERIODS_SECONDS
     from .memory import scrub_overhead
 
     if not 0 < args.budget < math.inf:
@@ -625,7 +622,11 @@ def cmd_scrub_design(args: argparse.Namespace) -> int:
         f"budget {args.budget:g} over {args.hours:g} h at "
         f"lambda={args.seu:g}/bit/day:"
     )
-    _out(f"  slowest admissible Tsc : {period:.0f} s ({period / 60:.0f} min)")
+    tsc = f"{period:.0f} s ({period / 60:.0f} min)"
+    if period == max(SCRUB_PERIODS_SECONDS):
+        # The sweep ended before the budget did: a lower bound only.
+        tsc = f">= {period:.0f} s ({period / 60:.0f} min, the longest period swept)"
+    _out(f"  slowest admissible Tsc : {tsc}")
     _out(f"  scrub pass duration    : {overhead.pass_seconds:.3f} s")
     _out(f"  availability           : {overhead.availability:.6f}")
     _out(
@@ -638,7 +639,9 @@ def cmd_scrub_design(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from .analysis import write_report
 
-    if _too_few_points(args.points):
+    if _too_few_points(args.points) or _refuse(
+        _bad_output("-o/--output", args.output)
+    ):
         return 2
     path = write_report(args.output, points=args.points)
     _out(f"wrote {path}")
@@ -726,7 +729,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         StoppingRule,
         build_manifest,
         chaos_from_arg,
-        make_executor,
         write_manifest,
     )
     from .simulator import (
@@ -769,30 +771,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bad fault-physics spec: {exc}", file=sys.stderr)
         return 2
-    if _refuse(_bad_count(args.trials, args.chunk_size, args.workers, args.seed)):
-        return 2
-
-    batch = args.engine != "reference"
-    if args.checkpoint and not batch:
-        print(
-            "--checkpoint requires the batch engine (the reference "
-            "loop has no chunk structure to journal)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.progress and not batch:
-        print(
-            "--progress requires the batch engine (heartbeats are "
-            "emitted per chunk; the reference loop has none)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.stop_rel_ci is not None and not batch:
-        print(
-            "--stop-rel-ci requires the batch engine (adaptive "
-            "stopping consumes per-chunk results)",
-            file=sys.stderr,
-        )
+    if _refuse(
+        _bad_count(args.trials, args.chunk_size, args.workers, args.seed),
+        _bad_output("--manifest", args.manifest),
+        _bad_output("--trace", args.trace),
+    ):
         return 2
     if args.stop_rel_ci is not None and not 0 < args.stop_rel_ci < math.inf:
         print("--stop-rel-ci must be finite and > 0", file=sys.stderr)
@@ -864,8 +847,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     except CheckpointError as exc:
         print(f"checkpoint unusable: {exc}", file=sys.stderr)
         return 2
-    # One executor for the whole campaign; every cell shares it.
-    executor = make_executor(args.workers) if batch else None
     resumed = journal is not None and journal.n_chunks > 0
     if resumed:
         _out(
@@ -911,7 +892,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             method=args.ci_method,
         )
     tracker = None
-    if batch and (args.progress or args.trace or args.manifest):
+    if args.progress or args.trace or args.manifest:
         tracker = ProgressTracker(
             total=trials * len(cells), unit="trials"
         )
@@ -920,7 +901,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         chunk_timeout=args.chunk_timeout,
         chaos=chaos,
         journal=journal,
-        executor=executor,
         stop=stop,
         on_snapshot=on_snapshot if args.progress else None,
         progress=tracker,
@@ -939,11 +919,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             t_end_hours=t_end_hours,
             trials=trials,
             base_seed=seed,
-            engine=args.engine,
             workers=args.workers,
             chunk_size=args.chunk_size,
             counters=counters,
-            runtime=runtime if batch else None,
+            runtime=runtime,
         )
     except CheckpointMismatchError as exc:
         print(f"checkpoint refused: {exc}", file=sys.stderr)
@@ -973,8 +952,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 130
     finally:
         metrics = obs_metrics.set_registry(previous_registry).snapshot()
-        if executor is not None:
-            executor.shutdown()
         if journal is not None:
             journal.close()
             counters.io_errors += journal.io_errors
@@ -1002,7 +979,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 t_end_hours,
                 trials,
                 seed,
-                args.engine,
                 args.chunk_size,
                 stop=stop,
             ),
@@ -1046,7 +1022,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if counters.had_faults:
         _out("\nresilience:")
         _out(counters.resilience_summary())
-    if args.perf and batch:
+    if args.perf:
         _out(f"\nbatch engine ({args.workers} worker(s)):")
         _out(counters.summary())
     if manifest_path is not None:

@@ -18,8 +18,8 @@ the number of submissions worth having in flight at once:
   and the next submission starts a fresh pool.
 
 An executor belongs to whoever built it (:func:`make_executor`):
-``repro campaign`` builds one per campaign, so every cell shares one
-pool, and shuts it down at the end.
+``run_campaign``, behind ``repro campaign``, builds one per campaign,
+so every cell shares one pool, and shuts it down at the end.
 
 Executors move *scheduling* only.  Chunk payloads carry their own
 spawned ``SeedSequence`` and results are merged commutatively upstream,

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..memory import duplex_model, simplex_model
 from ..memory.duplex import DuplexMarkovModel
 from ..memory.mission import MissionProfile
@@ -24,36 +22,16 @@ from ..obs import trace
 from ..perf import PerfCounters
 from ..rs import RSCode
 from ..runtime import RuntimeConfig
-from .montecarlo import (
-    FailureEstimate,
-    simulate_fail_probability,
-    simulate_fail_probability_batched,
-)
+from .montecarlo import FailureEstimate, simulate_fail_probability_batched
 from .patterns import MAX_SCHEDULE_LEGS  # noqa: F401  (re-exported)
 from .patterns import check_schedule_legs, parse_pattern, parse_schedule
 
 
-#: Engine names accepted by :func:`run_campaign` and ``repro campaign
-#: --engine``.  ``batch`` runs trials in vectorized chunks through
-#: :class:`~repro.rs.batch.BatchRSCodec`; ``numpy`` is another name for
-#: it.  ``reference`` runs one trial at a time through the scalar oracle
-#: :class:`~repro.rs.codec.RSCode`.
-ENGINES = ("batch", "numpy", "reference")
-
-
-def canonical_engine(engine: str) -> str:
-    """The engine's value in campaign fingerprints.
-
-    ``batch`` and ``numpy`` name one engine and map to ``"batch"``.  The
-    ``reference`` loop draws its random stream in another order and keeps
-    its historical value ``"scalar"``, so fingerprints keep their bytes.
-    Any other name raises ``ValueError`` listing the valid ones.
-    """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
-        )
-    return "scalar" if engine == "reference" else "batch"
+#: Engine names :func:`run_campaign` accepts.  There is one engine: it
+#: runs trials in vectorized seed blocks through
+#: :class:`~repro.rs.batch.BatchRSCodec`.  ``numpy`` is another name for
+#: it, which the end-to-end benchmark's workloads pass.
+ENGINES = ("batch", "numpy")
 
 
 @dataclass(frozen=True)
@@ -227,7 +205,6 @@ def campaign_fingerprint(
     t_end_hours: float,
     trials: int,
     base_seed: int,
-    engine: str,
     chunk_size: int,
     stop=None,
 ) -> Dict[str, object]:
@@ -236,8 +213,9 @@ def campaign_fingerprint(
     This is the identity a checkpoint journal is bound to: two campaigns
     with equal fingerprints produce bit-identical estimates, so their
     journaled chunks are interchangeable.  Worker count is deliberately
-    absent — it cannot affect results.  The engine is recorded as
-    :func:`canonical_engine` maps it.  ``stop`` is the adaptive
+    absent — it cannot affect results.  ``"engine"`` is always
+    ``"batch"``, the value journal headers and manifests have carried for
+    this engine, so their bytes do not move.  ``stop`` is the adaptive
     stopping rule (or ``None`` for a full-budget run); see
     :func:`stopping_fingerprint` for why it is part of the identity.
     """
@@ -249,7 +227,7 @@ def campaign_fingerprint(
         "t_end_hours": t_end_hours,
         "trials": trials,
         "base_seed": base_seed,
-        "engine": canonical_engine(engine),
+        "engine": "batch",
         "chunk_size": chunk_size,
         "stopping": stopping_fingerprint(stop),
         "cells": [
@@ -285,35 +263,34 @@ def run_campaign(
     Seeding is positional (``base_seed + index``) so a campaign is exactly
     reproducible and individual cells can be re-run in isolation.
 
-    ``engine`` is one of :data:`ENGINES`:
+    Trials are drawn in vectorized seed blocks of ``chunk_size``, reads
+    decode in bulk through :class:`~repro.rs.batch.BatchRSCodec`, and
+    tasks of blocks fan out over ``workers`` processes.  The estimate is
+    a deterministic function of ``(base_seed, trials, chunk_size)`` only,
+    never of ``workers``.  ``engine`` must name the one engine (see
+    :data:`ENGINES`); any other name raises ``ValueError`` before any
+    work.
 
-    * ``"batch"`` (default; ``"numpy"`` is another name for it) draws
-      fault events in vectorized chunks, decodes reads in bulk through
-      :class:`~repro.rs.batch.BatchRSCodec`, and optionally fans chunks
-      out over ``workers`` processes.  The estimate is a deterministic
-      function of ``(base_seed, trials, chunk_size)`` only, never of
-      ``workers``.
-    * ``"reference"`` is the one-trial-at-a-time loop through the scalar
-      codec (bit-for-bit identical to historic ``engine="scalar"``
-      campaigns for a given seed), kept as the trusted validation path.
+    ``counters`` accumulates work and throughput across all cells.
 
-    ``counters`` (batch engine only) accumulates work and throughput
-    across all cells.
-
-    ``runtime`` (batch engine only) threads the resilience layer
-    through every cell: supervised retries, per-chunk timeouts, chaos
-    injection, and — when ``runtime.journal`` is set — chunk-level
-    checkpointing.  The journal is bound to this campaign's
-    :func:`campaign_fingerprint`; resuming with different parameters
-    raises :class:`~repro.runtime.CheckpointMismatchError`, and resuming
-    with the same ones replays completed chunks for bit-identical
-    results.  Every cell dispatches through ``runtime.executor``, which
-    its owner shuts down; without one, the executor for ``workers`` is
-    built once for the campaign and shut down when it returns.
+    ``runtime`` threads the resilience layer through every cell:
+    supervised retries, per-chunk timeouts, chaos injection, and — when
+    ``runtime.journal`` is set — chunk-level checkpointing.  The journal
+    is bound to this campaign's :func:`campaign_fingerprint`; resuming
+    with different parameters raises
+    :class:`~repro.runtime.CheckpointMismatchError`, and resuming with
+    the same ones replays completed chunks for bit-identical results.
+    Every cell dispatches through ``runtime.executor``, which its owner
+    shuts down; without one, the executor for ``workers`` is built once
+    for the campaign and shut down when it returns (an interrupt
+    included).
     """
     if not cells:
         raise ValueError("empty campaign")
-    batch = canonical_engine(engine) == "batch"
+    if engine not in ENGINES:
+        raise ValueError(
+            f"engine must be one of {', '.join(ENGINES)}, got {engine!r}"
+        )
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if chunk_size <= 0:
@@ -329,11 +306,6 @@ def run_campaign(
             parse_pattern(cell.pattern)
         check_schedule_legs(cell.schedule, t_end_hours)
     if runtime is not None and runtime.journal is not None:
-        if not batch:
-            raise ValueError(
-                "checkpoint journaling requires the batch engine; the "
-                "'reference' loop has no chunk structure to journal"
-            )
         runtime.journal.ensure_header(
             campaign_fingerprint(
                 cells,
@@ -343,7 +315,6 @@ def run_campaign(
                 t_end_hours,
                 trials,
                 base_seed,
-                engine,
                 chunk_size,
                 stop=runtime.stop,
             )
@@ -367,39 +338,24 @@ def run_campaign(
                     if cell.scrub_period_seconds is None
                     else cell.scrub_period_seconds / 3600.0
                 )
-                if batch:
-                    estimate = simulate_fail_probability_batched(
-                        cell.arrangement,
-                        code,
-                        t_end_hours,
-                        seu_per_bit=cell.seu_per_bit_day / 24.0,
-                        erasure_per_symbol=cell.erasure_per_symbol_day / 24.0,
-                        trials=trials,
-                        seed=base_seed + idx,
-                        scrub_period=scrub_period_hours,
-                        scrub_exponential=True,
-                        chunk_size=chunk_size,
-                        workers=workers,
-                        counters=counters,
-                        runtime=cfg,
-                        cell_key=f"{idx}:{cell.label()}",
-                        pattern=cell.pattern,
-                        schedule=cell.schedule,
-                    )
-                else:
-                    estimate = simulate_fail_probability(
-                        cell.arrangement,
-                        code,
-                        t_end_hours,
-                        seu_per_bit=cell.seu_per_bit_day / 24.0,
-                        erasure_per_symbol=cell.erasure_per_symbol_day / 24.0,
-                        trials=trials,
-                        rng=np.random.default_rng(base_seed + idx),
-                        scrub_period=scrub_period_hours,
-                        scrub_exponential=True,
-                        pattern=cell.pattern,
-                        schedule=cell.schedule,
-                    )
+                estimate = simulate_fail_probability_batched(
+                    cell.arrangement,
+                    code,
+                    t_end_hours,
+                    seu_per_bit=cell.seu_per_bit_day / 24.0,
+                    erasure_per_symbol=cell.erasure_per_symbol_day / 24.0,
+                    trials=trials,
+                    seed=base_seed + idx,
+                    scrub_period=scrub_period_hours,
+                    scrub_exponential=True,
+                    chunk_size=chunk_size,
+                    workers=workers,
+                    counters=counters,
+                    runtime=cfg,
+                    cell_key=f"{idx}:{cell.label()}",
+                    pattern=cell.pattern,
+                    schedule=cell.schedule,
+                )
                 rows.append(CampaignRow(cell, p_model, estimate))
     return rows
 

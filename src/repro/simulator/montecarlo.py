@@ -38,9 +38,11 @@ Three fault-injection validators:
   any executor, worker count and task grouping.
 
 The scalar :class:`SimplexSystem`/:class:`DuplexSystem` replay stays the
-oracle of the array engine: the ``reference`` campaign engine runs it,
-and the ``mc-replay-scalar`` verify target compares the two trial by
-trial on the same events.
+oracle of the array engine: :func:`simulate_fail_probability` runs it
+one trial at a time (``benchmarks/bench_xval_montecarlo.py`` checks it
+against the chains), and the ``mc-replay-scalar`` verify target
+compares the two trial by trial on the same events.  Campaigns run the
+array engine only.
 """
 
 from __future__ import annotations

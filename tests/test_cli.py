@@ -98,7 +98,28 @@ class TestOtherCommands:
     def test_scrub_design(self, capsys):
         assert main(["scrub-design", "--budget", "1e-6"]) == 0
         out = capsys.readouterr().out
-        assert "Tsc" in out and "availability" in out
+        assert "  slowest admissible Tsc : 3600 s (60 min)\n" in out
+        assert "availability" in out and ">=" not in out
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--hours", "0"],
+            ["--hours", "1e-9"],
+            ["--budget", "0.9"],
+            ["--seu", "0"],
+        ],
+        ids=["hours-0", "hours-1e-9", "budget-0.9", "seu-0"],
+    )
+    def test_scrub_design_sweep_end_is_printed_as_a_bound(self, capsys, extra):
+        """The longest swept period meeting the budget says nothing of
+        longer ones: it is printed as a lower bound."""
+        assert main(["scrub-design", *extra]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "  slowest admissible Tsc : >= 14400 s "
+            "(240 min, the longest period swept)\n"
+        ) in out
 
     def test_scrub_design_unmet_budget_is_one_line(self, capsys):
         assert main(["scrub-design", "--budget", "1e-30"]) == 1
@@ -214,22 +235,6 @@ class TestCampaignCommand:
         err = capsys.readouterr().err
         assert "480/480 trials" in err  # 8 cells x 60 trials
         assert "eta" in err
-
-    def test_progress_requires_batch_family_engine(self, capsys):
-        assert (
-            main(
-                [
-                    "campaign",
-                    "--trials",
-                    "60",
-                    "--engine",
-                    "reference",
-                    "--progress",
-                ]
-            )
-            == 2
-        )
-        assert "requires the batch engine" in capsys.readouterr().err
 
     def test_manifest_records_progress_and_metrics(
         self, tmp_path, capsys, fresh_metrics
@@ -471,14 +476,12 @@ MISUSE = {
     "chunk-size-zero": (["--chunk-size", "0"], "--chunk-size must be positive"),
     "workers-zero": (["--workers", "0"], "--workers must be >= 1"),
     "seed-negative": (["--seed", "-1"], "--seed must be >= 0"),
-    "reference-checkpoint": (
-        ["--engine", "reference", "--checkpoint", "{tmp}/run.jsonl"],
-        "--checkpoint requires the batch engine",
+    # the writer would fail only after every cell had run
+    "manifest-directory": (
+        ["--manifest", "{tmp}"],
+        "--manifest: {tmp} is a directory",
     ),
-    "reference-stop-rel-ci": (
-        ["--engine", "reference", "--stop-rel-ci", "0.5"],
-        "--stop-rel-ci requires the batch engine",
-    ),
+    "trace-directory": (["--trace", "{tmp}"], "--trace: {tmp} is a directory"),
     **{
         f"stop-rel-ci-{name}": (
             ["--stop-rel-ci", value],
@@ -530,6 +533,7 @@ class TestCampaignMisuse:
     def test_refused_before_any_work(self, tmp_path, capsys, case):
         extra, reason = MISUSE[case]
         extra = [arg.replace("{tmp}", str(tmp_path)) for arg in extra]
+        reason = reason.replace("{tmp}", str(tmp_path))
         code = main(
             ["campaign", "--trials", "20", "--chunk-size", "10",
              "--manifest", str(tmp_path / "run.json"), *extra]
@@ -601,6 +605,11 @@ GRID_MISUSE = {
         )
         for value in ("0", "-5", "nan", "inf")
     },
+    # the writer would fail only after every figure was regenerated
+    "report-output-directory": (
+        ["report", "-o", "."],
+        "-o/--output: . is a directory",
+    ),
     "ber-k-above-n": (
         ["ber", "--n", "10", "--k", "16"],
         "need 0 < k < n, got n=10, k=16",

@@ -1,76 +1,77 @@
-"""One table of engine names, checked at every entry point.
+"""One campaign engine, and the names ``run_campaign`` accepts for it.
 
-``batch`` (also spelled ``numpy``) and ``reference`` are the only engines.
-``run_campaign`` and ``repro campaign --engine`` must accept exactly those
-names and reject every other one with a message that lists the valid
-names.
+Every campaign runs the batch engine.  ``run_campaign`` still takes an
+``engine`` argument, but only a name of that engine: ``batch``, or
+``numpy``, its other name.  Every other name, the deleted ``reference``
+loop included, raises ``ValueError`` listing the valid names before any
+work.  ``repro campaign`` has no ``--engine`` flag: any ``--engine X`` is
+a usage error.
 """
 
 import warnings
 
 import pytest
 
+import repro.simulator.campaign as campaign
 from repro.cli import main
+from repro.obs import trace
 from repro.runtime.supervisor import ResilienceWarning
 from repro.simulator import CampaignCell, run_campaign
-from repro.simulator.campaign import canonical_engine
 
-VALID = ("batch", "numpy", "reference")
-#: ``auto``, ``scalar`` and ``compiled`` were engines once; they are now
-#: rejected like any unknown name.
-INVALID = ("auto", "scalar", "compiled", "quantum")
+VALID = ("batch", "numpy")
+#: ``reference``, ``auto``, ``scalar`` and ``compiled`` were engines once;
+#: they are now rejected like any unknown name.
+INVALID = ("reference", "auto", "scalar", "compiled", "quantum")
 
 CAMPAIGN = ["campaign", "--trials", "20", "--chunk-size", "10"]
+CELLS = [CampaignCell("simplex", 2e-3, 0.0)]
 
 
-def via_run_campaign(engine):
-    cells = [CampaignCell("simplex", 2e-3, 0.0)]
-    run_campaign(cells, trials=20, chunk_size=10, engine=engine)
+def estimates(engine):
+    rows = run_campaign(CELLS, trials=20, chunk_size=10, engine=engine)
+    return [row.estimate for row in rows]
 
 
-def via_cli(engine):
-    # argparse rejects a bad --engine with SystemExit(2); exit 1 means the
-    # campaign ran but a cell fell outside its interval at 20 trials.
-    assert main(CAMPAIGN + ["--engine", engine]) in (0, 1)
-
-
-#: entry point -> (call, exception it raises for an invalid name)
-ENTRY_POINTS = {
-    "run_campaign": (via_run_campaign, ValueError),
-    "repro campaign": (via_cli, SystemExit),
-}
-
-#: Each name's value in campaign fingerprints, unchanged since the names
-#: were collapsed, so fingerprints keep their bytes.
-FINGERPRINT_VALUES = {"batch": "batch", "numpy": "batch", "reference": "scalar"}
-
-
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
-@pytest.mark.parametrize("engine", VALID)
-def test_valid_engine_accepted(entry, engine):
-    call, _error = ENTRY_POINTS[entry]
-    call(engine)
+def test_engine_names():
+    assert campaign.ENGINES == VALID
 
 
 @pytest.mark.parametrize("engine", VALID)
-def test_fingerprint_value(engine):
-    assert canonical_engine(engine) == FINGERPRINT_VALUES[engine]
+def test_valid_engine_gives_the_batch_rows(engine):
+    assert estimates(engine) == estimates("batch")
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("engine", VALID)
+def test_campaign_cell_span_keeps_the_engine_name(engine):
+    collector = trace.TraceCollector()
+    with trace.use_collector(collector):
+        estimates(engine)
+    [span] = collector.spans("campaign_cell")
+    assert span["attrs"]["engine"] == engine
+
+
 @pytest.mark.parametrize("engine", INVALID)
-def test_invalid_engine_rejected_listing_valid_names(entry, engine, capsys):
-    call, error = ENTRY_POINTS[entry]
-    with pytest.raises(error) as excinfo:
-        call(engine)
-    if error is SystemExit:
-        assert excinfo.value.code == 2
-        message = capsys.readouterr().err
-    else:
-        message = str(excinfo.value)
+def test_invalid_engine_rejected_before_any_work(engine, monkeypatch):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("a model was solved before the engine check")
+
+    monkeypatch.setattr(campaign, "cell_model_probability", no_solve)
+    with pytest.raises(ValueError) as excinfo:
+        estimates(engine)
+    message = str(excinfo.value)
     assert repr(engine) in message
     for name in VALID:
         assert name in message, (name, message)
+
+
+@pytest.mark.parametrize("engine", VALID + INVALID)
+def test_engine_flag_is_a_usage_error(engine, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(CAMPAIGN + ["--engine", engine])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert "unrecognized arguments: --engine" in err
 
 
 def test_default_campaign_emits_no_resilience_warning():

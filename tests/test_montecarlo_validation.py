@@ -64,12 +64,19 @@ class TestCampaignValidation:
         with pytest.raises(ValueError, match="unknown arrangement 'nplex'"):
             run_campaign(cells, trials=10)
 
-    def test_checkpoint_requires_batch_family_engine(self, tmp_path):
+    def test_deleted_engine_refused_before_the_journal_header(self, tmp_path):
         from repro.runtime import CheckpointJournal, RuntimeConfig
 
-        runtime = RuntimeConfig(journal=CheckpointJournal(tmp_path / "j.jsonl"))
-        with pytest.raises(ValueError, match="'reference' loop has"):
-            run_campaign(CELLS, trials=10, engine="reference", runtime=runtime)
+        path = tmp_path / "j.jsonl"
+        with CheckpointJournal(path) as journal:
+            with pytest.raises(ValueError, match="got 'reference'"):
+                run_campaign(
+                    CELLS,
+                    trials=10,
+                    engine="reference",
+                    runtime=RuntimeConfig(journal=journal),
+                )
+        assert not path.exists()
 
 
 class TestCellLabels:

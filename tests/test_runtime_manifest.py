@@ -38,7 +38,7 @@ class TestManifest:
         manifest = build_manifest(
             command="campaign",
             fingerprint=campaign_fingerprint(
-                cells, 18, 16, 8, 48.0, 100, 5, "batch", 50
+                cells, 18, 16, 8, 48.0, 100, 5, 50
             ),
             rows=rows,
             counters=counters,
@@ -83,7 +83,7 @@ class TestManifest:
         manifest = build_manifest(
             command="campaign",
             fingerprint=campaign_fingerprint(
-                cells, 18, 16, 8, 48.0, 100, 5, "batch", 50
+                cells, 18, 16, 8, 48.0, 100, 5, 50
             ),
             rows=rows,
             counters=PerfCounters(),
@@ -98,7 +98,7 @@ class TestManifest:
         manifest = build_manifest(
             command="campaign",
             fingerprint=campaign_fingerprint(
-                cells, 18, 16, 8, 48.0, 100, 5, "batch", 50
+                cells, 18, 16, 8, 48.0, 100, 5, 50
             ),
             rows=rows,
             counters=PerfCounters(),
